@@ -258,6 +258,12 @@ class Braiding:
         return f"Braiding({self.name}, dim={self.dim})"
 
 
+# One braiding per (dim, param) within a run; emptied by
+# suites.clear_caches().  A plain dict, not functools.cache: profilers may
+# rebind standard_hecke to a wrapper without cache_clear.
+_hecke_cache: dict = {}
+
+
 def standard_hecke(dim: int, param: str = "q") -> Braiding:
     """The standard deformation of the flip on Q(q)^dim.
 
@@ -265,7 +271,16 @@ def standard_hecke(dim: int, param: str = "q") -> Braiding:
       i = j -> q * x_i (x) x_i
       i < j -> x_j (x) x_i
       i > j -> x_j (x) x_i + (q - q^-1) x_i (x) x_j
+
+    Memoized: equal arguments return the same Braiding object.
     """
+    cached = _hecke_cache.get((dim, param))
+    if cached is None:
+        cached = _hecke_cache[(dim, param)] = _build_standard_hecke(dim, param)
+    return cached
+
+
+def _build_standard_hecke(dim: int, param: str) -> Braiding:
     q = Scalar.var(param)
     nu_ = q - q.inverse()
     entries = {}

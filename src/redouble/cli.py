@@ -13,8 +13,8 @@ import argparse
 import sys
 import time
 
-from .suites import (SUITE_NAMES, SuiteConfig, exit_code_for, run_all,
-                     run_suite)
+from .suites import (SUITE_NAMES, SuiteConfig, clear_caches, exit_code_for,
+                     run_all, run_suite)
 
 CONFIG_ERROR = 3
 
@@ -87,6 +87,7 @@ def main(argv=None) -> int:
         parser.error("--jobs must be at least 1")
     shape = _parse_shape(args.shape, parser) if args.shape else None
 
+    clear_caches()
     started = time.perf_counter()
     try:
         if args.suite == "all":

@@ -85,6 +85,9 @@ class QuantumDouble:
         self.b_tag = rule.b_tag
         self.eps_a = eps_a
         self.max_word = max_word
+        # Arguments of the make_double call that built this double, or
+        # None for any other construction (e.g. substituted copies).
+        self.defining = None
         self._order_cache: dict = {}
         self._sub_cache: dict = {}
         for rel in a_pres.relations:
@@ -318,7 +321,19 @@ def _extract_rule(lhs: MatrixOverAlgebra, rhs: MatrixOverAlgebra,
 def make_double(braiding: Braiding, kind: str, a_tag: str = "",
                 b_tag: str = "", h: Scalar | None = None,
                 b_quotient: str = "free") -> QuantumDouble:
-    """Build one of the named doubles over the given braiding."""
+    """Build one of the named doubles over the given braiding.
+
+    Not memoized: a double's normal-form and ordering caches would then
+    live for the whole run.
+    """
+    double = _build_double(braiding, kind, a_tag, b_tag, h, b_quotient)
+    double.defining = (braiding, kind, double.a_tag, double.b_tag, h,
+                       b_quotient)
+    return double
+
+
+def _build_double(braiding: Braiding, kind: str, a_tag: str, b_tag: str,
+                  h: Scalar | None, b_quotient: str) -> QuantumDouble:
     dim = braiding.dim
     r = braiding.op
     rinv = braiding.inv
@@ -463,6 +478,12 @@ def monomial_matrix(braiding: Braiding, tag: str, k: int,
     return out
 
 
+# Slotwise operators keyed on (double.defining, element terms, k); emptied
+# by suites.clear_caches().  The key holds no double, so memoizing keeps
+# no normal-form caches alive.
+_operator_cache: dict = {}
+
+
 def action_operator(double: QuantumDouble, a: NCElement,
                     k: int) -> TensorOperator:
     """Slotwise operator form of acting by a on degree-k matrix monomials.
@@ -470,8 +491,21 @@ def action_operator(double: QuantumDouble, a: NCElement,
     Solves act(a, monomial entries) = O * (monomial entries) for the scalar
     operator O on k tensor slots; raises DoubleError when the system is
     inconsistent (the element does not act slotwise) or the monomial
-    entries are linearly dependent.
+    entries are linearly dependent.  Memoized for doubles built by
+    make_double; callers share the returned operator and must not mutate
+    it.
     """
+    if double.defining is None:
+        return _solve_action_operator(double, a, k)
+    key = (double.defining, frozenset(a.terms.items()), k)
+    cached = _operator_cache.get(key)
+    if cached is None:
+        cached = _operator_cache[key] = _solve_action_operator(double, a, k)
+    return cached
+
+
+def _solve_action_operator(double: QuantumDouble, a: NCElement,
+                           k: int) -> TensorOperator:
     mon = monomial_matrix(double.braiding, double.b_tag, k)
     idx = _index_space(double.braiding.dim, k)
     nf_rows = {}

@@ -183,6 +183,9 @@ def _ptext(a: tuple, param: str) -> str:
     return "".join(parts)
 
 
+# Numerators of the unit monomials +-param^k (with denominator (1,)).
+_UNITS = ((1,), (-1,))
+
 # ---------------------------------------------------------------------------
 
 
@@ -327,6 +330,16 @@ class Scalar:
         param = self._join(other)
         if not self.num or not other.num:
             return Scalar(param, 0, (), (1,))
+        # A factor +-param^k only shifts and maybe negates the other, whose
+        # canonical form it leaves canonical: no product, no gcd.
+        if other.den == (1,) and other.num in _UNITS:
+            return Scalar(param, self.shift + other.shift,
+                          self.num if other.num[0] == 1 else _pneg(self.num),
+                          self.den)
+        if self.den == (1,) and self.num in _UNITS:
+            return Scalar(param, self.shift + other.shift,
+                          other.num if self.num[0] == 1 else _pneg(other.num),
+                          other.den)
         if self.den == (1,) and other.den == (1,):
             return Scalar(param, self.shift + other.shift,
                           _pmul(self.num, other.num), (1,))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 
+from . import braidings, doubles, u2h
 from .adjoint_orbits import verify_adjoint_invariance, verify_orbit_descent
 from .anchors import anchor
 from .braidings import BraidingError, rtrace_form, standard_hecke
@@ -44,9 +45,10 @@ _CLOSED_FORMS = {
 class SuiteConfig:
     """Picklable description of one suite run.
 
-    Fields a suite does not consume are ignored; k and degree default to
-    per-suite values when left unset.  A fixed seed makes the resulting
-    report byte-identical across runs.
+    Fields a suite does not consume are ignored; k, degree and samples
+    default to per-suite values when left unset and must be positive when
+    set.  A fixed seed makes the resulting report byte-identical across
+    runs.
     """
 
     __slots__ = ("suite", "n", "k", "shape", "degree", "mode", "samples",
@@ -56,6 +58,10 @@ class SuiteConfig:
                  shape: tuple | None = None, degree: int | None = None,
                  mode: str = "EXACT", samples: int | None = None,
                  seed: int = 0):
+        for name, value in (("k", k), ("degree", degree),
+                            ("samples", samples)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         self.suite = suite
         self.n = n
         self.k = k
@@ -106,7 +112,7 @@ def braiding_suite(config: SuiteConfig) -> VerificationReport:
         for name, res in residuals:
             report.add(name, anchor(name), res.is_zero())
     elif config.mode == "SAMPLED":
-        samples = config.samples if config.samples else 3
+        samples = 3 if config.samples is None else config.samples
         for value in random_parameter_values(config.rng(), samples):
             for name, res in residuals:
                 report.add(f"{name}@{value}", anchor(name),
@@ -125,7 +131,7 @@ def braiding_suite(config: SuiteConfig) -> VerificationReport:
 def heckerep_suite(config: SuiteConfig) -> VerificationReport:
     """Symmetric-group tower data carried by the braiding."""
     n = config.n
-    k = config.k if config.k else 2
+    k = 2 if config.k is None else config.k
     report = VerificationReport("heckerep", {"n": n, "k": k})
     b = standard_hecke(n)
     js = jucys_murphy(b, k)
@@ -237,7 +243,7 @@ def spectrum_suite(config: SuiteConfig) -> VerificationReport:
 
 def conjecture_suite(config: SuiteConfig) -> VerificationReport:
     """Character consistency plus the second elementary probe at rank 2."""
-    boxes = config.k if config.k else 4
+    boxes = 4 if config.k is None else config.k
     b = standard_hecke(config.n)
     report = VerificationReport("conjecture", {"n": config.n,
                                                "max_boxes": boxes})
@@ -252,7 +258,7 @@ def conjecture_suite(config: SuiteConfig) -> VerificationReport:
 
 def cayley_hamilton_suite(config: SuiteConfig) -> VerificationReport:
     rng = config.rng() if config.mode == "SAMPLED" else None
-    samples = config.samples if config.samples else 3
+    samples = 3 if config.samples is None else config.samples
     report = verify_cayley_hamilton(standard_hecke(config.n),
                                     mode=config.mode, rng=rng,
                                     samples=samples)
@@ -263,15 +269,15 @@ def cayley_hamilton_suite(config: SuiteConfig) -> VerificationReport:
 
 def capelli_suite(config: SuiteConfig) -> VerificationReport:
     """Word route and operator route for one monomial degree."""
-    k = config.k if config.k else 2
-    degree = config.degree if config.degree else 2
+    k = 2 if config.k is None else config.k
+    degree = 2 if config.degree is None else config.degree
     b = standard_hecke(config.n)
     cfg = {"n": config.n, "k": k, "mode": config.mode, "degree": degree}
     rng = None
     if config.mode == "SAMPLED":
         cfg["seed"] = config.seed
         rng = config.rng()
-    samples = config.samples if config.samples else 3
+    samples = 3 if config.samples is None else config.samples
     report = VerificationReport("capelli", cfg)
     _merge(report, verify_capelli(b, k, config.mode, rng=rng,
                                   samples=samples))
@@ -281,7 +287,7 @@ def capelli_suite(config: SuiteConfig) -> VerificationReport:
 
 def det_capelli_suite(config: SuiteConfig) -> VerificationReport:
     rng = config.rng() if config.mode == "SAMPLED" else None
-    samples = config.samples if config.samples else 3
+    samples = 3 if config.samples is None else config.samples
     report = verify_det_capelli(standard_hecke(config.n), mode=config.mode,
                                 rng=rng, samples=samples)
     if config.mode == "SAMPLED":
@@ -290,9 +296,9 @@ def det_capelli_suite(config: SuiteConfig) -> VerificationReport:
 
 
 def adjoint_suite(config: SuiteConfig) -> VerificationReport:
-    k = config.k if config.k else 1
+    k = 1 if config.k is None else config.k
     rng = config.rng() if config.mode == "SAMPLED" else None
-    samples = config.samples if config.samples else 3
+    samples = 3 if config.samples is None else config.samples
     report = verify_adjoint_invariance(standard_hecke(config.n), k,
                                        mode=config.mode, rng=rng,
                                        samples=samples)
@@ -303,13 +309,13 @@ def adjoint_suite(config: SuiteConfig) -> VerificationReport:
 
 def orbits_suite(config: SuiteConfig) -> VerificationReport:
     alphas = [Scalar.from_int(i + 2) for i in range(config.n)]
-    degree = config.degree if config.degree else 1
+    degree = 1 if config.degree is None else config.degree
     return verify_orbit_descent(standard_hecke(config.n), alphas,
                                 degree=degree)
 
 
 def u2h_suite(config: SuiteConfig) -> VerificationReport:
-    degree = config.degree if config.degree else 3
+    degree = 3 if config.degree is None else config.degree
     samples = config.samples if config.samples is not None else 20
     report = VerificationReport("u2h", {"degree": degree,
                                         "samples": samples,
@@ -354,8 +360,7 @@ def acceptance_grid(mode: str = "EXACT", seed: int = 0) -> list:
 
     mode switches the suites that support sampling between exact
     reduction and seeded rational sample points; the braiding rows stay
-    exact (they are already instant), and the rank-3 characteristic
-    identity stays sampled (its exact reduction is out of scale).
+    exact (they are already instant).
     """
     if mode not in ("EXACT", "SAMPLED"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -379,8 +384,7 @@ def acceptance_grid(mode: str = "EXACT", seed: int = 0) -> list:
     rows.append(("cayley-hamilton-n2",
                  SuiteConfig("cayley-hamilton", n=2, mode=mode, seed=seed)))
     rows.append(("cayley-hamilton-n3",
-                 SuiteConfig("cayley-hamilton", n=3, mode="SAMPLED",
-                             seed=seed)))
+                 SuiteConfig("cayley-hamilton", n=3, mode=mode, seed=seed)))
     for k in (1, 2):
         rows.append((f"capelli-n2-k{k}",
                      SuiteConfig("capelli", n=2, k=k, mode=mode, seed=seed)))
@@ -394,9 +398,22 @@ def acceptance_grid(mode: str = "EXACT", seed: int = 0) -> list:
     return rows
 
 
+def clear_caches() -> None:
+    """Empty the run-wide memos, so that the next run starts cold.
+
+    Within one run, braidings and slotwise action operators are built once
+    and shared across rows; forked --jobs workers inherit the empty memos.
+    """
+    braidings._hecke_cache.clear()
+    doubles._operator_cache.clear()
+    u2h._straighten_cache.clear()
+    u2h._act_cache.clear()
+
+
 def run_all(mode: str = "EXACT", seed: int = 0, jobs: int = 1
             ) -> VerificationReport:
     """Run the acceptance grid and aggregate one row per configuration."""
+    clear_caches()
     grid = acceptance_grid(mode, seed)
     configs = [cfg for _, cfg in grid]
     if jobs > 1:

@@ -66,6 +66,13 @@ def test_config_errors_exit_with_status_three(capsys):
         ["--suite", "spectrum", "--lambda", "1,2"],
         ["--suite", "spectrum", "--lambda", "0"],
         ["--suite", "spectrum", "--n", "2", "--lambda", "1,1,1"],
+        ["--suite", "heckerep", "--k", "0"],
+        ["--suite", "heckerep", "--k", "-2"],
+        ["--suite", "conjecture", "--k", "-1"],
+        ["--suite", "capelli", "--degree", "0"],
+        ["--suite", "u2h", "--degree", "-1"],
+        ["--suite", "u2h", "--samples", "0"],
+        ["--suite", "braiding", "--mode", "SAMPLED", "--samples", "-1"],
         [],
     ):
         with pytest.raises(SystemExit) as excinfo:

@@ -132,6 +132,7 @@ def test_acceptance_grid_shape():
     assert labels[0] == "braiding-n1"
     assert "spectrum-n3-2,1" in labels
     assert labels[-1] == "u2h"
+    assert dict(grid)["cayley-hamilton-n3"].mode == "EXACT"
     sampled = dict(acceptance_grid(mode="SAMPLED"))
     assert sampled["capelli-n2-k1"].mode == "SAMPLED"
     assert sampled["cayley-hamilton-n3"].mode == "SAMPLED"
