@@ -97,7 +97,7 @@ def verify_adjoint_invariance(braiding: Braiding, k: int,
         if rng is None:
             raise ValueError("SAMPLED mode needs an rng")
         points = []
-        for value in random_parameter_values(rng, max(samples, 3)):
+        for value in random_parameter_values(rng, samples):
             def cast(x, v=value):
                 return x.map_coeffs(lambda s: s.with_value(v))
             points.append((f"@{value}", double.substituted(value), cast))

@@ -166,7 +166,7 @@ def verify_capelli(braiding: Braiding, k: int, mode: str = "EXACT",
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("SAMPLED mode needs an rng")
-    for value in random_parameter_values(rng, max(samples, 3)):
+    for value in random_parameter_values(rng, samples):
         sub = double.substituted(value)
 
         def image(moa):

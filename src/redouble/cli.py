@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NAME",
                         help="one of: " + ", ".join(SUITE_NAMES)
                         + ", or 'all' for the acceptance grid")
-    parser.add_argument("--n", type=int, default=2,
+    parser.add_argument("--n", type=int, default=None,
                         help="matrix rank (default 2)")
     parser.add_argument("--k", type=int, default=None,
                         help="power / monomial degree, suite-specific"
@@ -63,6 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags that configure one suite; the `all` grid fixes its own per row.
+_PER_SUITE_FLAGS = (("--n", "n"), ("--k", "k"), ("--lambda", "shape"),
+                    ("--degree", "degree"), ("--samples", "samples"))
+
+
 def _parse_shape(text: str, parser: argparse.ArgumentParser) -> tuple:
     try:
         shape = tuple(int(part) for part in text.split(","))
@@ -79,9 +84,16 @@ def _parse_shape(text: str, parser: argparse.ArgumentParser) -> tuple:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.suite != "all" and args.suite not in SUITE_NAMES:
+    if args.suite == "all":
+        for flag, dest in _PER_SUITE_FLAGS:
+            if getattr(args, dest) is not None:
+                parser.error(f"{flag} applies to a single suite, not to"
+                             " --suite all")
+    elif args.suite not in SUITE_NAMES:
         parser.error(f"unknown suite {args.suite!r}")
-    if args.n < 1:
+    elif args.n is None:
+        args.n = 2
+    elif args.n < 1:
         parser.error("--n must be at least 1")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")

@@ -192,7 +192,7 @@ class QuantumDouble:
             raise ValueError(f"unknown mode {mode!r}")
         if rng is None:
             raise ValueError("SAMPLED mode needs an rng")
-        for value in random_parameter_values(rng, max(samples, 3)):
+        for value in random_parameter_values(rng, samples):
             sub = self.substituted(value)
             img = diff.map_coeffs(lambda s: s.with_value(value))
             if not sub.binormal_form(img).is_zero():

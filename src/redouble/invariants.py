@@ -121,7 +121,7 @@ def verify_cayley_hamilton(braiding: Braiding, tag: str = "l",
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("SAMPLED mode needs an rng")
-    for value in random_parameter_values(rng, max(samples, 3)):
+    for value in random_parameter_values(rng, samples):
         sub = pres.substituted(value)
         img = res.map_entries(
             lambda v: v.map_coeffs(lambda s: s.with_value(value)))

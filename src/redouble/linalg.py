@@ -4,11 +4,22 @@ Vectors are dicts {key: Scalar} with no stored zeros; keys can be anything
 hashable (index tuples, words).  Reduction picks the largest key under a
 caller-supplied sort key as the leading entry, so the same machinery serves
 operator rank computations and graded-lexicographic ideal reduction.
+
+`Triangular` eliminates fraction-free over the Laurent ring Q[q, 1/q],
+whose elements are the Scalars with a constant denominator.  Stored rows
+and working vectors stay in that ring: a step against a pivot whose lead
+is not a unit scales the working vector by the lead over its gcd with
+the cleared coefficient (one small polynomial gcd per step, none per
+entry), and remembers the scale.  Only `reduce` divides, once per
+surviving entry, by the product of the scales.  Remainders modulo a
+leading-reduced basis are unique, so that division yields exactly the
+canonical Q(q) remainder that elimination over the field gives.
 """
 
 from __future__ import annotations
 
-from .scalars import Scalar
+from .scalars import Scalar, _pcontent, _pdivexact, _pdivexact_int, _pgcd, \
+    _pmul
 
 
 def vec_add_scaled(target: dict, src: dict, coeff: Scalar) -> None:
@@ -27,13 +38,35 @@ def vec_add_scaled(target: dict, src: dict, coeff: Scalar) -> None:
                 target[k] = s
 
 
-def vec_scale(vec: dict, coeff: Scalar) -> dict:
-    return {k: coeff * v for k, v in vec.items()}
+def _clear_denominators(vec: dict):
+    """Scale vec in place into Q[q, 1/q]; returns the scale, None for one.
+
+    The scale is the lcm of the primitive parts of the non-constant
+    denominators.
+    """
+    lcm = None
+    for v in vec.values():
+        if len(v.den) > 1:
+            d = _pdivexact_int(v.den, _pcontent(v.den))
+            if lcm is None:
+                lcm, param = d, v.param
+            elif lcm != d:
+                lcm = _pmul(lcm, _pdivexact(d, _pgcd(lcm, d)))
+    if lcm is None:
+        return None
+    scale = Scalar(param, 0, lcm, (1,))
+    for k, v in vec.items():
+        vec[k] = scale * v
+    return scale
 
 
 class Triangular:
-    """Growable triangular basis with unit leading coefficients.
+    """Growable triangular basis over Q[q, 1/q].
 
+    pivots[key] = (lead, rest): a row whose largest key is `key`, with
+    coefficient `lead` there and the entries `rest` at smaller keys.  Each
+    row is primitive (its numerators share no polynomial factor and no
+    power of the parameter) and is known only up to a nonzero factor.
     Rows are kept leading-reduced (each row's keys other than its pivot are
     strictly smaller), which makes remainders unique without full
     inter-reduction.
@@ -46,8 +79,13 @@ class Triangular:
     def __len__(self):
         return len(self.pivots)
 
-    def reduce(self, vec: dict) -> dict:
-        """Unique remainder of vec modulo the current row span (vec consumed)."""
+    def _eliminate(self, vec: dict):
+        """(r, den) with r / den the remainder of vec (vec consumed).
+
+        r has constant denominators; den is a Laurent polynomial, or None
+        for one.
+        """
+        den = _clear_denominators(vec)
         pivots = self.pivots
         sortkey = self.sortkey
         while True:
@@ -60,36 +98,61 @@ class Triangular:
                         hk = sk
                         hit = k
             if hit is None:
-                return vec
-            coeff = vec.pop(hit)
-            vec_add_scaled(vec, pivots[hit], -coeff)
-            if hit in vec:  # pivot row has unit lead, so this cannot happen
+                return vec, den
+            c = vec.pop(hit)
+            lead, rest = pivots[hit]
+            if len(lead.num) > 1:
+                # divide lead and c by their gcd g; the quotients keep the
+                # canonical form of their dividends
+                g = _pgcd(lead.num, c.num)
+                lead = Scalar(lead.param, lead.shift,
+                              _pdivexact(lead.num, g), lead.den)
+                c = Scalar(c.param, c.shift, _pdivexact(c.num, g), c.den)
+            if len(lead.num) == 1:  # a unit of Q[q, 1/q]
+                vec_add_scaled(vec, rest, -(c * lead.inverse()))
+            else:  # vec := lead vec - c rest, and remember the scale
+                for k, v in vec.items():
+                    vec[k] = lead * v
+                vec_add_scaled(vec, rest, -c)
+                den = lead if den is None else den * lead
+            if hit in vec:  # the step cancels the pivot key by construction
                 raise AssertionError("reduction failed to clear pivot key")
+
+    def reduce(self, vec: dict) -> dict:
+        """Unique remainder of vec modulo the current row span (vec consumed)."""
+        vec, den = self._eliminate(vec)
+        if den is not None and vec:
+            inv = den.inverse()
+            for k, v in vec.items():
+                vec[k] = v * inv
+        return vec
 
     def insert(self, vec: dict):
         """Reduce vec and adjoin it if independent; returns its pivot or None."""
-        vec = self.reduce(dict(vec))
+        vec, _ = self._eliminate(dict(vec))
         if not vec:
             return None
+        g = ()
+        low = None
+        for v in vec.values():
+            if g != (1,):
+                g = _pgcd(g, v.num)
+            if low is None or v.shift < low:
+                low = v.shift
+        if g != (1,) or low:
+            vec = {k: Scalar(v.param, v.shift - low, _pdivexact(v.num, g),
+                             v.den)
+                   for k, v in vec.items()}
         lead = max(vec, key=self.sortkey)
-        inv = vec[lead].inverse()
-        row = {k: inv * v for k, v in vec.items()}
-        del row[lead]
-        self.pivots[lead] = row
+        self.pivots[lead] = (vec.pop(lead), vec)
         return lead
 
     def row(self, pivot) -> dict:
-        out = dict(self.pivots[pivot])
-        from .scalars import ONE
-        out[pivot] = ONE
+        """The stored row with pivot `pivot`, as one vector."""
+        lead, rest = self.pivots[pivot]
+        out = dict(rest)
+        out[pivot] = lead
         return out
-
-
-def rank(rows, sortkey=None) -> int:
-    tri = Triangular(sortkey)
-    for r in rows:
-        tri.insert(r)
-    return len(tri)
 
 
 def invert_table(rows: dict, keys: list) -> dict:

@@ -187,9 +187,6 @@ class QuadraticPresentation:
         self._nf_cache: dict = {}
         self._sub_cache: dict = {}
 
-    def top_degree(self, r: NCElement) -> int:
-        return r.degree()
-
     def ensure(self, d: int) -> None:
         while self._built < d:
             e = self._built + 1
@@ -258,14 +255,6 @@ class QuadraticPresentation:
         return cached
 
 
-def degree_normal_form(x: NCElement, pres: QuadraticPresentation,
-                       bound: int | None = None) -> NCElement:
-    """Unique remainder of x modulo the ideal, materialized up to bound."""
-    if bound is not None:
-        pres.ensure(bound)
-    return pres.normal_form(x)
-
-
 def equals_mod_ideal(a: NCElement, b: NCElement, pres: QuadraticPresentation,
                      mode: str = "EXACT", rng=None, samples: int = 3) -> bool:
     """Equality in the quotient algebra, EXACT or SAMPLED.
@@ -282,7 +271,7 @@ def equals_mod_ideal(a: NCElement, b: NCElement, pres: QuadraticPresentation,
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("SAMPLED mode needs an rng")
-    for value in random_parameter_values(rng, max(samples, 3)):
+    for value in random_parameter_values(rng, samples):
         sub = pres.substituted(value)
         if not sub.reduces_to_zero(diff.map_coeffs(lambda s: s.with_value(value))):
             return False

@@ -43,9 +43,6 @@ class VerificationReport:
             "wall_time_ms": wall_ms,
         })
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def passed(self) -> bool:
         return all(c["passed"] for c in self.checks)

@@ -96,7 +96,7 @@ def _pdivexact_int(a: tuple, k: int) -> tuple:
 
 
 def _pprem(a: tuple, b: tuple) -> tuple:
-    """Pseudo-remainder of a by b (b nonzero), fraction-free."""
+    """A nonzero integer multiple of the remainder of a by b (b nonzero)."""
     da, db = len(a) - 1, len(b) - 1
     if da < db:
         return a
@@ -105,10 +105,15 @@ def _pprem(a: tuple, b: tuple) -> tuple:
     for i in range(da, db - 1, -1):
         lead = r[i]
         if lead:
-            for j in range(len(r)):
-                r[j] *= lb
+            c, rem = divmod(lead, lb)
+            if rem:
+                # rescale only when lb does not divide: the result stays a
+                # nonzero integer multiple of the remainder over Q
+                for j in range(i + 1):
+                    r[j] *= lb
+                c = lead
             for j in range(db + 1):
-                r[i - db + j] -= lead * b[j]
+                r[i - db + j] -= c * b[j]
         # r[i] is now exactly zero
     return _ptrim(r[:db] if db > 0 else [])
 
@@ -229,10 +234,12 @@ class Scalar:
             den = den[k:]
             shift -= k
         if den != (1,):
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivexact(num, g)
-                den = _pdivexact(den, g)
+            # gcd(num, den) = 1 in Q[q] when either is a constant
+            if len(num) > 1 and len(den) > 1:
+                g = _pgcd(num, den)
+                if len(g) > 1:
+                    num = _pdivexact(num, g)
+                    den = _pdivexact(den, g)
             c = math.gcd(_pcontent(num), _pcontent(den))
             if c > 1:
                 num = _pdivexact_int(num, c)
@@ -492,7 +499,9 @@ def scalars_equal(a: Scalar, b: Scalar, mode: str = "EXACT",
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("SAMPLED mode needs an rng")
-    samples = max(samples, 3)
+    if samples < 3:
+        raise ValueError(f"SAMPLED mode needs at least 3 points, got"
+                         f" {samples}")
     done = 0
     while done < samples:
         (v,) = random_parameter_values(rng, 1)
@@ -507,10 +516,3 @@ def scalars_equal(a: Scalar, b: Scalar, mode: str = "EXACT",
 
 ZERO = Scalar("q", 0, (), (1,))
 ONE = Scalar("q", 0, (1,), (1,))
-
-
-def const(n, param: str = "q") -> Scalar:
-    """Convenience: int or Fraction to constant Scalar."""
-    if isinstance(n, int):
-        return Scalar.from_int(n, param)
-    return Scalar.from_fraction(n, param)

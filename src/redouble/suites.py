@@ -42,13 +42,19 @@ _CLOSED_FORMS = {
 }
 
 
+# Suites whose `samples` counts random parameter points in SAMPLED mode.
+_POINT_SAMPLED = frozenset({"braiding", "cayley-hamilton", "capelli",
+                           "det-capelli", "adjoint"})
+_MIN_POINTS = 3
+
+
 class SuiteConfig:
     """Picklable description of one suite run.
 
     Fields a suite does not consume are ignored; k, degree and samples
     default to per-suite values when left unset and must be positive when
-    set.  A fixed seed makes the resulting report byte-identical across
-    runs.
+    set, and a suite in _POINT_SAMPLED needs at least _MIN_POINTS samples.
+    A fixed seed makes the resulting report byte-identical across runs.
     """
 
     __slots__ = ("suite", "n", "k", "shape", "degree", "mode", "samples",
@@ -62,6 +68,10 @@ class SuiteConfig:
                             ("samples", samples)):
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if samples is not None and samples < _MIN_POINTS and \
+                suite in _POINT_SAMPLED:
+            raise ValueError(f"{suite} needs at least {_MIN_POINTS} sample"
+                             f" points, got {samples}")
         self.suite = suite
         self.n = n
         self.k = k

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import redouble
 from redouble.cli import main
 from redouble.reports import VerificationReport
 
@@ -73,12 +78,43 @@ def test_config_errors_exit_with_status_three(capsys):
         ["--suite", "u2h", "--degree", "-1"],
         ["--suite", "u2h", "--samples", "0"],
         ["--suite", "braiding", "--mode", "SAMPLED", "--samples", "-1"],
+        ["--suite", "braiding", "--mode", "SAMPLED", "--samples", "2"],
+        ["--suite", "cayley-hamilton", "--n", "2", "--mode", "SAMPLED",
+         "--samples", "1"],
+        ["--suite", "capelli", "--mode", "SAMPLED", "--samples", "2"],
+        ["--suite", "det-capelli", "--mode", "SAMPLED", "--samples", "1"],
+        ["--suite", "adjoint", "--mode", "SAMPLED", "--samples", "2"],
+        ["--suite", "all", "--k", "0", "--samples", "-4", "--n", "9"],
+        ["--suite", "all", "--n", "2"],
+        ["--suite", "all", "--k", "2"],
+        ["--suite", "all", "--lambda", "2,1"],
+        ["--suite", "all", "--degree", "2"],
+        ["--suite", "all", "--samples", "3"],
         [],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 3, argv
         capsys.readouterr()
+
+
+def test_suite_all_takes_the_run_wide_flags(tmp_path, capsys, monkeypatch):
+    seen = {}
+
+    def fake_run_all(mode, seed, jobs):
+        seen.update(mode=mode, seed=seed, jobs=jobs)
+        report = VerificationReport("all", {"mode": mode, "seed": seed})
+        report.add("row", "x", True)
+        return report
+
+    monkeypatch.setattr("redouble.cli.run_all", fake_run_all)
+    target = tmp_path / "all.json"
+    code, _, _ = run_cli(capsys, "--suite", "all", "--mode", "SAMPLED",
+                         "--seed", "5", "--jobs", "2", "--timings",
+                         "--out", str(target))
+    assert code == 0
+    assert seen == {"mode": "SAMPLED", "seed": 5, "jobs": 2}
+    assert "wall_time_ms" in json.loads(target.read_text())["config"]
 
 
 def test_failing_conjecture_probe_exits_with_status_two(capsys,
@@ -99,3 +135,17 @@ def test_hard_failure_exits_with_status_one(capsys, monkeypatch):
     monkeypatch.setattr("redouble.cli.run_suite", lambda cfg: broken)
     code, _, _ = run_cli(capsys, "--suite", "capelli")
     assert code == 1
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    src = str(pathlib.Path(redouble.__file__).resolve().parents[1])
+    for argv in (["--suite", "orbits", "--n", "2"],
+                 ["--suite", "spectrum", "--n", "2", "--lambda", "2,1"]):
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "redouble.cli", *argv], env=env,
+                capture_output=True, check=True, timeout=300)
+            outs.append(done.stdout)
+        assert outs[0] and outs[0] == outs[1], argv

@@ -1,10 +1,16 @@
-"""The unit-monomial shortcut in Scalar multiplication is exact."""
+"""The shortcuts in Scalar arithmetic and its gcd kernel are exact."""
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
-from redouble.scalars import MixedParameterError, Scalar, _pmul, nu, qint
+from redouble import scalars
+from redouble.scalars import (MixedParameterError, Scalar, _pcontent,
+                              _pdivexact, _pdivexact_int, _pgcd, _pmul,
+                              _pneg, _ptrim, nu, qint, scalars_equal)
 
 
 def _general(x: Scalar, y: Scalar) -> Scalar:
@@ -53,3 +59,83 @@ def test_unit_monomial_products_match_the_general_path():
                 assert (got.param, got.shift, got.num, got.den) == \
                     (want.param, want.shift, want.num, want.den), (left, right)
                 assert got == want and hash(got) == hash(want), (left, right)
+
+
+def _pprem_rescaling(a: tuple, b: tuple) -> tuple:
+    """Reference pseudo-remainder: the whole row is rescaled every step."""
+    da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        return a
+    lb = b[-1]
+    r = list(a)
+    for i in range(da, db - 1, -1):
+        lead = r[i]
+        if lead:
+            for j in range(len(r)):
+                r[j] *= lb
+            for j in range(db + 1):
+                r[i - db + j] -= lead * b[j]
+    return _ptrim(r[:db] if db > 0 else [])
+
+
+def _random_poly(rng, lo=0) -> tuple:
+    """Integer polynomial with nonzero ends, often non-monic or negative."""
+    deg = rng.randint(lo, 4)
+    c = [rng.randint(-6, 6) for _ in range(deg + 1)]
+    c[0] = c[0] or 1
+    c[-1] = c[-1] or rng.choice((-4, -1, 2, 3))
+    return tuple(c)
+
+
+def test_gcd_matches_the_rescaling_pseudo_remainder(monkeypatch):
+    rng = random.Random(11)
+    cases = [((2, 3, 0, 2), (-3, 0, -4)), ((-1, 0, 6), (3, -2))]
+    for _ in range(200):
+        f = _random_poly(rng)
+        cases.append((_pmul(f, _random_poly(rng)),
+                      _pmul(f, _random_poly(rng))))
+        cases.append((_random_poly(rng), _random_poly(rng)))
+    got = [_pgcd(a, b) for a, b in cases]
+    monkeypatch.setattr(scalars, "_pprem", _pprem_rescaling)
+    want = [_pgcd(a, b) for a, b in cases]
+    assert got == want
+    assert any(len(g) > 1 for g in got)
+
+
+def _make_general(param, shift, num, den) -> tuple:
+    """Reference canonical form: a polynomial gcd whatever num and den are."""
+    while num[0] == 0:
+        num, shift = num[1:], shift + 1
+    while den[0] == 0:
+        den, shift = den[1:], shift - 1
+    g = _pgcd(num, den)
+    num, den = _pdivexact(num, g), _pdivexact(den, g)
+    c = math.gcd(_pcontent(num), _pcontent(den))
+    num, den = _pdivexact_int(num, c), _pdivexact_int(den, c)
+    if den[-1] < 0:
+        num, den = _pneg(num), _pneg(den)
+    return (param, shift, num, den)
+
+
+def test_make_with_a_constant_side_matches_the_general_path():
+    rng = random.Random(5)
+    cases = [((4, -6, 2), (-6,)), ((0, 3), (9,)), ((-2,), (0, 4, 6)),
+             ((5,), (0, 0, -5)), ((1, 1), (2,))]
+    for _ in range(200):
+        const = (rng.choice((-12, -3, -1, 1, 2, 6, 8)),)
+        poly = tuple(x * rng.choice((1, 2, 6)) for x in _random_poly(rng))
+        poly = (0,) * rng.randint(0, 2) + poly
+        cases += [(poly, const), (const, poly)]
+    for num, den in cases:
+        got = Scalar._make("q", 1, num, den)
+        assert (got.param, got.shift, got.num, got.den) == \
+            _make_general("q", 1, num, den), (num, den)
+
+
+def test_sampled_equality_needs_three_points():
+    q = Scalar.var()
+    for samples in (-1, 0, 1, 2):
+        with pytest.raises(ValueError):
+            scalars_equal(q, q, "SAMPLED", rng=random.Random(0),
+                          samples=samples)
+    assert scalars_equal(q, q, "SAMPLED", rng=random.Random(0), samples=3)
