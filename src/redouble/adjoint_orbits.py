@@ -28,7 +28,7 @@ from .invariants import power_sum
 from .ncengine import (MatrixOverAlgebra, NCElement, QuadraticPresentation,
                        matrix_generators, re_presentation)
 from .reports import VerificationReport
-from .scalars import Scalar, random_parameter_values
+from .scalars import Scalar, check_points, random_parameter_values
 
 
 def _trace_commutes(double: QuantumDouble, trace: NCElement) -> tuple:
@@ -96,6 +96,7 @@ def verify_adjoint_invariance(braiding: Braiding, k: int,
     elif mode == "SAMPLED":
         if rng is None:
             raise ValueError("SAMPLED mode needs an rng")
+        check_points(samples)
         points = []
         for value in random_parameter_values(rng, samples):
             def cast(x, v=value):

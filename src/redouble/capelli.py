@@ -30,7 +30,7 @@ from .doubles import QuantumDouble, conjugated_copy, make_double, matrix_copy
 from .heckerep import hecke_integer, skew_symmetrizer
 from .ncengine import MatrixOverAlgebra, NCElement
 from .reports import VerificationReport
-from .scalars import ONE, Scalar, random_parameter_values
+from .scalars import ONE, Scalar, check_points, random_parameter_values
 
 
 class StructureError(ArithmeticError):
@@ -166,6 +166,7 @@ def verify_capelli(braiding: Braiding, k: int, mode: str = "EXACT",
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("SAMPLED mode needs an rng")
+    check_points(samples)
     for value in random_parameter_values(rng, samples):
         sub = double.substituted(value)
 

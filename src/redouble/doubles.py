@@ -39,7 +39,8 @@ from .ncengine import (
     symmetric_vector_presentation,
     vector_generators,
 )
-from .scalars import ONE, ZERO, Scalar, random_parameter_values
+from .scalars import ONE, ZERO, Scalar, check_points, \
+    random_parameter_values
 
 
 class DoubleError(Exception):
@@ -192,6 +193,7 @@ class QuantumDouble:
             raise ValueError(f"unknown mode {mode!r}")
         if rng is None:
             raise ValueError("SAMPLED mode needs an rng")
+        check_points(samples)
         for value in random_parameter_values(rng, samples):
             sub = self.substituted(value)
             img = diff.map_coeffs(lambda s: s.with_value(value))

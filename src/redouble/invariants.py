@@ -40,7 +40,8 @@ from .ncengine import (
     re_presentation,
 )
 from .reports import VerificationReport
-from .scalars import ONE, ZERO, Scalar, random_parameter_values
+from .scalars import ONE, ZERO, Scalar, check_points, \
+    random_parameter_values
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +122,7 @@ def verify_cayley_hamilton(braiding: Braiding, tag: str = "l",
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("SAMPLED mode needs an rng")
+    check_points(samples)
     for value in random_parameter_values(rng, samples):
         sub = pres.substituted(value)
         img = res.map_entries(

@@ -13,13 +13,15 @@ the cleared coefficient (one small polynomial gcd per step, none per
 entry), and remembers the scale.  Only `reduce` divides, once per
 surviving entry, by the product of the scales.  Remainders modulo a
 leading-reduced basis are unique, so that division yields exactly the
-canonical Q(q) remainder that elimination over the field gives.
+canonical Q(q) remainder that elimination over the field gives.  The
+ring operations themselves (`scalars.laurent_*`) live beside the
+canonical form they keep.
 """
 
 from __future__ import annotations
 
-from .scalars import Scalar, _pcontent, _pdivexact, _pdivexact_int, _pgcd, \
-    _pmul
+from .scalars import Scalar, laurent_cancel, laurent_multiplier, \
+    laurent_primitive
 
 
 def vec_add_scaled(target: dict, src: dict, coeff: Scalar) -> None:
@@ -36,28 +38,6 @@ def vec_add_scaled(target: dict, src: dict, coeff: Scalar) -> None:
                 del target[k]
             else:
                 target[k] = s
-
-
-def _clear_denominators(vec: dict):
-    """Scale vec in place into Q[q, 1/q]; returns the scale, None for one.
-
-    The scale is the lcm of the primitive parts of the non-constant
-    denominators.
-    """
-    lcm = None
-    for v in vec.values():
-        if len(v.den) > 1:
-            d = _pdivexact_int(v.den, _pcontent(v.den))
-            if lcm is None:
-                lcm, param = d, v.param
-            elif lcm != d:
-                lcm = _pmul(lcm, _pdivexact(d, _pgcd(lcm, d)))
-    if lcm is None:
-        return None
-    scale = Scalar(param, 0, lcm, (1,))
-    for k, v in vec.items():
-        vec[k] = scale * v
-    return scale
 
 
 class Triangular:
@@ -85,7 +65,10 @@ class Triangular:
         r has constant denominators; den is a Laurent polynomial, or None
         for one.
         """
-        den = _clear_denominators(vec)
+        den = laurent_multiplier(vec.values())
+        if den is not None:
+            for k, v in vec.items():
+                vec[k] = den * v
         pivots = self.pivots
         sortkey = self.sortkey
         while True:
@@ -102,12 +85,7 @@ class Triangular:
             c = vec.pop(hit)
             lead, rest = pivots[hit]
             if len(lead.num) > 1:
-                # divide lead and c by their gcd g; the quotients keep the
-                # canonical form of their dividends
-                g = _pgcd(lead.num, c.num)
-                lead = Scalar(lead.param, lead.shift,
-                              _pdivexact(lead.num, g), lead.den)
-                c = Scalar(c.param, c.shift, _pdivexact(c.num, g), c.den)
+                lead, c = laurent_cancel(lead, c)
             if len(lead.num) == 1:  # a unit of Q[q, 1/q]
                 vec_add_scaled(vec, rest, -(c * lead.inverse()))
             else:  # vec := lead vec - c rest, and remember the scale
@@ -132,17 +110,7 @@ class Triangular:
         vec, _ = self._eliminate(dict(vec))
         if not vec:
             return None
-        g = ()
-        low = None
-        for v in vec.values():
-            if g != (1,):
-                g = _pgcd(g, v.num)
-            if low is None or v.shift < low:
-                low = v.shift
-        if g != (1,) or low:
-            vec = {k: Scalar(v.param, v.shift - low, _pdivexact(v.num, g),
-                             v.den)
-                   for k, v in vec.items()}
+        vec = laurent_primitive(vec)
         lead = max(vec, key=self.sortkey)
         self.pivots[lead] = (vec.pop(lead), vec)
         return lead

@@ -24,7 +24,8 @@ from typing import Callable, Iterable, NamedTuple
 
 from .braidings import Braiding, TensorOperator
 from .linalg import Triangular, vec_add_scaled
-from .scalars import ONE, Scalar, scalars_equal, random_parameter_values
+from .scalars import ONE, Scalar, check_points, scalars_equal, \
+    random_parameter_values
 
 
 class Gen(NamedTuple):
@@ -271,6 +272,7 @@ def equals_mod_ideal(a: NCElement, b: NCElement, pres: QuadraticPresentation,
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("SAMPLED mode needs an rng")
+    check_points(samples)
     for value in random_parameter_values(rng, samples):
         sub = pres.substituted(value)
         if not sub.reduces_to_zero(diff.map_coeffs(lambda s: s.with_value(value))):

@@ -438,6 +438,70 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
+# The Laurent ring Q[param, 1/param]: the Scalars with a constant den.
+# Fraction-free elimination (linalg.Triangular) works in this ring.  The
+# helpers below rebuild canonical forms directly; a constant operand may
+# carry the default parameter, so each result takes its parameter through
+# Scalar._join.
+
+
+def laurent_cancel(a: Scalar, b: Scalar) -> tuple:
+    """(a / g, b / g) for g the primitive gcd of the numerators of a and b.
+
+    Dividing a numerator by a primitive factor of it keeps the canonical
+    form of a and b.
+    """
+    g = _pgcd(a.num, b.num)
+    if g == (1,):
+        return a, b
+    param = a._join(b)
+    return (Scalar(param, a.shift, _pdivexact(a.num, g), a.den),
+            Scalar(param, b.shift, _pdivexact(b.num, g), b.den))
+
+
+def laurent_primitive(vec: dict) -> dict:
+    """Nonempty vec over Q[param, 1/param] divided by its entries' gcd.
+
+    The gcd is the primitive gcd of the numerators times the lowest power
+    of the parameter; rational constants are units and stay.  Returns vec
+    itself when there is nothing to divide.
+    """
+    g = ()
+    low = None
+    for v in vec.values():
+        if g != (1,):
+            g = _pgcd(g, v.num)
+        if low is None or v.shift < low.shift:
+            low = v
+    if g == (1,) and not low.shift:
+        return vec
+    # low is not constant here: either it has a nonzero shift, or every
+    # numerator shares the factor g of positive degree
+    return {k: Scalar(low._join(v), v.shift - low.shift,
+                      _pdivexact(v.num, g), v.den)
+            for k, v in vec.items()}
+
+
+def laurent_multiplier(values: Iterable) -> Scalar | None:
+    """A polynomial Scalar that takes every value into Q[param, 1/param].
+
+    It is the lcm of the primitive parts of the non-constant denominators;
+    None when every denominator is already constant.
+    """
+    lcm = None
+    for v in values:
+        if len(v.den) > 1:
+            d = _pdivexact_int(v.den, _pcontent(v.den))
+            if lcm is None:
+                lcm, param = d, v.param
+            elif lcm != d:
+                lcm = _pmul(lcm, _pdivexact(d, _pgcd(lcm, d)))
+    if lcm is None:
+        return None
+    return Scalar(param, 0, lcm, (1,))
+
+
+# ---------------------------------------------------------------------------
 # Field helpers
 
 
@@ -485,12 +549,23 @@ def random_parameter_values(rng, count: int, unity_bound: int = 12) -> list:
     return out
 
 
+# Fewest random parameter points a SAMPLED check may draw.
+MIN_POINTS = 3
+
+
+def check_points(samples: int) -> None:
+    """Raise ValueError when samples is below MIN_POINTS."""
+    if samples < MIN_POINTS:
+        raise ValueError(f"SAMPLED mode needs at least {MIN_POINTS} points,"
+                         f" got {samples}")
+
+
 def scalars_equal(a: Scalar, b: Scalar, mode: str = "EXACT",
                   rng=None, samples: int = 3) -> bool:
     """Field equality in the given mode.
 
     EXACT compares canonical forms.  SAMPLED compares evaluations at
-    `samples` (>= 3) random rational points drawn from rng, resampling
+    `samples` (at least MIN_POINTS) random rational points drawn from rng, resampling
     past any denominator pole.
     """
     if mode == "EXACT":
@@ -499,9 +574,7 @@ def scalars_equal(a: Scalar, b: Scalar, mode: str = "EXACT",
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("SAMPLED mode needs an rng")
-    if samples < 3:
-        raise ValueError(f"SAMPLED mode needs at least 3 points, got"
-                         f" {samples}")
+    check_points(samples)
     done = 0
     while done < samples:
         (v,) = random_parameter_values(rng, 1)

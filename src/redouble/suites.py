@@ -25,7 +25,8 @@ from .invariants import (spectral_char_trl, verify_cayley_hamilton,
                          verify_spectrum_operator)
 from .ncengine import NCElement, matrix_generators
 from .reports import VerificationReport
-from .scalars import ONE, Scalar, random_parameter_values
+from .scalars import MIN_POINTS, ONE, Scalar, check_points, \
+    random_parameter_values
 from .u2h import (classical_limit_report, verify_derivative_commutativity,
                   verify_dhat_homomorphism, verify_radius,
                   verify_shift_structure)
@@ -45,7 +46,6 @@ _CLOSED_FORMS = {
 # Suites whose `samples` counts random parameter points in SAMPLED mode.
 _POINT_SAMPLED = frozenset({"braiding", "cayley-hamilton", "capelli",
                            "det-capelli", "adjoint"})
-_MIN_POINTS = 3
 
 
 class SuiteConfig:
@@ -53,7 +53,7 @@ class SuiteConfig:
 
     Fields a suite does not consume are ignored; k, degree and samples
     default to per-suite values when left unset and must be positive when
-    set, and a suite in _POINT_SAMPLED needs at least _MIN_POINTS samples.
+    set, and a suite in _POINT_SAMPLED needs at least MIN_POINTS samples.
     A fixed seed makes the resulting report byte-identical across runs.
     """
 
@@ -68,9 +68,9 @@ class SuiteConfig:
                             ("samples", samples)):
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        if samples is not None and samples < _MIN_POINTS and \
+        if samples is not None and samples < MIN_POINTS and \
                 suite in _POINT_SAMPLED:
-            raise ValueError(f"{suite} needs at least {_MIN_POINTS} sample"
+            raise ValueError(f"{suite} needs at least {MIN_POINTS} sample"
                              f" points, got {samples}")
         self.suite = suite
         self.n = n
@@ -123,6 +123,7 @@ def braiding_suite(config: SuiteConfig) -> VerificationReport:
             report.add(name, anchor(name), res.is_zero())
     elif config.mode == "SAMPLED":
         samples = 3 if config.samples is None else config.samples
+        check_points(samples)
         for value in random_parameter_values(config.rng(), samples):
             for name, res in residuals:
                 report.add(f"{name}@{value}", anchor(name),

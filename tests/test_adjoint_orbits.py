@@ -57,6 +57,10 @@ def test_invariance_argument_errors():
         verify_adjoint_invariance(b, 0)
     with pytest.raises(ValueError):
         verify_adjoint_invariance(b, 1, mode="SAMPLED")
+    for samples in (0, 2):
+        with pytest.raises(ValueError):
+            verify_adjoint_invariance(b, 1, mode="SAMPLED",
+                                      rng=random.Random(0), samples=samples)
     with pytest.raises(ValueError):
         verify_adjoint_invariance(b, 1, mode="APPROX")
 

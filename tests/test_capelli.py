@@ -136,6 +136,10 @@ def test_capelli_word_route_sampled():
                             rng=rng, samples=3)
     assert report.passed
     assert len(report.checks) == 3
+    for samples in (0, 2):
+        with pytest.raises(ValueError):
+            verify_capelli(standard_hecke(2), 1, mode="SAMPLED",
+                           rng=random.Random(0), samples=samples)
 
 
 def test_capelli_action_route():

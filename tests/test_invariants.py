@@ -96,6 +96,10 @@ def test_cayley_hamilton_sampled():
 def test_cayley_hamilton_needs_rng_in_sampled_mode():
     with pytest.raises(ValueError):
         verify_cayley_hamilton(standard_hecke(2), mode="SAMPLED")
+    for samples in (0, 2):
+        with pytest.raises(ValueError):
+            verify_cayley_hamilton(standard_hecke(2), mode="SAMPLED",
+                                   rng=random.Random(0), samples=samples)
 
 
 def test_trace_character_closed_forms():

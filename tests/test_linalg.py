@@ -102,7 +102,7 @@ def test_fraction_free_remainders_match_field_elimination(param, seed):
     # a first row with the non-monic lead 2q^2+3 at the largest key, 7
     first = {7: Scalar.laurent({2: 2, 0: 3}, param),
              0: Scalar.from_fraction("1/6", param)}
-    for vec in [first] + _system(rng, param, keys, 12):
+    for vec in [first] + _system(rng, param, keys, 12, mixed=True):
         before = dict(vec)
         pivot = tri.insert(vec)
         assert vec == before  # insert does not consume its argument
@@ -119,6 +119,22 @@ def test_fraction_free_remainders_match_field_elimination(param, seed):
                for v in tri.row(p).values())
     assert any(len(lead.num) == 1 for lead in leads)
     assert any(len(lead.num) > 1 for lead in leads)
+
+
+def test_default_parameter_constants_in_laurent_rows():
+    # ONE carries the default parameter q; in a Q(h) row it must stay the
+    # constant 1 of Q(h) when the row is divided by a power of h
+    h = Scalar.var("h")
+    tri, ref = Triangular(), FieldTriangular(lambda k: k)
+    for vec in ({0: ONE, 1: Scalar.power(-1, "h")},
+                {0: -ONE, 2: h * h + Scalar.from_int(3, "h"), 3: ONE}):
+        assert tri.insert(vec) == ref.insert(vec)
+    for probe in ({1: ONE}, {1: h}, {1: -ONE, 0: ONE}, {2: ONE},
+                  {3: h, 2: ONE}, {3: Scalar.power(-2, "h"), 1: ONE}):
+        got = tri.reduce(dict(probe))
+        _check_same_remainders(got, ref.reduce(probe))
+        assert all(v.param == "h" or v.is_constant() for v in got.values())
+    assert tri.reduce({1: ONE}) == {0: -h}
 
 
 def test_rows_span_what_was_inserted():

@@ -133,6 +133,10 @@ def test_equals_mod_ideal_sampled_mode():
     assert not equals_mod_ideal(g, NCElement.zero(), pres,
                                 mode="SAMPLED", rng=rng)
     assert equals_mod_ideal(g, g, pres, mode="SAMPLED", rng=rng)
+    for samples in (0, 2):  # too few points to check anything
+        with pytest.raises(ValueError):
+            equals_mod_ideal(g, NCElement.zero(), pres, mode="SAMPLED",
+                             rng=rng, samples=samples)
 
 
 def test_normal_form_is_idempotent_and_linear():

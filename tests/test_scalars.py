@@ -8,9 +8,11 @@ import random
 import pytest
 
 from redouble import scalars
-from redouble.scalars import (MixedParameterError, Scalar, _pcontent,
-                              _pdivexact, _pdivexact_int, _pgcd, _pmul,
-                              _pneg, _ptrim, nu, qint, scalars_equal)
+from redouble.scalars import (MIN_POINTS, ONE, MixedParameterError, Scalar,
+                              _pcontent, _pdivexact, _pdivexact_int, _pgcd,
+                              _pmul, _pneg, _ptrim, laurent_cancel,
+                              laurent_multiplier, laurent_primitive, nu, qint,
+                              scalars_equal)
 
 
 def _general(x: Scalar, y: Scalar) -> Scalar:
@@ -132,8 +134,77 @@ def test_make_with_a_constant_side_matches_the_general_path():
             _make_general("q", 1, num, den), (num, den)
 
 
+def _canonical(x: Scalar) -> bool:
+    return (x.param, x.shift, x.num, x.den) == \
+        _make_general(x.param, x.shift, x.num, x.den)
+
+
+def _laurent(rng, param) -> Scalar:
+    """Laurent polynomial or +-1 of the default parameter (ONE)."""
+    if rng.random() < 0.2:
+        return ONE if rng.random() < 0.5 else -ONE
+    x = Scalar(param, rng.randint(-2, 2), _random_poly(rng), (1,))
+    if rng.random() < 0.3:
+        x = x * Scalar.from_fraction("2/3", param)
+    return x
+
+
+@pytest.mark.parametrize("param", ["q", "h"])
+def test_laurent_cancel_divides_both_by_the_numerator_gcd(param):
+    rng = random.Random(param)
+    cancelled = 0
+    for _ in range(100):
+        f = Scalar(param, 0, _random_poly(rng), (1,))
+        a, b = f * _laurent(rng, param), f * _laurent(rng, param)
+        a2, b2 = laurent_cancel(a, b)
+        assert _canonical(a2) and _canonical(b2)
+        assert a2 / a == b2 / b
+        assert _pgcd(a2.num, b2.num) == (1,)
+        cancelled += a2 != a
+    assert cancelled
+
+
+@pytest.mark.parametrize("param", ["q", "h"])
+def test_laurent_primitive_keeps_the_parameter(param):
+    rng = random.Random(param)
+    for _ in range(100):
+        f = Scalar(param, rng.randint(-3, 3), _random_poly(rng), (1,))
+        vec = {i: f * _laurent(rng, param) for i in range(rng.randint(1, 4))}
+        if rng.random() < 0.5:  # an entry that is the constant ONE
+            vec[9] = ONE
+        got = laurent_primitive(vec)
+        assert all(_canonical(v) for v in got.values())
+        assert all(v.param == param or v.is_constant() for v in got.values())
+        assert min(v.shift for v in got.values()) == 0
+        g = ()
+        for v in got.values():
+            g = _pgcd(g, v.num)
+        assert g == (1,)
+        ratios = {got[k] / vec[k] for k in vec}
+        assert len(ratios) == 1
+    row = laurent_primitive({0: ONE, 1: Scalar.power(-1, "h")})
+    assert row == {0: Scalar.var("h"), 1: Scalar.from_int(1, "h")}
+    assert row[0].param == "h"
+
+
+def test_laurent_multiplier_clears_the_denominators():
+    rng = random.Random(3)
+    assert laurent_multiplier([ONE, Scalar.var("h") / Scalar.from_int(2, "h")]) is None
+    for _ in range(100):
+        values = [Scalar("h", 0, _random_poly(rng), (1,)) /
+                  Scalar("h", 0, _random_poly(rng), (1,))
+                  for _ in range(rng.randint(1, 3))] + [ONE]
+        m = laurent_multiplier(values)
+        if m is None:
+            assert all(len(v.den) == 1 for v in values)
+            continue
+        assert m.den == (1,) and m.shift == 0 and _canonical(m)
+        assert all(len((m * v).den) == 1 for v in values)
+
+
 def test_sampled_equality_needs_three_points():
     q = Scalar.var()
+    assert MIN_POINTS == 3
     for samples in (-1, 0, 1, 2):
         with pytest.raises(ValueError):
             scalars_equal(q, q, "SAMPLED", rng=random.Random(0),
