@@ -44,7 +44,6 @@ ANCHORS = {
     "spectrum-operator": "Proposition 3.2",
     "spectrum-closed-form": "Eq. (3.5)",
     "spectrum-action-route": "Eq. (3.4)",
-    "conjecture-e1": "Conjecture 3.4",
     "conjecture-e2": "Conjecture 3.4",
     "conjecture-pk": "Conjecture 3.4",
     "character-mu": "Eq. (3.11)",
@@ -82,5 +81,18 @@ ANCHORS = {
 }
 
 
+# Anchors of the conjecture probes.  A failing check under one of them is
+# a finding about the conjecture, not a broken identity; no other anchor
+# may share their labels.
+CONJECTURAL = frozenset({"conjecture-e2", "conjecture-pk"})
+
+_CONJECTURAL_LABELS = frozenset(ANCHORS[k] for k in CONJECTURAL)
+
+
 def anchor(check_id: str) -> str:
     return ANCHORS[check_id]
+
+
+def is_conjectural(label: str) -> bool:
+    """Whether a check record's anchor label marks a conjecture probe."""
+    return label in _CONJECTURAL_LABELS

@@ -184,8 +184,8 @@ def verify_capelli_action(braiding: Braiding, k: int,
                           degree: int = 2) -> VerificationReport:
     """Operator route: both sides act identically on bounded monomials.
 
-    Applies every entry of both sides, through normal ordering plus the
-    counit, to each word of length <= degree in the coordinate-side
+    Applies every entry of both sides, through the counit action of the
+    double, to each word of length <= degree in the coordinate-side
     generators, and compares the results modulo the coordinate ideal.
     """
     report = VerificationReport(

@@ -9,6 +9,14 @@ Mixed words are canonicalized by moving every b-letter left of every
 a-letter (leftmost pair first), then reducing the two blocks by their own
 ideals; the counit of A turns ordering into an action of A on B.
 
+The action never orders a whole product.  A word acts letter by letter,
+from its last letter to its first: a b-letter multiplies on the left, and
+an a-letter g acts on a b-word b1·rest through the rule image of (g, b1),
+recursing on rest, with the counit on the empty word.  Each double
+memoizes the action of an a-letter on a b-word, for as long as the double
+lives; the ordering route stays as binormal_form's canonicalization and as
+an independent reference for the action (act_by_ordering).
+
 Kinds, each named by the role the A-side plays on the B-side:
   left              invariant fields, homogeneous form
   left_shifted      invariant fields, inhomogeneous (unit-shifted) form
@@ -90,6 +98,7 @@ class QuantumDouble:
         # None for any other construction (e.g. substituted copies).
         self.defining = None
         self._order_cache: dict = {}
+        self._act_cache: dict = {}
         self._sub_cache: dict = {}
         for rel in a_pres.relations:
             if not self.counit(rel).is_zero():
@@ -218,7 +227,7 @@ class QuantumDouble:
     # -- action ------------------------------------------------------------
 
     def act(self, a: NCElement, b: NCElement) -> NCElement:
-        """Action of A on B: order a·b, then cap the A-block with the counit."""
+        """Action of A on B: the counit-capped ordered form of a·b."""
         for w in a.terms:
             if any(g.tag != self.a_tag for g in w):
                 raise DoubleError("left action argument must be an A-element")
@@ -227,12 +236,62 @@ class QuantumDouble:
     def act_mixed(self, x: NCElement, b: NCElement) -> NCElement:
         """Regular action of any double element on a B-element.
 
+        Each word of x·b acts on the empty B-word from its last letter to
+        its first: a B-letter multiplies on the left, an A-letter acts
+        through the (letter, B-word) memo of _act_letter.  Equal to
+        act_by_ordering, since the rules a·b -> ... cannot overlap (so
+        the ordered form is unique) and the counit is multiplicative.
+        """
+        self._check_target(b)
+        out: dict = {}
+        for w, c in (x * b).terms.items():
+            if len(w) > self.max_word:
+                raise DoubleError("degree-overflow during the action")
+            acted = {(): ONE}
+            for g in reversed(w):
+                if g.tag == self.b_tag:
+                    acted = {(g,) + bw: v for bw, v in acted.items()}
+                elif g.tag == self.a_tag:
+                    nxt: dict = {}
+                    for bw, v in acted.items():
+                        vec_add_scaled(nxt, self._act_letter(g, bw), v)
+                    acted = nxt
+                else:
+                    raise DoubleError(f"foreign letter {g!r} in the double")
+            vec_add_scaled(out, acted, c)
+        return NCElement(out)
+
+    def _act_letter(self, g: Gen, bw: tuple) -> dict:
+        """Action of the A-letter g on the B-word bw, memoized per double."""
+        key = (g, bw)
+        cached = self._act_cache.get(key)
+        if cached is not None:
+            return cached
+        if not bw:
+            eps = self.eps_a[g]
+            out = {} if eps.is_zero() else {(): eps}
+        else:
+            rest = bw[1:]
+            out = {}
+            for iw, c in self.rule.table[(g, bw[0])].terms.items():
+                if iw and iw[-1].tag == self.a_tag:
+                    # b'·a' or a': a' acts on rest, b' stays on the left
+                    part = {iw[:-1] + w: v for w, v in
+                            self._act_letter(iw[-1], rest).items()}
+                else:
+                    # b' or a constant: nothing is left to act
+                    part = {iw + rest: ONE}
+                vec_add_scaled(out, part, c)
+        self._act_cache[key] = out
+        return out
+
+    def act_by_ordering(self, x: NCElement, b: NCElement) -> NCElement:
+        """Reference route for act_mixed, independent of its memo.
+
         Multiplies, normal-orders, and caps the trailing A-block with the
         counit; B-letters of x survive as left multiplication.
         """
-        for w in b.terms:
-            if any(g.tag != self.b_tag for g in w):
-                raise DoubleError("action target must be a B-element")
+        self._check_target(b)
         ordered = self.normal_order(x * b)
         out: dict = {}
         for w, c in ordered.terms.items():
@@ -251,6 +310,11 @@ class QuantumDouble:
             else:
                 out[bw] = s
         return NCElement(out)
+
+    def _check_target(self, b: NCElement) -> None:
+        for w in b.terms:
+            if any(g.tag != self.b_tag for g in w):
+                raise DoubleError("action target must be a B-element")
 
     def act_matrix(self, amoa: MatrixOverAlgebra,
                    bmoa: MatrixOverAlgebra) -> MatrixOverAlgebra:

@@ -199,7 +199,7 @@ class Scalar:
 
     Arithmetic keeps the canonical form of the class docstring, so == and
     hash are structural.  Mixed parameters are rejected unless one operand
-    is constant, in which case it adopts the other parameter.
+    is a rational constant, in which case it adopts the other parameter.
     """
 
     __slots__ = ("param", "shift", "num", "den", "_hash")
@@ -292,17 +292,19 @@ class Scalar:
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and self.den == (1,) and self.shift == 0
 
+    def _parameter_free(self) -> bool:
+        # A rational constant: its parameter is a label, not a value.
+        return self.shift == 0 and len(self.num) <= 1 and len(self.den) == 1
+
     def __bool__(self) -> bool:
         return bool(self.num)
 
     # -- arithmetic ----------------------------------------------------------
 
     def _join(self, other) -> str:
-        if self.param == other.param:
+        if self.param == other.param or other._parameter_free():
             return self.param
-        if other.is_constant():
-            return self.param
-        if self.is_constant():
+        if self._parameter_free():
             return other.param
         raise MixedParameterError(f"{self.param!r} vs {other.param!r}")
 
@@ -383,7 +385,7 @@ class Scalar:
             return NotImplemented
         if self.shift != other.shift or self.num != other.num or self.den != other.den:
             return False
-        return self.param == other.param or not self.num or self.is_constant()
+        return self.param == other.param or self._parameter_free()
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -392,7 +394,7 @@ class Scalar:
     def __hash__(self):
         h = self._hash
         if h is None:
-            key = self.param if not self.is_constant() and self.num else ""
+            key = "" if self._parameter_free() else self.param
             h = hash((key, self.shift, self.num, self.den))
             self._hash = h
         return h

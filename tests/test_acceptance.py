@@ -16,6 +16,7 @@ import pytest
 
 from redouble.adjoint_orbits import verify_adjoint_invariance, \
     verify_orbit_descent
+from redouble.anchors import anchor
 from redouble.braidings import BraidingError, rtrace_form, standard_hecke
 from redouble.heckerep import partitions
 from redouble.invariants import spectral_char_trl, \
@@ -101,7 +102,8 @@ def test_criterion_04_conjecture_probes():
     assert wanted <= e1_labels
 
     spoiled = VerificationReport("conjecture")
-    spoiled.add("e2-2-tableau-1", "probe", False, "synthetic")
+    spoiled.add("e2-2-tableau-1", anchor("conjecture-e2"), False,
+                "synthetic")
     assert exit_code_for(spoiled) == 2
     assert exit_code_for(reports[0]) == 0
 

@@ -21,6 +21,7 @@ from redouble.doubles import make_double
 from redouble.heckerep import skew_symmetrizer
 from redouble.ncengine import Gen, NCElement, re_presentation
 from redouble.scalars import ONE, Scalar
+from redouble.suites import SuiteConfig, run_suite
 
 
 def test_structure_pair_of_the_top_skew_symmetrizer():
@@ -147,6 +148,15 @@ def test_capelli_action_route():
     for k in (1, 2):
         report = verify_capelli_action(b, k, degree=2)
         assert report.passed, k
+
+
+def test_capelli_rank_three_both_routes():
+    # The frontier configuration: the action route applies 81 entries per
+    # side to every word of degree <= 2 in nine generators.
+    report = run_suite(SuiteConfig("capelli", n=3))
+    assert report.config == {"n": 3, "k": 2, "mode": "EXACT", "degree": 2}
+    assert [c["id"] for c in report.checks] == ["word-route", "action-route"]
+    assert report.passed, report.failures()
 
 
 def test_det_capelli_dimension_one_oracle():

@@ -12,7 +12,11 @@ import pytest
 
 import redouble
 from redouble.cli import main
+from redouble.anchors import anchor
+from redouble.invariants import SpectralCharacter
 from redouble.reports import VerificationReport
+from redouble.scalars import ONE
+from redouble.suites import SuiteConfig, run_all
 
 
 def run_cli(capsys, *argv):
@@ -120,7 +124,8 @@ def test_suite_all_takes_the_run_wide_flags(tmp_path, capsys, monkeypatch):
 def test_failing_conjecture_probe_exits_with_status_two(capsys,
                                                         monkeypatch):
     spoiled = VerificationReport("conjecture", {"n": 2})
-    spoiled.add("e2-2-tableau-1", "probe", False, "residual rank 1")
+    spoiled.add("e2-2-tableau-1", anchor("conjecture-e2"), False,
+                "residual rank 1")
 
     monkeypatch.setattr("redouble.cli.run_suite", lambda cfg: spoiled)
     code, out, _ = run_cli(capsys, "--suite", "conjecture")
@@ -135,6 +140,46 @@ def test_hard_failure_exits_with_status_one(capsys, monkeypatch):
     monkeypatch.setattr("redouble.cli.run_suite", lambda cfg: broken)
     code, _, _ = run_cli(capsys, "--suite", "capelli")
     assert code == 1
+
+
+@pytest.mark.parametrize("spoiled_k, status", [(1, 1), (2, 2)])
+def test_conjecture_exit_status_follows_the_failing_anchor(
+        capsys, monkeypatch, spoiled_k, status):
+    # e1-2 is a proven identity (exit 1); e2-2-* probe the conjecture
+    # (exit 2).  Both live in the conjecture suite and its grid row.
+    original = SpectralCharacter.elementary
+
+    def spoiled(self, k):
+        value = original(self, k)
+        return value + ONE if k == spoiled_k and self.shape == (2,) \
+            else value
+
+    monkeypatch.setattr(SpectralCharacter, "elementary", spoiled)
+    code, out, _ = run_cli(capsys, "--suite", "conjecture")
+    failed = [c["id"] for c in json.loads(out)["checks"] if not c["passed"]]
+    if spoiled_k == 1:
+        assert failed == ["e1-2"]
+    else:
+        assert failed and all(i.startswith("e2-2-") for i in failed)
+    assert code == status
+
+    monkeypatch.setattr(
+        "redouble.suites.acceptance_grid",
+        lambda mode, seed: [("conjecture-n2",
+                             SuiteConfig("conjecture", n=2, seed=seed))])
+    code, out, _ = run_cli(capsys, "--suite", "all")
+    assert json.loads(out)["passed"] is False
+    assert code == status
+
+
+def test_passing_rows_keep_the_grid_anchor(monkeypatch):
+    monkeypatch.setattr(
+        "redouble.suites.acceptance_grid",
+        lambda mode, seed: [("conjecture-n2",
+                             SuiteConfig("conjecture", n=2, seed=seed))])
+    summary = run_all()
+    assert summary.passed
+    assert [c["anchor"] for c in summary.checks] == ["grid"]
 
 
 def test_reports_do_not_depend_on_the_hash_seed():

@@ -18,6 +18,7 @@ from redouble.doubles import (
 from redouble.heckerep import jucys_murphy_inverse
 from redouble.ncengine import Gen, MatrixOverAlgebra, NCElement, matrix_generators
 from redouble.scalars import ONE, ZERO, Scalar, nu
+from redouble.suites import _DOUBLE_KINDS
 
 ALL_KINDS = ("left", "left_shifted", "adjoint", "adjoint_shifted",
              "derivative", "vector")
@@ -121,7 +122,9 @@ def test_representation_property_randomized():
             a2 = NCElement.generator(rng.choice(a_gens))
             bw = tuple(rng.choice(b_gens) for _ in range(rng.randint(1, 2)))
             bb = NCElement.word(bw)
-            lhs = d.act(a1 * a2, bb)
+            # The letter route computes act(a1·a2) as act(a1, act(a2, ·)),
+            # so the product side goes through the ordering route.
+            lhs = d.act_by_ordering(a1 * a2, bb)
             rhs = d.act(a1, d.act(a2, bb))
             diff = d.b_pres.normal_form(lhs - rhs)
             assert diff.is_zero(), kind
@@ -261,6 +264,67 @@ def test_sampled_equality_path():
         with pytest.raises(ValueError):
             d.equals(g, NCElement.zero(), mode="SAMPLED", rng=rng,
                      samples=samples)
+
+
+def _random_element(rng, letters, coeffs, max_len, terms):
+    out = NCElement.zero()
+    for _ in range(terms):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
+        out = out + NCElement.word(w, rng.choice(coeffs))
+    return out
+
+
+_ROUTE_CASES = [(2, kind) for kind in _DOUBLE_KINDS] + \
+    [(3, "left"), (3, "derivative")]
+
+
+@pytest.mark.parametrize("n, kind", _ROUTE_CASES)
+def test_letter_route_equals_ordering_route(n, kind):
+    kwargs = {"h": Scalar.from_fraction("7/3")} \
+        if kind == "derivative_shifted" else {}
+    d = make_double(standard_hecke(n), kind, **kwargs)
+    a_gens = matrix_generators(d.a_tag, n)
+    b_gens = sorted(d.b_pres.generators)
+    q = q_scalar()
+    coeffs = [ONE, -ONE, q, Scalar.from_fraction("1/2"),
+              q * q + Scalar.from_int(3), (q + ONE).inverse()]
+    rng = random.Random(f"{n}-{kind}")
+    one = NCElement.constant(ONE)
+    for g in a_gens:
+        x = NCElement.generator(g)
+        assert d.act_mixed(x, one) == d.act_by_ordering(x, one)
+    for _ in range(6):
+        # x mixes both sides, so B-letters sit inside and between A-letters
+        x = _random_element(rng, a_gens + b_gens, coeffs, 3, 3)
+        # targets may hold the empty word next to longer ones
+        b = _random_element(rng, b_gens, coeffs, 2, 2)
+        got = d.act_mixed(x, b)
+        assert got.terms == d.act_by_ordering(x, b).terms, (kind, x, b)
+        assert all(g.tag == d.b_tag for w in got.terms for g in w)
+
+
+def test_action_rejects_a_foreign_letter():
+    d = make_double(standard_hecke(2), "left")
+    target = NCElement.generator(Gen("m", 1, 2))
+    for w in ((Gen("z", 1, 1),),
+              (Gen("l", 1, 1), Gen("z", 1, 1)),
+              (Gen("z", 1, 1), Gen("l", 2, 1))):
+        with pytest.raises(DoubleError):
+            d.act_mixed(NCElement.word(w), target)
+    with pytest.raises(DoubleError):
+        d.act_mixed(NCElement.generator(Gen("l", 1, 1)),
+                    NCElement.generator(Gen("l", 1, 2)))
+
+
+def test_action_overflow_guard():
+    d = make_double(standard_hecke(2), "left")
+    d.max_word = 3
+    a = NCElement.word((Gen("l", 1, 1),) * 2)
+    with pytest.raises(DoubleError):
+        d.act(a, NCElement.word((Gen("m", 1, 1),) * 2))
+    with pytest.raises(DoubleError):
+        d.act_mixed(a, NCElement.word((Gen("m", 1, 1),) * 2))
+    d.act(a, NCElement.generator(Gen("m", 1, 1)))
 
 
 def test_degree_overflow_guard():

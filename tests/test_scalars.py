@@ -210,3 +210,29 @@ def test_sampled_equality_needs_three_points():
             scalars_equal(q, q, "SAMPLED", rng=random.Random(0),
                           samples=samples)
     assert scalars_equal(q, q, "SAMPLED", rng=random.Random(0), samples=3)
+
+
+def test_rational_constants_are_parameter_free():
+    h = Scalar.var("h")
+    half = Scalar.from_fraction("1/2")
+    half_h = Scalar.from_fraction("1/2", "h")
+    assert half * h == h * half == h / Scalar.from_int(2, "h")
+    assert (half * h).param == (h * half).param == "h"
+    inverse = (ONE * Scalar.from_int(2, "h")).inverse()
+    assert inverse * h == half * h
+    assert (inverse + h).param == "h" and inverse + h == h + half_h
+    for value in ("1/2", "-3/4", "5", "0"):
+        typed_q = Scalar.from_fraction(value)
+        typed_h = Scalar.from_fraction(value, "h")
+        assert typed_q == typed_h and hash(typed_q) == hash(typed_h)
+    assert {half: 1}[half_h] == 1
+    # Only constants lose their parameter: q^k, 1/(2q) and q/2 keep it.
+    q = Scalar.var()
+    for typed in (q, Scalar.power(-1), (Scalar.from_int(2) * q).inverse(),
+                  half * q):
+        assert typed != Scalar(typed.param.upper(), typed.shift, typed.num,
+                               typed.den)
+        with pytest.raises(MixedParameterError):
+            typed * h
+        with pytest.raises(MixedParameterError):
+            h + typed

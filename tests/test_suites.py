@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from redouble.anchors import ANCHORS, CONJECTURAL, anchor, is_conjectural
 from redouble.reports import VerificationReport
 from redouble.suites import (
     SUITE_NAMES,
@@ -157,12 +158,22 @@ def test_exit_code_classification():
     assert exit_code_for(hard) == 1
 
     probe = VerificationReport("conjecture")
-    probe.add("e2-2-tableau-1", "x", False)
+    probe.add("e2-2-tableau-1", anchor("conjecture-e2"), False)
     assert exit_code_for(probe) == 2
+    probe.add("e1-2", anchor("character-e1-consistency"), False)
+    assert exit_code_for(probe) == 1
 
+    # An `all` row that failed only on probes carries a probe's anchor.
     summary = VerificationReport("all")
-    summary.add("conjecture-n2", "grid", False)
+    summary.add("conjecture-n2", anchor("conjecture-pk"), False)
     summary.add("capelli-n2-k1", "grid", True)
     assert exit_code_for(summary) == 2
     summary.add("capelli-n2-k2", "grid", False)
     assert exit_code_for(summary) == 1
+
+
+def test_conjectural_labels_are_not_shared():
+    labels = {ANCHORS[k] for k in CONJECTURAL}
+    assert all(is_conjectural(label) for label in labels)
+    for key, label in ANCHORS.items():
+        assert (key in CONJECTURAL) == (label in labels), key
