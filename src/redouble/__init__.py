@@ -4,14 +4,14 @@ Everything runs over the exact rational function field Q(q) (or Q(h) for
 the shifted enveloping-algebra calculus); no floating point is used.
 """
 
-from .scalars import Scalar, qint, nu, scalars_equal
+from .scalars import Scalar, qint, nu
 from .braidings import Braiding, TensorOperator, standard_hecke, flip, rtrace_form
 from .doubles import QuantumDouble, make_double
 from .reports import VerificationReport
 from .suites import SUITE_NAMES, SuiteConfig, run_all, run_suite
 
 __all__ = [
-    "Scalar", "qint", "nu", "scalars_equal",
+    "Scalar", "qint", "nu",
     "Braiding", "TensorOperator", "standard_hecke", "flip", "rtrace_form",
     "QuantumDouble", "make_double",
     "VerificationReport",

@@ -28,7 +28,7 @@ from .invariants import power_sum
 from .ncengine import (MatrixOverAlgebra, NCElement, QuadraticPresentation,
                        matrix_generators, re_presentation)
 from .reports import VerificationReport
-from .scalars import Scalar, check_points, random_parameter_values
+from .scalars import Scalar, parameter_points
 
 
 def _trace_commutes(double: QuantumDouble, trace: NCElement) -> tuple:
@@ -63,16 +63,6 @@ def _proof_identity_matrix(double: QuantumDouble, k: int
         - (mk.lmul_op(r) - mk.rmul_op(r))
 
 
-def _entries_reduce(double: QuantumDouble, diff: MatrixOverAlgebra,
-                    cast) -> tuple:
-    for key in sorted(diff.entries):
-        row, col = key
-        residual = double.binormal_form(cast(diff.entry(row, col)))
-        if not residual.is_zero():
-            return False, f"entry {row}->{col}: {residual!r}"
-    return True, None
-
-
 def verify_adjoint_invariance(braiding: Braiding, k: int,
                               mode: str = "EXACT", rng=None,
                               samples: int = 3) -> VerificationReport:
@@ -85,34 +75,22 @@ def verify_adjoint_invariance(braiding: Braiding, k: int,
     """
     if k < 1:
         raise ValueError("trace power must be positive")
+    points = parameter_points(mode, rng, samples)
     report = VerificationReport(
         "adjoint", {"n": braiding.dim, "k": k, "mode": mode,
                     "kind": "adjoint_shifted"})
     double = make_double(braiding, "adjoint_shifted")
     trace = power_sum(braiding, double.b_tag, k)
     diff = _proof_identity_matrix(double, k)
-    if mode == "EXACT":
-        points = [("", double, lambda x: x)]
-    elif mode == "SAMPLED":
-        if rng is None:
-            raise ValueError("SAMPLED mode needs an rng")
-        check_points(samples)
-        points = []
-        for value in random_parameter_values(rng, samples):
-            def cast(x, v=value):
-                return x.map_coeffs(lambda s: s.with_value(v))
-            points.append((f"@{value}", double.substituted(value), cast))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for suffix, dbl, cast in points:
-        tr = cast(trace)
+    for suffix, at in points:
+        dbl, tr = at(double), at(trace)
         ok, witness = _trace_commutes(dbl, tr)
         report.add(f"commutation{suffix}", anchor("adjoint-commutation"),
                    ok, witness)
         ok, witness = _trace_annihilated(dbl, tr)
         report.add(f"annihilation{suffix}", anchor("adjoint-annihilation"),
                    ok, witness)
-        ok, witness = _entries_reduce(dbl, diff, cast)
+        ok, witness = at(diff).first_nonzero(dbl.binormal_form)
         report.add(f"matrix-identity{suffix}",
                    anchor("adjoint-proof-identity"), ok, witness)
     return report

@@ -31,46 +31,31 @@ ANCHORS = {
     "double-rule-derivative_shifted": "Eq. (6.1)",
     "double-rule-vector": "Eq. (2.10)",
     "double-action-unit": "Eq. (2.2)",
-    "double-action-left": "Eq. (2.6)",
     "double-action-derivative": "Eq. (6.2)",
     "double-representation": "Eq. (2.2)",
     "double-ideal-compatibility": "Eq. (2.1)",
-    "double-shift-translation": "Eq. (1.4)",
-    "double-coordinate-derivative-product": "Eq. (2.9)",
-    "copy-action-degree-one": "Eq. (3.1)",
-    "copy-action-monomial": "Eq. (3.2)",
-    "copy-action-tensor": "Eq. (3.6)",
     # spectrum and conjecture
     "spectrum-operator": "Proposition 3.2",
     "spectrum-closed-form": "Eq. (3.5)",
     "spectrum-action-route": "Eq. (3.4)",
     "conjecture-e2": "Conjecture 3.4",
     "conjecture-pk": "Conjecture 3.4",
-    "character-mu": "Eq. (3.11)",
     "character-mu-shift": "Eq. (3.12)",
     "character-e1-consistency": "Eq. (3.5)/(3.11)",
     "character-power-weights": "Eq. (3.10)",
-    "character-vieta": "Eq. (3.9)",
     "cayley-hamilton": "Eq. (3.7)",
-    "power-sum-centrality": "§5",
-    "elementary-symmetric-centrality": "§3",
     # capelli
     "capelli-word-route": "Eq. (4.1)",
     "capelli-operator-route": "Eq. (4.1)",
     "capelli-determinant": "Eq. (4.3)",
-    "determinant-gauge": "Eq. (4.2)",
-    "determinant-commutation": "§4",
     # adjoint and orbits
     "adjoint-commutation": "Proposition 5.1",
     "adjoint-annihilation": "Eq. (5.1)",
     "adjoint-proof-identity": "§5",
     "orbit-quotient": "§5",
     "orbit-descent": "§5",
-    "orbit-genericity": "Eq. (5.2)",
     # u(2)_h calculus
-    "u2h-table": "Eq. (6.3)",
     "u2h-commutativity": "§6",
-    "u2h-matrix-form": "Eq. (6.4)",
     "u2h-multiplicative": "Eq. (6.6)",
     "u2h-bracket-representation": "Eq. (6.6)",
     "u2h-radius-square": "§6",

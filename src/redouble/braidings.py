@@ -186,7 +186,8 @@ class TensorOperator:
             tri.insert(v)
         return len(tri)
 
-    def evaluate_at(self, value) -> "TensorOperator":
+    def substituted(self, value) -> "TensorOperator":
+        """Every entry evaluated at parameter = value."""
         rows: dict = {}
         for r, cs in self.rows.items():
             out = {}

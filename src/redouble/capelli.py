@@ -30,7 +30,7 @@ from .doubles import QuantumDouble, conjugated_copy, make_double, matrix_copy
 from .heckerep import hecke_integer, skew_symmetrizer
 from .ncengine import MatrixOverAlgebra, NCElement
 from .reports import VerificationReport
-from .scalars import ONE, Scalar, check_points, random_parameter_values
+from .scalars import ONE, Scalar, parameter_points
 
 
 class StructureError(ArithmeticError):
@@ -141,41 +141,18 @@ def capelli_sides(double: QuantumDouble, k: int) -> tuple:
     return lhs, rhs
 
 
-def _first_unequal_entry(double: QuantumDouble, lhs: MatrixOverAlgebra,
-                         rhs: MatrixOverAlgebra) -> tuple:
-    for key in sorted(set(lhs.entries) | set(rhs.entries)):
-        r, c = key
-        residual = double.binormal_form(lhs.entry(r, c) - rhs.entry(r, c))
-        if not residual.is_zero():
-            return False, f"entry {r}->{c}: {residual!r}"
-    return True, None
-
-
 def verify_capelli(braiding: Braiding, k: int, mode: str = "EXACT",
                    rng=None, samples: int = 3) -> VerificationReport:
     """Word route: bi-normal forms of both sides agree entrywise."""
+    points = parameter_points(mode, rng, samples)
     report = VerificationReport(
         "capelli", {"n": braiding.dim, "k": k, "mode": mode, "route": "word"})
     double = make_double(braiding, "derivative")
     lhs, rhs = capelli_sides(double, k)
-    if mode == "EXACT":
-        ok, witness = _first_unequal_entry(double, lhs, rhs)
-        report.add("word-route", anchor("capelli-word-route"), ok, witness)
-        return report
-    if mode != "SAMPLED":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("SAMPLED mode needs an rng")
-    check_points(samples)
-    for value in random_parameter_values(rng, samples):
-        sub = double.substituted(value)
-
-        def image(moa):
-            return moa.map_entries(
-                lambda e: e.map_coeffs(lambda s: s.with_value(value)))
-
-        ok, witness = _first_unequal_entry(sub, image(lhs), image(rhs))
-        report.add(f"word-route@{value}", anchor("capelli-word-route"),
+    diff = lhs - rhs
+    for suffix, at in points:
+        ok, witness = at(diff).first_nonzero(at(double).binormal_form)
+        report.add(f"word-route{suffix}", anchor("capelli-word-route"),
                    ok, witness)
     return report
 

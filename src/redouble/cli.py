@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 
+from .scalars import MODES
 from .suites import (SUITE_NAMES, SuiteConfig, clear_caches, exit_code_for,
                      run_all, run_suite)
 
@@ -48,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="partition as comma-separated parts, e.g. 2,1")
     parser.add_argument("--degree", type=int, default=None,
                         help="word-degree bound where a suite samples words")
-    parser.add_argument("--mode", choices=("EXACT", "SAMPLED"),
-                        default="EXACT")
+    parser.add_argument("--mode", choices=MODES, default="EXACT")
     parser.add_argument("--samples", type=int, default=None,
                         help="sample-point count in SAMPLED mode")
     parser.add_argument("--seed", type=int, default=0,

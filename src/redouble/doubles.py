@@ -47,8 +47,7 @@ from .ncengine import (
     symmetric_vector_presentation,
     vector_generators,
 )
-from .scalars import ONE, ZERO, Scalar, check_points, \
-    random_parameter_values
+from .scalars import ONE, ZERO, Scalar, parameter_points
 
 
 class DoubleError(Exception):
@@ -193,27 +192,16 @@ class QuantumDouble:
 
     def equals(self, x: NCElement, y: NCElement, mode: str = "EXACT",
                rng=None, samples: int = 3) -> bool:
+        """Whether x - y vanishes in the double at every parameter point."""
+        points = parameter_points(mode, rng, samples)
         diff = x - y
-        if diff.is_zero():
-            return True
-        if mode == "EXACT":
-            return self.binormal_form(diff).is_zero()
-        if mode != "SAMPLED":
-            raise ValueError(f"unknown mode {mode!r}")
-        if rng is None:
-            raise ValueError("SAMPLED mode needs an rng")
-        check_points(samples)
-        for value in random_parameter_values(rng, samples):
-            sub = self.substituted(value)
-            img = diff.map_coeffs(lambda s: s.with_value(value))
-            if not sub.binormal_form(img).is_zero():
-                return False
-        return True
+        return all(at(self).binormal_form(at(diff)).is_zero()
+                   for _, at in points)
 
     def substituted(self, value) -> "QuantumDouble":
         cached = self._sub_cache.get(value)
         if cached is None:
-            table = {k: v.map_coeffs(lambda s: s.with_value(value))
+            table = {k: v.substituted(value)
                      for k, v in self.rule.table.items()}
             eps = {g: s.with_value(value) for g, s in self.eps_a.items()}
             cached = QuantumDouble(

@@ -36,12 +36,10 @@ from .heckerep import (
 from .ncengine import (
     MatrixOverAlgebra,
     NCElement,
-    QuadraticPresentation,
     re_presentation,
 )
 from .reports import VerificationReport
-from .scalars import ONE, ZERO, Scalar, check_points, \
-    random_parameter_values
+from .scalars import ONE, ZERO, Scalar, parameter_points
 
 
 # ---------------------------------------------------------------------------
@@ -91,44 +89,24 @@ def characteristic_residual(braiding: Braiding, tag: str) -> MatrixOverAlgebra:
     return acc
 
 
-def _entries_vanish(res: MatrixOverAlgebra,
-                    pres: QuadraticPresentation) -> tuple:
-    for key in sorted(res.entries):
-        nf = pres.normal_form(res.entries[key])
-        if not nf.is_zero():
-            r, c = key
-            return False, f"entry {r}->{c}: {nf!r}"
-    return True, None
-
-
 def verify_cayley_hamilton(braiding: Braiding, tag: str = "l",
                            mode: str = "EXACT", rng=None,
                            samples: int = 3) -> VerificationReport:
     """Reduce every entry of the characteristic identity to zero.
 
-    EXACT reduces over the symbolic field; SAMPLED substitutes random
-    rational parameter values into the entries and the relations and
-    reduces in the evaluated presentation, one check per sample point.
+    One check per point of scalars.parameter_points: EXACT reduces the
+    symbolic entries in the symbolic presentation; SAMPLED substitutes
+    each drawn rational value into the entries and the relations alike
+    and reduces in the evaluated presentation.
     """
+    points = parameter_points(mode, rng, samples)
     report = VerificationReport(
         "cayley-hamilton", {"n": braiding.dim, "mode": mode})
     res = characteristic_residual(braiding, tag)
     pres = re_presentation(braiding, tag)
-    if mode == "EXACT":
-        ok, witness = _entries_vanish(res, pres)
-        report.add("entries-vanish", anchor("cayley-hamilton"), ok, witness)
-        return report
-    if mode != "SAMPLED":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("SAMPLED mode needs an rng")
-    check_points(samples)
-    for value in random_parameter_values(rng, samples):
-        sub = pres.substituted(value)
-        img = res.map_entries(
-            lambda v: v.map_coeffs(lambda s: s.with_value(value)))
-        ok, witness = _entries_vanish(img, sub)
-        report.add(f"entries-vanish@{value}", anchor("cayley-hamilton"),
+    for suffix, at in points:
+        ok, witness = at(res).first_nonzero(at(pres).normal_form)
+        report.add(f"entries-vanish{suffix}", anchor("cayley-hamilton"),
                    ok, witness)
     return report
 

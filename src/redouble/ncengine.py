@@ -24,8 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .braidings import Braiding, TensorOperator
 from .linalg import Triangular, vec_add_scaled
-from .scalars import ONE, Scalar, check_points, scalars_equal, \
-    random_parameter_values
+from .scalars import ONE, Scalar
 
 
 class Gen(NamedTuple):
@@ -124,10 +123,11 @@ class NCElement:
     def __eq__(self, other):
         return isinstance(other, NCElement) and self.terms == other.terms
 
-    def map_coeffs(self, fn: Callable[[Scalar], Scalar]) -> "NCElement":
+    def substituted(self, value) -> "NCElement":
+        """Every coefficient evaluated at parameter = value."""
         out = {}
         for w, c in self.terms.items():
-            v = fn(c)
+            v = c.with_value(value)
             if not v.is_zero():
                 out[w] = v
         return NCElement(out)
@@ -248,36 +248,11 @@ class QuadraticPresentation:
     def substituted(self, value) -> "QuadraticPresentation":
         cached = self._sub_cache.get(value)
         if cached is None:
-            rels = [r.map_coeffs(lambda s: s.with_value(value))
-                    for r in self.relations]
+            rels = [r.substituted(value) for r in self.relations]
             cached = QuadraticPresentation(self.generators, rels,
                                            name=f"{self.name}@{value}")
             self._sub_cache[value] = cached
         return cached
-
-
-def equals_mod_ideal(a: NCElement, b: NCElement, pres: QuadraticPresentation,
-                     mode: str = "EXACT", rng=None, samples: int = 3) -> bool:
-    """Equality in the quotient algebra, EXACT or SAMPLED.
-
-    SAMPLED substitutes the parameter by random rational constants in both
-    the element and the relations and reduces in the evaluated presentation.
-    """
-    diff = a - b
-    if diff.is_zero():
-        return True
-    if mode == "EXACT":
-        return pres.reduces_to_zero(diff)
-    if mode != "SAMPLED":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("SAMPLED mode needs an rng")
-    check_points(samples)
-    for value in random_parameter_values(rng, samples):
-        sub = pres.substituted(value)
-        if not sub.reduces_to_zero(diff.map_coeffs(lambda s: s.with_value(value))):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +418,24 @@ class MatrixOverAlgebra:
 
     def map_entries(self, fn: Callable[[NCElement], NCElement]) -> "MatrixOverAlgebra":
         return self._store({k: fn(v) for k, v in self.entries.items()})
+
+    def substituted(self, value) -> "MatrixOverAlgebra":
+        """Every entry evaluated at parameter = value."""
+        return self.map_entries(lambda v: v.substituted(value))
+
+    def first_nonzero(self, reduce: Callable[[NCElement], NCElement]
+                      ) -> tuple:
+        """(True, None) when reduce takes every entry to zero.
+
+        Otherwise (False, witness), the witness naming the first entry in
+        sorted index order that does not vanish, with its residual.
+        """
+        for key in sorted(self.entries):
+            residual = reduce(self.entries[key])
+            if not residual.is_zero():
+                r, c = key
+                return False, f"entry {r}->{c}: {residual!r}"
+        return True, None
 
     def __eq__(self, other):
         return isinstance(other, MatrixOverAlgebra) and \

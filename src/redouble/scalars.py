@@ -554,6 +554,10 @@ def random_parameter_values(rng, count: int, unity_bound: int = 12) -> list:
 # Fewest random parameter points a SAMPLED check may draw.
 MIN_POINTS = 3
 
+# How an identity over the parameter field is checked: symbolically, or at
+# random rational values of the parameter.
+MODES = ("EXACT", "SAMPLED")
+
 
 def check_points(samples: int) -> None:
     """Raise ValueError when samples is below MIN_POINTS."""
@@ -562,31 +566,29 @@ def check_points(samples: int) -> None:
                          f" got {samples}")
 
 
-def scalars_equal(a: Scalar, b: Scalar, mode: str = "EXACT",
-                  rng=None, samples: int = 3) -> bool:
-    """Field equality in the given mode.
+def _unchanged(x):
+    return x
 
-    EXACT compares canonical forms.  SAMPLED compares evaluations at
-    `samples` (at least MIN_POINTS) random rational points drawn from rng, resampling
-    past any denominator pole.
+
+def parameter_points(mode: str, rng, samples: int) -> list:
+    """The points at which an identity is checked, as (suffix, at) pairs.
+
+    EXACT gives the one symbolic point ("", identity).  SAMPLED draws
+    `samples` (at least MIN_POINTS) distinct rational values v from rng and
+    gives (f"@{v}", x -> x.substituted(v)) for each, in draw order; `at`
+    takes any object that carries coefficients (an element, a matrix, an
+    operator, a presentation, a double) to its image at v.  The suffix
+    names the point in check ids.
     """
     if mode == "EXACT":
-        return a == b
+        return [("", _unchanged)]
     if mode != "SAMPLED":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("SAMPLED mode needs an rng")
     check_points(samples)
-    done = 0
-    while done < samples:
-        (v,) = random_parameter_values(rng, 1)
-        try:
-            if a.evaluate(v) != b.evaluate(v):
-                return False
-        except PoleError:
-            continue
-        done += 1
-    return True
+    return [(f"@{v}", lambda x, v=v: x.substituted(v))
+            for v in random_parameter_values(rng, samples)]
 
 
 ZERO = Scalar("q", 0, (), (1,))

@@ -25,8 +25,7 @@ from .invariants import (spectral_char_trl, verify_cayley_hamilton,
                          verify_spectrum_operator)
 from .ncengine import NCElement, matrix_generators
 from .reports import VerificationReport
-from .scalars import MIN_POINTS, ONE, Scalar, check_points, \
-    random_parameter_values
+from .scalars import MIN_POINTS, MODES, ONE, Scalar, parameter_points
 from .u2h import (classical_limit_report, verify_derivative_commutativity,
                   verify_dhat_homomorphism, verify_radius,
                   verify_shift_structure)
@@ -51,9 +50,10 @@ _POINT_SAMPLED = frozenset({"braiding", "cayley-hamilton", "capelli",
 class SuiteConfig:
     """Picklable description of one suite run.
 
-    Fields a suite does not consume are ignored; k, degree and samples
-    default to per-suite values when left unset and must be positive when
-    set, and a suite in _POINT_SAMPLED needs at least MIN_POINTS samples.
+    Fields a suite does not consume are ignored, but every field is
+    validated: mode is one of MODES; k, degree and samples default to
+    per-suite values when left unset and must be positive when set, and a
+    suite in _POINT_SAMPLED needs at least MIN_POINTS samples.
     A fixed seed makes the resulting report byte-identical across runs.
     """
 
@@ -64,6 +64,8 @@ class SuiteConfig:
                  shape: tuple | None = None, degree: int | None = None,
                  mode: str = "EXACT", samples: int | None = None,
                  seed: int = 0):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
         for name, value in (("k", k), ("degree", degree),
                             ("samples", samples)):
             if value is not None and value < 1:
@@ -89,6 +91,23 @@ class SuiteConfig:
 
 def _label(shape: tuple) -> str:
     return ",".join(str(p) for p in shape)
+
+
+def _points(config: SuiteConfig) -> dict:
+    """The mode, rng and sample count that pick a suite's parameter points."""
+    return {"mode": config.mode, "rng": config.rng(),
+            "samples": 3 if config.samples is None else config.samples}
+
+
+def _sampled(config: SuiteConfig, verify, *args) -> VerificationReport:
+    """verify(*args) at the suite's parameter points.
+
+    A SAMPLED report echoes the seed its points were drawn from.
+    """
+    report = verify(*args, **_points(config))
+    if config.mode == "SAMPLED":
+        report.config["seed"] = config.seed
+    return report
 
 
 def _merge(report: VerificationReport, sub: VerificationReport,
@@ -118,18 +137,9 @@ def braiding_suite(config: SuiteConfig) -> VerificationReport:
          b.op * b.op - b.identity(2) - b.op.scale(b.nu)),
         ("braiding-inverse", b.op * b.inv - b.identity(2)),
     )
-    if config.mode == "EXACT":
+    for suffix, at in parameter_points(**_points(config)):
         for name, res in residuals:
-            report.add(name, anchor(name), res.is_zero())
-    elif config.mode == "SAMPLED":
-        samples = 3 if config.samples is None else config.samples
-        check_points(samples)
-        for value in random_parameter_values(config.rng(), samples):
-            for name, res in residuals:
-                report.add(f"{name}@{value}", anchor(name),
-                           res.evaluate_at(value).is_zero())
-    else:
-        raise ValueError(f"unknown mode {config.mode!r}")
+            report.add(name + suffix, anchor(name), at(res).is_zero())
     try:
         rtrace_form(b)
         ok, witness = True, None
@@ -178,7 +188,7 @@ def heckerep_suite(config: SuiteConfig) -> VerificationReport:
     ok = True
     witness = None
     for tab in fam.tableaux:
-        got = fam.projector(tab).evaluate_at(1).rank()
+        got = fam.projector(tab).substituted(1).rank()
         want = weyl_dimension(tab.shape, n)
         if got != want:
             ok, witness = False, f"{tab!r}: rank {got} vs {want}"
@@ -272,14 +282,7 @@ def conjecture_suite(config: SuiteConfig) -> VerificationReport:
 
 
 def cayley_hamilton_suite(config: SuiteConfig) -> VerificationReport:
-    rng = config.rng() if config.mode == "SAMPLED" else None
-    samples = 3 if config.samples is None else config.samples
-    report = verify_cayley_hamilton(standard_hecke(config.n),
-                                    mode=config.mode, rng=rng,
-                                    samples=samples)
-    if config.mode == "SAMPLED":
-        report.config["seed"] = config.seed
-    return report
+    return _sampled(config, verify_cayley_hamilton, standard_hecke(config.n))
 
 
 def capelli_suite(config: SuiteConfig) -> VerificationReport:
@@ -287,39 +290,23 @@ def capelli_suite(config: SuiteConfig) -> VerificationReport:
     k = 2 if config.k is None else config.k
     degree = 2 if config.degree is None else config.degree
     b = standard_hecke(config.n)
-    cfg = {"n": config.n, "k": k, "mode": config.mode, "degree": degree}
-    rng = None
-    if config.mode == "SAMPLED":
-        cfg["seed"] = config.seed
-        rng = config.rng()
-    samples = 3 if config.samples is None else config.samples
+    word = _sampled(config, verify_capelli, b, k)
+    cfg = dict(word.config, degree=degree)
+    del cfg["route"]
     report = VerificationReport("capelli", cfg)
-    _merge(report, verify_capelli(b, k, config.mode, rng=rng,
-                                  samples=samples))
+    _merge(report, word)
     _merge(report, verify_capelli_action(b, k, degree))
     return report
 
 
 def det_capelli_suite(config: SuiteConfig) -> VerificationReport:
-    rng = config.rng() if config.mode == "SAMPLED" else None
-    samples = 3 if config.samples is None else config.samples
-    report = verify_det_capelli(standard_hecke(config.n), mode=config.mode,
-                                rng=rng, samples=samples)
-    if config.mode == "SAMPLED":
-        report.config["seed"] = config.seed
-    return report
+    return _sampled(config, verify_det_capelli, standard_hecke(config.n))
 
 
 def adjoint_suite(config: SuiteConfig) -> VerificationReport:
     k = 1 if config.k is None else config.k
-    rng = config.rng() if config.mode == "SAMPLED" else None
-    samples = 3 if config.samples is None else config.samples
-    report = verify_adjoint_invariance(standard_hecke(config.n), k,
-                                       mode=config.mode, rng=rng,
-                                       samples=samples)
-    if config.mode == "SAMPLED":
-        report.config["seed"] = config.seed
-    return report
+    return _sampled(config, verify_adjoint_invariance,
+                    standard_hecke(config.n), k)
 
 
 def orbits_suite(config: SuiteConfig) -> VerificationReport:
@@ -377,8 +364,6 @@ def acceptance_grid(mode: str = "EXACT", seed: int = 0) -> list:
     reduction and seeded rational sample points; the braiding rows stay
     exact (they are already instant).
     """
-    if mode not in ("EXACT", "SAMPLED"):
-        raise ValueError(f"unknown mode {mode!r}")
     rows = []
     for n in (1, 2, 3, 4):
         rows.append((f"braiding-n{n}",

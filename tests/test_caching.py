@@ -37,7 +37,7 @@ def test_substituted_double_does_not_share_the_symbolic_operator():
     symbolic = action_operator(d, a, 2)
     sub = action_operator(d.substituted(value), a, 2)
     assert sub != symbolic
-    assert sub == symbolic.evaluate_at(value)
+    assert sub == symbolic.substituted(value)
 
 
 def test_shift_scalar_is_part_of_the_key():

@@ -185,7 +185,8 @@ def test_passing_rows_keep_the_grid_anchor(monkeypatch):
 def test_reports_do_not_depend_on_the_hash_seed():
     src = str(pathlib.Path(redouble.__file__).resolve().parents[1])
     for argv in (["--suite", "orbits", "--n", "2"],
-                 ["--suite", "spectrum", "--n", "2", "--lambda", "2,1"]):
+                 ["--suite", "spectrum", "--n", "2", "--lambda", "2,1"],
+                 ["--suite", "adjoint", "--mode", "SAMPLED"]):
         outs = []
         for seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)

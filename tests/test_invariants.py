@@ -93,15 +93,6 @@ def test_cayley_hamilton_sampled():
     assert len(report.checks) == 3
 
 
-def test_cayley_hamilton_needs_rng_in_sampled_mode():
-    with pytest.raises(ValueError):
-        verify_cayley_hamilton(standard_hecke(2), mode="SAMPLED")
-    for samples in (0, 2):
-        with pytest.raises(ValueError):
-            verify_cayley_hamilton(standard_hecke(2), mode="SAMPLED",
-                                   rng=random.Random(0), samples=samples)
-
-
 def test_trace_character_closed_forms():
     b = standard_hecke(2)
     assert spectral_char_trl((1,), b) == laurent({-1: 1, -5: 1})

@@ -13,7 +13,6 @@ from redouble.ncengine import (
     MatrixOverAlgebra,
     NCElement,
     QuadraticPresentation,
-    equals_mod_ideal,
     free_presentation,
     matrix_generators,
     re_presentation,
@@ -119,24 +118,7 @@ def test_weighted_trace_of_generator_matrix_is_central():
     assert l1.rtrace(2, form.weights) == l.scale(form.dimension_value())
     for g in matrix_generators("l", 2):
         xg = NCElement.generator(g)
-        assert equals_mod_ideal(trl * xg, xg * trl, pres)
-
-
-def test_equals_mod_ideal_sampled_mode():
-    b = standard_hecke(2)
-    pres = re_presentation(b, "l")
-    rng = random.Random(7)
-    rel = pres.relations[0]
-    g = NCElement.generator(Gen("l", 1, 1))
-    assert equals_mod_ideal(rel * g, NCElement.zero(), pres,
-                            mode="SAMPLED", rng=rng)
-    assert not equals_mod_ideal(g, NCElement.zero(), pres,
-                                mode="SAMPLED", rng=rng)
-    assert equals_mod_ideal(g, g, pres, mode="SAMPLED", rng=rng)
-    for samples in (0, 2):  # too few points to check anything
-        with pytest.raises(ValueError):
-            equals_mod_ideal(g, NCElement.zero(), pres, mode="SAMPLED",
-                             rng=rng, samples=samples)
+        assert pres.reduces_to_zero(trl * xg - xg * trl)
 
 
 def test_normal_form_is_idempotent_and_linear():

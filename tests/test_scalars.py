@@ -8,11 +8,10 @@ import random
 import pytest
 
 from redouble import scalars
-from redouble.scalars import (MIN_POINTS, ONE, MixedParameterError, Scalar,
-                              _pcontent, _pdivexact, _pdivexact_int, _pgcd,
-                              _pmul, _pneg, _ptrim, laurent_cancel,
-                              laurent_multiplier, laurent_primitive, nu, qint,
-                              scalars_equal)
+from redouble.scalars import (ONE, MixedParameterError, Scalar, _pcontent,
+                              _pdivexact, _pdivexact_int, _pgcd, _pmul, _pneg,
+                              _ptrim, laurent_cancel, laurent_multiplier,
+                              laurent_primitive, nu, qint)
 
 
 def _general(x: Scalar, y: Scalar) -> Scalar:
@@ -200,16 +199,6 @@ def test_laurent_multiplier_clears_the_denominators():
             continue
         assert m.den == (1,) and m.shift == 0 and _canonical(m)
         assert all(len((m * v).den) == 1 for v in values)
-
-
-def test_sampled_equality_needs_three_points():
-    q = Scalar.var()
-    assert MIN_POINTS == 3
-    for samples in (-1, 0, 1, 2):
-        with pytest.raises(ValueError):
-            scalars_equal(q, q, "SAMPLED", rng=random.Random(0),
-                          samples=samples)
-    assert scalars_equal(q, q, "SAMPLED", rng=random.Random(0), samples=3)
 
 
 def test_rational_constants_are_parameter_free():

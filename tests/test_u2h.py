@@ -103,7 +103,7 @@ def test_degree_and_coefficient_maps():
     a = X * Y * PBWElement.radius() + T.scale(H)
     assert a.degree() == 3
     assert PBWElement.radius(-1).degree() == 0
-    dropped = a.map_coeffs(lambda s: s.with_value(0))
+    dropped = a.substituted(0)
     assert dropped == X * Y * PBWElement.radius()
 
 
