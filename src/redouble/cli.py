@@ -3,8 +3,9 @@
 Writes one JSON report per invocation, to stdout or --out, with a fixed
 key order and no timestamps, so a fixed seed reproduces the bytes
 exactly; --timings adds a single wall-clock figure to the configuration
-echo.  Exit status: 0 all checks pass, 1 hard failure, 2 failure
-confined to the conjecture probes, 3 unusable configuration.
+echo.  Exit status: 0 all checks pass, 1 hard failure (a failing check
+or an engine error, reported as one failing check that names it), 2
+failure confined to the conjecture probes, 3 unusable configuration.
 """
 
 from __future__ import annotations
@@ -13,11 +14,18 @@ import argparse
 import sys
 import time
 
-from .scalars import MODES
+from .braidings import BraidingError
+from .reports import VerificationReport
+from .scalars import MODES, MixedParameterError
 from .suites import (SUITE_NAMES, SuiteConfig, clear_caches, exit_code_for,
                      run_all, run_suite)
+from .u2h import UnsupportedElementError
 
 CONFIG_ERROR = 3
+
+# ValueErrors raised by the engine on a valid configuration: a failed run
+# (exit 1), not an unusable configuration (exit 3).
+ENGINE_ERRORS = (MixedParameterError, BraidingError, UnsupportedElementError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,6 +89,22 @@ def _parse_shape(text: str, parser: argparse.ArgumentParser) -> tuple:
     return shape
 
 
+def _engine_failure(args: argparse.Namespace,
+                    err: Exception) -> VerificationReport:
+    """A report whose one failing check names the engine error.
+
+    Its config echoes the flags that reproduce the run.
+    """
+    config = {"mode": args.mode, "seed": args.seed}
+    for flag, dest in _PER_SUITE_FLAGS:
+        if getattr(args, dest) is not None:
+            config[flag[2:]] = getattr(args, dest)
+    report = VerificationReport(args.suite, config)
+    report.add("engine-error", "engine", False,
+               f"{type(err).__name__}: {err}")
+    return report
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -109,6 +133,8 @@ def main(argv=None) -> int:
                 args.suite, n=args.n, k=args.k, shape=shape,
                 degree=args.degree, mode=args.mode, samples=args.samples,
                 seed=args.seed))
+    except ENGINE_ERRORS as err:
+        report = _engine_failure(args, err)
     except ValueError as err:
         parser.error(str(err))
     if args.timings:

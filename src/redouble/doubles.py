@@ -171,23 +171,25 @@ class QuantumDouble:
         return w[:cut], w[cut:]
 
     def binormal_form(self, x: NCElement) -> NCElement:
-        """Normal order, then reduce the B-block and A-block by their ideals."""
-        ordered = self.normal_order(x)
-        out: dict = {}
-        for w, c in ordered.terms.items():
+        """Normal order, then reduce the B-block and A-block by their ideals.
+
+        Each stage reduces whole vectors: the A-blocks beside one B-block,
+        then the B-blocks beside one reduced A-word.
+        """
+        by_b: dict = {}
+        for w, c in self.normal_order(x).terms.items():
             bw, aw = self.split_word(w)
-            nfb = self.b_pres.normal_form(NCElement.word(bw))
-            nfa = self.a_pres.normal_form(NCElement.word(aw))
+            by_b.setdefault(bw, {})[aw] = c
+        by_a: dict = {}
+        for bw, avec in by_b.items():
+            nfa = self.a_pres.normal_form(NCElement(avec))
+            for wa, ca in nfa.terms.items():
+                by_a.setdefault(wa, {})[bw] = ca
+        out: dict = {}
+        for wa, bvec in by_a.items():
+            nfb = self.b_pres.normal_form(NCElement(bvec))
             for wb, cb in nfb.terms.items():
-                for wa, ca in nfa.terms.items():
-                    key = wb + wa
-                    s = c * cb * ca
-                    cur = out.get(key)
-                    s = s if cur is None else cur + s
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                out[wb + wa] = cb
         return NCElement(out)
 
     def equals(self, x: NCElement, y: NCElement, mode: str = "EXACT",

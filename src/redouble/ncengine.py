@@ -7,7 +7,8 @@ reflection-equation algebras, arbitrary for the trace-shifted orbit
 quotients) plus lower-degree tails.  Equality modulo the two-sided ideal is
 decided degreewise by linear algebra: the span of w1 * relation * w2 is
 materialized layer by layer into a triangular basis with graded-lex leading
-words, and normal forms are unique remainders against that basis.  This is
+words, and the normal form of an element is its unique remainder against
+that basis, found by one elimination of the whole element.  This is
 not a Groebner completion; it is exact and complete for the flat (PBW-type)
 presentations used here, and reductions to zero are sound proofs of ideal
 membership in any case.
@@ -165,7 +166,8 @@ class QuadraticPresentation:
     """Generators plus relations with homogeneous leading parts.
 
     Graded when every relation is homogeneous; otherwise filtered, with
-    reduction over the whole word space of degree <= d.
+    reduction over the whole word space of degree <= d.  The basis grows
+    to the degree of each element reduced; no normal form is memoized.
     """
 
     def __init__(self, generators: list, relations: Iterable[NCElement],
@@ -185,7 +187,6 @@ class QuadraticPresentation:
         self._tri = Triangular(word_sortkey)
         self._layers: dict = {0: []}
         self._built = 0
-        self._nf_cache: dict = {}
         self._sub_cache: dict = {}
 
     def ensure(self, d: int) -> None:
@@ -208,19 +209,10 @@ class QuadraticPresentation:
             self._layers[e] = new_rows
             self._built = e
 
-    def _nf_word(self, w: tuple) -> dict:
-        cached = self._nf_cache.get(w)
-        if cached is None:
-            self.ensure(len(w))
-            cached = self._tri.reduce({w: ONE})
-            self._nf_cache[w] = cached
-        return cached
-
     def normal_form(self, x: NCElement) -> NCElement:
-        out: dict = {}
-        for w, c in x.terms.items():
-            vec_add_scaled(out, self._nf_word(w), c)
-        return NCElement(out)
+        """Unique remainder of x: one elimination of the whole element."""
+        self.ensure(x.degree())
+        return NCElement(self._tri.reduce(dict(x.terms)))
 
     def reduces_to_zero(self, x: NCElement) -> bool:
         return self.normal_form(x).is_zero()

@@ -93,18 +93,14 @@ def _label(shape: tuple) -> str:
     return ",".join(str(p) for p in shape)
 
 
-def _points(config: SuiteConfig) -> dict:
-    """The mode, rng and sample count that pick a suite's parameter points."""
-    return {"mode": config.mode, "rng": config.rng(),
-            "samples": 3 if config.samples is None else config.samples}
-
-
 def _sampled(config: SuiteConfig, verify, *args) -> VerificationReport:
     """verify(*args) at the suite's parameter points.
 
     A SAMPLED report echoes the seed its points were drawn from.
     """
-    report = verify(*args, **_points(config))
+    samples = 3 if config.samples is None else config.samples
+    report = verify(*args, mode=config.mode, rng=config.rng(),
+                    samples=samples)
     if config.mode == "SAMPLED":
         report.config["seed"] = config.seed
     return report
@@ -122,10 +118,14 @@ def _merge(report: VerificationReport, sub: VerificationReport,
 
 def braiding_suite(config: SuiteConfig) -> VerificationReport:
     """Braid relation, quadratic condition, and inverse for one rank."""
-    report = VerificationReport("braiding", {"n": config.n,
-                                             "mode": config.mode})
+    return _sampled(config, _braiding_checks, config.n)
+
+
+def _braiding_checks(n: int, mode: str, rng, samples: int
+                     ) -> VerificationReport:
+    report = VerificationReport("braiding", {"n": n, "mode": mode})
     try:
-        b = standard_hecke(config.n)
+        b = standard_hecke(n)
     except BraidingError as err:
         report.add("construction", anchor("braid-relation"), False, str(err))
         return report
@@ -137,7 +137,7 @@ def braiding_suite(config: SuiteConfig) -> VerificationReport:
          b.op * b.op - b.identity(2) - b.op.scale(b.nu)),
         ("braiding-inverse", b.op * b.inv - b.identity(2)),
     )
-    for suffix, at in parameter_points(**_points(config)):
+    for suffix, at in parameter_points(mode, rng, samples):
         for name, res in residuals:
             report.add(name + suffix, anchor(name), at(res).is_zero())
     try:

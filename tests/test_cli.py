@@ -13,10 +13,12 @@ import pytest
 import redouble
 from redouble.cli import main
 from redouble.anchors import anchor
+from redouble.braidings import BraidingError
 from redouble.invariants import SpectralCharacter
 from redouble.reports import VerificationReport
-from redouble.scalars import ONE
+from redouble.scalars import ONE, MixedParameterError
 from redouble.suites import SuiteConfig, run_all
+from redouble.u2h import UnsupportedElementError
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +57,24 @@ def test_out_flag_writes_the_report(tmp_path, capsys):
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["suite"] == "braiding"
     assert payload["passed"] is True
+
+
+def test_sampled_braiding_report_replays_from_its_config(capsys):
+    _, first, _ = run_cli(capsys, "--suite", "braiding", "--n", "3",
+                          "--mode", "SAMPLED", "--seed", "7")
+    config = json.loads(first)["config"]
+    assert config == {"mode": "SAMPLED", "n": 3, "seed": 7}
+    replay = [arg for key in sorted(config)
+              for arg in (f"--{key}", str(config[key]))]
+    _, again, _ = run_cli(capsys, "--suite", "braiding", *replay)
+    assert again == first
+    # the seed picks the points, so dropping it would not replay
+    _, other, _ = run_cli(capsys, "--suite", "braiding", "--n", "3",
+                          "--mode", "SAMPLED")
+    assert other != first
+    _, exact, _ = run_cli(capsys, "--suite", "braiding", "--n", "3",
+                          "--seed", "7")
+    assert json.loads(exact)["config"] == {"mode": "EXACT", "n": 3}
 
 
 def test_timings_flag_adds_wall_time(capsys):
@@ -119,6 +139,50 @@ def test_suite_all_takes_the_run_wide_flags(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert seen == {"mode": "SAMPLED", "seed": 5, "jobs": 2}
     assert "wall_time_ms" in json.loads(target.read_text())["config"]
+
+
+ENGINE_ERRORS = (MixedParameterError("'q' vs 'h'"),
+                 BraidingError("standard: braid relation failed"),
+                 UnsupportedElementError("derivative of a radius power"))
+
+
+@pytest.mark.parametrize("error", ENGINE_ERRORS,
+                         ids=lambda e: type(e).__name__)
+def test_engine_errors_exit_with_status_one(capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("redouble.cli.run_suite", broken)
+    code, out, err = run_cli(capsys, "--suite", "capelli", "--n", "3",
+                             "--k", "2", "--mode", "SAMPLED", "--seed", "4")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["suite"] == "capelli" and payload["passed"] is False
+    assert payload["config"] == {"k": 2, "mode": "SAMPLED", "n": 3,
+                                 "seed": 4}
+    [check] = payload["checks"]
+    assert check["id"] == "engine-error" and not check["passed"]
+    assert check["witness"] == f"{type(error).__name__}: {error}"
+    assert "FAIL(1/1)" in err
+
+    monkeypatch.setattr("redouble.cli.run_all", broken)
+    code, out, _ = run_cli(capsys, "--suite", "all", "--jobs", "2")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["config"] == {"mode": "EXACT", "seed": 0}
+    assert [c["id"] for c in payload["checks"]] == ["engine-error"]
+
+
+def test_other_value_errors_still_exit_with_status_three(capsys,
+                                                        monkeypatch):
+    def broken(config):
+        raise ValueError("need one level constant per matrix size")
+
+    monkeypatch.setattr("redouble.cli.run_suite", broken)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--suite", "orbits"])
+    assert excinfo.value.code == 3
+    assert "level constant" in capsys.readouterr().err
 
 
 def test_failing_conjecture_probe_exits_with_status_two(capsys,

@@ -16,6 +16,7 @@ from redouble.doubles import (
     monomial_matrix,
 )
 from redouble.heckerep import jucys_murphy_inverse
+from redouble.linalg import vec_add_scaled
 from redouble.ncengine import Gen, MatrixOverAlgebra, NCElement, matrix_generators
 from redouble.scalars import ONE, ZERO, Scalar, nu
 from redouble.suites import _DOUBLE_KINDS
@@ -335,3 +336,51 @@ def test_degree_overflow_guard():
 def test_unknown_kind_rejected():
     with pytest.raises(DoubleError):
         make_double(standard_hecke(2), "sideways")
+
+
+def _per_word_binormal_form(d, x):
+    """Reference: reduce the B-block and the A-block of every ordered word
+    alone, then add the products of their remainders."""
+    def word_nf(pres, w):
+        pres.ensure(len(w))
+        return pres._tri.reduce({w: ONE})
+
+    out: dict = {}
+    for w, c in d.normal_order(x).terms.items():
+        bw, aw = d.split_word(w)
+        nfa = word_nf(d.a_pres, aw)
+        for wb, cb in word_nf(d.b_pres, bw).items():
+            vec_add_scaled(out, {wb + wa: ca for wa, ca in nfa.items()},
+                           c * cb)
+    return out
+
+
+@pytest.mark.parametrize("kind", _DOUBLE_KINDS)
+def test_binormal_form_equals_the_per_word_route(kind):
+    kwargs = {"h": Scalar.from_fraction("7/3")} \
+        if kind == "derivative_shifted" else {}
+    d = make_double(standard_hecke(2), kind, **kwargs)
+    a_gens = matrix_generators(d.a_tag, 2)
+    b_gens = sorted(d.b_pres.generators)
+    q = q_scalar()
+    coeffs = [ONE, -ONE, q, Scalar.from_fraction("1/2"),
+              q * q + Scalar.from_int(3), (q + ONE).inverse()]
+    rng = random.Random(f"binormal-{kind}")
+    elements = [_random_element(rng, a_gens + b_gens, coeffs, 3, 4)
+                for _ in range(6)]
+    # products with relations, which vanish in the double
+    elements += [rel * NCElement.generator(rng.choice(b_gens))
+                 for rel in d.a_pres.relations[:2]]
+    elements += [NCElement.generator(rng.choice(a_gens)).scale(q) * rel
+                 for rel in d.b_pres.relations[:2]]
+    for x in elements:
+        got = d.binormal_form(x)
+        want = _per_word_binormal_form(d, x)
+        assert got.terms == want, (kind, x)
+        assert {w: c.text() for w, c in got.terms.items()} == \
+            {w: c.text() for w, c in want.items()}
+        for w in got.terms:
+            d.split_word(w)  # raises unless B-letters precede A-letters
+    assert any(d.binormal_form(x).is_zero() for x in elements)
+    assert not all(d.binormal_form(x).is_zero() for x in elements)
+

@@ -7,7 +7,9 @@ import random
 
 import pytest
 
-from redouble.braidings import TensorOperator, standard_hecke
+from redouble.adjoint_orbits import orbit_quotient
+from redouble.braidings import TensorOperator, flip, standard_hecke
+from redouble.linalg import vec_add_scaled
 from redouble.ncengine import (
     Gen,
     MatrixOverAlgebra,
@@ -135,6 +137,76 @@ def test_normal_form_is_idempotent_and_linear():
         again = pres.normal_form(NCElement.word(w1)) + \
             pres.normal_form(NCElement.word(w2, Scalar.from_int(2)))
         assert nf == again
+
+
+def _per_word_normal_form(pres, x):
+    """Reference: reduce every word of x alone, then add the remainders."""
+    out: dict = {}
+    for w, c in x.terms.items():
+        pres.ensure(len(w))
+        vec_add_scaled(out, pres._tri.reduce({w: ONE}), c)
+    return out
+
+
+def _texts(terms):
+    return {w: c.text() for w, c in terms.items()}
+
+
+def _random_element(rng, gens, coeffs, lengths, terms):
+    out = NCElement.zero()
+    for _ in range(terms):
+        w = tuple(rng.choice(gens) for _ in range(rng.choice(lengths)))
+        out = out + NCElement.word(w, rng.choice(coeffs))
+    return out
+
+
+# name: (fresh presentation, its parameter)
+DIFFERENTIAL_PRESENTATIONS = {
+    "re": (lambda: re_presentation(standard_hecke(2), "l"), "q"),
+    "inv": (lambda: re_presentation(standard_hecke(2), "l",
+                                    use_inverse=True), "q"),
+    "re-shifted-q": (lambda: re_presentation(
+        standard_hecke(2), "f", shift=nu("q").inverse()), "q"),
+    "re-shifted-h": (lambda: re_presentation(
+        flip(2, "h"), "f", shift=Scalar.var("h")), "h"),
+    "sym": (lambda: symmetric_vector_presentation(standard_hecke(2), "x"),
+            "q"),
+    "skew": (lambda: skew_vector_presentation(standard_hecke(2), "x"), "q"),
+    "orbit": (lambda: orbit_quotient(
+        standard_hecke(2), [Scalar.from_int(2), Scalar.from_int(3)]), "q"),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_PRESENTATIONS)
+def test_normal_form_equals_the_per_word_route(name):
+    build, param = DIFFERENTIAL_PRESENTATIONS[name]
+    p = Scalar.var(param)
+    coeffs = [ONE, -ONE, p, Scalar.from_fraction("1/2"),
+              p * p + Scalar.from_int(3), (p + ONE).inverse()]
+    rng = random.Random(f"nf-{name}")
+    pres = build()
+    gens = pres.generators
+    # Fed before any basis is built: a short first word, longer ones after.
+    first = _random_element(rng, gens, coeffs, [0, 1], 1) + \
+        _random_element(rng, gens, coeffs, [3], 4)
+    assert first.degree() == 3
+    elements = [first] + \
+        [_random_element(rng, gens, coeffs, [0, 1, 2, 3], 4)
+         for _ in range(6)]
+    # and elements of the ideal, which reduce to zero
+    for rel in pres.relations[:3]:
+        left = _random_element(rng, gens, coeffs, [0, 1], 2)
+        elements.append(left * rel.scale(rng.choice(coeffs)) - rel)
+    for x in elements:
+        got = pres.normal_form(x)
+        want = _per_word_normal_form(pres, x)
+        assert got.terms == want, (name, x)
+        assert _texts(got.terms) == _texts(want)
+        assert pres.reduces_to_zero(x) == (not want)
+        assert pres.reduces_to_zero(x - got)
+    assert any(pres.reduces_to_zero(x) for x in elements)
+    assert not all(pres.reduces_to_zero(x) for x in elements)
+    assert first.terms != pres.normal_form(first).terms
 
 
 def test_symmetric_and_skew_vector_quotients():

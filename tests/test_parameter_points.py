@@ -14,7 +14,7 @@ from redouble.capelli import verify_capelli, verify_det_capelli
 from redouble.doubles import make_double
 from redouble.invariants import verify_cayley_hamilton
 from redouble.ncengine import Gen, MatrixOverAlgebra, NCElement
-from redouble.scalars import (MIN_POINTS, Scalar, parameter_points,
+from redouble.scalars import (MIN_POINTS, ONE, Scalar, parameter_points,
                               random_parameter_values)
 from redouble.suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -155,3 +155,31 @@ def test_sampled_checks_are_not_vacuous(name, monkeypatch):
     others = [c for c in report.checks
               if "@" in c["id"] and c not in spoiled]
     assert all(c["passed"] for c in others)
+
+
+def _spoil_det_capelli(monkeypatch):
+    det_r = capelli.det_r
+
+    def spoiled(*args, **kwargs):
+        return det_r(*args, **kwargs) + NCElement.constant(ONE)
+    monkeypatch.setattr(capelli, "det_r", spoiled)
+
+
+def test_sampled_det_capelli_is_not_vacuous(monkeypatch):
+    def run(mode):
+        return verify_det_capelli(standard_hecke(2), mode=mode,
+                                  rng=random.Random(1), samples=3)
+
+    assert run("SAMPLED").passed and run("EXACT").passed
+    _spoil_det_capelli(monkeypatch)
+    [check] = run("SAMPLED").checks
+    assert check["id"] == "traced-identity" and not check["passed"]
+    # the witness names the first failing point and the residual there
+    [(suffix, at), *_] = parameter_points("SAMPLED", random.Random(1), 3)
+    point, residual = check["witness"].split(": ", 1)
+    assert point == suffix
+    assert "*" in residual and "q" not in residual  # rational coefficients
+    [exact] = run("EXACT").checks
+    assert not exact["passed"] and "q" in exact["witness"]
+    assert not exact["witness"].startswith("@")
+
