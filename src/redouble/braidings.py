@@ -4,7 +4,8 @@ A braiding here is an invertible operator R on V (x) V satisfying the braid
 relation R1 R2 R1 = R2 R1 R2 on V^3 together with the quadratic condition
 R^2 = I + (q - q^-1) R.  The flip is the q = 1 case.  Operators on tensor
 powers are stored sparsely as {row multi-index: {col multi-index: Scalar}}
-with 1-based index tuples; columns hold images of basis vectors, so
+with 1-based index tuples, and composed, added and traced by the
+linalg sparse-matrix functions; columns hold images of basis vectors, so
 (R X R^-1) composes left to right as matrix multiplication.
 
 The weighted trace uses the diagonal form C = diag(q^(1-2i)); the braided
@@ -16,9 +17,10 @@ to the plain weighted trace times the identity.
 from __future__ import annotations
 
 import itertools
+import operator
 
-from .linalg import Triangular, vec_add_scaled
-from .scalars import ONE, Scalar, qint
+from .linalg import Triangular, mat_add, mat_map, mat_mul, partial_trace
+from .scalars import ONE, ZERO, Scalar
 
 
 class TensorOperator:
@@ -53,9 +55,6 @@ class TensorOperator:
         v = self.rows.get(r, {}).get(c)
         return v if v is not None else ONE - ONE
 
-    def clone_rows(self) -> dict:
-        return {r: dict(cs) for r, cs in self.rows.items()}
-
     # -- ring operations ------------------------------------------------------
 
     def _check(self, other):
@@ -64,49 +63,21 @@ class TensorOperator:
 
     def __add__(self, other):
         self._check(other)
-        rows = self.clone_rows()
-        for r, cs in other.rows.items():
-            tgt = rows.setdefault(r, {})
-            vec_add_scaled(tgt, cs, ONE)
-            if not tgt:
-                del rows[r]
-        return TensorOperator(self.dim, self.arity, rows)
+        return TensorOperator(self.dim, self.arity,
+                              mat_add(self.rows, other.rows))
 
     def __sub__(self, other):
         return self + other.scale(-ONE)
 
     def scale(self, coeff: Scalar) -> "TensorOperator":
-        if coeff.is_zero():
-            return TensorOperator(self.dim, self.arity, {})
         return TensorOperator(self.dim, self.arity,
-                              {r: {c: coeff * v for c, v in cs.items()}
-                               for r, cs in self.rows.items()})
+                              mat_map(self.rows, lambda v: coeff * v))
 
     def __mul__(self, other):
         """Composition self . other (apply other first)."""
         self._check(other)
-        rows: dict = {}
-        orows = other.rows
-        for r, cs in self.rows.items():
-            acc: dict = {}
-            for k, v in cs.items():
-                mid = orows.get(k)
-                if mid:
-                    for c, w in mid.items():
-                        cur = acc.get(c)
-                        p = v * w
-                        if cur is None:
-                            if not p.is_zero():
-                                acc[c] = p
-                        else:
-                            s = cur + p
-                            if s.is_zero():
-                                del acc[c]
-                            else:
-                                acc[c] = s
-            if acc:
-                rows[r] = acc
-        return TensorOperator(self.dim, self.arity, rows)
+        return TensorOperator(self.dim, self.arity,
+                              mat_mul(self.rows, other.rows, operator.mul))
 
     def __eq__(self, other):
         if not isinstance(other, TensorOperator):
@@ -115,12 +86,6 @@ class TensorOperator:
 
     def is_zero(self) -> bool:
         return not self.rows
-
-    def __pow__(self, k: int):
-        out = TensorOperator.identity(self.dim, self.arity)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- tensor-structure operations -------------------------------------------
 
@@ -142,31 +107,9 @@ class TensorOperator:
         """Weighted partial trace over one slot; weights[i-1] pairs with index i."""
         if not 1 <= slot <= self.arity:
             raise ValueError("slot out of range")
-        s = slot - 1
-        rows: dict = {}
-        for r, cs in self.rows.items():
-            b = r[s]
-            w = weights[b - 1]
-            rr = r[:s] + r[s + 1:]
-            for c, v in cs.items():
-                if c[s] != b:
-                    continue
-                cc = c[:s] + c[s + 1:]
-                tgt = rows.setdefault(rr, {})
-                cur = tgt.get(cc)
-                p = w * v
-                if cur is None:
-                    if not p.is_zero():
-                        tgt[cc] = p
-                else:
-                    t = cur + p
-                    if t.is_zero():
-                        del tgt[cc]
-                    else:
-                        tgt[cc] = t
-            if rr in rows and not rows[rr]:
-                del rows[rr]
-        return TensorOperator(self.dim, self.arity - 1, rows)
+        return TensorOperator(self.dim, self.arity - 1,
+                              partial_trace(self.rows, slot, weights,
+                                            operator.mul))
 
     def scalar(self) -> Scalar:
         """The single entry of an arity-0 operator."""
@@ -188,16 +131,8 @@ class TensorOperator:
 
     def substituted(self, value) -> "TensorOperator":
         """Every entry evaluated at parameter = value."""
-        rows: dict = {}
-        for r, cs in self.rows.items():
-            out = {}
-            for c, v in cs.items():
-                w = v.with_value(value)
-                if not w.is_zero():
-                    out[c] = w
-            if out:
-                rows[r] = out
-        return TensorOperator(self.dim, self.arity, rows)
+        return TensorOperator(self.dim, self.arity,
+                              mat_map(self.rows, lambda v: v.with_value(value)))
 
     def __repr__(self):
         return f"TensorOperator(dim={self.dim}, arity={self.arity}, nnz={sum(len(c) for c in self.rows.values())})"
@@ -346,10 +281,8 @@ def rtrace_form(braiding: Braiding) -> RTraceForm:
     weights = [q ** (1 - 2 * i) for i in range(1, dim + 1)]
     form = RTraceForm(braiding, weights)
 
-    if q.is_constant():
-        expected_dim = Scalar.from_int(dim, braiding.param)  # N_q at q = 1
-    else:
-        expected_dim = qint(dim, braiding.param) * q ** (-dim)
+    expected_dim = sum((q ** (dim - 1 - 2 * j) for j in range(dim)),
+                       ZERO) * q ** (-dim)
     if form.dimension_value() != expected_dim:
         raise BraidingError("weighted trace of identity is not N_q/q^N")
 

@@ -34,7 +34,8 @@ from __future__ import annotations
 import itertools
 
 from .braidings import Braiding, TensorOperator
-from .linalg import Triangular, invert_table, vec_add_scaled
+from .linalg import (Triangular, accumulate, invert_table, mat_mul,
+                     vec_add_scaled)
 from .ncengine import (
     Gen,
     MatrixOverAlgebra,
@@ -47,7 +48,7 @@ from .ncengine import (
     symmetric_vector_presentation,
     vector_generators,
 )
-from .scalars import ONE, ZERO, Scalar, parameter_points
+from .scalars import ONE, ZERO, Scalar
 
 
 class DoubleError(Exception):
@@ -139,13 +140,7 @@ class QuantumDouble:
             out: dict = {}
             head, tail = w[:hit], w[hit + 2:]
             for iw, c in img.terms.items():
-                for ww, cc in self._order_word(head + iw + tail).items():
-                    cur = out.get(ww)
-                    s = c * cc if cur is None else cur + c * cc
-                    if s.is_zero():
-                        out.pop(ww, None)
-                    else:
-                        out[ww] = s
+                vec_add_scaled(out, self._order_word(head + iw + tail), c)
         self._order_cache[w] = out
         return out
 
@@ -191,14 +186,6 @@ class QuantumDouble:
             for wb, cb in nfb.terms.items():
                 out[wb + wa] = cb
         return NCElement(out)
-
-    def equals(self, x: NCElement, y: NCElement, mode: str = "EXACT",
-               rng=None, samples: int = 3) -> bool:
-        """Whether x - y vanishes in the double at every parameter point."""
-        points = parameter_points(mode, rng, samples)
-        diff = x - y
-        return all(at(self).binormal_form(at(diff)).is_zero()
-                   for _, at in points)
 
     def substituted(self, value) -> "QuantumDouble":
         cached = self._sub_cache.get(value)
@@ -291,14 +278,7 @@ class QuantumDouble:
                 val = val * self.eps_a[g]
                 if val.is_zero():
                     break
-            if val.is_zero():
-                continue
-            cur = out.get(bw)
-            s = val if cur is None else cur + val
-            if s.is_zero():
-                out.pop(bw, None)
-            else:
-                out[bw] = s
+            accumulate(out, bw, val)
         return NCElement(out)
 
     def _check_target(self, b: NCElement) -> None:
@@ -311,20 +291,8 @@ class QuantumDouble:
         """Entrywise action product: out[I,K] = sum_J act(a[I,J], b[J,K])."""
         if amoa.col_arity != bmoa.row_arity:
             raise ValueError("matrix shape mismatch")
-        by_mid: dict = {}
-        for (j, k), v in bmoa.entries.items():
-            by_mid.setdefault(j, []).append((k, v))
-        out: dict = {}
-        for (i, j), av in amoa.entries.items():
-            for k, bv in by_mid.get(j, ()):
-                p = self.act(av, bv)
-                if p.is_zero():
-                    continue
-                key = (i, k)
-                cur = out.get(key)
-                out[key] = p if cur is None else cur + p
         return MatrixOverAlgebra(amoa.dim, amoa.row_arity, bmoa.col_arity,
-                                 {k: v for k, v in out.items() if not v.is_zero()})
+                                 mat_mul(amoa.rows, bmoa.rows, self.act))
 
 
 # ---------------------------------------------------------------------------
@@ -583,34 +551,19 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
         pivot = tri.insert(row)
         if pivot is None or pivot[0] == "#":
             raise DoubleError("monomial entries are linearly dependent")
-    entries: dict = {}
+    rows: dict = {}
     for i in idx:
         target: dict = {}
         for j in idx:
             acted = double.act(a, mon.entry(i, j))
             e = double.b_pres.normal_form(acted)
             for w, c in e.terms.items():
-                key = (j, w)
-                cur = target.get(key)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    target.pop(key, None)
-                else:
-                    target[key] = s
-        rem = tri.reduce(target)
-        coeffs = {}
-        for key, c in rem.items():
+                accumulate(target, (j, w), c)
+        row = {}
+        for key, c in tri.reduce(target).items():
             if key[0] != "#":
                 raise DoubleError("action is not slotwise on these monomials")
-            coeffs[idx[key[1]]] = -c
-        for kk, c in coeffs.items():
-            if not c.is_zero():
-                entries[(i, kk)] = c
-    return TensorOperator(double.braiding.dim, k, _nest(entries))
-
-
-def _nest(flat: dict) -> dict:
-    rows: dict = {}
-    for (r, c), v in flat.items():
-        rows.setdefault(r, {})[c] = v
-    return rows
+            row[idx[key[1]]] = -c
+        if row:
+            rows[i] = row
+    return TensorOperator(double.braiding.dim, k, rows)

@@ -139,8 +139,8 @@ class SpectralCharacter:
     satisfy q^k e_k = e_k(mu_1, ..., mu_N), the interpolation weights are
     d_i = q^-1 prod_{j != i} (mu_i - q^-2 mu_j) / (mu_i - mu_j), and the
     power values are sum_i mu_i^k d_i.  The exponents lam_i + N - i are
-    strictly decreasing, so the mu_i stay distinct whenever the braiding
-    parameter is a genuine variable.
+    strictly decreasing, so the mu_i are distinct unless q = 1 or
+    q = -1; the weights divide by their differences.
     """
 
     __slots__ = ("shape", "braiding", "mu", "mu_hat", "_weights")
@@ -173,8 +173,8 @@ class SpectralCharacter:
         """Interpolation weights d_i entering the power-sum expansion."""
         if self._weights is None:
             q = self.braiding.q
-            if q.is_constant():
-                raise ValueError("interpolation weights need a variable parameter")
+            if len(set(self.mu)) < len(self.mu):
+                raise ValueError("interpolation weights need distinct mu")
             out = []
             for i, mi in enumerate(self.mu):
                 w = q.inverse()

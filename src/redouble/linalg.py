@@ -5,6 +5,11 @@ hashable (index tuples, words).  Reduction picks the largest key under a
 caller-supplied sort key as the leading entry, so the same machinery serves
 operator rank computations and graded-lexicographic ideal reduction.
 
+Sparse matrices are rows {row index: {col index: entry}}.  Their one
+product, entrywise sum, entry map, weighted partial trace and
+first-nonzero witness live here, shared by braidings.TensorOperator
+(Scalar entries) and ncengine.MatrixOverAlgebra (algebra entries).
+
 `Triangular` eliminates fraction-free over the Laurent ring Q[q, 1/q],
 whose elements are the Scalars with a constant denominator.  Stored rows
 and working vectors stay in that ring: a step against a pivot whose lead
@@ -24,10 +29,25 @@ from .scalars import Scalar, laurent_cancel, laurent_multiplier, \
     laurent_primitive
 
 
+def accumulate(target: dict, key, value) -> None:
+    """target[key] += value, storing no zero entry."""
+    cur = target.get(key)
+    if cur is None:
+        if not value.is_zero():
+            target[key] = value
+    else:
+        s = cur + value
+        if s.is_zero():
+            del target[key]
+        else:
+            target[key] = s
+
+
 def vec_add_scaled(target: dict, src: dict, coeff: Scalar) -> None:
     """target += coeff * src, dropping entries that cancel to zero."""
     if coeff.is_zero():
         return
+    # accumulate inlined: this is the inner loop of every elimination step
     for k, v in src.items():
         cur = target.get(k)
         if cur is None:
@@ -38,6 +58,91 @@ def vec_add_scaled(target: dict, src: dict, coeff: Scalar) -> None:
                 del target[k]
             else:
                 target[k] = s
+
+
+# ---------------------------------------------------------------------------
+# Sparse matrices: rows {row index: {col index: entry}}, with no stored zero
+# entry and no empty row.  Entries are Scalars or algebra elements; each
+# function uses only `+`, `is_zero` and the callables it is given.
+
+
+def mat_mul(left: dict, right: dict, mul) -> dict:
+    """Rows of left . right: out[r][c] = sum over k of mul(left[r][k], right[k][c]).
+
+    mul keeps its arguments in factor order, so noncommuting entries and
+    mixed ones (a scalar operator beside an algebra matrix, an action of
+    one element on another) share this product.
+    """
+    out: dict = {}
+    for r, cs in left.items():
+        acc: dict = {}
+        for k, v in cs.items():
+            mid = right.get(k)
+            if mid:
+                for c, w in mid.items():
+                    accumulate(acc, c, mul(v, w))
+        if acc:
+            out[r] = acc
+    return out
+
+
+def mat_add(left: dict, right: dict) -> dict:
+    """Rows of the entrywise sum left + right."""
+    out = {r: dict(cs) for r, cs in left.items()}
+    for r, cs in right.items():
+        row = out.setdefault(r, {})
+        for c, v in cs.items():
+            accumulate(row, c, v)
+        if not row:
+            del out[r]
+    return out
+
+
+def mat_map(rows: dict, fn) -> dict:
+    """Rows of fn applied to every entry, dropping entries fn sends to zero."""
+    out: dict = {}
+    for r, cs in rows.items():
+        row = {}
+        for c, v in cs.items():
+            w = fn(v)
+            if not w.is_zero():
+                row[c] = w
+        if row:
+            out[r] = row
+    return out
+
+
+def partial_trace(rows: dict, slot: int, weights: list, mul) -> dict:
+    """Weighted trace over one tensor slot of multi-index rows and columns.
+
+    out[r'][c'] = sum over i of mul(weights[i-1], rows[r][c]), where r and
+    c carry index i at the 1-based slot and equal r' and c' elsewhere.
+    """
+    s = slot - 1
+    out: dict = {}
+    for r, cs in rows.items():
+        b = r[s]
+        w = weights[b - 1]
+        row = out.setdefault(r[:s] + r[s + 1:], {})
+        for c, v in cs.items():
+            if c[s] == b:
+                accumulate(row, c[:s] + c[s + 1:], mul(w, v))
+    return {r: cs for r, cs in out.items() if cs}
+
+
+def first_nonzero(rows: dict, reduce) -> tuple:
+    """(True, None) when reduce takes every entry to zero.
+
+    Otherwise (False, witness), the witness naming the first entry in
+    sorted index order that does not vanish, with its residual.
+    """
+    for r in sorted(rows):
+        cs = rows[r]
+        for c in sorted(cs):
+            residual = reduce(cs[c])
+            if not residual.is_zero():
+                return False, f"entry {r}->{c}: {residual}"
+    return True, None
 
 
 class Triangular:

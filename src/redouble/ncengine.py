@@ -13,6 +13,11 @@ not a Groebner completion; it is exact and complete for the flat (PBW-type)
 presentations used here, and reductions to zero are sound proofs of ideal
 membership in any case.
 
+Matrices over the algebra (MatrixOverAlgebra) keep the sparse rows of
+TensorOperator and compute through the same linalg functions: the entry
+product is the algebra product, and a scalar operator acting on either
+side scales entries.
+
 The reflection-equation presentation on generators x_i^j of the matrix X is
 built componentwise from R X1 R X1 - X1 R X1 R = tail, where the tail is 0,
 or the shift c*(R X1 - X1 R), or the variant with R replaced by R^-1.
@@ -21,10 +26,12 @@ or the shift c*(R X1 - X1 R), or the variant with R replaced by R^-1.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Iterable, NamedTuple
 
 from .braidings import Braiding, TensorOperator
-from .linalg import Triangular, vec_add_scaled
+from .linalg import (Triangular, accumulate, first_nonzero, mat_add, mat_map,
+                     mat_mul, partial_trace, vec_add_scaled)
 from .scalars import ONE, Scalar
 
 
@@ -107,18 +114,7 @@ class NCElement:
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                p = c1 * c2
-                cur = out.get(w)
-                if cur is None:
-                    if not p.is_zero():
-                        out[w] = p
-                else:
-                    s = cur + p
-                    if s.is_zero():
-                        del out[w]
-                    else:
-                        out[w] = s
+                accumulate(out, w1 + w2, c1 * c2)
         return NCElement(out)
 
     def __eq__(self, other):
@@ -252,79 +248,79 @@ class QuadraticPresentation:
 
 
 class MatrixOverAlgebra:
-    """Rectangular matrix over NCElements, indexed by 1-based multi-indices.
+    """Rectangular matrix over an algebra, indexed by 1-based multi-indices.
 
     Rows have row_arity tensor slots and columns col_arity slots (they can
     differ: the vector of tensor-algebra generators has column arity 0).
+    Entries are NCElements, or any algebra elements with the same `+`,
+    `*`, `scale`, `is_zero` and `substituted` (u2h's PBWElement); they are
+    stored as sparse rows {row: {col: entry}} and computed through the
+    linalg matrix functions.
     """
 
-    __slots__ = ("dim", "row_arity", "col_arity", "entries")
+    __slots__ = ("dim", "row_arity", "col_arity", "rows")
 
     def __init__(self, dim: int, row_arity: int, col_arity: int,
-                 entries: dict | None = None):
+                 rows: dict | None = None):
         self.dim = dim
         self.row_arity = row_arity
         self.col_arity = col_arity
-        self.entries = entries if entries is not None else {}
+        self.rows = rows if rows is not None else {}
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def generator_matrix(cls, tag: str, dim: int, arity: int, slot: int) -> "MatrixOverAlgebra":
         """X placed in one tensor slot, identity elsewhere: X_slot."""
-        entries = {}
+        rows = {}
         s = slot - 1
         for r in itertools.product(range(1, dim + 1), repeat=arity):
-            for jj in range(1, dim + 1):
-                c = r[:s] + (jj,) + r[s + 1:]
-                entries[(r, c)] = NCElement.generator(Gen(tag, r[s], jj))
-        return cls(dim, arity, arity, entries)
+            rows[r] = {r[:s] + (jj,) + r[s + 1:]:
+                       NCElement.generator(Gen(tag, r[s], jj))
+                       for jj in range(1, dim + 1)}
+        return cls(dim, arity, arity, rows)
 
     @classmethod
     def generator_vector(cls, tag: str, dim: int, arity: int, slot: int) -> "MatrixOverAlgebra":
         """Column of vector generators in one slot: rows arity, cols arity-1."""
-        entries = {}
+        rows = {}
         s = slot - 1
         for r in itertools.product(range(1, dim + 1), repeat=arity):
-            c = r[:s] + r[s + 1:]
-            entries[(r, c)] = NCElement.generator(Gen(tag, r[s], 0))
-        return cls(dim, arity, arity - 1, entries)
+            rows[r] = {r[:s] + r[s + 1:]: NCElement.generator(Gen(tag, r[s], 0))}
+        return cls(dim, arity, arity - 1, rows)
 
     @classmethod
     def from_operator(cls, op: TensorOperator) -> "MatrixOverAlgebra":
-        entries = {}
-        for r, cs in op.rows.items():
-            for c, v in cs.items():
-                entries[(r, c)] = NCElement.constant(v)
-        return cls(op.dim, op.arity, op.arity, entries)
+        return cls(op.dim, op.arity, op.arity,
+                   mat_map(op.rows, NCElement.constant))
 
     @classmethod
     def identity(cls, dim: int, arity: int) -> "MatrixOverAlgebra":
         return cls.from_operator(TensorOperator.identity(dim, arity))
 
-    def entry(self, r, c) -> NCElement:
-        return self.entries.get((r, c), NCElement.zero())
+    @property
+    def entries(self) -> dict:
+        """The entries keyed by (row, col)."""
+        return {(r, c): v for r, cs in self.rows.items() for c, v in cs.items()}
 
-    def _store(self, entries: dict) -> "MatrixOverAlgebra":
-        return MatrixOverAlgebra(self.dim, self.row_arity, self.col_arity,
-                                 {k: v for k, v in entries.items() if not v.is_zero()})
+    def entry(self, r, c) -> NCElement:
+        return self.rows.get(r, {}).get(c, NCElement.zero())
+
+    def _like(self, rows: dict) -> "MatrixOverAlgebra":
+        return MatrixOverAlgebra(self.dim, self.row_arity, self.col_arity, rows)
 
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
         if (self.row_arity, self.col_arity) != (other.row_arity, other.col_arity):
             raise ValueError("matrix shape mismatch")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return self._store(out)
+        return self._like(mat_add(self.rows, other.rows))
 
     def __sub__(self, other):
         return self + other.scale(-ONE)
 
     def scale(self, c: Scalar) -> "MatrixOverAlgebra":
-        return self._store({k: v.scale(c) for k, v in self.entries.items()})
+        return self._like(mat_map(self.rows, lambda v: v.scale(c)))
 
     def __mul__(self, other):
         """Matrix product; entry products keep letter order left-to-right."""
@@ -332,75 +328,28 @@ class MatrixOverAlgebra:
             return NotImplemented
         if self.col_arity != other.row_arity:
             raise ValueError("matrix shape mismatch")
-        by_row: dict = {}
-        for (r, k), v in self.entries.items():
-            by_row.setdefault(r, []).append((k, v))
-        by_mid: dict = {}
-        for (k, c), v in other.entries.items():
-            by_mid.setdefault(k, []).append((c, v))
-        out: dict = {}
-        for r, lst in by_row.items():
-            for k, v in lst:
-                mid = by_mid.get(k)
-                if not mid:
-                    continue
-                for c, w in mid:
-                    key = (r, c)
-                    p = v * w
-                    cur = out.get(key)
-                    out[key] = p if cur is None else cur + p
         return MatrixOverAlgebra(self.dim, self.row_arity, other.col_arity,
-                                 {k: v for k, v in out.items() if not v.is_zero()})
+                                 mat_mul(self.rows, other.rows, operator.mul))
 
     def lmul_op(self, op: TensorOperator) -> "MatrixOverAlgebra":
         """Scalar operator acting from the left: op . self."""
-        by_mid: dict = {}
-        for (k, c), v in self.entries.items():
-            by_mid.setdefault(k, []).append((c, v))
-        out: dict = {}
-        for r, cs in op.rows.items():
-            for k, s in cs.items():
-                mid = by_mid.get(k)
-                if not mid:
-                    continue
-                for c, v in mid:
-                    key = (r, c)
-                    p = v.scale(s)
-                    cur = out.get(key)
-                    out[key] = p if cur is None else cur + p
         return MatrixOverAlgebra(self.dim, op.arity, self.col_arity,
-                                 {k: v for k, v in out.items() if not v.is_zero()})
+                                 mat_mul(op.rows, self.rows, _scaled_by_left))
 
     def rmul_op(self, op: TensorOperator) -> "MatrixOverAlgebra":
         """Scalar operator acting from the right: self . op."""
-        out: dict = {}
-        for (r, k), v in self.entries.items():
-            mid = op.rows.get(k)
-            if not mid:
-                continue
-            for c, s in mid.items():
-                key = (r, c)
-                p = v.scale(s)
-                cur = out.get(key)
-                out[key] = p if cur is None else cur + p
         return MatrixOverAlgebra(self.dim, self.row_arity, op.arity,
-                                 {k: v for k, v in out.items() if not v.is_zero()})
+                                 mat_mul(self.rows, op.rows, _scaled_by_right))
 
     def rtrace(self, slot: int, weights: list) -> "MatrixOverAlgebra":
         """Weighted partial trace over one (square) tensor slot."""
         if self.row_arity != self.col_arity:
             raise ValueError("partial trace needs a square-shaped matrix")
-        s = slot - 1
-        out: dict = {}
-        for (r, c), v in self.entries.items():
-            if r[s] != c[s]:
-                continue
-            key = (r[:s] + r[s + 1:], c[:s] + c[s + 1:])
-            p = v.scale(weights[r[s] - 1])
-            cur = out.get(key)
-            out[key] = p if cur is None else cur + p
+        if not 1 <= slot <= self.row_arity:
+            raise ValueError("slot out of range")
         return MatrixOverAlgebra(self.dim, self.row_arity - 1, self.col_arity - 1,
-                                 {k: v for k, v in out.items() if not v.is_zero()})
+                                 partial_trace(self.rows, slot, weights,
+                                               _scaled_by_left))
 
     def trace_all(self, weights: list) -> NCElement:
         cur = self
@@ -409,7 +358,7 @@ class MatrixOverAlgebra:
         return cur.entry((), ())
 
     def map_entries(self, fn: Callable[[NCElement], NCElement]) -> "MatrixOverAlgebra":
-        return self._store({k: fn(v) for k, v in self.entries.items()})
+        return self._like(mat_map(self.rows, fn))
 
     def substituted(self, value) -> "MatrixOverAlgebra":
         """Every entry evaluated at parameter = value."""
@@ -417,28 +366,27 @@ class MatrixOverAlgebra:
 
     def first_nonzero(self, reduce: Callable[[NCElement], NCElement]
                       ) -> tuple:
-        """(True, None) when reduce takes every entry to zero.
-
-        Otherwise (False, witness), the witness naming the first entry in
-        sorted index order that does not vanish, with its residual.
-        """
-        for key in sorted(self.entries):
-            residual = reduce(self.entries[key])
-            if not residual.is_zero():
-                r, c = key
-                return False, f"entry {r}->{c}: {residual!r}"
-        return True, None
+        """linalg.first_nonzero of the entries under reduce."""
+        return first_nonzero(self.rows, reduce)
 
     def __eq__(self, other):
         return isinstance(other, MatrixOverAlgebra) and \
             (self.dim, self.row_arity, self.col_arity) == (other.dim, other.row_arity, other.col_arity) and \
-            self.entries == other.entries
+            self.rows == other.rows
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.rows
 
     def __repr__(self):
-        return f"MatrixOverAlgebra(dim={self.dim}, shape=({self.row_arity},{self.col_arity}), nnz={len(self.entries)})"
+        return f"MatrixOverAlgebra(dim={self.dim}, shape=({self.row_arity},{self.col_arity}), nnz={sum(map(len, self.rows.values()))})"
+
+
+def _scaled_by_left(s: Scalar, v):
+    return v.scale(s)
+
+
+def _scaled_by_right(v, s: Scalar):
+    return v.scale(s)
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +445,12 @@ def _vector_quotient(b: Braiding, tag: str, diag: Scalar, rsign: Scalar,
     rels = []
     for kk in range(1, b.dim + 1):
         for ll in range(1, b.dim + 1):
-            terms: dict = {}
             col = (kk, ll)
-            w = (Gen(tag, kk, 0), Gen(tag, ll, 0))
-            terms[w] = diag
+            terms = {(Gen(tag, kk, 0), Gen(tag, ll, 0)): diag}
             for (a, bb), cs in b.op.rows.items():
                 v = cs.get(col)
                 if v is not None:
-                    wa = (Gen(tag, a, 0), Gen(tag, bb, 0))
-                    cur = terms.get(wa)
-                    s = rsign * v
-                    terms[wa] = s if cur is None else cur + s
-            rels.append(NCElement({w: c for w, c in terms.items() if not c.is_zero()}))
+                    accumulate(terms, (Gen(tag, a, 0), Gen(tag, bb, 0)),
+                               rsign * v)
+            rels.append(NCElement(terms))
     return QuadraticPresentation(gens, rels, name=f"{name}({tag}, dim={b.dim})")

@@ -23,6 +23,7 @@ from .heckerep import (IdempotentFamily, jucys_murphy, partitions,
 from .invariants import (spectral_char_trl, verify_cayley_hamilton,
                          verify_character_consistency, verify_spectrum,
                          verify_spectrum_operator)
+from .linalg import first_nonzero
 from .ncengine import NCElement, matrix_generators
 from .reports import VerificationReport
 from .scalars import MIN_POINTS, MODES, ONE, Scalar, parameter_points
@@ -96,12 +97,14 @@ def _label(shape: tuple) -> str:
 def _sampled(config: SuiteConfig, verify, *args) -> VerificationReport:
     """verify(*args) at the suite's parameter points.
 
-    A SAMPLED report echoes the seed its points were drawn from.
+    A SAMPLED report echoes the sample count and the seed its points were
+    drawn from, so it replays from its own config.
     """
     samples = 3 if config.samples is None else config.samples
     report = verify(*args, mode=config.mode, rng=config.rng(),
                     samples=samples)
     if config.mode == "SAMPLED":
+        report.config["samples"] = samples
         report.config["seed"] = config.seed
     return report
 
@@ -139,7 +142,8 @@ def _braiding_checks(n: int, mode: str, rng, samples: int
     )
     for suffix, at in parameter_points(mode, rng, samples):
         for name, res in residuals:
-            report.add(name + suffix, anchor(name), at(res).is_zero())
+            ok, witness = first_nonzero(at(res).rows, lambda v: v)
+            report.add(name + suffix, anchor(name), ok, witness)
     try:
         rtrace_form(b)
         ok, witness = True, None

@@ -12,8 +12,9 @@ enveloping algebra on x, y, z, t with brackets [x, y] = h z (cyclic in
 x, y, z) and central t, realized through exact normal forms ordered
 x < y < z < t.  Four derivative symbols push through words by a
 sixteen-entry table and cap with their counits; arranged into a 4x4
-matrix with prefactor h/2 they give an algebra homomorphism into
-matrices over the algebra.  A central square root of x^2+y^2+z^2-h^2/4
+matrix with prefactor h/2 (a MatrixOverAlgebra with PBWElement
+entries) they give an algebra homomorphism into matrices over the
+algebra.  A central square root of x^2+y^2+z^2-h^2/4
 (the radius) extends the algebra by Laurent powers, and the
 homomorphism property extends to it with closed-form derivative values.
 """
@@ -25,6 +26,7 @@ import itertools
 from .anchors import anchor
 from .braidings import Braiding, flip, standard_hecke
 from .doubles import DoubleError, QuantumDouble, make_double, matrix_copy
+from .linalg import accumulate, vec_add_scaled
 from .ncengine import Gen, MatrixOverAlgebra, NCElement, matrix_generators
 from .reports import VerificationReport
 from .scalars import Scalar
@@ -87,7 +89,7 @@ def h_shifted_double(braiding: Braiding, h: Scalar) -> QuantumDouble:
     if not (braiding.q - braiding.q.inverse()).is_zero():
         mixed_residual, quad_residual = \
             _shift_substitution_residual(braiding, h)
-        if mixed_residual.entries or quad_residual.entries:
+        if not (mixed_residual.is_zero() and quad_residual.is_zero()):
             raise DoubleError("shift substitution does not reproduce "
                               "the deformed relations")
     return double
@@ -247,12 +249,7 @@ def _straighten_word(word: tuple) -> dict:
         letter, coeff = _STRAIGHTEN[(word[pos], word[pos + 1])]
         out = dict(_straighten_word(swapped))
         shorter = word[:pos] + (letter,) + word[pos + 2:]
-        for w, c in _straighten_word(shorter).items():
-            s = out.get(w, H_ZERO) + c * coeff
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+        vec_add_scaled(out, _straighten_word(shorter), coeff)
     _straighten_cache[word] = out
     return out
 
@@ -266,8 +263,7 @@ def _mono_mul_raw(k1: tuple, k2: tuple) -> dict:
     out = {}
     tails = (k1[3] + k2[3], k1[4] + k2[4])
     for w, c in _straighten_word(_xyz_letters(k1) + _xyz_letters(k2)).items():
-        key = (w.count(_X), w.count(_Y), w.count(_Z)) + tails
-        out[key] = out.get(key, H_ZERO) + c
+        accumulate(out, (w.count(_X), w.count(_Y), w.count(_Z)) + tails, c)
     return out
 
 
@@ -288,8 +284,8 @@ def _reduce_radius(raw: dict) -> dict:
                 for k, kc in _mono_mul_raw(base, sq_key).items():
                     pending.append((k, c * sq_c * kc))
             continue
-        out[key] = out.get(key, H_ZERO) + c
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        accumulate(out, key, c)
+    return out
 
 
 class PBWElement:
@@ -344,11 +340,7 @@ class PBWElement:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, H_ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            accumulate(out, k, c)
         return PBWElement(out)
 
     def __sub__(self, other):
@@ -368,9 +360,7 @@ class PBWElement:
         raw: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                factor = c1 * c2
-                for k, c in _mono_mul_raw(k1, k2).items():
-                    raw[k] = raw.get(k, H_ZERO) + factor * c
+                vec_add_scaled(raw, _mono_mul_raw(k1, k2), c1 * c2)
         return PBWElement(_reduce_radius(raw))
 
     def substituted(self, value) -> "PBWElement":
@@ -506,62 +496,26 @@ _RADIUS_PATTERN = (
 )
 
 
-class DhatMatrix:
-    """4x4 matrix over the compact algebra."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict):
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
-
-    @classmethod
-    def identity(cls) -> "DhatMatrix":
-        return cls({(i, i): PBWElement.one() for i in range(4)})
-
-    def entry(self, i: int, j: int) -> PBWElement:
-        return self.entries.get((i, j), PBWElement.zero())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DhatMatrix) and self.entries == other.entries
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, PBWElement.zero()) + v
-        return DhatMatrix(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-H_ONE)
-
-    def scale(self, c: Scalar) -> "DhatMatrix":
-        return DhatMatrix({k: v.scale(c) for k, v in self.entries.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, DhatMatrix):
-            return NotImplemented
-        out: dict = {}
-        for (i, k), left in self.entries.items():
-            for j in range(4):
-                right = other.entries.get((k, j))
-                if right is None:
-                    continue
-                cur = out.get((i, j))
-                p = left * right
-                out[(i, j)] = p if cur is None else cur + p
-        return DhatMatrix(out)
+def _matrix(entries: dict) -> MatrixOverAlgebra:
+    """4x4 matrix over the compact algebra from {(i, j): entry}, 0-based."""
+    rows: dict = {}
+    for (i, j), v in entries.items():
+        if not v.is_zero():
+            rows.setdefault((i + 1,), {})[(j + 1,)] = v
+    return MatrixOverAlgebra(4, 1, 1, rows)
 
 
-def dhat_matrix(a: PBWElement) -> DhatMatrix:
+def dhat_matrix(a: PBWElement) -> MatrixOverAlgebra:
     """Apply the sign pattern of derivatives to a, with prefactor h/2."""
     entries = {}
     for i, row in enumerate(_DHAT_PATTERN):
         for j, (sign, sym) in enumerate(row):
             entries[(i, j)] = apply_derivative(sym, a).scale(
                 HALF_H if sign > 0 else -HALF_H)
-    return DhatMatrix(entries)
+    return _matrix(entries)
 
 
-def expected_radius_matrix() -> DhatMatrix:
+def expected_radius_matrix() -> MatrixOverAlgebra:
     """Closed form of the derivative matrix on the radius letter."""
     diag = PBWElement.radius() + PBWElement.radius(-1).scale(RADIUS_CONST)
     entries = {(i, i): diag for i in range(4)}
@@ -573,7 +527,7 @@ def expected_radius_matrix() -> DhatMatrix:
             name, sign = cell
             value = PBWElement.generator(name) * inv
             entries[(i, j)] = value if sign > 0 else -value
-    return DhatMatrix(entries)
+    return _matrix(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +586,8 @@ def verify_dhat_homomorphism(rng=None, samples: int = 20,
                 else 0})
     if pairs is None:
         report.add("unit", anchor("u2h-multiplicative"),
-                   dhat_matrix(PBWElement.one()) == DhatMatrix.identity())
+                   dhat_matrix(PBWElement.one()) == _matrix(
+                       {(i, i): PBWElement.one() for i in range(4)}))
         named = []
         for na in GENERATOR_ORDER:
             for nb in GENERATOR_ORDER:
@@ -647,14 +602,8 @@ def verify_dhat_homomorphism(rng=None, samples: int = 20,
     else:
         named = [(f"pair-{i}", a, b) for i, (a, b) in enumerate(pairs)]
     for label, a, b in named:
-        lhs = dhat_matrix(a * b)
-        rhs = dhat_matrix(a) * dhat_matrix(b)
-        ok = lhs == rhs
-        witness = None
-        if not ok:
-            bad = next(k for k in sorted(set(lhs.entries) | set(rhs.entries))
-                       if lhs.entry(*k) != rhs.entry(*k))
-            witness = f"entry {bad}"
+        residual = dhat_matrix(a * b) - dhat_matrix(a) * dhat_matrix(b)
+        ok, witness = residual.first_nonzero(lambda v: v)
         report.add(label, anchor("u2h-multiplicative"), ok, witness)
     if pairs is None:
         images = {name: dhat_matrix(PBWElement.generator(name))
@@ -684,8 +633,7 @@ def verify_radius() -> VerificationReport:
         and apply_derivative(DZ, r) == PBWElement.generator("z") * inv
     report.add("radius-actions", anchor("u2h-radius-actions"), ok, None)
     square = dhat_matrix(r) * dhat_matrix(r) - dhat_matrix(r * r)
-    ok = all(radius_cleared_is_zero(square.entry(i, j))
-             for i in range(4) for j in range(4))
+    ok = all(radius_cleared_is_zero(v) for v in square.entries.values())
     report.add("radius-square", anchor("u2h-radius-square"), ok, None)
     return report
 

@@ -63,7 +63,7 @@ def test_sampled_braiding_report_replays_from_its_config(capsys):
     _, first, _ = run_cli(capsys, "--suite", "braiding", "--n", "3",
                           "--mode", "SAMPLED", "--seed", "7")
     config = json.loads(first)["config"]
-    assert config == {"mode": "SAMPLED", "n": 3, "seed": 7}
+    assert config == {"mode": "SAMPLED", "n": 3, "samples": 3, "seed": 7}
     replay = [arg for key in sorted(config)
               for arg in (f"--{key}", str(config[key]))]
     _, again, _ = run_cli(capsys, "--suite", "braiding", *replay)
@@ -75,6 +75,22 @@ def test_sampled_braiding_report_replays_from_its_config(capsys):
     _, exact, _ = run_cli(capsys, "--suite", "braiding", "--n", "3",
                           "--seed", "7")
     assert json.loads(exact)["config"] == {"mode": "EXACT", "n": 3}
+
+
+def test_sampled_report_replays_its_sample_count(capsys):
+    _, first, _ = run_cli(capsys, "--suite", "cayley-hamilton", "--n", "2",
+                          "--mode", "SAMPLED", "--samples", "5",
+                          "--seed", "7")
+    config = json.loads(first)["config"]
+    assert config == {"mode": "SAMPLED", "n": 2, "samples": 5, "seed": 7}
+    replay = [arg for key in sorted(config)
+              for arg in (f"--{key}", str(config[key]))]
+    _, again, _ = run_cli(capsys, "--suite", "cayley-hamilton", *replay)
+    assert again == first
+    # the default count draws other points, so dropping it would not replay
+    _, other, _ = run_cli(capsys, "--suite", "cayley-hamilton", "--n", "2",
+                          "--mode", "SAMPLED", "--seed", "7")
+    assert other != first
 
 
 def test_timings_flag_adds_wall_time(capsys):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from redouble.braidings import flip, standard_hecke
+from redouble.braidings import Braiding, flip, rtrace_form, standard_hecke
 from redouble.doubles import make_double
 from redouble.heckerep import partitions
 from redouble.invariants import (
@@ -163,6 +163,25 @@ def test_interpolation_weights_need_a_variable_parameter():
     char = SpectralCharacter((1,), flip(2))
     with pytest.raises(ValueError):
         char.weights()
+
+
+def _hecke_at(n, value):
+    b = standard_hecke(n)
+    return Braiding(n, b.q.with_value(value), b.op.substituted(value),
+                    f"{b.name}@{value}")
+
+
+def test_trace_form_holds_at_a_numeric_parameter_and_at_the_flip():
+    numeric = rtrace_form(_hecke_at(2, "7/3")).dimension_value()
+    symbolic = standard_hecke(2).trace_form().dimension_value()
+    assert numeric == symbolic.with_value("7/3")
+    assert rtrace_form(flip(2)).dimension_value() == Scalar.from_int(2)
+
+
+def test_interpolation_weights_at_a_numeric_parameter():
+    symbolic = SpectralCharacter((2, 1), standard_hecke(3)).weights()
+    numeric = SpectralCharacter((2, 1), _hecke_at(3, "7/3")).weights()
+    assert numeric == [w.with_value("7/3") for w in symbolic]
 
 
 def test_spectrum_operator_route_full_grid():

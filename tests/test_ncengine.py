@@ -240,6 +240,9 @@ def test_matrix_over_algebra_product_and_trace():
     traced_op = b.op.rtrace(2, form.weights)
     traced_moa = r.rtrace(2, form.weights)
     assert traced_moa == MatrixOverAlgebra.from_operator(traced_op)
+    for slot in (0, 3):
+        with pytest.raises(ValueError):
+            r.rtrace(slot, form.weights)
     # lmul/rmul against plain matrix product with converted operators.
     l1 = MatrixOverAlgebra.generator_matrix("l", 2, 2, 1)
     assert l1.lmul_op(b.op) == r * l1

@@ -8,7 +8,7 @@ import pytest
 
 from redouble.braidings import flip, standard_hecke
 from redouble.doubles import DoubleError
-from redouble.ncengine import Gen
+from redouble.ncengine import Gen, MatrixOverAlgebra
 from redouble.scalars import Scalar
 from redouble.u2h import (
     COUNIT_SHIFT,
@@ -17,7 +17,6 @@ from redouble.u2h import (
     DX,
     DY,
     DZ,
-    DhatMatrix,
     H,
     HALF_H,
     PBWElement,
@@ -169,7 +168,8 @@ def test_matrix_report_accepts_explicit_pairs():
 
 
 def test_matrix_on_the_unit_is_the_identity():
-    assert dhat_matrix(PBWElement.one()) == DhatMatrix.identity()
+    unit = {(i,): {(i,): PBWElement.one()} for i in range(1, 5)}
+    assert dhat_matrix(PBWElement.one()) == MatrixOverAlgebra(4, 1, 1, unit)
 
 
 def test_bracket_images_multiply_like_the_algebra():
@@ -192,15 +192,15 @@ def test_radius_report_and_closed_forms():
     assert apply_derivative(DX, r) == X * rinv
     got = dhat_matrix(r)
     assert got == expected_radius_matrix()
-    assert got.entry(0, 0) == r + rinv.scale(RADIUS_CONST)
-    assert got.entry(0, 1) == X * rinv.scale(HALF_H)
-    assert got.entry(1, 0) == -(X * rinv.scale(HALF_H))
+    assert got.entry((1,), (1,)) == r + rinv.scale(RADIUS_CONST)
+    assert got.entry((1,), (2,)) == X * rinv.scale(HALF_H)
+    assert got.entry((2,), (1,)) == -(X * rinv.scale(HALF_H))
 
 
 def test_radius_square_identity_needs_clearing():
     r = PBWElement.radius()
     square = dhat_matrix(r) * dhat_matrix(r) - dhat_matrix(r * r)
-    diag = square.entry(0, 0)
+    diag = square.entry((1,), (1,))
     assert not diag.is_zero()
     assert radius_cleared_is_zero(diag)
 
