@@ -5,8 +5,7 @@ field-side generator commutes with every weighted trace power of the
 coordinate matrix, hence annihilates those traces under the regular
 action.  Pinning the first N trace powers to constants therefore gives
 quotient coordinate algebras that still carry the field action; they
-play the role of function rings on fixed conjugation orbits.  An orbit
-level is generic when no weighted eigenvalue equals q^2 times another.
+play the role of function rings on fixed conjugation orbits.
 
 The commutation claim is checked two ways: generator-by-generator
 bi-normal forms, and the matrix identity behind it,
@@ -28,7 +27,7 @@ from .invariants import power_sum
 from .ncengine import (MatrixOverAlgebra, NCElement, QuadraticPresentation,
                        matrix_generators, re_presentation)
 from .reports import VerificationReport
-from .scalars import Scalar, parameter_points
+from .scalars import parameter_points
 
 
 def _trace_commutes(double: QuantumDouble, trace: NCElement) -> tuple:
@@ -170,17 +169,3 @@ def verify_orbit_descent(braiding: Braiding, alphas, degree: int = 1
     report.add("action-descends", anchor("orbit-descent"), ok, witness)
     return report
 
-
-def genericity(mu_values, q: Scalar) -> bool:
-    """No weighted eigenvalue equals q^2 times another (ordered pairs).
-
-    The quantifier runs over all ordered pairs including i = j; for a
-    symbolic q the diagonal pairs are vacuous, while at a numeric root
-    of q^2 = 1 they fail.
-    """
-    shifted = q * q
-    for mi in mu_values:
-        for mj in mu_values:
-            if mi == shifted * mj:
-                return False
-    return True

@@ -27,6 +27,8 @@ Kinds, each named by the role the A-side plays on the B-side:
   derivative_shifted_unit   same, in shifted-derivative letters (involutive
                             braidings only; the counit becomes h^-1 * delta)
   vector            invariant fields on the tensor algebra of V
+The letters (A, B) are l, m for the invariant and adjoint kinds, d, m for
+derivative, d, n for the shifted derivatives, and l, x for vector.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from __future__ import annotations
 import itertools
 
 from .braidings import Braiding, TensorOperator
-from .linalg import (Triangular, accumulate, invert_table, mat_mul,
-                     vec_add_scaled)
+from .linalg import accumulate, coordinates, mat_mul, vec_add_scaled
 from .ncengine import (
     Gen,
     MatrixOverAlgebra,
@@ -81,10 +82,11 @@ class PermutationRule:
 class QuantumDouble:
     """Presentations A and B glued along a permutation rule."""
 
+    max_word = 24  # longest word ordered or acted on
+
     def __init__(self, braiding: Braiding, kind: str,
                  a_pres: QuadraticPresentation, b_pres: QuadraticPresentation,
-                 rule: PermutationRule, eps_a: dict,
-                 max_word: int = 24):
+                 rule: PermutationRule, eps_a: dict):
         self.braiding = braiding
         self.kind = kind
         self.a_pres = a_pres
@@ -93,7 +95,6 @@ class QuantumDouble:
         self.a_tag = rule.a_tag
         self.b_tag = rule.b_tag
         self.eps_a = eps_a
-        self.max_word = max_word
         # Arguments of the make_double call that built this double, or
         # None for any other construction (e.g. substituted copies).
         self.defining = None
@@ -196,8 +197,7 @@ class QuantumDouble:
             cached = QuantumDouble(
                 self.braiding, self.kind,
                 self.a_pres.substituted(value), self.b_pres.substituted(value),
-                PermutationRule(self.a_tag, self.b_tag, table), eps,
-                self.max_word)
+                PermutationRule(self.a_tag, self.b_tag, table), eps)
             self._sub_cache[value] = cached
         return cached
 
@@ -308,9 +308,11 @@ def _extract_rule(lhs: MatrixOverAlgebra, rhs: MatrixOverAlgebra,
                   a_tag: str, b_tag: str) -> PermutationRule:
     """Solve the matrix relation LHS = RHS for the pair images.
 
-    The left side must be strictly bilinear in (a-letter, b-letter) words;
-    inverting its coefficient table expresses each pair as the matching
-    combination of right-side entries.
+    The left side must be strictly bilinear in (a-letter, b-letter) words.
+    Its entries, as vectors over the generator pairs, must be independent
+    and as many as the pairs; the coordinates of each unit pair vector in
+    them then express that pair as the matching combination of right-side
+    entries.
     """
     pairs = [(ga, gb) for ga in a_gens for gb in b_gens]
     pidx = {p: i for i, p in enumerate(pairs)}
@@ -319,22 +321,23 @@ def _extract_rule(lhs: MatrixOverAlgebra, rhs: MatrixOverAlgebra,
                  for c in _index_space(lhs.dim, lhs.col_arity)]
     if len(positions) != len(pairs):
         raise DoubleError("relation shape does not match the pair count")
-    rows = {}
-    for i, (r, c) in enumerate(positions):
+    rows = []
+    for r, c in positions:
         row = {}
         for w, coeff in lhs.entry(r, c).terms.items():
             if len(w) != 2 or w[0].tag != a_tag or w[1].tag != b_tag:
                 raise DoubleError("left side of the relation is not bilinear")
             row[pidx[(w[0], w[1])]] = coeff
-        rows[i] = row
+        rows.append(row)
     try:
-        inv = invert_table(rows, list(range(len(pairs))))
+        coords = coordinates(rows)
+        solved = {p: coords({i: ONE}) for p, i in pidx.items()}
     except ArithmeticError as exc:
         raise DoubleError("relation does not determine the rule") from exc
     table = {}
-    for p, i in pidx.items():
+    for p, cs in solved.items():
         img = NCElement.zero()
-        for r_i, coeff in inv.get(i, {}).items():
+        for r_i, coeff in cs.items():
             e = rhs.entry(*positions[r_i])
             if not e.is_zero():
                 img = img + e.scale(coeff)
@@ -342,22 +345,32 @@ def _extract_rule(lhs: MatrixOverAlgebra, rhs: MatrixOverAlgebra,
     return PermutationRule(a_tag, b_tag, table)
 
 
-def make_double(braiding: Braiding, kind: str, a_tag: str = "",
-                b_tag: str = "", h: Scalar | None = None,
+def make_double(braiding: Braiding, kind: str, h: Scalar | None = None,
                 b_quotient: str = "free") -> QuantumDouble:
     """Build one of the named doubles over the given braiding.
 
-    Not memoized: a double's normal-form and ordering caches would then
-    live for the whole run.
+    The kind fixes the letters of both sides and the defining relation;
+    the rule table is extracted from that relation.  h is the shift of
+    the derivative_shifted kinds, b_quotient the B-side of the vector
+    kind ("free", "symmetric" or "skew").  Not memoized: a double's
+    normal-form and ordering caches would then live for the whole run.
     """
-    double = _build_double(braiding, kind, a_tag, b_tag, h, b_quotient)
-    double.defining = (braiding, kind, double.a_tag, double.b_tag, h,
-                       b_quotient)
+    a_tag, b_tag, lhs, rhs, a_pres, b_pres, eps, b_gens = \
+        _defining_relation(braiding, kind, h, b_quotient)
+    rule = _extract_rule(lhs, rhs, matrix_generators(a_tag, braiding.dim),
+                         b_gens, a_tag, b_tag)
+    double = QuantumDouble(braiding, kind, a_pres, b_pres, rule, eps)
+    double.defining = (braiding, kind, h, b_quotient)
     return double
 
 
-def _build_double(braiding: Braiding, kind: str, a_tag: str, b_tag: str,
-                  h: Scalar | None, b_quotient: str) -> QuantumDouble:
+def _defining_relation(braiding: Braiding, kind: str, h: Scalar | None,
+                      b_quotient: str) -> tuple:
+    """(a_tag, b_tag, lhs, rhs, a_pres, b_pres, eps_a, b_gens) of a kind.
+
+    lhs = rhs is the matrix relation whose bilinear left side the rule
+    table reorders.
+    """
     dim = braiding.dim
     r = braiding.op
     rinv = braiding.inv
@@ -366,8 +379,7 @@ def _build_double(braiding: Braiding, kind: str, a_tag: str, b_tag: str,
         return MatrixOverAlgebra.generator_matrix(tag, dim, 2, 1)
 
     if kind in ("left", "left_shifted", "adjoint", "adjoint_shifted"):
-        a_tag = a_tag or "l"
-        b_tag = b_tag or "m"
+        a_tag, b_tag = "l", "m"
         x1 = mat(a_tag)
         m1 = mat(b_tag)
         lhs = x1.lmul_op(r).rmul_op(r) * m1
@@ -385,13 +397,9 @@ def _build_double(braiding: Braiding, kind: str, a_tag: str, b_tag: str,
         b_pres = re_presentation(braiding, b_tag)
         eps = {g: (ZERO if shifted else (ONE if g.row == g.col else ZERO))
                for g in matrix_generators(a_tag, dim)}
-        rule = _extract_rule(lhs, rhs, matrix_generators(a_tag, dim),
-                             matrix_generators(b_tag, dim), a_tag, b_tag)
-        return QuantumDouble(braiding, kind, a_pres, b_pres, rule, eps)
-
-    if kind == "derivative":
-        a_tag = a_tag or "d"
-        b_tag = b_tag or "m"
+        b_gens = matrix_generators(b_tag, dim)
+    elif kind == "derivative":
+        a_tag, b_tag = "d", "m"
         d1 = mat(a_tag)
         m1 = mat(b_tag)
         lhs = (d1.rmul_op(r) * m1).rmul_op(r)
@@ -400,15 +408,11 @@ def _build_double(braiding: Braiding, kind: str, a_tag: str, b_tag: str,
         a_pres = re_presentation(braiding, a_tag, use_inverse=True)
         b_pres = re_presentation(braiding, b_tag)
         eps = {g: ZERO for g in matrix_generators(a_tag, dim)}
-        rule = _extract_rule(lhs, rhs, matrix_generators(a_tag, dim),
-                             matrix_generators(b_tag, dim), a_tag, b_tag)
-        return QuantumDouble(braiding, kind, a_pres, b_pres, rule, eps)
-
-    if kind in ("derivative_shifted", "derivative_shifted_unit"):
+        b_gens = matrix_generators(b_tag, dim)
+    elif kind in ("derivative_shifted", "derivative_shifted_unit"):
         if h is None or h.is_zero():
             raise DoubleError(f"kind {kind!r} needs a nonzero shift scalar")
-        a_tag = a_tag or "d"
-        b_tag = b_tag or "n"
+        a_tag, b_tag = "d", "n"
         d1 = mat(a_tag)
         n1 = mat(b_tag)
         lhs = (d1.rmul_op(r) * n1).rmul_op(r)
@@ -425,13 +429,9 @@ def _build_double(braiding: Braiding, kind: str, a_tag: str, b_tag: str,
                    for g in matrix_generators(a_tag, dim)}
         a_pres = re_presentation(braiding, a_tag, use_inverse=True)
         b_pres = re_presentation(braiding, b_tag, shift=h)
-        rule = _extract_rule(lhs, rhs, matrix_generators(a_tag, dim),
-                             matrix_generators(b_tag, dim), a_tag, b_tag)
-        return QuantumDouble(braiding, kind, a_pres, b_pres, rule, eps)
-
-    if kind == "vector":
-        a_tag = a_tag or "l"
-        b_tag = b_tag or "x"
+        b_gens = matrix_generators(b_tag, dim)
+    elif kind == "vector":
+        a_tag, b_tag = "l", "x"
         l1 = mat(a_tag)
         x1 = MatrixOverAlgebra.generator_vector(b_tag, dim, 2, 1)
         lhs = (l1.lmul_op(r).rmul_op(r)) * x1
@@ -448,11 +448,10 @@ def _build_double(braiding: Braiding, kind: str, a_tag: str, b_tag: str,
             raise DoubleError(f"unknown vector quotient {b_quotient!r}")
         eps = {g: (ONE if g.row == g.col else ZERO)
                for g in matrix_generators(a_tag, dim)}
-        rule = _extract_rule(lhs, rhs, matrix_generators(a_tag, dim),
-                             vector_generators(b_tag, dim), a_tag, b_tag)
-        return QuantumDouble(braiding, kind, a_pres, b_pres, rule, eps)
-
-    raise DoubleError(f"unknown double kind {kind!r}")
+        b_gens = vector_generators(b_tag, dim)
+    else:
+        raise DoubleError(f"unknown double kind {kind!r}")
+    return a_tag, b_tag, lhs, rhs, a_pres, b_pres, eps, b_gens
 
 
 # ---------------------------------------------------------------------------
@@ -532,25 +531,18 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
                            k: int) -> TensorOperator:
     mon = monomial_matrix(double.braiding, double.b_tag, k)
     idx = _index_space(double.braiding.dim, k)
-    nf_rows = {}
+    nf_rows = []
     for kk in idx:
         row: dict = {}
         for j in idx:
             e = double.b_pres.normal_form(mon.entry(kk, j))
             for w, c in e.terms.items():
                 row[(j, w)] = c
-        nf_rows[kk] = row
-
-    def sortkey(key):
-        return (0, key[1]) if key[0] == "#" else (1, key)
-
-    tri = Triangular(sortkey)
-    for pos, kk in enumerate(idx):
-        row = dict(nf_rows[kk])
-        row[("#", pos)] = ONE
-        pivot = tri.insert(row)
-        if pivot is None or pivot[0] == "#":
-            raise DoubleError("monomial entries are linearly dependent")
+        nf_rows.append(row)
+    try:
+        coords = coordinates(nf_rows)
+    except ArithmeticError as exc:
+        raise DoubleError("monomial entries are linearly dependent") from exc
     rows: dict = {}
     for i in idx:
         target: dict = {}
@@ -559,11 +551,11 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
             e = double.b_pres.normal_form(acted)
             for w, c in e.terms.items():
                 accumulate(target, (j, w), c)
-        row = {}
-        for key, c in tri.reduce(target).items():
-            if key[0] != "#":
-                raise DoubleError("action is not slotwise on these monomials")
-            row[idx[key[1]]] = -c
+        try:
+            row = {idx[pos]: c for pos, c in coords(target).items()}
+        except ArithmeticError as exc:
+            raise DoubleError(
+                "action is not slotwise on these monomials") from exc
         if row:
             rows[i] = row
     return TensorOperator(double.braiding.dim, k, rows)

@@ -10,6 +10,10 @@ product, entrywise sum, entry map, weighted partial trace and
 first-nonzero witness live here, shared by braidings.TensorOperator
 (Scalar entries) and ncengine.MatrixOverAlgebra (algebra entries).
 
+`Triangular` is the only elimination, and `coordinates` the only solve:
+it writes a vector in the span of independent rows as their combination,
+for the exchange rule of a double and for its slotwise action operators.
+
 `Triangular` eliminates fraction-free over the Laurent ring Q[q, 1/q],
 whose elements are the Scalars with a constant denominator.  Stored rows
 and working vectors stay in that ring: a step against a pivot whose lead
@@ -25,7 +29,7 @@ canonical form they keep.
 
 from __future__ import annotations
 
-from .scalars import Scalar, laurent_cancel, laurent_multiplier, \
+from .scalars import ONE, Scalar, laurent_cancel, laurent_multiplier, \
     laurent_primitive
 
 
@@ -228,43 +232,46 @@ class Triangular:
         return out
 
 
-def invert_table(rows: dict, keys: list) -> dict:
-    """Inverse of the square matrix rows[r][c] over the given key list.
+class _Position:
+    """Marker key of one row in `coordinates`: below every row key.
 
-    Returns inv with inv[r][c] such that sum_k rows[r][k] * inv[k][c] = delta.
-    Raises ArithmeticError when the matrix is singular.  Gauss-Jordan with
-    the invariant that stored pivot rows never contain pivot columns.
+    Markers hash by identity and order among themselves by position.
     """
-    from .scalars import ONE
 
-    pos = {k: i for i, k in enumerate(keys)}
-    n = len(keys)
-    pivot_of_col: dict = {}
-    for r in keys:
-        row = {pos[c]: v for c, v in rows.get(r, {}).items() if not v.is_zero()}
-        row[pos[r] + n] = ONE
-        while True:
-            hit = None
-            for c in row:
-                if c < n and c in pivot_of_col:
-                    hit = c
-                    break
-            if hit is None:
-                break
-            coeff = row.pop(hit)
-            vec_add_scaled(row, pivot_of_col[hit], -coeff)
-        lead = min((k for k in row if k < n), default=None)
-        if lead is None:
-            raise ArithmeticError("singular matrix")
-        inv = row.pop(lead).inverse()
-        newrow = {k: inv * v for k, v in row.items()}
-        for other in pivot_of_col.values():
-            if lead in other:
-                coeff = other.pop(lead)
-                vec_add_scaled(other, newrow, -coeff)
-        pivot_of_col[lead] = newrow
-    out = {}
-    for c, row in pivot_of_col.items():
-        rkey = keys[c]
-        out[rkey] = {keys[k - n]: v for k, v in row.items() if not v.is_zero()}
-    return out
+    __slots__ = ("i",)
+
+    def __init__(self, i: int):
+        self.i = i
+
+    def __lt__(self, other):
+        return type(other) is not _Position or self.i < other.i
+
+    def __gt__(self, other):
+        return type(other) is _Position and self.i > other.i
+
+
+def coordinates(rows: list):
+    """Coordinates with respect to linearly independent rows.
+
+    Each row, augmented by a marker of its position, goes into one
+    `Triangular`; markers sort below the row keys, which must be
+    mutually comparable.  Raises ArithmeticError when the rows are
+    dependent.  Returns coords(vec) -> {i: c_i} with vec = sum of
+    c_i * rows[i]; coords raises ArithmeticError when vec lies outside
+    the span of the rows.
+    """
+    tri = Triangular()
+    for i, row in enumerate(rows):
+        if type(tri.insert({**row, _Position(i): ONE})) is _Position:
+            raise ArithmeticError("rows are linearly dependent")
+
+    def coords(vec: dict) -> dict:
+        # the remainder of vec is vec - sum of c_i * (rows[i] + marker i)
+        out = {}
+        for key, c in tri.reduce(dict(vec)).items():
+            if type(key) is not _Position:
+                raise ArithmeticError("vector outside the span of the rows")
+            out[key.i] = -c
+        return out
+
+    return coords

@@ -67,12 +67,6 @@ def _pmul(a: tuple, b: tuple) -> tuple:
     return _ptrim(c)
 
 
-def _pscale(a: tuple, k: int) -> tuple:
-    if k == 0:
-        return ()
-    return tuple(x * k for x in a)
-
-
 def _pshift(a: tuple, k: int) -> tuple:
     """Multiply by q^k (k >= 0)."""
     if not a or k == 0:
@@ -286,9 +280,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.shift == 0 and self.num == (1,) and self.den == (1,)
-
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and self.den == (1,) and self.shift == 0
 
@@ -386,10 +377,6 @@ class Scalar:
         if self.shift != other.shift or self.num != other.num or self.den != other.den:
             return False
         return self.param == other.param or self._parameter_free()
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __hash__(self):
         h = self._hash

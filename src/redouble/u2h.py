@@ -120,7 +120,7 @@ def shifted_coproduct(dim: int, tag: str = "d") -> dict:
     return table
 
 
-def verify_shift_structure(h: Scalar | None = None) -> VerificationReport:
+def verify_shift_structure() -> VerificationReport:
     """Construction-level checks of the shift-deformed doubles.
 
     Covers the generator-substitution consistency over a strict Hecke
@@ -132,9 +132,8 @@ def verify_shift_structure(h: Scalar | None = None) -> VerificationReport:
     """
     report = VerificationReport("u2h", {"layer": "doubles"})
     b = standard_hecke(2)
-    hq = Scalar.from_fraction("7/3") if h is None else h
     try:
-        double = h_shifted_double(b, hq)
+        double = h_shifted_double(b, Scalar.from_fraction("7/3"))
         ok, witness = True, None
     except DoubleError as err:
         double, ok, witness = None, False, str(err)
@@ -573,47 +572,41 @@ def _random_element(rng, degree: int) -> PBWElement:
     return out
 
 
-def verify_dhat_homomorphism(rng=None, samples: int = 20,
-                             pairs=None) -> VerificationReport:
+def verify_dhat_homomorphism(rng=None,
+                             samples: int = 20) -> VerificationReport:
     """The derivative matrix is unital and multiplicative.
 
-    Default coverage: the unit, all sixteen generator pairs, the sampled
-    random degree-bounded pairs, the three cyclic bracket images, and
-    the radius square.
+    Covers the unit, all sixteen generator pairs, the sampled random
+    degree-bounded pairs and the three cyclic bracket images.
     """
-    report = VerificationReport(
-        "u2h", {"layer": "calculus", "samples": samples if pairs is None
-                else 0})
-    if pairs is None:
-        report.add("unit", anchor("u2h-multiplicative"),
-                   dhat_matrix(PBWElement.one()) == _matrix(
-                       {(i, i): PBWElement.one() for i in range(4)}))
-        named = []
-        for na in GENERATOR_ORDER:
-            for nb in GENERATOR_ORDER:
-                named.append((f"pair-{na}{nb}", PBWElement.generator(na),
-                              PBWElement.generator(nb)))
-        if samples:
-            if rng is None:
-                raise ValueError("random pairs need an rng")
-            for i in range(samples):
-                named.append((f"random-{i}", _random_element(rng, 3),
-                              _random_element(rng, 3)))
-    else:
-        named = [(f"pair-{i}", a, b) for i, (a, b) in enumerate(pairs)]
+    report = VerificationReport("u2h", {"layer": "calculus",
+                                        "samples": samples})
+    report.add("unit", anchor("u2h-multiplicative"),
+               dhat_matrix(PBWElement.one()) == _matrix(
+                   {(i, i): PBWElement.one() for i in range(4)}))
+    named = []
+    for na in GENERATOR_ORDER:
+        for nb in GENERATOR_ORDER:
+            named.append((f"pair-{na}{nb}", PBWElement.generator(na),
+                          PBWElement.generator(nb)))
+    if samples:
+        if rng is None:
+            raise ValueError("random pairs need an rng")
+        for i in range(samples):
+            named.append((f"random-{i}", _random_element(rng, 3),
+                          _random_element(rng, 3)))
     for label, a, b in named:
         residual = dhat_matrix(a * b) - dhat_matrix(a) * dhat_matrix(b)
         ok, witness = residual.first_nonzero(lambda v: v)
         report.add(label, anchor("u2h-multiplicative"), ok, witness)
-    if pairs is None:
-        images = {name: dhat_matrix(PBWElement.generator(name))
-                  for name in ("x", "y", "z")}
-        for left, right, res in (("x", "y", "z"), ("y", "z", "x"),
-                                 ("z", "x", "y")):
-            ok = images[left] * images[right] \
-                - images[right] * images[left] == images[res].scale(H)
-            report.add(f"bracket-{left}{right}",
-                       anchor("u2h-bracket-representation"), ok, None)
+    images = {name: dhat_matrix(PBWElement.generator(name))
+              for name in ("x", "y", "z")}
+    for left, right, res in (("x", "y", "z"), ("y", "z", "x"),
+                             ("z", "x", "y")):
+        ok = images[left] * images[right] \
+            - images[right] * images[left] == images[res].scale(H)
+        report.add(f"bracket-{left}{right}",
+                   anchor("u2h-bracket-representation"), ok, None)
     return report
 
 

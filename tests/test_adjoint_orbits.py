@@ -1,4 +1,4 @@
-"""Field-trace commutation, pinned-orbit quotients, and the genericity test."""
+"""Field-trace commutation and pinned-orbit quotients."""
 
 from __future__ import annotations
 
@@ -7,21 +7,16 @@ import random
 import pytest
 
 from redouble.adjoint_orbits import (
-    genericity,
     orbit_quotient,
     verify_adjoint_invariance,
     verify_orbit_descent,
 )
 from redouble.braidings import standard_hecke
 from redouble.doubles import make_double
-from redouble.invariants import SpectralCharacter, power_sum
+from redouble.invariants import power_sum
 from redouble.ncengine import (Gen, MatrixOverAlgebra, NCElement,
                                re_presentation)
 from redouble.scalars import ONE, Scalar
-
-
-def q_power(k):
-    return Scalar.power(k, "q")
 
 
 def test_scalar_case_invariance():
@@ -148,23 +143,3 @@ def test_action_descends_at_dimension_one():
     report = verify_orbit_descent(standard_hecke(1), [Scalar.from_int(4)],
                                   degree=2)
     assert report.passed, report.failures()
-
-
-def test_genericity_defining_failure():
-    q = q_power(1)
-    assert genericity([ONE, q_power(2)], q) is False
-
-
-def test_genericity_of_character_values():
-    b = standard_hecke(2)
-    mu = SpectralCharacter((1,), b).mu
-    assert mu == [q_power(-4), ONE]
-    assert genericity(mu, b.q) is True
-
-
-def test_genericity_equal_values_symbolic_and_numeric():
-    q = q_power(1)
-    c = q_power(-2)
-    assert genericity([c, c], q) is True
-    one = Scalar.from_int(1)
-    assert genericity([one, one], one) is False

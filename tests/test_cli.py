@@ -266,7 +266,8 @@ def test_reports_do_not_depend_on_the_hash_seed():
     src = str(pathlib.Path(redouble.__file__).resolve().parents[1])
     for argv in (["--suite", "orbits", "--n", "2"],
                  ["--suite", "spectrum", "--n", "2", "--lambda", "2,1"],
-                 ["--suite", "adjoint", "--mode", "SAMPLED"]):
+                 ["--suite", "adjoint", "--mode", "SAMPLED"],
+                 ["--suite", "doubles", "--n", "2"]):
         outs = []
         for seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)

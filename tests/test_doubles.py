@@ -10,6 +10,9 @@ from redouble.braidings import TensorOperator, flip, standard_hecke
 from redouble.doubles import (
     DoubleError,
     QuantumDouble,
+    _defining_relation,
+    _extract_rule,
+    _index_space,
     action_operator,
     make_double,
     matrix_copy,
@@ -331,6 +334,39 @@ def test_degree_overflow_guard():
     word = NCElement.word((Gen("l", 1, 1),) * 2 + (Gen("m", 1, 1),) * 2)
     with pytest.raises(DoubleError):
         d.normal_order(word)
+
+
+_RELATION_CASES = [(standard_hecke(2), kind, Scalar.from_fraction("7/3")
+                    if kind == "derivative_shifted" else None)
+                   for kind in _DOUBLE_KINDS] + \
+    [(flip(2, "h"), "derivative_shifted_unit", Scalar.var("h"))]
+
+
+@pytest.mark.parametrize("braiding, kind, h", _RELATION_CASES,
+                         ids=[c[1] for c in _RELATION_CASES])
+def test_rule_table_satisfies_the_defining_relation(braiding, kind, h):
+    # ordering the bilinear left side by the extracted table must give the
+    # right side, which is already ordered; no solver is involved here
+    d = make_double(braiding, kind, h=h)
+    lhs, rhs = _defining_relation(braiding, kind, h, "free")[2:4]
+    positions = [(r, c) for r in _index_space(2, lhs.row_arity)
+                 for c in _index_space(2, lhs.col_arity)]
+    assert len(positions) == len(d.rule.table)
+    for r, c in positions:
+        assert not lhs.entry(r, c).is_zero()
+        assert d.normal_order(lhs.entry(r, c)) == \
+            d.normal_order(rhs.entry(r, c)), (r, c)
+
+
+def test_singular_relation_is_rejected():
+    # the unbraided product L_1 M_1 has no entry off the diagonal of the
+    # second slot, so it cannot determine the sixteen pair images
+    lhs = MatrixOverAlgebra.generator_matrix("l", 2, 2, 1) * \
+        MatrixOverAlgebra.generator_matrix("m", 2, 2, 1)
+    with pytest.raises(DoubleError, match="does not determine") as err:
+        _extract_rule(lhs, lhs, matrix_generators("l", 2),
+                      matrix_generators("m", 2), "l", "m")
+    assert "dependent" in str(err.value.__cause__)
 
 
 def test_unknown_kind_rejected():

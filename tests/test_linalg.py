@@ -1,4 +1,5 @@
-"""Fraction-free elimination gives the remainders of field elimination."""
+"""Fraction-free elimination gives the remainders of field elimination,
+and `coordinates` solves in the span of independent rows."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import random
 
 import pytest
 
-from redouble.linalg import Triangular, vec_add_scaled
+from redouble.linalg import Triangular, coordinates, vec_add_scaled
 from redouble.scalars import ONE, Scalar
 
 
@@ -149,3 +150,69 @@ def test_rows_span_what_was_inserted():
         row = tri.row(pivot)
         assert max(row) == pivot
         assert tri.reduce(row) == {}
+
+
+def _independent(rng, param, keys, count):
+    """count independent rows drawn from _system, with a non-monic lead."""
+    tri = Triangular()
+    rows = []
+    first = {max(keys): Scalar.laurent({2: 2, 0: 3}, param),
+             0: Scalar.from_fraction("1/6", param)}
+    for vec in [first] + _system(rng, param, keys, 4 * count, mixed=True):
+        if len(rows) < count and tri.insert(vec) is not None:
+            rows.append(vec)
+    assert len(rows) == count
+    return rows
+
+
+@pytest.mark.parametrize("param", ["q", "h"])
+@pytest.mark.parametrize("seed", range(4))
+def test_coordinates_rebuild_vectors_in_the_span(param, seed):
+    rng = random.Random(f"coordinates-{param}:{seed}")
+    keys = list(range(10))
+    rows = _independent(rng, param, keys, 7)
+    coords = coordinates(rows)
+    for _ in range(6):
+        want = {i: _scalar(rng, param, mixed=True)
+                for i in rng.sample(range(len(rows)), rng.randint(1, 4))}
+        vec: dict = {}
+        for i, c in want.items():
+            vec_add_scaled(vec, rows[i], c)
+        before = dict(vec)
+        got = coords(vec)
+        assert vec == before  # coords does not consume its argument
+        assert got == want  # independent rows: the coordinates are unique
+        rebuilt: dict = {}
+        for i, c in got.items():
+            vec_add_scaled(rebuilt, rows[i], c)
+        assert rebuilt == vec
+    assert coords({}) == {}
+    for i, row in enumerate(rows):
+        assert coords(row) == {i: ONE}
+
+
+@pytest.mark.parametrize("param", ["q", "h"])
+def test_coordinates_reject_dependent_rows_and_outside_vectors(param):
+    rng = random.Random(f"coordinates-reject-{param}")
+    keys = list(range(8))
+    rows = _independent(rng, param, keys, 5)
+    combo: dict = {}
+    vec_add_scaled(combo, rows[1], _scalar(rng, param))
+    vec_add_scaled(combo, rows[3], _scalar(rng, param))
+    with pytest.raises(ArithmeticError):
+        coordinates(rows + [combo])
+    with pytest.raises(ArithmeticError):
+        coordinates([rows[0], rows[0]])
+    coords = coordinates(rows)
+    tri = Triangular()
+    for row in rows:
+        tri.insert(row)
+    outside = [k for k in keys if tri.reduce({k: ONE})]
+    assert outside  # five rows cannot span eight keys
+    for k in outside:
+        with pytest.raises(ArithmeticError):
+            coords({k: ONE})
+        vec = dict(rows[2])
+        vec_add_scaled(vec, {k: ONE}, Scalar.from_int(3, param))
+        with pytest.raises(ArithmeticError):
+            coords(vec)

@@ -162,9 +162,9 @@ def test_matrix_report_needs_an_rng_for_sampling():
 
 
 def test_matrix_report_accepts_explicit_pairs():
-    report = verify_dhat_homomorphism(pairs=[(X, Y * Z), (T, X * X)])
-    assert report.passed, report.failures()
-    assert [c["id"] for c in report.checks] == ["pair-0", "pair-1"]
+    # the multiplicativity the report checks, on two chosen pairs
+    for a, b in ((X, Y * Z), (T, X * X)):
+        assert dhat_matrix(a * b) == dhat_matrix(a) * dhat_matrix(b)
 
 
 def test_matrix_on_the_unit_is_the_identity():
