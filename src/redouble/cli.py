@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for every randomized choice (default 0)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the JSON report here instead of stdout")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for --suite all (default 1)")
     parser.add_argument("--timings", action="store_true",
                         help="record the wall time in the report")
@@ -74,6 +74,40 @@ def build_parser() -> argparse.ArgumentParser:
 # Flags that configure one suite; the `all` grid fixes its own per row.
 _PER_SUITE_FLAGS = (("--n", "n"), ("--k", "k"), ("--lambda", "shape"),
                     ("--degree", "degree"), ("--samples", "samples"))
+
+# The flags each runner in suites._RUNNERS reads, by SuiteConfig field
+# ("shape" is --lambda).  "mode" stands for --mode SAMPLED, and a suite
+# that samples reads --samples only in that mode.  --seed, --timings and
+# --out apply to every run; --jobs only to --suite all.
+_SUITE_READS = {
+    "braiding": {"n", "mode", "samples"},
+    "heckerep": {"n", "k"},
+    "doubles": {"n"},
+    "spectrum": {"n", "shape"},
+    "conjecture": {"n", "k"},
+    "cayley-hamilton": {"n", "mode", "samples"},
+    "capelli": {"n", "k", "degree", "mode", "samples"},
+    "det-capelli": {"n", "mode", "samples"},
+    "adjoint": {"n", "k", "mode", "samples"},
+    "orbits": {"n", "degree"},
+    "u2h": {"degree", "samples"},
+}
+_FLAG_TEXT = {dest: flag for flag, dest in _PER_SUITE_FLAGS} | {
+    "mode": "--mode SAMPLED", "jobs": "--jobs"}
+
+
+def _unread_flags(args: argparse.Namespace) -> list:
+    """The given flags that the single suite args.suite does not read."""
+    given = [dest for _, dest in _PER_SUITE_FLAGS
+             if getattr(args, dest) is not None]
+    if args.mode == "SAMPLED":
+        given.append("mode")
+    if args.jobs is not None:
+        given.append("jobs")
+    reads = _SUITE_READS[args.suite]
+    if "mode" in reads and args.mode != "SAMPLED":
+        reads = reads - {"samples"}
+    return [_FLAG_TEXT[dest] for dest in given if dest not in reads]
 
 
 def _parse_shape(text: str, parser: argparse.ArgumentParser) -> tuple:
@@ -115,11 +149,18 @@ def main(argv=None) -> int:
                              " --suite all")
     elif args.suite not in SUITE_NAMES:
         parser.error(f"unknown suite {args.suite!r}")
-    elif args.n is None:
-        args.n = 2
-    elif args.n < 1:
-        parser.error("--n must be at least 1")
-    if args.jobs < 1:
+    else:
+        unread = _unread_flags(args)
+        if unread:
+            parser.error(f"--suite {args.suite} does not read "
+                         + ", ".join(unread))
+        if args.n is None:
+            args.n = 2
+        elif args.n < 1:
+            parser.error("--n must be at least 1")
+    if args.jobs is None:
+        args.jobs = 1
+    elif args.jobs < 1:
         parser.error("--jobs must be at least 1")
     shape = _parse_shape(args.shape, parser) if args.shape else None
 

@@ -8,10 +8,13 @@ quotients) plus lower-degree tails.  Equality modulo the two-sided ideal is
 decided degreewise by linear algebra: the span of w1 * relation * w2 is
 materialized layer by layer into a triangular basis with graded-lex leading
 words, and the normal form of an element is its unique remainder against
-that basis, found by one elimination of the whole element.  This is
-not a Groebner completion; it is exact and complete for the flat (PBW-type)
-presentations used here, and reductions to zero are sound proofs of ideal
-membership in any case.
+that basis, found by one elimination of the whole element.  Each layer
+inserts the relations of its degree, the left multiple g * row of every
+row of the layer below, and the right multiple row * g only of the rows
+that did not come from a left multiple; QuadraticPresentation.ensure says
+why this spans the whole ideal.  This is not a Groebner completion; it is
+exact and complete for the flat (PBW-type) presentations used here, and
+reductions to zero are sound proofs of ideal membership in any case.
 
 Matrices over the algebra (MatrixOverAlgebra) keep the sparse rows of
 TensorOperator and compute through the same linalg functions: the entry
@@ -181,29 +184,56 @@ class QuadraticPresentation:
             if r.degree() < 1:
                 raise ValueError("constant relation makes the algebra trivial")
         self._tri = Triangular(word_sortkey)
-        self._layers: dict = {0: []}
+        # The rows added by the last layer: (pivot, came from a left multiple).
+        self._layer: list = []
         self._built = 0
         self._sub_cache: dict = {}
 
     def ensure(self, d: int) -> None:
+        """Grow the ideal basis through every word of degree <= d.
+
+        Layer e inserts the relations of degree e and, for every row of
+        layer e-1 and generator g, the left multiple g·row, plus the right
+        multiple row·g when that row did not come from a left multiple.
+
+        This spans the same space as inserting both multiples of every
+        row.  Every u·r·v of degree <= e is either g·(u'·r·v) or reached
+        from the relation r by right multiples alone, so it is enough that
+        every stored row times g lies in the span one layer up.  For a
+        relation row or a right multiple, row·g is inserted itself.  A left
+        multiple was stored as row = c·g'·x + s, with x a row of the layer
+        below and s a combination of rows stored before it; then
+        row·g = c·g'·(x·g) + s·g.  Here x·g lies in the span built so far,
+        so g'·(x·g) is a sum of left multiples inserted one layer up and of
+        rows already stored, and s·g lies in the span by induction on
+        insertion order.  The span of every degree is therefore unchanged,
+        and so are its pivot words, the normal forms, ideal_rank and the
+        dimensions.
+        """
         while self._built < d:
             e = self._built + 1
-            cand = []
-            for r in self.relations:
-                if r.degree() == e:
-                    cand.append(dict(r.terms))
-            gens = self.generators
-            for row in self._layers.get(e - 1, ()):
-                for g in gens:
-                    cand.append({(g,) + w: c for w, c in row.items()})
-                    cand.append({w + (g,): c for w, c in row.items()})
-            new_rows = []
-            for vec in cand:
+            layer = []
+            for vec, from_left in self._candidates(e):
                 pivot = self._tri.insert(vec)
                 if pivot is not None:
-                    new_rows.append(self._tri.row(pivot))
-            self._layers[e] = new_rows
+                    layer.append((pivot, from_left))
+            self._layer = layer
             self._built = e
+
+    def _candidates(self, e: int):
+        """(vector, is a left multiple) for each candidate row of layer e.
+
+        Made one at a time: inserting never changes a stored row.
+        """
+        for r in self.relations:
+            if r.degree() == e:
+                yield dict(r.terms), False
+        for pivot, from_left in self._layer:
+            row = self._tri.row(pivot)
+            for g in self.generators:
+                yield {(g,) + w: c for w, c in row.items()}, True
+                if not from_left:
+                    yield {w + (g,): c for w, c in row.items()}, False
 
     def normal_form(self, x: NCElement) -> NCElement:
         """Unique remainder of x: one elimination of the whole element."""

@@ -11,13 +11,14 @@ import sys
 import pytest
 
 import redouble
-from redouble.cli import main
+from redouble.cli import _SUITE_READS, main
 from redouble.anchors import anchor
 from redouble.braidings import BraidingError
 from redouble.invariants import SpectralCharacter
 from redouble.reports import VerificationReport
 from redouble.scalars import ONE, MixedParameterError
-from redouble.suites import SuiteConfig, run_all
+from redouble.suites import (_POINT_SAMPLED, SUITE_NAMES, SuiteConfig,
+                             run_all)
 from redouble.u2h import UnsupportedElementError
 
 
@@ -130,12 +131,54 @@ def test_config_errors_exit_with_status_three(capsys):
         ["--suite", "all", "--lambda", "2,1"],
         ["--suite", "all", "--degree", "2"],
         ["--suite", "all", "--samples", "3"],
+        # flags the single suite never reads
+        ["--suite", "u2h", "--n", "3"],
+        ["--suite", "orbits", "--mode", "SAMPLED"],
+        ["--suite", "heckerep", "--lambda", "2,1"],
+        ["--suite", "braiding", "--jobs", "2"],
+        ["--suite", "doubles", "--k", "2"],
+        ["--suite", "spectrum", "--degree", "2"],
+        ["--suite", "cayley-hamilton", "--samples", "5"],
         [],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 3, argv
         capsys.readouterr()
+
+
+SUITE_FLAG_VALUES = {"n": ("--n", "3"), "k": ("--k", "2"),
+                     "shape": ("--lambda", "2,1"), "degree": ("--degree", "2"),
+                     "mode": ("--mode", "SAMPLED"),
+                     "samples": ("--samples", "4")}
+
+
+def test_each_suite_takes_the_flags_of_its_row(capsys, monkeypatch):
+    assert set(_SUITE_READS) == set(SUITE_NAMES)
+    assert {s for s, row in _SUITE_READS.items() if "mode" in row} == \
+        _POINT_SAMPLED
+    seen = []
+
+    def fake_run_suite(config):
+        seen.append(config)
+        return VerificationReport(config.suite, {})
+
+    monkeypatch.setattr("redouble.cli.run_suite", fake_run_suite)
+    for suite, row in _SUITE_READS.items():
+        argv = ["--suite", suite, "--seed", "5"]
+        for field in sorted(row):
+            argv += SUITE_FLAG_VALUES[field]
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        config = seen.pop()
+        for field in row - {"mode"}:
+            assert getattr(config, field) is not None, (suite, field)
+        assert config.mode == ("SAMPLED" if "mode" in row else "EXACT")
+        assert config.seed == 5
+        for field in set(SUITE_FLAG_VALUES) - row:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--suite", suite, *SUITE_FLAG_VALUES[field]])
+            assert excinfo.value.code == 3, (suite, field)
+            assert "does not read" in capsys.readouterr().err
 
 
 def test_suite_all_takes_the_run_wide_flags(tmp_path, capsys, monkeypatch):

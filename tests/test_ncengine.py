@@ -9,7 +9,7 @@ import pytest
 
 from redouble.adjoint_orbits import orbit_quotient
 from redouble.braidings import TensorOperator, flip, standard_hecke
-from redouble.linalg import vec_add_scaled
+from redouble.linalg import Triangular, vec_add_scaled
 from redouble.ncengine import (
     Gen,
     MatrixOverAlgebra,
@@ -21,6 +21,7 @@ from redouble.ncengine import (
     skew_vector_presentation,
     symmetric_vector_presentation,
     vector_generators,
+    word_sortkey,
 )
 from redouble.braidings import rtrace_form
 from redouble.scalars import ONE, Scalar, nu
@@ -207,6 +208,72 @@ def test_normal_form_equals_the_per_word_route(name):
     assert any(pres.reduces_to_zero(x) for x in elements)
     assert not all(pres.reduces_to_zero(x) for x in elements)
     assert first.terms != pres.normal_form(first).terms
+
+
+def _both_sided_basis(pres, d):
+    """Reference ideal basis: both g·row and row·g for every row of a layer."""
+    tri = Triangular(word_sortkey)
+    layer = []
+    for e in range(1, d + 1):
+        cand = [dict(r.terms) for r in pres.relations if r.degree() == e]
+        for row in layer:
+            for g in pres.generators:
+                cand.append({(g,) + w: c for w, c in row.items()})
+                cand.append({w + (g,): c for w, c in row.items()})
+        layer = [tri.row(p) for p in map(tri.insert, cand) if p is not None]
+    return tri
+
+
+def _pivots_by_degree(tri):
+    out: dict = {}
+    for w in tri.pivots:
+        out.setdefault(len(w), set()).add(w)
+    return out
+
+
+def _rank_three_orbit():
+    return orbit_quotient(standard_hecke(3), [Scalar.from_int(i)
+                                              for i in (2, 3, 4)])
+
+
+# name: (fresh presentation, its parameter, basis degree)
+ONE_SIDED_CASES = {name: (build, param, 4) for name, (build, param)
+                   in DIFFERENTIAL_PRESENTATIONS.items()}
+ONE_SIDED_CASES["orbit-rank3"] = (_rank_three_orbit, "q", 3)
+
+
+@pytest.mark.parametrize("name", ONE_SIDED_CASES)
+def test_one_sided_layers_span_the_both_sided_ideal(name):
+    build, param, d = ONE_SIDED_CASES[name]
+    pres = build()
+    pres.ensure(2)  # two calls: the second grows from the kept last layer
+    pres.ensure(d)
+    ref = _both_sided_basis(pres, d)
+    assert _pivots_by_degree(pres._tri) == _pivots_by_degree(ref)
+    p = Scalar.var(param)
+    coeffs = [ONE, -ONE, p, Scalar.from_fraction("1/2"), (p + ONE).inverse()]
+    rng = random.Random(f"one-sided-{name}")
+    gens = pres.generators
+    for _ in range(8):
+        x = _random_element(rng, gens, coeffs, range(d + 1), 4)
+        assert pres.normal_form(x).terms == ref.reduce(dict(x.terms)), x
+
+
+def test_rank_three_orbit_basis_inserts_no_redundant_multiples(monkeypatch):
+    # A deterministic count: both multiples of every row would insert 12045
+    # candidates here, 5105 of them reducing to zero.
+    calls = []
+    insert = Triangular.insert
+
+    def counted(tri, vec):
+        calls.append(1)
+        return insert(tri, vec)
+
+    monkeypatch.setattr(Triangular, "insert", counted)
+    pres = _rank_three_orbit()
+    pres.ensure(4)
+    assert len(calls) == 8868
+    assert pres.ideal_rank(4) == 6940
 
 
 def test_symmetric_and_skew_vector_quotients():
