@@ -2,8 +2,9 @@
 
 Writes one JSON report per invocation, to stdout or --out, with a fixed
 key order and no timestamps, so a fixed seed reproduces the bytes
-exactly; --timings adds a single wall-clock figure to the configuration
-echo.  Exit status: 0 all checks pass, 1 hard failure (a failing check
+exactly; --timings adds the wall-clock time of the run to the
+configuration echo and, for --suite all, the time of each grid row to
+its check.  Exit status: 0 all checks pass, 1 hard failure (a failing check
 or an engine error, reported as one failing check that names it), 2
 failure confined to the conjecture probes, 3 unusable configuration.
 """
@@ -17,8 +18,9 @@ import time
 from .braidings import BraidingError
 from .reports import VerificationReport
 from .scalars import MODES, MixedParameterError
-from .suites import (SUITE_NAMES, SuiteConfig, clear_caches, exit_code_for,
-                     run_all, run_suite)
+from .suites import (_PER_SUITE_FLAGS, _SUITE_READS, SUITE_NAMES,
+                     SuiteConfig, clear_caches, exit_code_for, run_all,
+                     run_suite)
 from .u2h import UnsupportedElementError
 
 CONFIG_ERROR = 3
@@ -67,31 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for --suite all (default 1)")
     parser.add_argument("--timings", action="store_true",
-                        help="record the wall time in the report")
+                        help="record the wall time of the run and, for"
+                        " --suite all, of each row in the report")
     return parser
 
 
-# Flags that configure one suite; the `all` grid fixes its own per row.
-_PER_SUITE_FLAGS = (("--n", "n"), ("--k", "k"), ("--lambda", "shape"),
-                    ("--degree", "degree"), ("--samples", "samples"))
-
-# The flags each runner in suites._RUNNERS reads, by SuiteConfig field
-# ("shape" is --lambda).  "mode" stands for --mode SAMPLED, and a suite
-# that samples reads --samples only in that mode.  --seed, --timings and
-# --out apply to every run; --jobs only to --suite all.
-_SUITE_READS = {
-    "braiding": {"n", "mode", "samples"},
-    "heckerep": {"n", "k"},
-    "doubles": {"n"},
-    "spectrum": {"n", "shape"},
-    "conjecture": {"n", "k"},
-    "cayley-hamilton": {"n", "mode", "samples"},
-    "capelli": {"n", "k", "degree", "mode", "samples"},
-    "det-capelli": {"n", "mode", "samples"},
-    "adjoint": {"n", "k", "mode", "samples"},
-    "orbits": {"n", "degree"},
-    "u2h": {"degree", "samples"},
-}
 _FLAG_TEXT = {dest: flag for flag, dest in _PER_SUITE_FLAGS} | {
     "mode": "--mode SAMPLED", "jobs": "--jobs"}
 
@@ -181,6 +163,9 @@ def main(argv=None) -> int:
     if args.timings:
         report.config["wall_time_ms"] = round(
             (time.perf_counter() - started) * 1000, 3)
+        for check in report.checks:
+            check["wall_time_ms"] = report.wall_ms.get(
+                check["id"], check["wall_time_ms"])
 
     text = report.to_json()
     if args.out:

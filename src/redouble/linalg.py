@@ -14,23 +14,41 @@ first-nonzero witness live here, shared by braidings.TensorOperator
 it writes a vector in the span of independent rows as their combination,
 for the exchange rule of a double and for its slotwise action operators.
 
-`Triangular` eliminates fraction-free over the Laurent ring Q[q, 1/q],
-whose elements are the Scalars with a constant denominator.  Stored rows
-and working vectors stay in that ring: a step against a pivot whose lead
-is not a unit scales the working vector by the lead over its gcd with
-the cleared coefficient (one small polynomial gcd per step, none per
-entry), and remembers the scale.  Only `reduce` divides, once per
-surviving entry, by the product of the scales.  Remainders modulo a
-leading-reduced basis are unique, so that division yields exactly the
-canonical Q(q) remainder that elimination over the field gives.  The
-ring operations themselves (`scalars.laurent_*`) live beside the
-canonical form they keep.
+`Triangular` eliminates fraction-free over the Laurent ring Z[q, 1/q].
+Its stored rows and working vector are packed integers (Kronecker
+substitution): a vector is q^frame times integer polynomials, and a
+polynomial sum of c_i·q^i is the one integer sum of c_i·2^(w·i), with
+signed digits and one digit width w per Triangular, 64 bits to start.
+A product of polynomials is then one integer product, and a step costs
+a few big-integer multiplies, shifts and adds per entry.  A step against
+a pivot whose lead is not ±q^k scales the working vector by the lead
+over its gcd with the cleared coefficient (one small polynomial gcd per
+step, none per entry), and remembers the scale.
+
+Scalars meet the kernel only at its boundary.  An input's non-constant
+denominators are cleared by `scalars.laurent_multiplier` and its integer
+ones by their lcm, both into the remembered scale; `reduce` divides
+each surviving entry once by that scale, and `row` unpacks a stored row.
+Remainders modulo a leading-reduced basis are unique, so that division
+yields exactly the canonical Q(q) remainder that elimination over the
+field gives.
+
+Digits stay exact while every coefficient is below 2^(w-2) in magnitude.
+The working vector carries a bound on its coefficient bits: the cleared
+coefficient's is recomputed at each step and each stored row keeps its
+own, a product adds the bounds of its factors and the bits of its term
+count, and a sum adds one.  When the bound would pass w - 2 it is
+recomputed from the digits; if it is still too large, w doubles, the
+stored rows are repacked, and the elimination restarts from its input.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, Scalar, laurent_cancel, laurent_multiplier, \
-    laurent_primitive
+import math
+from bisect import insort
+
+from .scalars import (ONE, MixedParameterError, Scalar, _pcontent,
+                      _pdivexact, _pgcd, _pmul, laurent_multiplier)
 
 
 def accumulate(target: dict, key, value) -> None:
@@ -149,86 +167,271 @@ def first_nonzero(rows: dict, reduce) -> tuple:
     return True, None
 
 
-class Triangular:
-    """Growable triangular basis over Q[q, 1/q].
+# Digit width, in bits, of the packed polynomials of a new Triangular.
+_WIDTH = 64
 
-    pivots[key] = (lead, rest): a row whose largest key is `key`, with
-    coefficient `lead` there and the entries `rest` at smaller keys.  Each
-    row is primitive (its numerators share no polynomial factor and no
-    power of the parameter) and is known only up to a nonzero factor.
-    Rows are kept leading-reduced (each row's keys other than its pivot are
-    strictly smaller), which makes remainders unique without full
-    inter-reduction.
+
+def _pack(poly, w: int) -> int:
+    """The packed integer sum of poly[i]·2^(w·i) of an integer polynomial."""
+    p = 0
+    for c in reversed(poly):
+        p = (p << w) + c
+    return p
+
+
+def _unpack(p: int, w: int) -> tuple:
+    """The coefficients of a packed polynomial, lowest degree first.
+
+    Each digit is read in [-2^(w-1), 2^(w-1)), so every polynomial whose
+    coefficients lie in that range comes back exactly.
+    """
+    out = []
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    while p:
+        d = p & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        p = (p - d) >> w
+    return tuple(out)
+
+
+def _bits(poly: tuple) -> int:
+    """Bit length of the largest coefficient magnitude of a nonzero poly."""
+    return max(max(poly), -min(poly)).bit_length()
+
+
+def _spread(n: int) -> int:
+    """Bits by which a sum of n terms can exceed its largest term."""
+    return (n - 1).bit_length()
+
+
+class Triangular:
+    """Growable triangular basis of rows over Z[q, 1/q], packed as integers.
+
+    pivots[key] = (rest, bound, shift, lead, content): the stored row with
+    pivot `key`, known only up to a nonzero factor.  Its entries are
+    integer polynomials: `rest` maps each smaller key to its packed
+    polynomial, and the pivot entry is q^shift · lead, where lead is a
+    coefficient tuple with a nonzero constant term and a positive leading
+    coefficient, and `content` is its integer content.  The row is
+    primitive: its
+    coefficients share no integer factor, its polynomials no polynomial
+    factor and no power of the parameter.  `bound` is the exact bit length
+    of its largest coefficient.  Rows are kept leading-reduced (each row's
+    keys other than its pivot are strictly smaller), which makes
+    remainders unique without full inter-reduction; sortkey must order
+    distinct keys strictly.
+
+    `param` is the parameter of the first entry that is not a rational
+    constant; an entry with another parameter raises MixedParameterError.
+    Remainders and rows carry `param`, or q while every entry seen was a
+    constant (a constant's label does not matter).
     """
 
     def __init__(self, sortkey=None):
         self.sortkey = sortkey if sortkey is not None else (lambda k: k)
         self.pivots: dict = {}
+        self.param = None
+        self._width = _WIDTH
 
     def __len__(self):
         return len(self.pivots)
 
-    def _eliminate(self, vec: dict):
-        """(r, den) with r / den the remainder of vec (vec consumed).
+    def _load(self, vec: dict):
+        """vec as (frame, packed, den, bound), or None if too wide.
 
-        r has constant denominators; den is a Laurent polynomial, or None
-        for one.
+        vec = q^frame · packed / den: packed maps each key to a packed
+        integer polynomial, den is an integer polynomial, and bound is the
+        bit length of the largest packed coefficient.  vec itself is left
+        unchanged.
         """
-        den = laurent_multiplier(vec.values())
-        if den is not None:
-            for k, v in vec.items():
-                vec[k] = den * v
+        param = self.param
+        for v in vec.values():
+            if v.param != param and not v._parameter_free():
+                if param is not None:
+                    raise MixedParameterError(f"{param!r} vs {v.param!r}")
+                param = self.param = v.param
+        mult = laurent_multiplier(vec.values())
+        if mult is not None:
+            vec = {k: mult * v for k, v in vec.items()}
+        scale = math.lcm(*(v.den[0] for v in vec.values()))
+        frame = min((v.shift for v in vec.values()), default=0)
+        w = self._width
+        packed = {}
+        bound = 0
+        for k, v in vec.items():
+            num = v.num
+            if not num:
+                continue
+            f = scale // v.den[0]
+            if f != 1:
+                num = tuple(c * f for c in num)
+            bound = max(bound, _bits(num))
+            packed[k] = _pack(num, w) << (w * (v.shift - frame))
+        if bound > w - 2:
+            return None
+        den = (scale,) if mult is None else tuple(c * scale for c in mult.num)
+        return frame, packed, den, bound
+
+    def _eliminate(self, vec: dict):
+        """(frame, r, den) with q^frame · r / den the remainder of vec.
+
+        r maps keys to packed integer polynomials and den is an integer
+        polynomial.  None when a coefficient could outgrow the digit width.
+        """
+        loaded = self._load(vec)
+        if loaded is None:
+            return None
+        frame, vec, den, bound = loaded
+        w = self._width
+        limit = w - 2
         pivots = self.pivots
         sortkey = self.sortkey
+        # the pivot keys of vec by sortkey, ascending; a key that cancelled
+        # stays until it is popped
+        todo = sorted((sortkey(k), k) for k in vec if k in pivots)
         while True:
-            hit = None
-            hk = None
-            for k in vec:
-                if k in pivots:
-                    sk = sortkey(k)
-                    if hk is None or sk > hk:
-                        hk = sk
-                        hit = k
-            if hit is None:
-                return vec, den
-            c = vec.pop(hit)
-            lead, rest = pivots[hit]
-            if len(lead.num) > 1:
-                lead, c = laurent_cancel(lead, c)
-            if len(lead.num) == 1:  # a unit of Q[q, 1/q]
-                vec_add_scaled(vec, rest, -(c * lead.inverse()))
-            else:  # vec := lead vec - c rest, and remember the scale
-                for k, v in vec.items():
-                    vec[k] = lead * v
-                vec_add_scaled(vec, rest, -c)
-                den = lead if den is None else den * lead
+            while todo:
+                hit = todo.pop()[1]
+                if hit in vec:
+                    break
+            else:
+                return frame, vec, den
+            c = _unpack(vec.pop(hit), w)
+            rest, rbound, lshift, lead, lcont = pivots[hit]
+            tz = 0
+            while not c[tz]:
+                tz += 1
+            if tz:
+                c = c[tz:]
+            # vec := lead' vec - c' q^(tz - lshift) rest, where lead' and c'
+            # are lead and c over their gcd in Z[q]
+            if len(lead) > 1:
+                g = _pgcd(lead, c)
+                if g != (1,):
+                    lead = _pdivexact(lead, g)
+                    c = _pdivexact(c, g)
+            if lcont != 1:
+                g = math.gcd(lcont, *c)
+                if g != 1:
+                    lead = tuple(x // g for x in lead)
+                    c = tuple(x // g for x in c)
+            unit = lead == (1,)
+            grow = 0 if unit else _bits(lead) + _spread(len(lead))
+            step = _bits(c) + rbound + _spread(len(c))
+            if max(bound + grow, step) >= limit:
+                # the tracked bound may be loose: take it from the digits
+                bound = max((_bits(_unpack(p, w)) for p in vec.values()),
+                            default=0)
+                if max(bound + grow, step) >= limit:
+                    return None
+            bound = max(bound + grow, step) + 1
+            e = tz - lshift
+            m = 1 if unit else _pack(lead, w)
+            if e < 0:  # lower the frame so that rest lines up with vec
+                m <<= w * -e
+                frame += e
+                e = 0
+            if m != 1:
+                vec = {k: p * m for k, p in vec.items()}
+            if not unit:
+                den = _pmul(den, lead)
+            nc = -(_pack(c, w) << (w * e))
+            for k, r in rest.items():
+                cur = vec.get(k)
+                if cur is None:
+                    vec[k] = nc * r
+                    if k in pivots:
+                        insort(todo, (sortkey(k), k))
+                else:
+                    s = cur + nc * r
+                    if s:
+                        vec[k] = s
+                    else:
+                        del vec[k]
             if hit in vec:  # the step cancels the pivot key by construction
                 raise AssertionError("reduction failed to clear pivot key")
 
+    def _remainder(self, vec: dict):
+        """_eliminate, widening the digits until the coefficients fit."""
+        while True:
+            out = self._eliminate(vec)
+            if out is not None:
+                return out
+            self._widen()
+
+    def _widen(self):
+        """Double the digit width and repack the stored rows."""
+        w = self._width
+        self._width = wide = 2 * w
+        for key, (rest, *tail) in self.pivots.items():
+            self.pivots[key] = (
+                {k: _pack(_unpack(p, w), wide) for k, p in rest.items()},
+                *tail)
+
     def reduce(self, vec: dict) -> dict:
-        """Unique remainder of vec modulo the current row span (vec consumed)."""
-        vec, den = self._eliminate(vec)
-        if den is not None and vec:
-            inv = den.inverse()
-            for k, v in vec.items():
-                vec[k] = v * inv
-        return vec
+        """Unique remainder of vec modulo the current row span."""
+        frame, vec, den = self._remainder(vec)
+        w = self._width
+        param = self.param or "q"
+        return {k: Scalar._make(param, frame, _unpack(p, w), den)
+                for k, p in vec.items()}
 
     def insert(self, vec: dict):
         """Reduce vec and adjoin it if independent; returns its pivot or None."""
-        vec, _ = self._eliminate(dict(vec))
+        _, vec, _ = self._remainder(vec)
         if not vec:
             return None
-        vec = laurent_primitive(vec)
-        lead = max(vec, key=self.sortkey)
-        self.pivots[lead] = (vec.pop(lead), vec)
-        return lead
+        w = self._width
+        polys = {k: _unpack(p, w) for k, p in vec.items()}
+        low = min(next(i for i, x in enumerate(t) if x)
+                  for t in polys.values())
+        if low:
+            polys = {k: t[low:] for k, t in polys.items()}
+        # the polynomials share no factor when one of them is a monomial,
+        # since some entry has a nonzero constant term
+        g = (1,) if any(t.count(0) == len(t) - 1 for t in polys.values()) \
+            else ()
+        for t in polys.values():
+            if g == (1,):
+                break
+            g = _pgcd(g, t)
+        if g != (1,):
+            polys = {k: _pdivexact(t, g) for k, t in polys.items()}
+        pivot = max(polys, key=self.sortkey)
+        content = 0
+        for t in polys.values():
+            content = math.gcd(content, *t)
+            if content == 1:
+                break
+        if polys[pivot][-1] < 0:
+            content = -content
+        if content != 1:
+            polys = {k: tuple(x // content for x in t)
+                     for k, t in polys.items()}
+        bound = max(_bits(t) for t in polys.values())
+        while bound > self._width - 2:
+            self._widen()
+        w = self._width
+        lead = polys.pop(pivot)
+        shift = 0
+        while not lead[shift]:
+            shift += 1
+        lead = lead[shift:]
+        self.pivots[pivot] = ({k: _pack(t, w) for k, t in polys.items()},
+                              bound, shift, lead, _pcontent(lead))
+        return pivot
 
     def row(self, pivot) -> dict:
         """The stored row with pivot `pivot`, as one vector."""
-        lead, rest = self.pivots[pivot]
-        out = dict(rest)
-        out[pivot] = lead
+        rest, _, shift, lead, _ = self.pivots[pivot]
+        w = self._width
+        param = self.param or "q"
+        out = {k: Scalar._make(param, 0, _unpack(p, w), (1,))
+               for k, p in rest.items()}
+        out[pivot] = Scalar(param, shift, lead, (1,))
         return out
 
 

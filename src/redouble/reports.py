@@ -5,6 +5,8 @@ same configuration produce byte-identical artifacts.  Each check record
 carries an opaque reference label from the anchors registry, a pass flag,
 an optional witness (first failing component with its residual), and a
 wall-time slot that stays null unless timing collection is switched on.
+Measured wall times wait in `wall_ms`, outside the serialized bytes,
+until the caller asks for them.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ class VerificationReport:
         self.suite = suite
         self.config = dict(config) if config else {}
         self.checks: list = []
+        # check id -> measured wall time in ms, not serialized
+        self.wall_ms: dict = {}
 
     def add(self, check_id: str, anchor: str, passed: bool,
             witness: str | None = None, wall_ms: float | None = None) -> None:

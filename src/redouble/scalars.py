@@ -427,48 +427,14 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
-# The Laurent ring Q[param, 1/param]: the Scalars with a constant den.
-# Fraction-free elimination (linalg.Triangular) works in this ring.  The
-# helpers below rebuild canonical forms directly; a constant operand may
-# carry the default parameter, so each result takes its parameter through
-# Scalar._join.
-
-
-def laurent_cancel(a: Scalar, b: Scalar) -> tuple:
-    """(a / g, b / g) for g the primitive gcd of the numerators of a and b.
-
-    Dividing a numerator by a primitive factor of it keeps the canonical
-    form of a and b.
-    """
-    g = _pgcd(a.num, b.num)
-    if g == (1,):
-        return a, b
-    param = a._join(b)
-    return (Scalar(param, a.shift, _pdivexact(a.num, g), a.den),
-            Scalar(param, b.shift, _pdivexact(b.num, g), b.den))
-
-
-def laurent_primitive(vec: dict) -> dict:
-    """Nonempty vec over Q[param, 1/param] divided by its entries' gcd.
-
-    The gcd is the primitive gcd of the numerators times the lowest power
-    of the parameter; rational constants are units and stay.  Returns vec
-    itself when there is nothing to divide.
-    """
-    g = ()
-    low = None
-    for v in vec.values():
-        if g != (1,):
-            g = _pgcd(g, v.num)
-        if low is None or v.shift < low.shift:
-            low = v
-    if g == (1,) and not low.shift:
-        return vec
-    # low is not constant here: either it has a nonzero shift, or every
-    # numerator shares the factor g of positive degree
-    return {k: Scalar(low._join(v), v.shift - low.shift,
-                      _pdivexact(v.num, g), v.den)
-            for k, v in vec.items()}
+# The Laurent ring Z[param, 1/param].  Fraction-free elimination
+# (linalg.Triangular) works in this ring, with each polynomial packed into
+# one Python integer, sum of c_i·2^(w·i) with signed digits c_i and one
+# digit width w per Triangular (64 bits to start).  It tracks a bound on
+# the bits of its coefficients and doubles w, repacking its rows, before a
+# digit could overflow.  Scalars meet it only at its boundary: the helper
+# below takes an input vector into the ring, and the remainders and rows
+# it hands back are unpacked into canonical Scalars.
 
 
 def laurent_multiplier(values: Iterable) -> Scalar | None:

@@ -10,6 +10,7 @@ makes reports byte-reproducible.
 from __future__ import annotations
 
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import braidings, doubles, u2h
@@ -46,6 +47,28 @@ _CLOSED_FORMS = {
 # Suites whose `samples` counts random parameter points in SAMPLED mode.
 _POINT_SAMPLED = frozenset({"braiding", "cayley-hamilton", "capelli",
                            "det-capelli", "adjoint"})
+
+# Flags that configure one suite; the `all` grid fixes its own per row.
+_PER_SUITE_FLAGS = (("--n", "n"), ("--k", "k"), ("--lambda", "shape"),
+                    ("--degree", "degree"), ("--samples", "samples"))
+
+# The flags each runner in suites._RUNNERS reads, by SuiteConfig field
+# ("shape" is --lambda).  "mode" stands for --mode SAMPLED, and a suite
+# that samples reads --samples only in that mode.  --seed, --timings and
+# --out apply to every run; --jobs only to --suite all.
+_SUITE_READS = {
+    "braiding": {"n", "mode", "samples"},
+    "heckerep": {"n", "k"},
+    "doubles": {"n"},
+    "spectrum": {"n", "shape"},
+    "conjecture": {"n", "k"},
+    "cayley-hamilton": {"n", "mode", "samples"},
+    "capelli": {"n", "k", "degree", "mode", "samples"},
+    "det-capelli": {"n", "mode", "samples"},
+    "adjoint": {"n", "k", "mode", "samples"},
+    "orbits": {"n", "degree"},
+    "u2h": {"degree", "samples"},
+}
 
 
 class SuiteConfig:
@@ -94,13 +117,18 @@ def _label(shape: tuple) -> str:
     return ",".join(str(p) for p in shape)
 
 
+def _points(config: SuiteConfig) -> int:
+    """Parameter points of a SAMPLED run: `samples`, by default 3."""
+    return 3 if config.samples is None else config.samples
+
+
 def _sampled(config: SuiteConfig, verify, *args) -> VerificationReport:
     """verify(*args) at the suite's parameter points.
 
     A SAMPLED report echoes the sample count and the seed its points were
     drawn from, so it replays from its own config.
     """
-    samples = 3 if config.samples is None else config.samples
+    samples = _points(config)
     report = verify(*args, mode=config.mode, rng=config.rng(),
                     samples=samples)
     if config.mode == "SAMPLED":
@@ -358,6 +386,33 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     return runner(config)
 
 
+def _timed_run(config: SuiteConfig) -> tuple:
+    """(report, wall time in ms) of run_suite(config), timed where it runs."""
+    started = time.perf_counter()
+    report = run_suite(config)
+    return report, round((time.perf_counter() - started) * 1000, 3)
+
+
+def replay_command(config: SuiteConfig) -> str:
+    """The `redouble` command that reruns config as a single suite.
+
+    It passes each per-suite value that config sets and the suite reads,
+    --mode SAMPLED with the point count for a SAMPLED run, and the seed.
+    """
+    reads = _SUITE_READS[config.suite]
+    words = ["redouble", "--suite", config.suite]
+    for flag, field in _PER_SUITE_FLAGS:
+        value = getattr(config, field)
+        # a suite that samples points gets --samples below, in SAMPLED mode
+        if value is None or field not in reads or \
+                (field == "samples" and "mode" in reads):
+            continue
+        words += [flag, _label(value) if field == "shape" else str(value)]
+    if config.mode == "SAMPLED":
+        words += ["--mode", "SAMPLED", "--samples", str(_points(config))]
+    return " ".join(words + ["--seed", str(config.seed)])
+
+
 # ---------------------------------------------------------------------------
 # The acceptance grid
 
@@ -416,25 +471,32 @@ def clear_caches() -> None:
 
 def run_all(mode: str = "EXACT", seed: int = 0, jobs: int = 1
             ) -> VerificationReport:
-    """Run the acceptance grid and aggregate one row per configuration."""
+    """Run the acceptance grid and aggregate one row per configuration.
+
+    The witness of a failing row names its first failing checks and ends
+    with the command that replays the row.  Each row's wall time, taken in
+    the process that ran it, waits in the summary's `wall_ms`.
+    """
     clear_caches()
     grid = acceptance_grid(mode, seed)
     configs = [cfg for _, cfg in grid]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_suite, configs))
+            results = list(pool.map(_timed_run, configs))
     else:
-        results = [run_suite(cfg) for cfg in configs]
+        results = [_timed_run(cfg) for cfg in configs]
     summary = VerificationReport("all", {"mode": mode, "seed": seed,
                                          "rows": len(grid)})
-    for (label, _), sub in zip(grid, results):
+    for (label, config), (sub, ms) in zip(grid, results):
         bad = sub.failures()
         witness = None if not bad else \
-            "; ".join(c["id"] for c in bad[:4])
+            "; ".join([c["id"] for c in bad[:4]]
+                      + ["replay: " + replay_command(config)])
         row_anchor = "grid"
         if bad and all(is_conjectural(c["anchor"]) for c in bad):
             row_anchor = bad[0]["anchor"]
         summary.add(label, row_anchor, sub.passed, witness)
+        summary.wall_ms[label] = ms
     return summary
 
 

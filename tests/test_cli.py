@@ -7,10 +7,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import redouble
+from redouble import suites
 from redouble.cli import _SUITE_READS, main
 from redouble.anchors import anchor
 from redouble.braidings import BraidingError
@@ -18,7 +20,7 @@ from redouble.invariants import SpectralCharacter
 from redouble.reports import VerificationReport
 from redouble.scalars import ONE, MixedParameterError
 from redouble.suites import (_POINT_SAMPLED, SUITE_NAMES, SuiteConfig,
-                             run_all)
+                             acceptance_grid, replay_command, run_all)
 from redouble.u2h import UnsupportedElementError
 
 
@@ -100,6 +102,78 @@ def test_timings_flag_adds_wall_time(capsys):
                           "--timings")
     assert "wall_time_ms" not in json.loads(plain)["config"]
     assert json.loads(timed)["config"]["wall_time_ms"] >= 0
+
+
+def _slow_passing_runner(config):
+    time.sleep(0.005)
+    report = VerificationReport(config.suite, {})
+    report.add("fake", "grid", True)
+    return report
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_timings_fill_the_wall_time_of_each_grid_row(capsys, monkeypatch,
+                                                     jobs):
+    # forked workers inherit the patched runners and time them themselves
+    for suite in SUITE_NAMES:
+        monkeypatch.setitem(suites._RUNNERS, suite, _slow_passing_runner)
+    _, plain, _ = run_cli(capsys, "--suite", "all", "--jobs", jobs)
+    assert all(c["wall_time_ms"] is None
+               for c in json.loads(plain)["checks"])
+    _, timed, _ = run_cli(capsys, "--suite", "all", "--jobs", jobs,
+                          "--timings")
+    checks = json.loads(timed)["checks"]
+    assert len(checks) == 39
+    assert all(c["wall_time_ms"] >= 5 for c in checks)
+
+
+def test_a_failing_grid_row_names_its_replay_command(capsys, monkeypatch):
+    seen = []
+
+    def failing(config):
+        seen.append(config)
+        report = VerificationReport(config.suite, {})
+        report.add("entries-vanish", "characteristic-identity", False, "x")
+        return report
+
+    monkeypatch.setitem(suites._RUNNERS, "cayley-hamilton", failing)
+    summary = run_all(mode="SAMPLED", seed=3)
+    rows = {c["id"]: c for c in summary.checks}
+    assert [c["id"] for c in summary.failures()] == \
+        ["cayley-hamilton-n2", "cayley-hamilton-n3"]
+    assert all(c["witness"] is None for c in rows.values() if c["passed"])
+    witness = rows["cayley-hamilton-n3"]["witness"]
+    assert witness == ("entries-vanish; replay: redouble --suite"
+                       " cayley-hamilton --n 3 --mode SAMPLED --samples 3"
+                       " --seed 3")
+    command = witness.split("; replay: ")[-1].split()
+    assert command[0] == "redouble"
+    code, _, _ = run_cli(capsys, *command[1:])
+    assert code == 1
+    grid_row, replayed = seen[-2], seen[-1]
+    for field in SuiteConfig.__slots__:
+        if field != "samples":
+            assert getattr(replayed, field) == getattr(grid_row, field)
+    assert replayed.samples == 3 and grid_row.samples is None
+
+
+def test_replay_commands_of_every_grid_row_parse(capsys, monkeypatch):
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        return VerificationReport(config.suite, {})
+
+    monkeypatch.setattr("redouble.cli.run_suite", record)
+    for mode in ("EXACT", "SAMPLED"):
+        for _, config in acceptance_grid(mode, seed=4):
+            command = replay_command(config).split()
+            assert run_cli(capsys, *command[1:])[0] == 0, command
+            got = seen.pop()
+            for field in ("suite", "n", "k", "shape", "degree", "mode",
+                          "seed"):
+                assert getattr(got, field) == getattr(config, field), \
+                    (command, field)
 
 
 def test_config_errors_exit_with_status_three(capsys):

@@ -1,14 +1,18 @@
 """Fraction-free elimination gives the remainders of field elimination,
-and `coordinates` solves in the span of independent rows."""
+also when coefficients outgrow one packed digit, and `coordinates` solves
+in the span of independent rows."""
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from redouble.linalg import Triangular, coordinates, vec_add_scaled
-from redouble.scalars import ONE, Scalar
+from redouble.linalg import (_WIDTH, Triangular, _pack, _unpack, coordinates,
+                             vec_add_scaled)
+from redouble.scalars import ONE, MixedParameterError, Scalar, _pgcd
 
 
 class FieldTriangular:
@@ -114,10 +118,18 @@ def test_fraction_free_remainders_match_field_elimination(param, seed):
         for probe in _system(rng, param, keys, 3, mixed=True):
             _check_same_remainders(tri.reduce(dict(probe)), ref.reduce(probe))
     assert dependent and len(tri) < len(keys)
-    # every stored row lies in Q[q, 1/q], and both kinds of step were taken
-    leads = [lead for lead, _ in tri.pivots.values()]
-    assert all(len(v.den) == 1 for p in tri.pivots
-               for v in tri.row(p).values())
+    # every stored row is a primitive vector over Z[q, 1/q], and both kinds
+    # of step were taken
+    rows = {p: tri.row(p) for p in tri.pivots}
+    for row in rows.values():
+        assert all(v.den == (1,) for v in row.values())
+        assert min(v.shift for v in row.values()) == 0
+        g = ()
+        for v in row.values():
+            g = _pgcd(g, v.num)
+        assert g == (1,)
+        assert math.gcd(*(c for v in row.values() for c in v.num)) == 1
+    leads = [row[p] for p, row in rows.items()]
     assert any(len(lead.num) == 1 for lead in leads)
     assert any(len(lead.num) > 1 for lead in leads)
 
@@ -136,6 +148,62 @@ def test_default_parameter_constants_in_laurent_rows():
         _check_same_remainders(got, ref.reduce(probe))
         assert all(v.param == "h" or v.is_constant() for v in got.values())
     assert tri.reduce({1: ONE}) == {0: -h}
+
+
+@pytest.mark.parametrize("w", [_WIDTH, 2 * _WIDTH])
+def test_packed_polynomials_round_trip(w):
+    top = 1 << (w - 2)
+    for poly in [(), (5,), (-5,), (0, 0, 7), (3, 0, 0, -1), (-1, -1, -1),
+                 (top,), (-top,), (top, 0, -top), (-top, -top, top),
+                 (2 * top - 1, 0, -2 * top)]:
+        assert _unpack(_pack(poly, w), w) == poly
+
+
+@pytest.mark.parametrize("param", ["q", "h"])
+def test_wide_coefficients_match_field_elimination(param):
+    # coefficients of 71 to 133 bits, and products of them, outgrow a
+    # 64-bit digit: the rows are repacked wider and the results stay exact
+    q = Scalar.var(param)
+    big = Scalar.from_int(3 * 2 ** 90, param) * q ** 3 + \
+        Scalar.from_int(1, param)
+    frac = Scalar.from_fraction(Fraction(10 ** 40, 7), param)
+    lead = Scalar.laurent({2: 2 ** 70 + 1, 0: 3}, param)
+    system = [
+        {6: lead, 3: big, 0: frac},
+        {5: big, 3: lead, 1: ONE},
+        {4: frac * q, 2: big, 6: lead},
+        {3: ONE, 2: lead * q, 1: frac},
+    ]
+    tri, ref = Triangular(), FieldTriangular(lambda k: k)
+    for vec in system:
+        assert tri.insert(vec) == ref.insert(vec)
+    assert set(tri.pivots) == set(ref.rows)
+    assert tri._width > _WIDTH
+    for probe in ({6: ONE}, {6: big, 5: lead, 0: frac}, {3: lead * big},
+                  {5: frac, 4: q, 1: big}, {0: lead}):
+        _check_same_remainders(tri.reduce(dict(probe)), ref.reduce(probe))
+
+
+def test_a_loose_bound_is_recomputed_before_widening():
+    # reducing {79: 1} takes 79 unit steps; the tracked bound gains a bit
+    # at each, while every digit stays ±1 and fits the first width
+    tri = Triangular()
+    for i in range(79, 0, -1):
+        assert tri.insert({i: ONE, i - 1: -ONE}) == i
+    assert tri.reduce({79: ONE}) == {0: ONE}
+    assert tri._width == _WIDTH
+
+
+def test_one_triangular_takes_one_parameter():
+    tri = Triangular()
+    tri.insert({0: Scalar.var("q"), 1: ONE})
+    with pytest.raises(MixedParameterError):
+        tri.reduce({0: Scalar.var("h")})
+    with pytest.raises(MixedParameterError):
+        tri.insert({0: Scalar.var("h"), 2: ONE})
+    # constants carry any label
+    assert tri.reduce({1: Scalar.from_int(2, "h")}) == \
+        {0: Scalar.from_int(-2) * Scalar.var("q")}
 
 
 def test_rows_span_what_was_inserted():
