@@ -24,8 +24,8 @@ from .anchors import anchor
 from .braidings import Braiding
 from .doubles import QuantumDouble, make_double
 from .invariants import power_sum
-from .ncengine import (MatrixOverAlgebra, NCElement, QuadraticPresentation,
-                       matrix_generators, re_presentation)
+from .ncengine import (CentralQuotient, MatrixOverAlgebra, NCElement,
+                       re_presentation)
 from .reports import VerificationReport
 from .scalars import parameter_points
 
@@ -100,23 +100,25 @@ def verify_adjoint_invariance(braiding: Braiding, k: int,
 
 
 def orbit_quotient(braiding: Braiding, alphas, tag: str = "m"
-                   ) -> QuadraticPresentation:
+                   ) -> CentralQuotient:
     """Coordinate algebra with the first N traced powers pinned.
 
-    Adjoins the inhomogeneous relations  trace((weighted M)^k) = alpha_k
-    for k = 1..N to the reflection-equation presentation; reduction runs
-    in the filtered regime, so trace occurrences rewrite to constants.
+    The reflection-equation algebra divided by p_k - alpha_k, the traced
+    k-th power minus its level constant, for k = 1..N.  The traced powers
+    are central in that algebra, so the quotient is a CentralQuotient of
+    the certified presentation: its ideal is spanned by the normal forms
+    of w·(p_k - alpha_k) over normal words w, and trace occurrences
+    rewrite to constants.  A traced power that fails to be central raises
+    PresentationError.
     """
     n = braiding.dim
     alphas = list(alphas)
     if len(alphas) != n:
         raise ValueError("need one level constant per matrix size")
-    relations = list(re_presentation(braiding, tag).relations)
-    for k, alpha in enumerate(alphas, start=1):
-        relations.append(power_sum(braiding, tag, k)
-                         - NCElement.constant(alpha))
-    return QuadraticPresentation(matrix_generators(tag, n), relations,
-                                 name=f"orbit({tag}, dim={n})")
+    pinned = [power_sum(braiding, tag, k) - NCElement.constant(alpha)
+              for k, alpha in enumerate(alphas, start=1)]
+    return CentralQuotient(re_presentation(braiding, tag), pinned,
+                           name=f"orbit({tag}, dim={n})")
 
 
 def verify_orbit_descent(braiding: Braiding, alphas, degree: int = 1

@@ -3,10 +3,12 @@
 Writes one JSON report per invocation, to stdout or --out, with a fixed
 key order and no timestamps, so a fixed seed reproduces the bytes
 exactly; --timings adds the wall-clock time of the run to the
-configuration echo and, for --suite all, the time of each grid row to
-its check.  Exit status: 0 all checks pass, 1 hard failure (a failing check
-or an engine error, reported as one failing check that names it), 2
-failure confined to the conjecture probes, 3 unusable configuration.
+configuration echo and the time of each check to the check: for a
+single suite the time since the check before it, for --suite all the
+time of each grid row.  Exit status: 0 all checks pass, 1 hard failure
+(a failing check or an engine error, reported as one failing check that
+names it), 2 failure confined to the conjecture probes, 3 unusable
+configuration.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 import time
 
 from .braidings import BraidingError
+from .ncengine import PresentationError
 from .reports import VerificationReport
 from .scalars import MODES, MixedParameterError
 from .suites import (_PER_SUITE_FLAGS, _SUITE_READS, SUITE_NAMES,
@@ -27,7 +30,8 @@ CONFIG_ERROR = 3
 
 # ValueErrors raised by the engine on a valid configuration: a failed run
 # (exit 1), not an unusable configuration (exit 3).
-ENGINE_ERRORS = (MixedParameterError, BraidingError, UnsupportedElementError)
+ENGINE_ERRORS = (MixedParameterError, BraidingError, UnsupportedElementError,
+                 PresentationError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for --suite all (default 1)")
     parser.add_argument("--timings", action="store_true",
-                        help="record the wall time of the run and, for"
-                        " --suite all, of each row in the report")
+                        help="record the wall time of the run and of each"
+                        " check (each row, for --suite all) in the report")
     return parser
 
 

@@ -424,6 +424,19 @@ class Triangular:
                               bound, shift, lead, _pcontent(lead))
         return pivot
 
+    def rekey(self, pivot: tuple, prefix: tuple, suffix: tuple) -> None:
+        """Store the row `pivot` again under the key map k -> prefix+k+suffix.
+
+        Keys are tuples.  Nothing is eliminated: the packed row is copied
+        with its bound, lead and content, and the copy's pivot is
+        prefix + pivot + suffix, which must not be stored yet.  The map
+        must be strictly monotone under sortkey (graded-lex on words is),
+        so the copy is leading-reduced and primitive like its source.
+        """
+        rest, *tail = self.pivots[pivot]
+        self.pivots[prefix + pivot + suffix] = (
+            {prefix + k + suffix: p for k, p in rest.items()}, *tail)
+
     def row(self, pivot) -> dict:
         """The stored row with pivot `pivot`, as one vector."""
         rest, _, shift, lead, _ = self.pivots[pivot]

@@ -1,20 +1,30 @@
-"""Free-algebra elements and equality modulo quadratic-type ideals.
+"""Free-algebra elements and equality modulo quadratic ideals.
 
 Words are tuples of generator symbols; elements are {word: Scalar} maps
-including the empty word for constants.  A presentation holds relations
-whose leading (top-degree) parts are homogeneous of some degree (2 for the
-reflection-equation algebras, arbitrary for the trace-shifted orbit
-quotients) plus lower-degree tails.  Equality modulo the two-sided ideal is
-decided degreewise by linear algebra: the span of w1 * relation * w2 is
-materialized layer by layer into a triangular basis with graded-lex leading
-words, and the normal form of an element is its unique remainder against
-that basis, found by one elimination of the whole element.  Each layer
-inserts the relations of its degree, the left multiple g * row of every
-row of the layer below, and the right multiple row * g only of the rows
-that did not come from a left multiple; QuadraticPresentation.ensure says
-why this spans the whole ideal.  This is not a Groebner completion; it is
-exact and complete for the flat (PBW-type) presentations used here, and
-reductions to zero are sound proofs of ideal membership in any case.
+including the empty word for constants.  Words are ordered graded
+lexicographically, with letters compared by tag, then by descending row,
+then by column (word_sortkey); the largest word of an element leads.
+
+A presentation holds relations whose leading (top-degree) parts are
+quadratic, plus lower-degree tails (the inhomogeneous reflection-equation
+variants).  Its reduced relation rows are certified once by Bergman's
+diamond lemma (Adv. Math. 29, 1978): for every overlap abc of two
+leading words ab and bc, the difference of the two one-step rewrites of
+abc must reduce to zero modulo the words of degree <= 3 that contain a
+leading word.  Quadratic leads overlap only in degree 3, so this proves
+that the words with no leading subword are a basis of the quotient in
+every degree (PBW).  The ideal's part of degree <= d is then spanned,
+with no elimination at all, by one re-keyed copy u·row·v of a relation
+row for each word u·ab·v that contains a lead ab, and the normal form
+of an element is its unique remainder against those rows, found by one
+elimination of the whole element.  A presentation that fails the check
+raises PresentationError; there is no other route.
+
+A CentralQuotient divides a certified presentation by elements that are
+central in it (checked on construction).  Their two-sided ideal is the
+left ideal they generate, spanned by the base normal forms of w·c for
+the base's normal words w, so it is built by linear algebra over normal
+words alone.
 
 Matrices over the algebra (MatrixOverAlgebra) keep the sparse rows of
 TensorOperator and compute through the same linalg functions: the entry
@@ -28,6 +38,7 @@ or the shift c*(R X1 - X1 R), or the variant with R replaced by R^-1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Callable, Iterable, NamedTuple
@@ -53,9 +64,21 @@ class Gen(NamedTuple):
         return f"{self.tag}{self.row}{self.col}"
 
 
+@functools.cache
+def _letter_key(g: Gen) -> tuple:
+    """A letter's place in the word order: tag, then -row, then col."""
+    return (g.tag, -g.row, g.col)
+
+
 def word_sortkey(word: tuple):
-    """Graded lexicographic order; the largest word is the leading one."""
-    return (len(word), word)
+    """Graded lexicographic order; the largest word is the leading one.
+
+    Letters compare by tag, then by descending row, then by column.  Under
+    this order the degree-2 relation rows of every presentation built here
+    certify (QuadraticPresentation.ensure); under (row, col) the plain
+    reflection-equation algebra does not.
+    """
+    return (len(word), tuple(map(_letter_key, word)))
 
 
 def matrix_generators(tag: str, dim: int) -> list:
@@ -161,8 +184,12 @@ class NCElement:
 # ---------------------------------------------------------------------------
 
 
+class PresentationError(ValueError):
+    """A presentation fails its certificate, or a quotient its centrality."""
+
+
 class QuadraticPresentation:
-    """Generators plus relations with homogeneous leading parts.
+    """Generators plus relations with quadratic leading parts.
 
     Graded when every relation is homogeneous; otherwise filtered, with
     reduction over the whole word space of degree <= d.  The basis grows
@@ -184,56 +211,99 @@ class QuadraticPresentation:
             if r.degree() < 1:
                 raise ValueError("constant relation makes the algebra trivial")
         self._tri = Triangular(word_sortkey)
-        # The rows added by the last layer: (pivot, came from a left multiple).
-        self._layer: list = []
         self._built = 0
+        # letter a -> the leading words ab of the relation rows
+        self._leads_from: dict = {}
+        # the normal words (no leading subword) of each length
+        self._normal: list = [[()]]
         self._sub_cache: dict = {}
 
     def ensure(self, d: int) -> None:
         """Grow the ideal basis through every word of degree <= d.
 
-        Layer e inserts the relations of degree e and, for every row of
-        layer e-1 and generator g, the left multiple g·row, plus the right
-        multiple row·g when that row did not come from a left multiple.
-
-        This spans the same space as inserting both multiples of every
-        row.  Every u·r·v of degree <= e is either g·(u'·r·v) or reached
-        from the relation r by right multiples alone, so it is enough that
-        every stored row times g lies in the span one layer up.  For a
-        relation row or a right multiple, row·g is inserted itself.  A left
-        multiple was stored as row = c·g'·x + s, with x a row of the layer
-        below and s a combination of rows stored before it; then
-        row·g = c·g'·(x·g) + s·g.  Here x·g lies in the span built so far,
-        so g'·(x·g) is a sum of left multiples inserted one layer up and of
-        rows already stored, and s·g lies in the span by induction on
-        insertion order.  The span of every degree is therefore unchanged,
-        and so are its pivot words, the normal forms, ideal_rank and the
-        dimensions.
+        Degree 1 inserts the relations, whose rows must all lead with a
+        word of length 2; below degree 3 those rows alone are exact.
+        Degree e >= 3 stores, for every word u·ab·v of length e whose
+        leftmost leading subword is ab, the copy u·row_ab·v of the row
+        with pivot ab (Triangular.rekey): no candidate is eliminated.
+        Degree 3 then certifies the presentation (_certify), and by the
+        diamond lemma the rows of degree <= e span the ideal's part of
+        degree <= e for every e: reducing an ideal element of that degree
+        leaves only normal words, which are independent in the quotient.
+        Its pivots are exactly the words that contain a lead.
         """
         while self._built < d:
             e = self._built + 1
-            layer = []
-            for vec, from_left in self._candidates(e):
-                pivot = self._tri.insert(vec)
-                if pivot is not None:
-                    layer.append((pivot, from_left))
-            self._layer = layer
+            if e == 1:
+                self._insert_relations()
+            elif e >= 3:
+                self._rekey_degree(e)
+                if e == 3:
+                    self._certify()
             self._built = e
 
-    def _candidates(self, e: int):
-        """(vector, is a left multiple) for each candidate row of layer e.
-
-        Made one at a time: inserting never changes a stored row.
-        """
+    def _insert_relations(self) -> None:
+        tri = self._tri
         for r in self.relations:
-            if r.degree() == e:
-                yield dict(r.terms), False
-        for pivot, from_left in self._layer:
-            row = self._tri.row(pivot)
-            for g in self.generators:
-                yield {(g,) + w: c for w, c in row.items()}, True
-                if not from_left:
-                    yield {w + (g,): c for w, c in row.items()}, False
+            tri.insert(dict(r.terms))
+        leads_from: dict = {}
+        for ab in tri.pivots:
+            if len(ab) != 2:
+                raise PresentationError(
+                    f"{self.name}: a relation row leads with {ab!r},"
+                    " not with a quadratic word")
+            leads_from.setdefault(ab[0], []).append(ab)
+        self._leads_from = leads_from
+
+    def _rekey_degree(self, e: int) -> None:
+        """The re-keyed rows of every word of length e that has a lead.
+
+        A word u·ab·v has its leftmost lead ab at position len(u) exactly
+        when u·a is a normal word, so each such word is made once.
+        """
+        tri = self._tri
+        for i in range(e - 1):
+            tails = list(itertools.product(self.generators, repeat=e - 2 - i))
+            for ua in self.normal_words(i + 1):
+                u = ua[:-1]
+                for ab in self._leads_from.get(ua[-1], ()):
+                    for v in tails:
+                        tri.rekey(ab, u, v)
+
+    def _certify(self) -> None:
+        """Bergman's resolvability check on the overlaps of the leads.
+
+        For leads ab and bc, lead(bc)·(row_ab·c) - lead(ab)·(a·row_bc) has
+        no term abc, so every word left is smaller than abc; it must reduce
+        to zero modulo the rows of degree <= 3.  Raises PresentationError
+        naming the presentation and the first overlap that does not.
+        """
+        tri = self._tri
+        rows = {ab: tri.row(ab) for ab in tri.pivots if len(ab) == 2}
+        for ab, row_ab in rows.items():
+            for bc in self._leads_from.get(ab[1], ()):
+                row_bc = rows[bc]
+                s: dict = {}
+                vec_add_scaled(s, {w + bc[1:]: c for w, c in row_ab.items()},
+                               row_bc[bc])
+                vec_add_scaled(s, {ab[:1] + w: c for w, c in row_bc.items()},
+                               -row_ab[ab])
+                residual = tri.reduce(s)
+                if residual:
+                    raise PresentationError(
+                        f"{self.name} is not certified: the overlap "
+                        f"{ab + bc[1:]!r} leaves {NCElement(residual)!r}")
+
+    def normal_words(self, k: int) -> list:
+        """The words of length k with no leading subword, in a fixed order."""
+        if k >= 2:
+            self.ensure(1)
+        pivots = self._tri.pivots
+        while len(self._normal) <= k:
+            self._normal.append(
+                [w + (g,) for w in self._normal[-1] for g in self.generators
+                 if not w or (w[-1], g) not in pivots])
+        return self._normal[k]
 
     def normal_form(self, x: NCElement) -> NCElement:
         """Unique remainder of x: one elimination of the whole element."""
@@ -269,6 +339,87 @@ class QuadraticPresentation:
             rels = [r.substituted(value) for r in self.relations]
             cached = QuadraticPresentation(self.generators, rels,
                                            name=f"{self.name}@{value}")
+            self._sub_cache[value] = cached
+        return cached
+
+
+class CentralQuotient:
+    """A certified presentation divided by elements central in it.
+
+    Each pinned element c must commute with every generator modulo the
+    base's ideal; the constructor checks it and raises PresentationError
+    otherwise.  Then u·c·v = u·v·c in the base, so the two-sided ideal of
+    the pinned elements is their left ideal, and its part of degree <= d
+    is spanned by nf_base(w·c) for the base's normal words w with
+    |w| + deg c <= d.  Those vectors go into one Triangular over normal
+    words, grown lazily by degree; a normal form reduces in the base and
+    then modulo that span.  At every truncation degree the span equals
+    that of all u·r·v over the base relations and the pinned elements, so
+    pivots and normal forms are those of the two-sided ideal.
+    """
+
+    def __init__(self, base: QuadraticPresentation,
+                 pinned: Iterable[NCElement], name: str = ""):
+        self.base = base
+        self.generators = base.generators
+        self.name = name
+        self.pinned = list(pinned)
+        base.ensure(3)  # certify the base before trusting its normal forms
+        for i, c in enumerate(self.pinned, start=1):
+            for g in self.generators:
+                x = NCElement.generator(g)
+                if not base.reduces_to_zero(x * c - c * x):
+                    raise PresentationError(
+                        f"{name}: pinned element {i} ({c!r}) does not "
+                        f"commute with {g!r} in {base.name}")
+        self._tri = Triangular(word_sortkey)
+        self._built = -1  # degree 0 holds the multiples w = () as well
+        self._sub_cache: dict = {}
+
+    @property
+    def relations(self) -> list:
+        """The base relations and the pinned elements: one generating set."""
+        return self.base.relations + self.pinned
+
+    def ensure(self, d: int) -> None:
+        """Span nf_base(w·c) for every normal w and pinned c of degree <= d."""
+        self.base.ensure(d)
+        while self._built < d:
+            e = self._built + 1
+            for c in self.pinned:
+                k = c.degree()
+                if k <= e:
+                    for w in self.base.normal_words(e - k):
+                        self._tri.insert(
+                            self.base.normal_form(NCElement.word(w) * c).terms)
+            self._built = e
+
+    def normal_form(self, x: NCElement) -> NCElement:
+        """The base normal form of x, reduced modulo the pinned span."""
+        self.ensure(x.degree())
+        return NCElement(self._tri.reduce(self.base.normal_form(x).terms))
+
+    def reduces_to_zero(self, x: NCElement) -> bool:
+        return self.normal_form(x).is_zero()
+
+    def ideal_rank(self, d: int) -> int:
+        """Number of leading words of degree <= d: base and pinned span."""
+        self.ensure(d)
+        return self.base.ideal_rank(d) + \
+            sum(1 for w in self._tri.pivots if len(w) <= d)
+
+    def filtered_dimension(self, d: int) -> int:
+        """dim of the degree <= d filtration component of the quotient."""
+        total = sum(len(self.generators) ** e for e in range(d + 1))
+        return total - self.ideal_rank(d)
+
+    def substituted(self, value) -> "CentralQuotient":
+        cached = self._sub_cache.get(value)
+        if cached is None:
+            cached = CentralQuotient(
+                self.base.substituted(value),
+                [c.substituted(value) for c in self.pinned],
+                name=f"{self.name}@{value}")
             self._sub_cache[value] = cached
         return cached
 

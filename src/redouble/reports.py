@@ -5,13 +5,15 @@ same configuration produce byte-identical artifacts.  Each check record
 carries an opaque reference label from the anchors registry, a pass flag,
 an optional witness (first failing component with its residual), and a
 wall-time slot that stays null unless timing collection is switched on.
-Measured wall times wait in `wall_ms`, outside the serialized bytes,
-until the caller asks for them.
+Each check's wall time, measured by `add` as the time since the previous
+check (or since the report was made), waits in `wall_ms`, outside the
+serialized bytes, until the caller asks for it.
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 SCHEMA_VERSION = 1
 
@@ -36,9 +38,13 @@ class VerificationReport:
         self.checks: list = []
         # check id -> measured wall time in ms, not serialized
         self.wall_ms: dict = {}
+        self._mark = time.perf_counter()
 
     def add(self, check_id: str, anchor: str, passed: bool,
             witness: str | None = None, wall_ms: float | None = None) -> None:
+        now = time.perf_counter()
+        self.wall_ms[check_id] = round((now - self._mark) * 1000, 3)
+        self._mark = now
         self.checks.append({
             "id": check_id,
             "anchor": anchor,

@@ -139,9 +139,11 @@ def _sampled(config: SuiteConfig, verify, *args) -> VerificationReport:
 
 def _merge(report: VerificationReport, sub: VerificationReport,
            prefix: str = "") -> None:
+    """Append sub's checks, keeping the wall times measured in sub."""
     for c in sub.checks:
         report.add(prefix + c["id"], c["anchor"], c["passed"],
                    c["witness"], c["wall_time_ms"])
+        report.wall_ms[prefix + c["id"]] = sub.wall_ms[c["id"]]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from redouble.adjoint_orbits import (
 from redouble.braidings import standard_hecke
 from redouble.doubles import make_double
 from redouble.invariants import power_sum
-from redouble.ncengine import (Gen, MatrixOverAlgebra, NCElement,
-                               re_presentation)
+from redouble.ncengine import (CentralQuotient, Gen, MatrixOverAlgebra,
+                               NCElement, re_presentation)
 from redouble.scalars import ONE, Scalar
 
 
@@ -96,9 +96,14 @@ def test_orbit_point_at_dimension_one():
     b = standard_hecke(1)
     level = Scalar.from_int(5)
     quotient = orbit_quotient(b, [level])
+    assert isinstance(quotient, CentralQuotient)
     m = NCElement.generator(Gen("m", 1, 1))
     assert quotient.normal_form(m) == NCElement.constant(b.q * level)
     assert quotient.filtered_dimension(3) == 1
+    # the free base has no relations: the pinned span holds (p_1 - 5)·m^j
+    # for j <= 2, one row per degree
+    assert quotient.base.ideal_rank(3) == 0
+    assert quotient.ideal_rank(3) == 3
 
 
 def test_orbit_level_count_must_match():
@@ -116,8 +121,12 @@ def test_classical_orbit_dimension_count():
     assert plain.filtered_dimension(2) == 15
     quotient = orbit_quotient(b, [Scalar.from_int(2), Scalar.from_int(5)])
     classical = quotient.substituted(1)
+    assert isinstance(classical, CentralQuotient)
     assert classical.filtered_dimension(1) == 4
     assert classical.filtered_dimension(2) == 9
+    # the central span: (p_1 - 2)·w for w in 1 and the four entries, and
+    # p_2 - 5, all independent
+    assert classical.ideal_rank(2) == plain.ideal_rank(2) + 6
 
 
 def test_quantum_orbit_pins_traces():

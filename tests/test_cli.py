@@ -17,6 +17,8 @@ from redouble.cli import _SUITE_READS, main
 from redouble.anchors import anchor
 from redouble.braidings import BraidingError
 from redouble.invariants import SpectralCharacter
+from redouble.ncengine import (Gen, NCElement, PresentationError,
+                               QuadraticPresentation, matrix_generators)
 from redouble.reports import VerificationReport
 from redouble.scalars import ONE, MixedParameterError
 from redouble.suites import (_POINT_SAMPLED, SUITE_NAMES, SuiteConfig,
@@ -276,7 +278,8 @@ def test_suite_all_takes_the_run_wide_flags(tmp_path, capsys, monkeypatch):
 
 ENGINE_ERRORS = (MixedParameterError("'q' vs 'h'"),
                  BraidingError("standard: braid relation failed"),
-                 UnsupportedElementError("derivative of a radius power"))
+                 UnsupportedElementError("derivative of a radius power"),
+                 PresentationError("re(m, dim=2) is not certified"))
 
 
 @pytest.mark.parametrize("error", ENGINE_ERRORS,
@@ -379,17 +382,82 @@ def test_passing_rows_keep_the_grid_anchor(monkeypatch):
     assert [c["anchor"] for c in summary.checks] == ["grid"]
 
 
-def test_reports_do_not_depend_on_the_hash_seed():
+def _engine_error_witness(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and "FAIL(1/1)" in err
+    [check] = json.loads(out)["checks"]
+    assert check["id"] == "engine-error" and not check["passed"]
+    return check["witness"]
+
+
+def _uncertified(braiding, tag):
+    # the lead m12·m12 overlaps itself, and m12·m12·m12 does not resolve
+    m11, m12, m21 = (NCElement.generator(Gen(tag, i, j))
+                     for i, j in ((1, 1), (1, 2), (2, 1)))
+    return QuadraticPresentation(matrix_generators(tag, braiding.dim),
+                                 [m12 * m12 - m11 * m21],
+                                 name=f"uncertified({tag})")
+
+
+def test_an_uncertified_presentation_is_an_engine_error(capsys, monkeypatch):
+    monkeypatch.setattr("redouble.adjoint_orbits.re_presentation",
+                        _uncertified)
+    witness = _engine_error_witness(capsys, "--suite", "orbits", "--n", "2")
+    assert witness.startswith("PresentationError: uncertified(m) is not"
+                              " certified: the overlap (m12, m12, m12)")
+
+
+def test_a_pinned_element_that_is_not_central_is_an_engine_error(
+        capsys, monkeypatch):
+    monkeypatch.setattr("redouble.adjoint_orbits.power_sum",
+                        lambda braiding, tag, k: NCElement.generator(
+                            Gen(tag, 1, k)))
+    witness = _engine_error_witness(capsys, "--suite", "orbits", "--n", "2")
+    assert witness == ("PresentationError: orbit(m, dim=2): pinned element"
+                       " 1 ((-2)*1 + (1)*m11) does not commute with m12 in"
+                       " re(m, dim=2)")
+
+
+def test_timings_fill_the_wall_time_of_each_check_of_a_suite(capsys):
+    argv = ("--suite", "orbits", "--n", "2")
+    _, plain, _ = run_cli(capsys, *argv)
+    _, timed, _ = run_cli(capsys, *argv, "--timings")
+    assert all(c["wall_time_ms"] is None
+               for c in json.loads(plain)["checks"])
+    checks = json.loads(timed)["checks"]
+    assert [c["id"] for c in checks] == ["pinned-reduction",
+                                         "action-descends"]
+    assert all(c["wall_time_ms"] > 0 for c in checks)
+    # without the flag the bytes are those of any other run
+    _, again, _ = run_cli(capsys, *argv)
+    assert again == plain
+
+
+def _bytes_under_hash_seeds(argv):
+    """The report bytes of argv run in subprocesses under two hash seeds."""
     src = str(pathlib.Path(redouble.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "redouble.cli", *argv], env=env,
+            capture_output=True, check=True, timeout=300)
+        outs.append(done.stdout)
+    return outs
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
     for argv in (["--suite", "orbits", "--n", "2"],
                  ["--suite", "spectrum", "--n", "2", "--lambda", "2,1"],
                  ["--suite", "adjoint", "--mode", "SAMPLED"],
                  ["--suite", "doubles", "--n", "2"]):
-        outs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            done = subprocess.run(
-                [sys.executable, "-m", "redouble.cli", *argv], env=env,
-                capture_output=True, check=True, timeout=300)
-            outs.append(done.stdout)
+        outs = _bytes_under_hash_seeds(argv)
         assert outs[0] and outs[0] == outs[1], argv
+
+
+def test_orbit_quotient_bytes_do_not_depend_on_the_hash_seed():
+    # the pinned span is built in the order of the normal words, never
+    # in the order of a hashed container
+    outs = _bytes_under_hash_seeds(["--suite", "orbits", "--n", "2",
+                                    "--degree", "2"])
+    assert outs[0] and outs[0] == outs[1]

@@ -220,6 +220,25 @@ def test_rows_span_what_was_inserted():
         assert tri.reduce(row) == {}
 
 
+def test_a_rekeyed_row_is_the_row_with_its_keys_mapped():
+    # tuple keys under graded-lex: k -> prefix + k + suffix is monotone
+    def graded(k):
+        return (len(k), k)
+
+    q = Scalar.var("q")
+    vec = {(2, 1): q * q + ONE, (1, 2): -q, (1,): ONE,
+           (): Scalar.from_fraction("1/2")}
+    tri = Triangular(graded)
+    assert tri.insert(vec) == (2, 1)
+    tri._widen()  # a copy keeps the digit width of its source
+    tri.rekey((2, 1), (3,), (1, 1))
+    assert tri.row((3, 2, 1, 1, 1)) == \
+        {(3,) + k + (1, 1): v for k, v in tri.row((2, 1)).items()}
+    # the copy spans the mapped input; a word with no pivot is left alone
+    assert tri.reduce({(3,) + k + (1, 1): v for k, v in vec.items()}) == {}
+    assert tri.reduce({(3, 3, 1, 1, 1): ONE}) == {(3, 3, 1, 1, 1): ONE}
+
+
 def _independent(rng, param, keys, count):
     """count independent rows drawn from _system, with a non-monic lead."""
     tri = Triangular()

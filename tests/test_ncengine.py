@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
 
+from redouble import ncengine
 from redouble.adjoint_orbits import orbit_quotient
 from redouble.braidings import TensorOperator, flip, standard_hecke
 from redouble.linalg import Triangular, vec_add_scaled
 from redouble.ncengine import (
+    CentralQuotient,
     Gen,
     MatrixOverAlgebra,
     NCElement,
+    PresentationError,
     QuadraticPresentation,
     free_presentation,
     matrix_generators,
@@ -70,14 +74,14 @@ def test_re_presentation_dimensions_match_commutative_count():
 def test_re_presentation_dimensions_rank_three():
     b = standard_hecke(3)
     pres = re_presentation(b, "l")
-    for d in range(3):
+    for d in range(4):
         assert pres.graded_dimension(d) == comb(d + 8, 8)
 
 
 def test_inverse_braiding_presentation_dimensions():
     b = standard_hecke(2)
     pres = re_presentation(b, "d", use_inverse=True)
-    for d in range(4):
+    for d in range(5):
         assert pres.graded_dimension(d) == comb(d + 3, 3)
 
 
@@ -140,12 +144,19 @@ def test_normal_form_is_idempotent_and_linear():
         assert nf == again
 
 
+def _word_remainder(pres, w):
+    """The remainder of the one word w, reduced alone."""
+    pres.ensure(len(w))
+    if isinstance(pres, CentralQuotient):
+        return pres._tri.reduce(_word_remainder(pres.base, w))
+    return pres._tri.reduce({w: ONE})
+
+
 def _per_word_normal_form(pres, x):
     """Reference: reduce every word of x alone, then add the remainders."""
     out: dict = {}
     for w, c in x.terms.items():
-        pres.ensure(len(w))
-        vec_add_scaled(out, pres._tri.reduce({w: ONE}), c)
+        vec_add_scaled(out, _word_remainder(pres, w), c)
     return out
 
 
@@ -224,11 +235,19 @@ def _both_sided_basis(pres, d):
     return tri
 
 
-def _pivots_by_degree(tri):
+def _pivots_by_degree(words, d):
     out: dict = {}
-    for w in tri.pivots:
-        out.setdefault(len(w), set()).add(w)
+    for w in words:
+        if len(w) <= d:
+            out.setdefault(len(w), set()).add(w)
     return out
+
+
+def _pivot_words(pres):
+    """The pivot words of a presentation, or of a quotient and its base."""
+    if isinstance(pres, CentralQuotient):
+        return [*pres._tri.pivots, *pres.base._tri.pivots]
+    return list(pres._tri.pivots)
 
 
 def _rank_three_orbit():
@@ -244,12 +263,15 @@ ONE_SIDED_CASES["orbit-rank3"] = (_rank_three_orbit, "q", 3)
 
 @pytest.mark.parametrize("name", ONE_SIDED_CASES)
 def test_one_sided_layers_span_the_both_sided_ideal(name):
+    # The re-keyed rows of a certified presentation, and the one-sided
+    # span w·c of a central quotient, against both multiples of every row.
     build, param, d = ONE_SIDED_CASES[name]
     pres = build()
-    pres.ensure(2)  # two calls: the second grows from the kept last layer
+    pres.ensure(2)  # two calls: the second grows the kept basis
     pres.ensure(d)
     ref = _both_sided_basis(pres, d)
-    assert _pivots_by_degree(pres._tri) == _pivots_by_degree(ref)
+    assert _pivots_by_degree(_pivot_words(pres), d) == \
+        _pivots_by_degree(ref.pivots, d)
     p = Scalar.var(param)
     coeffs = [ONE, -ONE, p, Scalar.from_fraction("1/2"), (p + ONE).inverse()]
     rng = random.Random(f"one-sided-{name}")
@@ -259,9 +281,10 @@ def test_one_sided_layers_span_the_both_sided_ideal(name):
         assert pres.normal_form(x).terms == ref.reduce(dict(x.terms)), x
 
 
-def test_rank_three_orbit_basis_inserts_no_redundant_multiples(monkeypatch):
-    # A deterministic count: both multiples of every row would insert 12045
-    # candidates here, 5105 of them reducing to zero.
+def test_rank_three_central_span_row_count(monkeypatch):
+    # A deterministic count: the pinned span through degree 4 inserts one
+    # candidate per normal word w of degree <= 4 - k for each pinned c_k
+    # (220 + 55 + 10); 274 of them are independent.
     calls = []
     insert = Triangular.insert
 
@@ -269,11 +292,69 @@ def test_rank_three_orbit_basis_inserts_no_redundant_multiples(monkeypatch):
         calls.append(1)
         return insert(tri, vec)
 
-    monkeypatch.setattr(Triangular, "insert", counted)
     pres = _rank_three_orbit()
+    monkeypatch.setattr(Triangular, "insert", counted)
     pres.ensure(4)
-    assert len(calls) == 8868
+    assert len(calls) == 285
+    assert len(pres._tri) == 274
+    # the same rank as the two-sided ideal of relations and pinned elements
     assert pres.ideal_rank(4) == 6940
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_PRESENTATIONS)
+def test_every_presentation_certifies(name):
+    build, _ = DIFFERENTIAL_PRESENTATIONS[name]
+    pres = build()
+    pres.ensure(3)  # certifies, or raises PresentationError
+    if isinstance(pres, CentralQuotient):
+        pres = pres.base
+    leads = {w for w in pres._tri.pivots if len(w) == 2}
+    assert leads
+    # the degree-3 pivots are exactly the words that contain a lead
+    assert {w for w in pres._tri.pivots if len(w) == 3} == \
+        {w for w in itertools.product(pres.generators, repeat=3)
+         if w[:2] in leads or w[1:] in leads}
+
+
+# (fresh rank-3 presentation, graded); re is in the test above
+RANK_THREE_PRESENTATIONS = {
+    "inv": (lambda: re_presentation(standard_hecke(3), "l",
+                                    use_inverse=True), True),
+    "re-shifted": (lambda: re_presentation(
+        standard_hecke(3), "f", shift=nu("q").inverse()), False),
+}
+
+
+@pytest.mark.parametrize("name", RANK_THREE_PRESENTATIONS)
+def test_rank_three_presentations_certify_with_pbw_dimensions(name):
+    build, graded = RANK_THREE_PRESENTATIONS[name]
+    pres = build()
+    assert pres.graded == graded
+    for d in range(4):
+        assert pres.filtered_dimension(d) == \
+            sum(comb(e + 8, 8) for e in range(d + 1))
+        if graded:
+            assert pres.graded_dimension(d) == comb(d + 8, 8)
+
+
+def test_row_column_letter_order_fails_certification(monkeypatch):
+    # Under the plain (row, col) letter order the degree-2 rows of the
+    # rank-2 reflection-equation algebra are not a Groebner basis.
+    monkeypatch.setattr(ncengine, "word_sortkey", lambda w: (len(w), w))
+    pres = re_presentation(standard_hecke(2), "l")
+    pres.ensure(2)  # degree-2 rows alone are never checked
+    with pytest.raises(PresentationError, match=r"re\(l, dim=2\) is not"
+                       r" certified: the overlap"):
+        pres.ensure(3)
+
+
+def test_non_quadratic_relation_fails_certification():
+    gens = vector_generators("x", 2)
+    x1, x2 = (NCElement.generator(g) for g in gens)
+    pres = QuadraticPresentation(gens, [x1 * x2 - x2, x1 * x1 * x2],
+                                 name="cubic")
+    with pytest.raises(PresentationError, match="cubic"):
+        pres.normal_form(x1)
 
 
 def test_symmetric_and_skew_vector_quotients():
