@@ -153,16 +153,14 @@ def verify_orbit_descent(braiding: Braiding, alphas, degree: int = 1
     for k, alpha in enumerate(alphas, start=1):
         pinned = power_sum(braiding, double.b_tag, k) \
             - NCElement.constant(alpha)
+        products = [p for w in words for p in (pinned * w, w * pinned)]
         for g in double.a_pres.generators:
             field = NCElement.generator(g)
-            for w in words:
-                for product in (pinned * w, w * pinned):
-                    image = double.act(field, product)
-                    if not quotient.reduces_to_zero(image):
-                        ok = False
-                        witness = f"field {g} escapes the ideal at power {k}"
-                        break
-                if not ok:
+            for product in products:
+                image = double.act(field, product)
+                if not quotient.reduces_to_zero(image):
+                    ok = False
+                    witness = f"field {g} escapes the ideal at power {k}"
                     break
             if not ok:
                 break

@@ -12,10 +12,15 @@ ideals; the counit of A turns ordering into an action of A on B.
 The action never orders a whole product.  A word acts letter by letter,
 from its last letter to its first: a b-letter multiplies on the left, and
 an a-letter g acts on a b-word b1·rest through the rule image of (g, b1),
-recursing on rest, with the counit on the empty word.  Each double
-memoizes the action of an a-letter on a b-word, for as long as the double
-lives; the ordering route stays as binormal_form's canonicalization and as
-an independent reference for the action (act_by_ordering).
+recursing on rest, with the counit on the empty word.  It runs on the
+packed Laurent integers of linalg.Triangular: each double packs its rule
+table and counit once, over one cleared denominator, and memoizes the
+action of an a-letter on a b-word as a packed vector for as long as the
+double lives (_PackedAction).  act_mixed loads x and b through
+Triangular's boundary, multiplies them on packed integers, and makes
+Scalars only for the entries of its result.  The ordering route stays
+as binormal_form's canonicalization and as an independent reference for
+the action (act_by_ordering), sharing only the rule table with it.
 
 Kinds, each named by the role the A-side plays on the B-side:
   left              invariant fields, homogeneous form
@@ -36,7 +41,9 @@ from __future__ import annotations
 import itertools
 
 from .braidings import Braiding, TensorOperator
-from .linalg import accumulate, coordinates, mat_mul, vec_add_scaled
+from .linalg import (_WIDTH, _pack, _pack_vector, _parameter, _spread,
+                     _unpack, accumulate, coordinates, mat_mul,
+                     vec_add_scaled)
 from .ncengine import (
     Gen,
     MatrixOverAlgebra,
@@ -49,7 +56,7 @@ from .ncengine import (
     symmetric_vector_presentation,
     vector_generators,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _pmul
 
 
 class DoubleError(Exception):
@@ -99,7 +106,8 @@ class QuantumDouble:
         # None for any other construction (e.g. substituted copies).
         self.defining = None
         self._order_cache: dict = {}
-        self._act_cache: dict = {}
+        # the packed rule table and action memo, built on the first action
+        self._kernel = None
         self._sub_cache: dict = {}
         for rel in a_pres.relations:
             if not self.counit(rel).is_zero():
@@ -215,52 +223,22 @@ class QuantumDouble:
 
         Each word of x·b acts on the empty B-word from its last letter to
         its first: a B-letter multiplies on the left, an A-letter acts
-        through the (letter, B-word) memo of _act_letter.  Equal to
+        through the double's packed (letter, B-word) memo.  Equal to
         act_by_ordering, since the rules a·b -> ... cannot overlap (so
         the ordered form is unique) and the counit is multiplicative.
         """
         self._check_target(b)
-        out: dict = {}
-        for w, c in (x * b).terms.items():
-            if len(w) > self.max_word:
-                raise DoubleError("degree-overflow during the action")
-            acted = {(): ONE}
-            for g in reversed(w):
-                if g.tag == self.b_tag:
-                    acted = {(g,) + bw: v for bw, v in acted.items()}
-                elif g.tag == self.a_tag:
-                    nxt: dict = {}
-                    for bw, v in acted.items():
-                        vec_add_scaled(nxt, self._act_letter(g, bw), v)
-                    acted = nxt
-                else:
-                    raise DoubleError(f"foreign letter {g!r} in the double")
-            vec_add_scaled(out, acted, c)
-        return NCElement(out)
-
-    def _act_letter(self, g: Gen, bw: tuple) -> dict:
-        """Action of the A-letter g on the B-word bw, memoized per double."""
-        key = (g, bw)
-        cached = self._act_cache.get(key)
-        if cached is not None:
-            return cached
-        if not bw:
-            eps = self.eps_a[g]
-            out = {} if eps.is_zero() else {(): eps}
-        else:
-            rest = bw[1:]
-            out = {}
-            for iw, c in self.rule.table[(g, bw[0])].terms.items():
-                if iw and iw[-1].tag == self.a_tag:
-                    # b'·a' or a': a' acts on rest, b' stays on the left
-                    part = {iw[:-1] + w: v for w, v in
-                            self._act_letter(iw[-1], rest).items()}
-                else:
-                    # b' or a constant: nothing is left to act
-                    part = {iw + rest: ONE}
-                vec_add_scaled(out, part, c)
-        self._act_cache[key] = out
-        return out
+        if x.terms and b.terms and max(map(len, x.terms)) + \
+                max(map(len, b.terms)) > self.max_word:
+            raise DoubleError("degree-overflow during the action")
+        while True:
+            kernel = self._kernel
+            if kernel is None:
+                kernel = self._kernel = _PackedAction(self, _WIDTH)
+            try:
+                return NCElement(kernel.act(x.terms, b.terms))
+            except _TooWide:
+                self._kernel = _PackedAction(self, 2 * kernel.width)
 
     def act_by_ordering(self, x: NCElement, b: NCElement) -> NCElement:
         """Reference route for act_mixed, independent of its memo.
@@ -293,6 +271,198 @@ class QuantumDouble:
             raise ValueError("matrix shape mismatch")
         return MatrixOverAlgebra(amoa.dim, amoa.row_arity, bmoa.col_arity,
                                  mat_mul(amoa.rows, bmoa.rows, self.act))
+
+
+def _norm_bits(poly: tuple) -> int:
+    """The least b with the absolute coefficients of poly summing to <= 2^b."""
+    return (sum(map(abs, poly)) - 1).bit_length()
+
+
+class _TooWide(Exception):
+    """A packed coefficient could outgrow the digit width."""
+
+
+class _PackedAction:
+    """The counit action of one double, on packed Laurent vectors.
+
+    The rule table and the counit are loaded once, at digit width
+    `width`, by `linalg._pack_vector`: every coefficient becomes
+    q^frame · c / D with c a packed integer polynomial and D one integer
+    polynomial for the whole table (D = 1 for every EXACT double over q).
+    The memo holds, for an A-letter g and a B-word bw, the vector
+    D^(|bw|+1) · (g acting on bw) as (frame, {B-word: packed int}, bound):
+    the factor is the same for every term of the rule recursion, since a
+    term that stops early (b' or a constant) takes D^|bw| in place of the
+    rest of the recursion.  A vector that holds several such products
+    carries the exponent of D it is scaled by, and sums lift each part to
+    the largest exponent.
+
+    `bound` is tracked: every entry's coefficients have absolute values
+    summing to at most 2^bound.  A product adds the bounds of its factors
+    and a sum of n parts adds _spread(n).  A bound past width - 2 raises
+    _TooWide; the double then builds a kernel of twice the width (with an
+    empty memo) and restarts the call.
+    """
+
+    __slots__ = ("width", "param", "a_tag", "b_tag", "rule", "memo",
+                 "den", "powers")
+
+    def __init__(self, double: QuantumDouble, width: int):
+        coeffs = {(g,): e for g, e in double.eps_a.items()}
+        for pair, img in double.rule.table.items():
+            for iw, c in img.terms.items():
+                coeffs[pair + (iw,)] = c
+        self.param = _parameter(coeffs.values(), None)
+        frame, packed, den, bound = _pack_vector(coeffs, width)
+        while bound > width - 2:
+            width *= 2
+            frame, packed, den, bound = _pack_vector(coeffs, width)
+        self.width = width
+        self.a_tag = double.a_tag
+        self.b_tag = double.b_tag
+        self.den = den
+        # powers[n] = (D^n packed, its bound, D^n)
+        self.powers = [(1, 0, (1,))]
+        self.rule = {pair: [] for pair in double.rule.table}
+        self.memo = {}
+        for key, p in packed.items():
+            c = _unpack(p, width)
+            low = 0
+            while not c[low]:
+                low += 1
+            c = c[low:]
+            entry = (_pack(c, width), frame + low, _norm_bits(c))
+            if len(key) == 1:  # the counit on the empty B-word
+                self.memo[(key[0], ())] = (entry[1], {(): entry[0]},
+                                           entry[2])
+            else:
+                ga, gb, iw = key
+                if iw and iw[-1].tag == self.a_tag:
+                    # b'·a' or a': a' acts on the rest, b' stays on the left
+                    term = (iw[:-1], iw[-1], *entry)
+                else:
+                    # b' or a constant: nothing is left to act
+                    term = (iw, None, *entry)
+                self.rule[(ga, gb)].append(term)
+        for g in double.eps_a:
+            self.memo.setdefault((g, ()), (0, {}, 0))
+
+    def _power(self, n: int) -> tuple:
+        """(D^n packed, its bound, D^n)."""
+        powers = self.powers
+        while len(powers) <= n:
+            poly = _pmul(powers[-1][2], self.den)
+            powers.append((_pack(poly, self.width), _norm_bits(poly), poly))
+        return powers[n]
+
+    def _letter(self, g: Gen, bw: tuple) -> tuple:
+        """(frame, vec, bound) of D^(|bw|+1) · (g acting on bw)."""
+        hit = self.memo.get((g, bw))
+        if hit is not None:
+            return hit
+        rest = bw[1:]
+        parts = []
+        for prefix, a, pc, frame, bound in self.rule[(g, bw[0])]:
+            if a is None:
+                power, pbound, _ = self._power(len(bw))
+                parts.append((prefix, pc * power, bound + pbound, frame,
+                              {rest: 1}, 0))
+            else:
+                fr, vec, vbound = self._letter(a, rest)
+                if vec:
+                    parts.append((prefix, pc, bound, frame + fr, vec, vbound))
+        hit = self.memo[(g, bw)] = self._sum(parts)
+        return hit
+
+    def _sum(self, parts: list) -> tuple:
+        """(frame, vec, bound) of the sum of m · q^fr · prefix·vec.
+
+        parts are (prefix, m, m_bound, fr, vec, vec_bound) with vec
+        nonempty; every key of vec is prefixed by the word prefix.
+        """
+        if not parts:
+            return 0, {}, 0
+        w = self.width
+        bound = max(p[2] + p[5] for p in parts) + _spread(len(parts))
+        if bound > w - 2:
+            raise _TooWide
+        if len(parts) == 1 and parts[0][0] == () and parts[0][1] == 1:
+            return parts[0][3], parts[0][4], bound
+        frame = min(p[3] for p in parts)
+        out: dict = {}
+        for prefix, m, _, fr, vec, _ in parts:
+            if fr != frame:
+                m <<= w * (fr - frame)
+            for k, p in vec.items():
+                if prefix:
+                    k = prefix + k
+                cur = out.get(k)
+                out[k] = m * p if cur is None else cur + m * p
+        return frame, {k: p for k, p in out.items() if p}, bound
+
+    def _lift(self, parts: list) -> tuple:
+        """(top, parts for _sum): each (m, m_bound, exp, fr, vec, vec_bound)
+        part scaled from D^exp to D^top, top the largest exp."""
+        top = max(p[2] for p in parts)
+        out = []
+        for m, mbound, exp, *tail in parts:
+            if exp != top and self.den != (1,):
+                power, pbound, _ = self._power(top - exp)
+                m, mbound = m * power, mbound + pbound
+            out.append(((), m, mbound, *tail))
+        return top, out
+
+    def _load(self, vec: dict) -> tuple:
+        """(frame, packed, den, bound) of vec, with `bound` an L1 bound."""
+        w = self.width
+        frame, packed, den, bound = _pack_vector(vec, w)
+        if bound > w - 2:
+            raise _TooWide
+        # a packed polynomial whose digits fit has at most this many digits
+        digits = max(map(int.bit_length, packed.values()), default=0) // w
+        return frame, packed, den, bound + _spread(digits + 1)
+
+    def act(self, x: dict, b: dict) -> dict:
+        """Terms of x·b acting on the empty B-word; x and b are terms.
+
+        Each word of x acts, from its last letter to its first, on the
+        packed vector of b.
+        """
+        param = _parameter(b.values(), _parameter(x.values(), self.param))
+        xframe, xs, xden, xbound = self._load(x)
+        bframe, bs, bden, bbound = self._load(b)
+        a_tag, b_tag = self.a_tag, self.b_tag
+        parts = []
+        for word, c in xs.items():
+            # (frame, exponent of D, vec, bound) of the suffix acting on b
+            fr, exp, vec, vbound = 0, 0, bs, bbound
+            for g in reversed(word):
+                if g.tag == b_tag:
+                    vec = {(g,) + k: p for k, p in vec.items()}
+                elif g.tag != a_tag:
+                    raise DoubleError(f"foreign letter {g!r} in the double")
+                elif len(vec) == 1 and 1 in vec.values():
+                    (bw,) = vec
+                    f, vec, vb = self._letter(g, bw)
+                    fr, exp, vbound = fr + f, exp + len(bw) + 1, vbound + vb
+                elif vec:
+                    top, lifted = self._lift(
+                        [(p, vbound, len(bw) + 1, *self._letter(g, bw))
+                         for bw, p in vec.items()])
+                    f, vec, vbound = self._sum([p for p in lifted if p[4]])
+                    fr, exp = fr + f, exp + top
+            if vec:
+                parts.append((c, xbound, exp, fr, vec, vbound))
+        if not parts:
+            return {}
+        top, lifted = self._lift(parts)
+        fr, vec, _ = self._sum(lifted)
+        den = xden if bden == (1,) else _pmul(xden, bden)
+        if top and self.den != (1,):
+            den = _pmul(den, self._power(top)[2])
+        return {k: Scalar._make(param or "q", xframe + bframe + fr,
+                                _unpack(p, self.width), den)
+                for k, p in vec.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,12 @@ a pivot whose lead is not ±q^k scales the working vector by the lead
 over its gcd with the cleared coefficient (one small polynomial gcd per
 step, none per entry), and remembers the scale.
 
-Scalars meet the kernel only at its boundary.  An input's non-constant
-denominators are cleared by `scalars.laurent_multiplier` and its integer
-ones by their lcm, both into the remembered scale; `reduce` divides
-each surviving entry once by that scale, and `row` unpacks a stored row.
+Scalars meet the kernel only at its boundary, `_pack_vector`, which the
+counit action of a double (`doubles._PackedAction`) shares.  An
+input's non-constant denominators are cleared by
+`scalars.laurent_multiplier` and its integer ones by their lcm, both into
+the remembered scale; `reduce` divides each surviving entry once by that
+scale, and `row` unpacks a stored row.
 Remainders modulo a leading-reduced basis are unique, so that division
 yields exactly the canonical Q(q) remainder that elimination over the
 field gives.
@@ -48,7 +50,8 @@ import math
 from bisect import insort
 
 from .scalars import (ONE, MixedParameterError, Scalar, _pcontent,
-                      _pdivexact, _pgcd, _pmul, laurent_multiplier)
+                      _pdivexact, _pdivexact_int, _pgcd, _pmul,
+                      laurent_multiplier)
 
 
 def accumulate(target: dict, key, value) -> None:
@@ -207,6 +210,63 @@ def _spread(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def _parameter(values, param):
+    """param, or else the parameter of the first non-constant value.
+
+    A rational constant's parameter is a label and is skipped; a value
+    with a parameter other than the one found raises MixedParameterError.
+    """
+    for v in values:
+        if v.param != param and not v._parameter_free():
+            if param is not None:
+                raise MixedParameterError(f"{param!r} vs {v.param!r}")
+            param = v.param
+    return param
+
+
+def _pack_vector(vec: dict, w: int):
+    """vec as (frame, packed, den, bound) at digit width w.
+
+    vec = q^frame · packed / den: packed maps each key to a packed integer
+    polynomial, den is an integer polynomial with a nonzero constant term,
+    and bound is the bit length of the largest packed coefficient, whose
+    digits are exact only when bound <= w - 2.  Zero entries are dropped;
+    vec itself is left unchanged.
+    """
+    mult = laurent_multiplier(vec.values())
+    # q^shift · num / d with an integer d: once mult has cleared the
+    # polynomial part of every denominator, v = q^shift·num·(mult/p)/(c·mult)
+    # for den = c·p, c its content (canonical: no integer factor is shared)
+    cleared = []
+    if mult is None:
+        for k, v in vec.items():
+            if v.num:
+                cleared.append((k, v.shift, v.num, v.den[0]))
+    else:
+        mult = mult.num
+        cofactors: dict = {}
+        for k, v in vec.items():
+            if v.num:
+                cof = cofactors.get(v.den)
+                if cof is None:
+                    c = _pcontent(v.den)
+                    cof = cofactors[v.den] = (
+                        _pdivexact(mult, _pdivexact_int(v.den, c)), c)
+                cleared.append((k, v.shift, _pmul(v.num, cof[0]), cof[1]))
+    scale = math.lcm(*(d for *_, d in cleared))
+    frame = min((shift for _, shift, _, _ in cleared), default=0)
+    packed = {}
+    bound = 0
+    for k, shift, num, d in cleared:
+        f = scale // d
+        if f != 1:
+            num = tuple(c * f for c in num)
+        bound = max(bound, _bits(num))
+        packed[k] = _pack(num, w) << (w * (shift - frame))
+    den = (scale,) if mult is None else tuple(c * scale for c in mult)
+    return frame, packed, den, bound
+
+
 class Triangular:
     """Growable triangular basis of rows over Z[q, 1/q], packed as integers.
 
@@ -240,40 +300,10 @@ class Triangular:
         return len(self.pivots)
 
     def _load(self, vec: dict):
-        """vec as (frame, packed, den, bound), or None if too wide.
-
-        vec = q^frame · packed / den: packed maps each key to a packed
-        integer polynomial, den is an integer polynomial, and bound is the
-        bit length of the largest packed coefficient.  vec itself is left
-        unchanged.
-        """
-        param = self.param
-        for v in vec.values():
-            if v.param != param and not v._parameter_free():
-                if param is not None:
-                    raise MixedParameterError(f"{param!r} vs {v.param!r}")
-                param = self.param = v.param
-        mult = laurent_multiplier(vec.values())
-        if mult is not None:
-            vec = {k: mult * v for k, v in vec.items()}
-        scale = math.lcm(*(v.den[0] for v in vec.values()))
-        frame = min((v.shift for v in vec.values()), default=0)
-        w = self._width
-        packed = {}
-        bound = 0
-        for k, v in vec.items():
-            num = v.num
-            if not num:
-                continue
-            f = scale // v.den[0]
-            if f != 1:
-                num = tuple(c * f for c in num)
-            bound = max(bound, _bits(num))
-            packed[k] = _pack(num, w) << (w * (v.shift - frame))
-        if bound > w - 2:
-            return None
-        den = (scale,) if mult is None else tuple(c * scale for c in mult.num)
-        return frame, packed, den, bound
+        """vec as `_pack_vector` gives it, or None if too wide."""
+        self.param = _parameter(vec.values(), self.param)
+        loaded = _pack_vector(vec, self._width)
+        return None if loaded[3] > self._width - 2 else loaded
 
     def _eliminate(self, vec: dict):
         """(frame, r, den) with q^frame · r / den the remainder of vec.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,8 @@ from redouble.doubles import (
     monomial_matrix,
 )
 from redouble.heckerep import jucys_murphy_inverse
-from redouble.linalg import vec_add_scaled
+from redouble.invariants import power_sum
+from redouble.linalg import _WIDTH, vec_add_scaled
 from redouble.ncengine import Gen, MatrixOverAlgebra, NCElement, matrix_generators
 from redouble.scalars import ONE, ZERO, Scalar, nu, parameter_points
 from redouble.suites import _DOUBLE_KINDS
@@ -275,20 +277,16 @@ def _random_element(rng, letters, coeffs, max_len, terms):
 
 
 _ROUTE_CASES = [(2, kind) for kind in _DOUBLE_KINDS] + \
-    [(3, "left"), (3, "derivative")]
+    [(3, "left"), (3, "derivative"), (3, "adjoint_shifted")]
 
 
-@pytest.mark.parametrize("n, kind", _ROUTE_CASES)
-def test_letter_route_equals_ordering_route(n, kind):
-    kwargs = {"h": Scalar.from_fraction("7/3")} \
-        if kind == "derivative_shifted" else {}
-    d = make_double(standard_hecke(n), kind, **kwargs)
+def _assert_routes_agree(d, n, seed):
     a_gens = matrix_generators(d.a_tag, n)
     b_gens = sorted(d.b_pres.generators)
     q = q_scalar()
     coeffs = [ONE, -ONE, q, Scalar.from_fraction("1/2"),
               q * q + Scalar.from_int(3), (q + ONE).inverse()]
-    rng = random.Random(f"{n}-{kind}")
+    rng = random.Random(seed)
     one = NCElement.constant(ONE)
     for g in a_gens:
         x = NCElement.generator(g)
@@ -299,8 +297,69 @@ def test_letter_route_equals_ordering_route(n, kind):
         # targets may hold the empty word next to longer ones
         b = _random_element(rng, b_gens, coeffs, 2, 2)
         got = d.act_mixed(x, b)
-        assert got.terms == d.act_by_ordering(x, b).terms, (kind, x, b)
+        assert got.terms == d.act_by_ordering(x, b).terms, (d.kind, x, b)
         assert all(g.tag == d.b_tag for w in got.terms for g in w)
+
+
+@pytest.mark.parametrize("n, kind", _ROUTE_CASES)
+def test_letter_route_equals_ordering_route(n, kind):
+    kwargs = {"h": Scalar.from_fraction("7/3")} \
+        if kind == "derivative_shifted" else {}
+    d = make_double(standard_hecke(n), kind, **kwargs)
+    _assert_routes_agree(d, n, f"{n}-{kind}")
+
+
+def test_rational_rule_constants_are_cleared_once():
+    # rational constants in the rule table: the kernel packs it with one
+    # integer denominator D and scales the action of a letter on a word
+    # of length L by D^(L+1)
+    sampled = make_double(standard_hecke(2), "left").substituted(
+        Fraction(3, 7))
+    shifted = make_double(standard_hecke(2), "derivative_shifted",
+                          h=Scalar.from_fraction("7/3"))
+    for d in (sampled, shifted):
+        _assert_routes_agree(d, 2, f"denominators-{d.kind}")
+        assert len(d._kernel.den) == 1 and d._kernel.den[0] > 1
+
+
+def test_wide_coefficients_widen_the_action():
+    # a 2^80 coefficient cannot sit in a 64-bit digit: the kernel doubles
+    # its width, repacks the table and restarts the call
+    d = make_double(standard_hecke(2), "adjoint_shifted")
+    q = q_scalar()
+    big = Scalar.from_int(2 ** 80) * q + Scalar.from_int(3)
+    m = [NCElement.generator(g) for g in sorted(d.b_pres.generators)]
+    b = (m[0] * m[3]).scale(big) + m[1].scale(q) + m[2] * m[2]
+    x = NCElement.generator(Gen("l", 1, 2)) * m[1] * \
+        NCElement.generator(Gen("l", 2, 2))
+    got = d.act_mixed(x, b)
+    assert got.terms == d.act_by_ordering(x, b).terms
+    assert not got.is_zero()
+    assert d._kernel.width > _WIDTH
+
+
+def test_the_action_multiplies_scalars_only_at_its_boundary(monkeypatch):
+    # The nine adjoint fields at N = 3 act on p_3·m_11.  Scalars meet the
+    # packed kernel only where x and b are loaded and the result unpacked;
+    # the bound allows one product per loaded coefficient.  A kernel that
+    # multiplied Scalars per output entry makes about 8000 here.
+    n = 3
+    d = make_double(standard_hecke(n), "adjoint_shifted")
+    target = power_sum(d.braiding, d.b_tag, 3) * \
+        NCElement.generator(Gen(d.b_tag, 1, 1))
+    fields = [NCElement.generator(g) for g in matrix_generators(d.a_tag, n)]
+    calls = []
+    real = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    images = [d.act(x, target) for x in fields]
+    monkeypatch.undo()
+    assert len(calls) <= len(fields) * (1 + len(target.terms))
+    assert any(not image.is_zero() for image in images)
 
 
 def test_action_rejects_a_foreign_letter():
