@@ -234,9 +234,10 @@ def _pack_vector(vec: dict, w: int):
     vec itself is left unchanged.
     """
     mult = laurent_multiplier(vec.values())
-    # q^shift · num / d with an integer d: once mult has cleared the
-    # polynomial part of every denominator, v = q^shift·num·(mult/p)/(c·mult)
-    # for den = c·p, c its content (canonical: no integer factor is shared)
+    # each value as q^shift · num / d, d an integer: mult clears the
+    # primitive part p of a denominator c·p, v = q^shift·num·(mult/p)/(c·mult),
+    # one exact division per distinct denominator and no gcd (a canonical
+    # num shares no factor with c·p)
     cleared = []
     if mult is None:
         for k, v in vec.items():
