@@ -153,7 +153,9 @@ def verify_orbit_descent(braiding: Braiding, alphas, degree: int = 1
     for k, alpha in enumerate(alphas, start=1):
         pinned = power_sum(braiding, double.b_tag, k) \
             - NCElement.constant(alpha)
-        products = [p for w in words for p in (pinned * w, w * pinned)]
+        # words[0] is the empty word: pinned itself, on either side
+        products = [pinned] + [p for w in words[1:]
+                               for p in (pinned * w, w * pinned)]
         for g in double.a_pres.generators:
             field = NCElement.generator(g)
             for product in products:

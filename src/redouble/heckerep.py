@@ -218,6 +218,11 @@ class IdempotentError(ArithmeticError):
     """Raised when a constructed projector fails to be idempotent."""
 
 
+# Tableau projectors keyed on (braiding, tableau); emptied by
+# suites.clear_caches().
+_idempotent_cache: dict = {}
+
+
 def young_idempotent(b: Braiding, tableau: StandardTableau) -> TensorOperator:
     """Primitive idempotent of the tableau via Jucys-Murphy interpolation.
 
@@ -225,8 +230,18 @@ def young_idempotent(b: Braiding, tableau: StandardTableau) -> TensorOperator:
     (J_i - q^(2c') I) / (q^(2c(i)) - q^(2c')), where the admissible contents
     at step i are those of the corners addable to the shape spanned by
     entries 1..i-1.  Idempotency is verified; shapes with more rows than
-    dim V come out as the zero operator.
+    dim V come out as the zero operator.  Memoized: callers share the
+    returned operator and must not mutate it.
     """
+    key = (b, tableau)
+    cached = _idempotent_cache.get(key)
+    if cached is None:
+        cached = _idempotent_cache[key] = _build_young_idempotent(b, tableau)
+    return cached
+
+
+def _build_young_idempotent(b: Braiding, tableau: StandardTableau
+                            ) -> TensorOperator:
     k = tableau.size
     q = b.q
     js = jucys_murphy(b, k)

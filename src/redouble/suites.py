@@ -13,7 +13,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import braidings, doubles, u2h
+from . import braidings, doubles, heckerep, u2h
 from .adjoint_orbits import verify_adjoint_invariance, verify_orbit_descent
 from .anchors import anchor, is_conjectural
 from .braidings import BraidingError, rtrace_form, standard_hecke
@@ -395,6 +395,11 @@ def _timed_run(config: SuiteConfig) -> tuple:
     return report, round((time.perf_counter() - started) * 1000, 3)
 
 
+def _run_task(task: list) -> list:
+    """_timed_run of each (label, config) row of a task, in order."""
+    return [_timed_run(config) for _, config in task]
+
+
 def replay_command(config: SuiteConfig) -> str:
     """The `redouble` command that reruns config as a single suite.
 
@@ -459,13 +464,38 @@ def acceptance_grid(mode: str = "EXACT", seed: int = 0) -> list:
     return rows
 
 
+def _task_key(config: SuiteConfig) -> tuple:
+    """Suite, rank and monomial degree: rows sharing it share operators."""
+    degree = sum(config.shape) if config.shape else config.k
+    return config.suite, config.n, degree
+
+
+def grid_tasks(grid: list) -> list:
+    """Split labeled grid rows into tasks, keeping grid order.
+
+    A task is a maximal contiguous run of rows with the same suite, rank
+    and monomial degree (k, or the size of the shape), so the rows that
+    act by one operator run in one process and build it once.  In the
+    acceptance grid only spectrum rows form tasks of more than one row.
+    """
+    tasks = []
+    for row in grid:
+        if tasks and _task_key(tasks[-1][-1][1]) == _task_key(row[1]):
+            tasks[-1].append(row)
+        else:
+            tasks.append([row])
+    return tasks
+
+
 def clear_caches() -> None:
     """Empty the run-wide memos, so that the next run starts cold.
 
-    Within one run, braidings and slotwise action operators are built once
-    and shared across rows; forked --jobs workers inherit the empty memos.
+    Within one run, braidings, Young idempotents and slotwise action
+    operators are built once and shared by the rows of one process;
+    forked --jobs workers inherit the empty memos.
     """
     braidings._hecke_cache.clear()
+    heckerep._idempotent_cache.clear()
     doubles._operator_cache.clear()
     u2h._straighten_cache.clear()
     u2h._act_cache.clear()
@@ -475,18 +505,23 @@ def run_all(mode: str = "EXACT", seed: int = 0, jobs: int = 1
             ) -> VerificationReport:
     """Run the acceptance grid and aggregate one row per configuration.
 
-    The witness of a failing row names its first failing checks and ends
-    with the command that replays the row.  Each row's wall time, taken in
-    the process that ran it, waits in the summary's `wall_ms`.
+    The grid runs as the tasks of grid_tasks: in order in this process
+    when jobs is 1, otherwise one task at a time per worker of a pool of
+    jobs processes.  Either way the rows of a task share one process's
+    memos, and the summary lists the rows in grid order.  The witness of
+    a failing row names its first failing checks and ends with the
+    command that replays the row.  Each row's wall time, taken in the
+    process that ran it, waits in the summary's `wall_ms`.
     """
     clear_caches()
     grid = acceptance_grid(mode, seed)
-    configs = [cfg for _, cfg in grid]
+    tasks = grid_tasks(grid)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_timed_run, configs))
+            done = list(pool.map(_run_task, tasks))
     else:
-        results = [_timed_run(cfg) for cfg in configs]
+        done = list(map(_run_task, tasks))
+    results = [result for task in done for result in task]
     summary = VerificationReport("all", {"mode": mode, "seed": seed,
                                          "rows": len(grid)})
     for (label, config), (sub, ms) in zip(grid, results):

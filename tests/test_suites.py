@@ -13,6 +13,7 @@ from redouble.suites import (
     SuiteConfig,
     acceptance_grid,
     exit_code_for,
+    grid_tasks,
     run_all,
     run_suite,
 )
@@ -141,11 +142,37 @@ def test_acceptance_grid_shape():
         acceptance_grid(mode="FAST")
 
 
+def test_grid_tasks_partition_the_grid_in_order():
+    def key(row):
+        config = row[1]
+        degree = sum(config.shape) if config.shape else config.k
+        return config.suite, config.n, degree
+
+    grid = acceptance_grid()
+    tasks = grid_tasks(grid)
+    assert all(tasks)
+    assert [row for task in tasks for row in task] == grid
+    assert all(key(row) == key(task[0]) for task in tasks for row in task)
+    # maximal: neighbouring tasks never share suite, rank and degree
+    assert all(key(left[-1]) != key(right[0])
+               for left, right in zip(tasks, tasks[1:]))
+
+
+def test_rank_three_spectrum_rows_of_three_boxes_share_a_task():
+    labels = [[label for label, _ in task]
+              for task in grid_tasks(acceptance_grid())]
+    assert ["spectrum-n3-3", "spectrum-n3-2,1", "spectrum-n3-1,1,1"] in labels
+    assert ["spectrum-n2-2", "spectrum-n2-1,1"] in labels
+    assert ["spectrum-n1-1"] in labels and ["spectrum-n1-2"] in labels
+    assert all(len(task) == 1 for task in labels
+               if not task[0].startswith("spectrum-"))
+
+
 def test_run_all_parallel_matches_serial():
     serial = run_all(seed=2)
-    parallel = run_all(seed=2, jobs=2)
     assert serial.passed, serial.failures()
-    assert serial.to_json() == parallel.to_json()
+    for jobs in (2, 3):
+        assert run_all(seed=2, jobs=jobs).to_json() == serial.to_json(), jobs
 
 
 def test_exit_code_classification():
