@@ -139,8 +139,9 @@ def verify_orbit_descent(braiding: Braiding, alphas, degree: int = 1
     quotient = orbit_quotient(braiding, alphas, double.b_tag)
     ok = True
     witness = None
-    for k, alpha in enumerate(alphas, start=1):
-        reduced = quotient.normal_form(power_sum(braiding, double.b_tag, k))
+    for k, (alpha, pinned) in enumerate(zip(alphas, quotient.pinned),
+                                        start=1):
+        reduced = quotient.normal_form(pinned + NCElement.constant(alpha))
         if reduced != NCElement.constant(alpha):
             ok = False
             witness = f"trace power {k} reduces to {reduced!r}"
@@ -150,9 +151,7 @@ def verify_orbit_descent(braiding: Braiding, alphas, degree: int = 1
              for w in itertools.product(quotient.generators, repeat=d)]
     ok = True
     witness = None
-    for k, alpha in enumerate(alphas, start=1):
-        pinned = power_sum(braiding, double.b_tag, k) \
-            - NCElement.constant(alpha)
+    for k, pinned in enumerate(quotient.pinned, start=1):
         # words[0] is the empty word: pinned itself, on either side
         products = [pinned] + [p for w in words[1:]
                                for p in (pinned * w, w * pinned)]

@@ -111,12 +111,6 @@ class TensorOperator:
                               partial_trace(self.rows, slot, weights,
                                             operator.mul))
 
-    def scalar(self) -> Scalar:
-        """The single entry of an arity-0 operator."""
-        if self.arity != 0:
-            raise ValueError("not fully traced")
-        return self.rows.get((), {}).get((), ONE - ONE)
-
     # -- linear-algebra views ----------------------------------------------------
 
     def as_vectors(self):
@@ -246,26 +240,12 @@ def flip(dim: int, param: str = "q") -> Braiding:
 class RTraceForm:
     """Weighted trace data for a braiding: C = diag(q^(1-2i))."""
 
-    def __init__(self, braiding: Braiding, weights: list):
-        self.braiding = braiding
+    def __init__(self, weights: list):
         self.weights = weights
-
-    def trace(self, op: TensorOperator) -> Scalar:
-        """Full weighted trace over every slot."""
-        cur = op
-        for slot in range(op.arity, 0, -1):
-            cur = cur.rtrace(slot, self.weights)
-        return cur.scalar()
-
-    def partial(self, op: TensorOperator, slot: int) -> TensorOperator:
-        return op.rtrace(slot, self.weights)
 
     def dimension_value(self) -> Scalar:
         """Weighted trace of the identity on V: N_q / q^N."""
-        total = ONE - ONE
-        for w in self.weights:
-            total = total + w
-        return total
+        return sum(self.weights, ZERO)
 
 
 def rtrace_form(braiding: Braiding) -> RTraceForm:
@@ -279,7 +259,7 @@ def rtrace_form(braiding: Braiding) -> RTraceForm:
     dim = braiding.dim
     q = braiding.q
     weights = [q ** (1 - 2 * i) for i in range(1, dim + 1)]
-    form = RTraceForm(braiding, weights)
+    form = RTraceForm(weights)
 
     expected_dim = sum((q ** (dim - 1 - 2 * j) for j in range(dim)),
                        ZERO) * q ** (-dim)
@@ -293,7 +273,9 @@ def rtrace_form(braiding: Braiding) -> RTraceForm:
             x1 = x.embed(2, 1)
             over = braiding.op * x1 * braiding.inv
             under = braiding.inv * x1 * braiding.op
-            target = ident1.scale(form.trace(x))
-            if form.partial(over, 2) != target or form.partial(under, 2) != target:
+            # the weighted trace of the matrix unit x is w_a when a = b
+            target = ident1.scale(weights[a - 1] if a == b else ZERO)
+            if over.rtrace(2, weights) != target or \
+                    under.rtrace(2, weights) != target:
                 raise BraidingError("weighted trace form fails the copy-collapse property")
     return form

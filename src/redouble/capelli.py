@@ -17,16 +17,20 @@ matrices in the derivative double), the shifted products satisfy
 verified here by two independent routes: entrywise bi-normal forms of
 both sides, and both sides applied as operators to bounded-degree
 monomials through the counit action.  Taking the full weighted trace at
-k = N relates the left product to q^(-N) det_R M det_Rinv D.
+k = N relates the left product to q^(-N) det_R M det_Rinv D; that trace
+and both determinants are traced chains.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .anchors import anchor
 from .braidings import Braiding, TensorOperator
-from .doubles import QuantumDouble, conjugated_copy, make_double, matrix_copy
+from .doubles import (QuantumDouble, conjugated_copy, make_double,
+                      matrix_copy, monomial_matrix)
 from .heckerep import hecke_integer, skew_symmetrizer
 from .ncengine import MatrixOverAlgebra, NCElement
 from .reports import VerificationReport
@@ -88,53 +92,46 @@ def extract_uv(a: TensorOperator) -> StructurePair:
 
 def det_r(braiding: Braiding, tag: str, pair: StructurePair,
           reverse: bool = False) -> NCElement:
-    """Sandwich of the matrix-copy product between the structure tensors.
+    """Sandwich <v| F_1 ... F_N |u> of the matrix copies.
 
     Forward order X_1 X_over(2) ... X_over(N); reversed factor order when
     reverse is set (the inverse-braiding determinant of the derivative
-    side uses it).
+    side uses it).  The row vector v^T is multiplied through the copies
+    and closed against the column u as a traced chain.
     """
     n = braiding.dim
-    out = MatrixOverAlgebra.identity(n, n)
     slots = range(n, 0, -1) if reverse else range(1, n + 1)
-    for i in slots:
-        out = out * matrix_copy(braiding, tag, i, "OVER", n)
-    total = NCElement.zero()
-    for (r, c), e in out.entries.items():
-        vr = pair.v.get(r)
-        uc = pair.u.get(c)
-        if vr is not None and uc is not None:
-            total = total + e.scale(vr * uc)
-    return total
+    row = MatrixOverAlgebra(n, 0, n, {(): {
+        r: NCElement.constant(x) for r, x in pair.v.items()}})
+    column = MatrixOverAlgebra(n, n, 0, {
+        c: {(): NCElement.constant(x)} for c, x in pair.u.items()})
+    factors = [matrix_copy(braiding, tag, i, "OVER", n) for i in slots]
+    return row.traced_chain(factors + [column], [])
 
 
 # ---------------------------------------------------------------------------
 # The shifted-product identity
 
 
-def shifted_product(double: QuantumDouble, k: int) -> MatrixOverAlgebra:
-    """Product Lhat_over(1) (Lhat_over(2) + q I) ... with Lhat = M·D."""
+def shifted_factors(double: QuantumDouble, k: int) -> list:
+    """Factors Lhat_over(1), Lhat_over(2) + q I, ... with Lhat = M·D."""
     b = double.braiding
     m1 = MatrixOverAlgebra.generator_matrix(double.b_tag, b.dim, k, 1)
     d1 = MatrixOverAlgebra.generator_matrix(double.a_tag, b.dim, k, 1)
     lhat1 = m1 * d1
-    out = conjugated_copy(b, lhat1, 1)
-    for i in range(2, k + 1):
-        factor = conjugated_copy(b, lhat1, i) + \
-            MatrixOverAlgebra.identity(b.dim, k).scale(
-                b.q ** (i - 1) * hecke_integer(b, i - 1))
-        out = out * factor
-    return out
+    ident = MatrixOverAlgebra.identity(b.dim, k)
+    return [conjugated_copy(b, lhat1, i) +
+            ident.scale(b.q ** (i - 1) * hecke_integer(b, i - 1))
+            for i in range(1, k + 1)]
 
 
 def capelli_sides(double: QuantumDouble, k: int) -> tuple:
     """Both sides of the degree-k identity as matrices over the double."""
     b = double.braiding
     skew = skew_symmetrizer(b, k)
-    lhs = shifted_product(double, k).lmul_op(skew).rmul_op(skew)
-    rhs = MatrixOverAlgebra.identity(b.dim, k)
-    for i in range(1, k + 1):
-        rhs = rhs * matrix_copy(b, double.b_tag, i, "OVER", k)
+    lhs = functools.reduce(operator.mul, shifted_factors(double, k))
+    lhs = lhs.lmul_op(skew).rmul_op(skew)
+    rhs = monomial_matrix(b, double.b_tag, k)
     for i in range(k, 0, -1):
         rhs = rhs * matrix_copy(b, double.a_tag, i, "OVER", k)
     rhs = rhs.lmul_op(skew).scale(b.q ** (k * (k - 1)))
@@ -176,14 +173,12 @@ def verify_capelli_action(braiding: Braiding, k: int,
         targets.extend(itertools.product(gens, repeat=d))
     ok = True
     witness = None
-    for key in sorted(set(lhs.entries) | set(rhs.entries)):
-        r, c = key
-        le = lhs.entry(r, c)
-        re_ = rhs.entry(r, c)
+    # the action is linear in the acting element: act once by the difference
+    entries = (lhs - rhs).entries
+    for r, c in sorted(entries):
         for w in targets:
-            target = NCElement.word(w)
-            diff = double.act_mixed(le, target) - double.act_mixed(re_, target)
-            if not double.b_pres.reduces_to_zero(diff):
+            image = double.act_mixed(entries[r, c], NCElement.word(w))
+            if not double.b_pres.reduces_to_zero(image):
                 ok = False
                 witness = f"entry {r}->{c} on {w!r}"
                 break
@@ -207,9 +202,9 @@ def verify_det_capelli(braiding: Braiding, mode: str = "EXACT", rng=None,
     report = VerificationReport(
         "det-capelli", {"n": n, "mode": mode})
     double = make_double(braiding, "derivative")
-    weights = braiding.trace_form().weights
     skew = skew_symmetrizer(braiding, n)
-    lhs = shifted_product(double, n).lmul_op(skew).trace_all(weights)
+    lhs = MatrixOverAlgebra.from_operator(skew).traced_chain(
+        shifted_factors(double, n), braiding.trace_form().weights)
     pair = extract_uv(skew)
     det_m = det_r(braiding, double.b_tag, pair)
     det_d = det_r(braiding, double.a_tag, pair, reverse=True)

@@ -2,8 +2,9 @@
 
 The weighted-trace power sums Tr_R(X^k) and the braided elementary
 symmetric polynomials e_k = Tr_R(1..k)(A^(k) X_1 X_over(2) ... X_over(k))
-are central in the quotient algebra; the generating matrix satisfies the
-characteristic identity
+are central in the quotient algebra.  Both are traced chains, which
+form only the rows and the diagonal the trace reads.  The generating
+matrix satisfies the characteristic identity
 
     X^N - q e_1 X^(N-1) + q^2 e_2 X^(N-2) + ... + (-q)^N e_N I = 0,
 
@@ -23,7 +24,7 @@ import itertools
 
 from .anchors import anchor
 from .braidings import Braiding, TensorOperator
-from .doubles import QuantumDouble, action_operator, make_double, monomial_matrix
+from .doubles import QuantumDouble, action_operator, make_double, matrix_copy
 from .heckerep import (
     content_sum_power,
     hecke_integer,
@@ -50,10 +51,8 @@ def power_sum(braiding: Braiding, tag: str, k: int) -> NCElement:
     """Weighted trace of the k-th power of the generating matrix."""
     assert k >= 1
     x = MatrixOverAlgebra.generator_matrix(tag, braiding.dim, 1, 1)
-    p = x
-    for _ in range(k - 1):
-        p = p * x
-    return p.trace_all(braiding.trace_form().weights)
+    return MatrixOverAlgebra.identity(braiding.dim, 1).traced_chain(
+        [x] * k, braiding.trace_form().weights)
 
 
 def elementary_symmetric(braiding: Braiding, tag: str, k: int) -> NCElement:
@@ -61,12 +60,14 @@ def elementary_symmetric(braiding: Braiding, tag: str, k: int) -> NCElement:
 
     Degree-k element, central in the quotient; k = 1 is the weighted trace
     itself, and every k above the dimension gives 0 (the skew-symmetrizer
-    vanishes there).
+    vanishes there).  The chain A^(k) X_1 ... X_over(k-1) has only the
+    k!·C(N, k) rows of A^(k); it is traced against X_over(k).
     """
     assert k >= 1
-    mon = monomial_matrix(braiding, tag, k)
-    return mon.lmul_op(skew_symmetrizer(braiding, k)).trace_all(
-        braiding.trace_form().weights)
+    copies = [matrix_copy(braiding, tag, i, "OVER", k)
+              for i in range(1, k + 1)]
+    skew = MatrixOverAlgebra.from_operator(skew_symmetrizer(braiding, k))
+    return skew.traced_chain(copies, braiding.trace_form().weights)
 
 
 def characteristic_residual(braiding: Braiding, tag: str) -> MatrixOverAlgebra:
@@ -204,7 +205,7 @@ def trace_action_operator(braiding: Braiding, k: int) -> TensorOperator:
     element J_(k+1)^-1.
     """
     jinv = jucys_murphy_inverse(braiding, k + 1)[k]
-    return braiding.trace_form().partial(jinv, k + 1)
+    return jinv.rtrace(k + 1, braiding.trace_form().weights)
 
 
 def _shape_label(shape: tuple) -> str:

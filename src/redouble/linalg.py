@@ -6,8 +6,9 @@ caller-supplied sort key as the leading entry, so the same machinery serves
 operator rank computations and graded-lexicographic ideal reduction.
 
 Sparse matrices are rows {row index: {col index: entry}}.  Their one
-product, entrywise sum, entry map, weighted partial trace and
-first-nonzero witness live here, shared by braidings.TensorOperator
+product, entrywise sum, entry map, weighted partial trace, traced
+product (the one full trace: it forms only the diagonal of left . right)
+and first-nonzero witness live here, shared by braidings.TensorOperator
 (Scalar entries) and ncengine.MatrixOverAlgebra (algebra entries).
 
 `Triangular` is the only elimination, and `coordinates` the only solve:
@@ -88,7 +89,7 @@ def vec_add_scaled(target: dict, src: dict, coeff: Scalar) -> None:
 # ---------------------------------------------------------------------------
 # Sparse matrices: rows {row index: {col index: entry}}, with no stored zero
 # entry and no empty row.  Entries are Scalars or algebra elements; each
-# function uses only `+`, `is_zero` and the callables it is given.
+# function uses only `+`, `is_zero`, `scale` and the callables it is given.
 
 
 def mat_mul(left: dict, right: dict, mul) -> dict:
@@ -153,6 +154,26 @@ def partial_trace(rows: dict, slot: int, weights: list, mul) -> dict:
             if c[s] == b:
                 accumulate(row, c[:s] + c[s + 1:], mul(w, v))
     return {r: cs for r, cs in out.items() if cs}
+
+
+def traced(left: dict, right: dict, weights: list, mul, zero):
+    """Weighted trace of left . right, reading only the entries it sums.
+
+    zero + sum over r of w(r) * sum over k of mul(left[r][k], right[k][r]),
+    with w(r) the product of weights[i-1] over the indices i of r, w(()) = 1,
+    and applied by `scale`.  Only the diagonal of left . right is formed.
+    """
+    total = zero
+    for r, cs in left.items():
+        acc = zero
+        for k, v in cs.items():
+            x = right.get(k, {}).get(r)
+            if x is not None:
+                acc = acc + mul(v, x)
+        if not acc.is_zero():
+            w = math.prod((weights[i - 1] for i in r), start=ONE)
+            total = total + acc.scale(w)
+    return total
 
 
 def first_nonzero(rows: dict, reduce) -> tuple:

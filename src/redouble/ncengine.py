@@ -45,7 +45,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .braidings import Braiding, TensorOperator
 from .linalg import (Triangular, accumulate, first_nonzero, mat_add, mat_map,
-                     mat_mul, partial_trace, vec_add_scaled)
+                     mat_mul, partial_trace, traced, vec_add_scaled)
 from .scalars import ONE, Scalar
 
 
@@ -532,11 +532,16 @@ class MatrixOverAlgebra:
                                  partial_trace(self.rows, slot, weights,
                                                _scaled_by_left))
 
-    def trace_all(self, weights: list) -> NCElement:
-        cur = self
-        for slot in range(self.row_arity, 0, -1):
-            cur = cur.rtrace(slot, weights)
-        return cur.entry((), ())
+    def traced_chain(self, factors: list, weights: list) -> NCElement:
+        """Weighted trace of self · F_1 ⋯ F_k (k >= 1), by linalg.traced.
+
+        Only the rows of self are multiplied through F_(k-1).
+        """
+        left = self
+        for f in factors[:-1]:
+            left = left * f
+        return traced(left.rows, factors[-1].rows, weights, operator.mul,
+                      NCElement.zero())
 
     def map_entries(self, fn: Callable[[NCElement], NCElement]) -> "MatrixOverAlgebra":
         return self._like(mat_map(self.rows, fn))

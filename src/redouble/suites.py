@@ -44,18 +44,14 @@ _CLOSED_FORMS = {
 }
 
 
-# Suites whose `samples` counts random parameter points in SAMPLED mode.
-_POINT_SAMPLED = frozenset({"braiding", "cayley-hamilton", "capelli",
-                           "det-capelli", "adjoint"})
-
 # Flags that configure one suite; the `all` grid fixes its own per row.
 _PER_SUITE_FLAGS = (("--n", "n"), ("--k", "k"), ("--lambda", "shape"),
                     ("--degree", "degree"), ("--samples", "samples"))
 
 # The flags each runner in suites._RUNNERS reads, by SuiteConfig field
 # ("shape" is --lambda).  "mode" stands for --mode SAMPLED, and a suite
-# that samples reads --samples only in that mode.  --seed, --timings and
-# --out apply to every run; --jobs only to --suite all.
+# that samples reads --samples, its point count, only in that mode.
+# --seed, --timings and --out apply to every run; --jobs only to --suite all.
 _SUITE_READS = {
     "braiding": {"n", "mode", "samples"},
     "heckerep": {"n", "k"},
@@ -77,7 +73,7 @@ class SuiteConfig:
     Fields a suite does not consume are ignored, but every field is
     validated: mode is one of MODES; k, degree and samples default to
     per-suite values when left unset and must be positive when set, and a
-    suite in _POINT_SAMPLED needs at least MIN_POINTS samples.
+    suite that reads "mode" in _SUITE_READS needs at least MIN_POINTS samples.
     A fixed seed makes the resulting report byte-identical across runs.
     """
 
@@ -95,7 +91,7 @@ class SuiteConfig:
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         if samples is not None and samples < MIN_POINTS and \
-                suite in _POINT_SAMPLED:
+                "mode" in _SUITE_READS.get(suite, ()):
             raise ValueError(f"{suite} needs at least {MIN_POINTS} sample"
                              f" points, got {samples}")
         self.suite = suite

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 
 import pytest
@@ -13,13 +15,15 @@ from redouble.capelli import (
     capelli_sides,
     det_r,
     extract_uv,
+    shifted_factors,
     verify_capelli,
     verify_capelli_action,
     verify_det_capelli,
 )
-from redouble.doubles import make_double
+from redouble.doubles import make_double, matrix_copy
 from redouble.heckerep import skew_symmetrizer
-from redouble.ncengine import Gen, NCElement, re_presentation
+from redouble.ncengine import (Gen, MatrixOverAlgebra, NCElement,
+                               re_presentation)
 from redouble.scalars import ONE, Scalar
 from redouble.suites import SuiteConfig, run_suite
 
@@ -173,3 +177,42 @@ def test_det_capelli_exact():
 
 def test_det_capelli_classical():
     assert verify_det_capelli(flip(2)).passed
+
+
+# ---------------------------------------------------------------------------
+# Traced chains against the full product
+
+
+def full_trace(moa: MatrixOverAlgebra, weights: list) -> NCElement:
+    """Reference: the weighted partial traces of every slot, last first."""
+    for slot in range(moa.row_arity, 0, -1):
+        moa = moa.rtrace(slot, weights)
+    return moa.entry((), ())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_det_capelli_left_side_equals_the_full_product_trace(n):
+    b = standard_hecke(n)
+    d = make_double(b, "derivative")
+    skew = skew_symmetrizer(b, n)
+    factors = shifted_factors(d, n)
+    weights = b.trace_form().weights
+    full = functools.reduce(operator.mul, factors).lmul_op(skew)
+    chained = MatrixOverAlgebra.from_operator(skew).traced_chain(
+        factors, weights)
+    assert chained == full_trace(full, weights)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_det_r_is_the_sandwich_of_the_full_product(n, reverse):
+    b = standard_hecke(n)
+    pair = extract_uv(skew_symmetrizer(b, n))
+    slots = range(n, 0, -1) if reverse else range(1, n + 1)
+    full = functools.reduce(
+        operator.mul, [matrix_copy(b, "m", i, "OVER", n) for i in slots])
+    expected = NCElement.zero()
+    for r, vr in pair.v.items():
+        for c, uc in pair.u.items():
+            expected = expected + full.entry(r, c).scale(vr * uc)
+    assert det_r(b, "m", pair, reverse=reverse) == expected

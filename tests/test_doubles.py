@@ -224,7 +224,7 @@ def test_action_operator_of_weighted_trace():
     d = make_double(b, "left")
     form = rtrace_form(b)
     l = MatrixOverAlgebra.generator_matrix("l", 2, 1, 1)
-    trl = l.trace_all(form.weights)
+    trl = MatrixOverAlgebra.identity(2, 1).traced_chain([l], form.weights)
     for k in (1, 2):
         op = action_operator(d, trl, k)
         expected = jucys_murphy_inverse(b, k + 1, k + 1)[k].rtrace(

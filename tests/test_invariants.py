@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
 
+from redouble import ncengine
 from redouble.braidings import Braiding, flip, rtrace_form, standard_hecke
-from redouble.doubles import make_double
-from redouble.heckerep import partitions
+from redouble.doubles import make_double, monomial_matrix
+from redouble.heckerep import partitions, skew_symmetrizer
 from redouble.invariants import (
     SpectralCharacter,
     characteristic_residual,
@@ -21,7 +23,8 @@ from redouble.invariants import (
     verify_spectrum,
     verify_spectrum_operator,
 )
-from redouble.ncengine import Gen, NCElement, re_presentation
+from redouble.ncengine import (Gen, MatrixOverAlgebra, NCElement,
+                               re_presentation)
 from redouble.scalars import ONE, Scalar
 
 
@@ -235,3 +238,54 @@ def test_spectrum_rejects_unknown_element():
         verify_spectrum("DET", (1,), b)
     with pytest.raises(ValueError):
         verify_spectrum("PK", (1,), b)
+
+
+# ---------------------------------------------------------------------------
+# Traced chains against the full product traced slot by slot
+
+
+def full_trace(moa: MatrixOverAlgebra, weights: list) -> NCElement:
+    """Reference: the weighted partial traces of every slot, last first."""
+    for slot in range(moa.row_arity, 0, -1):
+        moa = moa.rtrace(slot, weights)
+    return moa.entry((), ())
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3)
+                                 for k in range(1, n + 2)] + [(4, 3)])
+def test_elementary_symmetric_equals_the_full_product_trace(n, k):
+    b = standard_hecke(n)
+    full = monomial_matrix(b, "l", k).lmul_op(skew_symmetrizer(b, k))
+    expected = full_trace(full, b.trace_form().weights)
+    assert elementary_symmetric(b, "l", k) == expected
+    assert expected.is_zero() == (k > n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_power_sums_equal_the_full_product_trace(n):
+    b = standard_hecke(n)
+    x = MatrixOverAlgebra.generator_matrix("l", n, 1, 1)
+    power = x
+    for k in (1, 2, 3):
+        assert power_sum(b, "l", k) == \
+            full_trace(power, b.trace_form().weights), k
+        power = power * x
+
+
+def test_elementary_symmetric_multiplies_only_the_rows_of_the_symmetrizer(
+        monkeypatch):
+    # A^(3) at N = 3 has 6 nonzero rows of 27; a product of two algebra
+    # matrices (entry product operator.mul) never has more rows than that.
+    # Conjugating a copy by R scales entries and keeps all 27 rows.
+    rows = []
+    mat_mul = ncengine.mat_mul
+
+    def spy(left, right, mul):
+        out = mat_mul(left, right, mul)
+        if mul is operator.mul:
+            rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(ncengine, "mat_mul", spy)
+    elementary_symmetric(standard_hecke(3), "l", 3)
+    assert rows and max(rows) == 6

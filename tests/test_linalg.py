@@ -1,17 +1,20 @@
 """Fraction-free elimination gives the remainders of field elimination,
-also when coefficients outgrow one packed digit, and `coordinates` solves
-in the span of independent rows."""
+also when coefficients outgrow one packed digit, `coordinates` solves
+in the span of independent rows, and `traced` sums the weighted diagonal
+of a product."""
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from redouble.linalg import (_WIDTH, Triangular, _pack, _unpack, coordinates,
-                             vec_add_scaled)
+                             mat_mul, traced, vec_add_scaled)
+from redouble.ncengine import Gen, NCElement
 from redouble.scalars import ONE, MixedParameterError, Scalar, _pgcd
 
 
@@ -303,3 +306,48 @@ def test_coordinates_reject_dependent_rows_and_outside_vectors(param):
         vec_add_scaled(vec, {k: ONE}, Scalar.from_int(3, param))
         with pytest.raises(ArithmeticError):
             coords(vec)
+
+
+def _letters(*indices):
+    return [NCElement.generator(Gen("x", i, 0)) for i in indices]
+
+
+def test_traced_is_the_weighted_trace_of_the_full_product():
+    x, y, z = _letters(1, 2, 3)
+    weights = [Scalar.power(1), Scalar.power(-3)]
+    left = {(1, 2): {(2, 1): x, (1, 1): y + z},
+            (2, 2): {(1, 2): z, (2, 1): x},
+            (2, 1): {(2, 1): y}}
+    right = {(2, 1): {(1, 2): y, (2, 2): z, (2, 1): x + y},
+             (1, 1): {(2, 2): x, (1, 2): z},
+             (1, 2): {(1, 1): x}}
+    full = mat_mul(left, right, operator.mul)
+    expected = NCElement.zero()
+    for r, cs in full.items():
+        if r in cs:
+            w = ONE
+            for i in r:
+                w = w * weights[i - 1]
+            expected = expected + cs[r].scale(w)
+    assert not expected.is_zero()
+    assert traced(left, right, weights, operator.mul,
+                  NCElement.zero()) == expected
+
+
+def test_traced_over_empty_keys_has_weight_one():
+    # a row vector closed against a column: the keys () read no weight
+    x, y = _letters(1, 2)
+    left = {(): {(1,): x, (2,): y}}
+    right = {(1,): {(): y}, (2,): {(): x}}
+    assert traced(left, right, [], operator.mul, NCElement.zero()) == \
+        x * y + y * x
+
+
+def test_traced_without_a_diagonal_entry_is_zero():
+    x, y = _letters(1, 2)
+    zero = NCElement.zero()
+    weights = [Scalar.power(1), Scalar.power(-1)]
+    # left . right has the one entry (1,) -> (2,): nothing on the diagonal
+    assert traced({(1,): {(2,): x}}, {(2,): {(2,): y}}, weights,
+                  operator.mul, zero) is zero
+    assert traced({}, {(1,): {(1,): y}}, weights, operator.mul, zero) is zero

@@ -119,7 +119,8 @@ def test_weighted_trace_of_generator_matrix_is_central():
     trl = NCElement.generator(Gen("l", 1, 1)).scale(form.weights[0]) + \
         NCElement.generator(Gen("l", 2, 2)).scale(form.weights[1])
     l = MatrixOverAlgebra.generator_matrix("l", 2, 1, 1)
-    assert l.trace_all(form.weights) == trl
+    assert MatrixOverAlgebra.identity(2, 1).traced_chain(
+        [l], form.weights) == trl
     # Tracing the identity slot instead scales by the category dimension.
     l1 = MatrixOverAlgebra.generator_matrix("l", 2, 2, 1)
     assert l1.rtrace(2, form.weights) == l.scale(form.dimension_value())
