@@ -74,22 +74,20 @@ def verify_adjoint_invariance(braiding: Braiding, k: int,
     """
     if k < 1:
         raise ValueError("trace power must be positive")
-    points = parameter_points(mode, rng, samples)
     report = VerificationReport(
         "adjoint", {"n": braiding.dim, "k": k, "mode": mode,
                     "kind": "adjoint_shifted"})
-    double = make_double(braiding, "adjoint_shifted")
-    trace = power_sum(braiding, double.b_tag, k)
-    diff = _proof_identity_matrix(double, k)
-    for suffix, at in points:
-        dbl, tr = at(double), at(trace)
-        ok, witness = _trace_commutes(dbl, tr)
+    for suffix, b in parameter_points(braiding, mode, rng, samples):
+        double = make_double(b, "adjoint_shifted")
+        trace = power_sum(b, double.b_tag, k)
+        ok, witness = _trace_commutes(double, trace)
         report.add(f"commutation{suffix}", anchor("adjoint-commutation"),
                    ok, witness)
-        ok, witness = _trace_annihilated(dbl, tr)
+        ok, witness = _trace_annihilated(double, trace)
         report.add(f"annihilation{suffix}", anchor("adjoint-annihilation"),
                    ok, witness)
-        ok, witness = at(diff).first_nonzero(dbl.binormal_form)
+        ok, witness = _proof_identity_matrix(double, k).first_nonzero(
+            double.binormal_form)
         report.add(f"matrix-identity{suffix}",
                    anchor("adjoint-proof-identity"), ok, witness)
     return report

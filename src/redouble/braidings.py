@@ -16,6 +16,7 @@ to the plain weighted trace times the identity.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import operator
 
@@ -183,6 +184,22 @@ class Braiding:
         if self._trace_form is None:
             self._trace_form = rtrace_form(self)
         return self._trace_form
+
+    def substituted(self, value) -> "Braiding":
+        """This braiding at parameter = value, without re-verifying it.
+
+        q, nu, R and R^-1 are each evaluated, so a braiding whose inverse
+        is wrong stays wrong at every point; the trace form is rebuilt on
+        first use.
+        """
+        out = copy.copy(self)
+        out.q = self.q.with_value(value)
+        out.nu = self.nu.with_value(value)
+        out.op = self.op.substituted(value)
+        out.inv = self.inv.substituted(value)
+        out.name = f"{self.name}@{value}"
+        out._trace_form = None
+        return out
 
     def __repr__(self):
         return f"Braiding({self.name}, dim={self.dim})"

@@ -103,12 +103,11 @@ class QuantumDouble:
         self.b_tag = rule.b_tag
         self.eps_a = eps_a
         # Arguments of the make_double call that built this double, or
-        # None for any other construction (e.g. substituted copies).
+        # None for any other construction.
         self.defining = None
         self._order_cache: dict = {}
         # the packed rule table and action memo, built on the first action
         self._kernel = None
-        self._sub_cache: dict = {}
         for rel in a_pres.relations:
             if not self.counit(rel).is_zero():
                 raise DoubleError("counit does not annihilate the A-relations")
@@ -197,17 +196,14 @@ class QuantumDouble:
         return NCElement(out)
 
     def substituted(self, value) -> "QuantumDouble":
-        cached = self._sub_cache.get(value)
-        if cached is None:
-            table = {k: v.substituted(value)
-                     for k, v in self.rule.table.items()}
-            eps = {g: s.with_value(value) for g, s in self.eps_a.items()}
-            cached = QuantumDouble(
-                self.braiding, self.kind,
-                self.a_pres.substituted(value), self.b_pres.substituted(value),
-                PermutationRule(self.a_tag, self.b_tag, table), eps)
-            self._sub_cache[value] = cached
-        return cached
+        """The same kind of double built over the braiding at value.
+
+        Needs a double from make_double; its shift h is evaluated too.
+        """
+        braiding, kind, h, b_quotient = self.defining
+        return make_double(braiding.substituted(value), kind,
+                           None if h is None else h.with_value(value),
+                           b_quotient)
 
     # -- action ------------------------------------------------------------
 

@@ -61,13 +61,21 @@ def elementary_symmetric(braiding: Braiding, tag: str, k: int) -> NCElement:
     Degree-k element, central in the quotient; k = 1 is the weighted trace
     itself, and every k above the dimension gives 0 (the skew-symmetrizer
     vanishes there).  The chain A^(k) X_1 ... X_over(k-1) has only the
-    k!·C(N, k) rows of A^(k); it is traced against X_over(k).
+    k!·C(N, k) rows of A^(k); it is traced against X_over(k).  It starts
+    from [k]_q!·A^(k), whose entries are Laurent polynomials, so no
+    product along the chain divides polynomials; the traced element is
+    divided by [k]_q! once.
     """
     assert k >= 1
     copies = [matrix_copy(braiding, tag, i, "OVER", k)
               for i in range(1, k + 1)]
-    skew = MatrixOverAlgebra.from_operator(skew_symmetrizer(braiding, k))
-    return skew.traced_chain(copies, braiding.trace_form().weights)
+    factorial = ONE
+    for m in range(2, k + 1):
+        factorial = factorial * hecke_integer(braiding, m)
+    skew = MatrixOverAlgebra.from_operator(
+        skew_symmetrizer(braiding, k).scale(factorial))
+    return skew.traced_chain(copies, braiding.trace_form().weights) \
+        .scale(factorial.inverse())
 
 
 def characteristic_residual(braiding: Braiding, tag: str) -> MatrixOverAlgebra:
@@ -95,18 +103,15 @@ def verify_cayley_hamilton(braiding: Braiding, tag: str = "l",
                            samples: int = 3) -> VerificationReport:
     """Reduce every entry of the characteristic identity to zero.
 
-    One check per point of scalars.parameter_points: EXACT reduces the
-    symbolic entries in the symbolic presentation; SAMPLED substitutes
-    each drawn rational value into the entries and the relations alike
-    and reduces in the evaluated presentation.
+    One check per point of scalars.parameter_points: the residual and the
+    presentation are built from the braiding of the point, symbolic in
+    EXACT mode and at one drawn rational value per SAMPLED point.
     """
-    points = parameter_points(mode, rng, samples)
     report = VerificationReport(
         "cayley-hamilton", {"n": braiding.dim, "mode": mode})
-    res = characteristic_residual(braiding, tag)
-    pres = re_presentation(braiding, tag)
-    for suffix, at in points:
-        ok, witness = at(res).first_nonzero(at(pres).normal_form)
+    for suffix, b in parameter_points(braiding, mode, rng, samples):
+        ok, witness = characteristic_residual(b, tag).first_nonzero(
+            re_presentation(b, tag).normal_form)
         report.add(f"entries-vanish{suffix}", anchor("cayley-hamilton"),
                    ok, witness)
     return report

@@ -146,15 +146,6 @@ class NCElement:
     def __eq__(self, other):
         return isinstance(other, NCElement) and self.terms == other.terms
 
-    def substituted(self, value) -> "NCElement":
-        """Every coefficient evaluated at parameter = value."""
-        out = {}
-        for w, c in self.terms.items():
-            v = c.with_value(value)
-            if not v.is_zero():
-                out[w] = v
-        return NCElement(out)
-
     def degree(self, tags: set | None = None) -> int:
         """Max letter count (restricted to tags if given); zero element -> -1."""
         best = -1
@@ -216,7 +207,6 @@ class QuadraticPresentation:
         self._leads_from: dict = {}
         # the normal words (no leading subword) of each length
         self._normal: list = [[()]]
-        self._sub_cache: dict = {}
 
     def ensure(self, d: int) -> None:
         """Grow the ideal basis through every word of degree <= d.
@@ -333,15 +323,6 @@ class QuadraticPresentation:
         total = sum(len(self.generators) ** e for e in range(d + 1))
         return total - self.ideal_rank(d)
 
-    def substituted(self, value) -> "QuadraticPresentation":
-        cached = self._sub_cache.get(value)
-        if cached is None:
-            rels = [r.substituted(value) for r in self.relations]
-            cached = QuadraticPresentation(self.generators, rels,
-                                           name=f"{self.name}@{value}")
-            self._sub_cache[value] = cached
-        return cached
-
 
 class CentralQuotient:
     """A certified presentation divided by elements central in it.
@@ -374,7 +355,6 @@ class CentralQuotient:
                         f"commute with {g!r} in {base.name}")
         self._tri = Triangular(word_sortkey)
         self._built = -1  # degree 0 holds the multiples w = () as well
-        self._sub_cache: dict = {}
 
     @property
     def relations(self) -> list:
@@ -413,16 +393,6 @@ class CentralQuotient:
         total = sum(len(self.generators) ** e for e in range(d + 1))
         return total - self.ideal_rank(d)
 
-    def substituted(self, value) -> "CentralQuotient":
-        cached = self._sub_cache.get(value)
-        if cached is None:
-            cached = CentralQuotient(
-                self.base.substituted(value),
-                [c.substituted(value) for c in self.pinned],
-                name=f"{self.name}@{value}")
-            self._sub_cache[value] = cached
-        return cached
-
 
 # ---------------------------------------------------------------------------
 # Matrices with free-algebra entries
@@ -434,7 +404,7 @@ class MatrixOverAlgebra:
     Rows have row_arity tensor slots and columns col_arity slots (they can
     differ: the vector of tensor-algebra generators has column arity 0).
     Entries are NCElements, or any algebra elements with the same `+`,
-    `*`, `scale`, `is_zero` and `substituted` (u2h's PBWElement); they are
+    `*`, `scale` and `is_zero` (u2h's PBWElement); they are
     stored as sparse rows {row: {col: entry}} and computed through the
     linalg matrix functions.
     """
@@ -545,10 +515,6 @@ class MatrixOverAlgebra:
 
     def map_entries(self, fn: Callable[[NCElement], NCElement]) -> "MatrixOverAlgebra":
         return self._like(mat_map(self.rows, fn))
-
-    def substituted(self, value) -> "MatrixOverAlgebra":
-        """Every entry evaluated at parameter = value."""
-        return self.map_entries(lambda v: v.substituted(value))
 
     def first_nonzero(self, reduce: Callable[[NCElement], NCElement]
                       ) -> tuple:

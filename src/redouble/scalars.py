@@ -307,6 +307,15 @@ class Scalar:
             return other if other.param == param else Scalar(param, other.shift, other.num, other.den)
         if not other.num:
             return self if self.param == param else Scalar(param, self.shift, self.num, self.den)
+        if self.shift == other.shift and len(self.num) == len(self.den) == \
+                len(other.num) == len(other.den) == 1:
+            # two rational multiples of one power: one integer gcd
+            n = self.num[0] * other.den[0] + other.num[0] * self.den[0]
+            if not n:
+                return Scalar(param, 0, (), (1,))
+            d = self.den[0] * other.den[0]
+            g = math.gcd(n, d)
+            return Scalar(param, self.shift, (n // g,), (d // g,))
         s = min(self.shift, other.shift)
         a = _pshift(self.num, self.shift - s)
         b = _pshift(other.num, other.shift - s)
@@ -340,6 +349,15 @@ class Scalar:
             return Scalar(param, self.shift + other.shift,
                           other.num if self.num[0] == 1 else _pneg(other.num),
                           other.den)
+        # Two rational monomials c·param^k (every sampled constant is
+        # one): the product is canonical after one integer gcd.
+        if len(self.num) == len(self.den) == len(other.num) == \
+                len(other.den) == 1:
+            n = self.num[0] * other.num[0]
+            d = self.den[0] * other.den[0]
+            g = math.gcd(n, d)
+            return Scalar(param, self.shift + other.shift,
+                          (n // g,), (d // g,))
         if self.den == (1,) and other.den == (1,):
             return Scalar(param, self.shift + other.shift,
                           _pmul(self.num, other.num), (1,))
@@ -519,29 +537,24 @@ def check_points(samples: int) -> None:
                          f" got {samples}")
 
 
-def _unchanged(x):
-    return x
+def parameter_points(braiding, mode: str, rng, samples: int):
+    """The points at which an identity is checked: (suffix, braiding) pairs.
 
-
-def parameter_points(mode: str, rng, samples: int) -> list:
-    """The points at which an identity is checked, as (suffix, at) pairs.
-
-    EXACT gives the one symbolic point ("", identity).  SAMPLED draws
-    `samples` (at least MIN_POINTS) distinct rational values v from rng and
-    gives (f"@{v}", x -> x.substituted(v)) for each, in draw order; `at`
-    takes any object that carries coefficients (an element, a matrix, an
-    operator, a presentation, a double) to its image at v.  The suffix
-    names the point in check ids.
+    EXACT gives the one symbolic point ("", braiding).  SAMPLED draws
+    `samples` (at least MIN_POINTS) distinct rational values v from rng on
+    the call and yields (f"@{v}", braiding.substituted(v)) for each, in
+    draw order; a check builds every object from its point's braiding.
+    The suffix names the point in check ids.
     """
     if mode == "EXACT":
-        return [("", _unchanged)]
+        return iter([("", braiding)])
     if mode != "SAMPLED":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("SAMPLED mode needs an rng")
     check_points(samples)
-    return [(f"@{v}", lambda x, v=v: x.substituted(v))
-            for v in random_parameter_values(rng, samples)]
+    return ((f"@{v}", braiding.substituted(v))
+            for v in random_parameter_values(rng, samples))
 
 
 ZERO = Scalar("q", 0, (), (1,))

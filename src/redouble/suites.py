@@ -158,17 +158,17 @@ def _braiding_checks(n: int, mode: str, rng, samples: int
     except BraidingError as err:
         report.add("construction", anchor("braid-relation"), False, str(err))
         return report
-    residuals = (
-        ("braid-relation",
-         b.at(1, 3) * b.at(2, 3) * b.at(1, 3)
-         - b.at(2, 3) * b.at(1, 3) * b.at(2, 3)),
-        ("hecke-condition",
-         b.op * b.op - b.identity(2) - b.op.scale(b.nu)),
-        ("braiding-inverse", b.op * b.inv - b.identity(2)),
-    )
-    for suffix, at in parameter_points(mode, rng, samples):
+    for suffix, p in parameter_points(b, mode, rng, samples):
+        residuals = (
+            ("braid-relation",
+             p.at(1, 3) * p.at(2, 3) * p.at(1, 3)
+             - p.at(2, 3) * p.at(1, 3) * p.at(2, 3)),
+            ("hecke-condition",
+             p.op * p.op - p.identity(2) - p.op.scale(p.nu)),
+            ("braiding-inverse", p.op * p.inv - p.identity(2)),
+        )
         for name, res in residuals:
-            ok, witness = first_nonzero(at(res).rows, lambda v: v)
+            ok, witness = first_nonzero(res.rows, lambda v: v)
             report.add(name + suffix, anchor(name), ok, witness)
     try:
         rtrace_form(b)
@@ -503,17 +503,18 @@ def run_all(mode: str = "EXACT", seed: int = 0, jobs: int = 1
 
     The grid runs as the tasks of grid_tasks: in order in this process
     when jobs is 1, otherwise one task at a time per worker of a pool of
-    jobs processes.  Either way the rows of a task share one process's
-    memos, and the summary lists the rows in grid order.  The witness of
-    a failing row names its first failing checks and ends with the
-    command that replays the row.  Each row's wall time, taken in the
+    jobs processes, but no more processes than tasks (a fork pool starts
+    every worker up front).  Either way the rows of a task share one
+    process's memos, and the summary lists the rows in grid order.  The
+    witness of a failing row names its first failing checks and ends with
+    the command that replays the row.  Each row's wall time, taken in the
     process that ran it, waits in the summary's `wall_ms`.
     """
     clear_caches()
     grid = acceptance_grid(mode, seed)
     tasks = grid_tasks(grid)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             done = list(pool.map(_run_task, tasks))
     else:
         done = list(map(_run_task, tasks))

@@ -116,11 +116,10 @@ def test_classical_orbit_dimension_count():
     # entries: 15 normal-form words of degree <= 2.  Pinning the trace
     # eliminates one coordinate and pinning the second power sum cuts
     # one quadric, leaving 1 + 3 + 5 = 9.
-    b = standard_hecke(2)
-    plain = re_presentation(b, "m").substituted(1)
+    b = standard_hecke(2).substituted(1)
+    plain = re_presentation(b, "m")
     assert plain.filtered_dimension(2) == 15
-    quotient = orbit_quotient(b, [Scalar.from_int(2), Scalar.from_int(5)])
-    classical = quotient.substituted(1)
+    classical = orbit_quotient(b, [Scalar.from_int(2), Scalar.from_int(5)])
     assert isinstance(classical, CentralQuotient)
     assert classical.filtered_dimension(1) == 4
     assert classical.filtered_dimension(2) == 9

@@ -79,10 +79,10 @@ def test_determinant_gauge_invariance():
 
 
 def test_determinant_classical_limit_is_the_usual_determinant():
-    b = standard_hecke(2)
+    b = standard_hecke(2).substituted(1)
     pair = extract_uv(skew_symmetrizer(b, 2))
-    det = det_r(b, "m", pair).substituted(1)
-    pres = re_presentation(b, "m").substituted(1)
+    det = det_r(b, "m", pair)
+    pres = re_presentation(b, "m")
     m = [[Gen("m", i, j) for j in (1, 2)] for i in (1, 2)]
     classical = NCElement.word((m[0][0], m[1][1])) - \
         NCElement.word((m[1][0], m[0][1]))

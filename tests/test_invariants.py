@@ -8,7 +8,7 @@ import random
 import pytest
 
 from redouble import ncengine
-from redouble.braidings import Braiding, flip, rtrace_form, standard_hecke
+from redouble.braidings import flip, rtrace_form, standard_hecke
 from redouble.doubles import make_double, monomial_matrix
 from redouble.heckerep import partitions, skew_symmetrizer
 from redouble.invariants import (
@@ -169,9 +169,7 @@ def test_interpolation_weights_need_a_variable_parameter():
 
 
 def _hecke_at(n, value):
-    b = standard_hecke(n)
-    return Braiding(n, b.q.with_value(value), b.op.substituted(value),
-                    f"{b.name}@{value}")
+    return standard_hecke(n).substituted(value)
 
 
 def test_trace_form_holds_at_a_numeric_parameter_and_at_the_flip():

@@ -9,10 +9,13 @@ import pytest
 
 from redouble import adjoint_orbits, capelli, invariants, suites
 from redouble.adjoint_orbits import verify_adjoint_invariance
-from redouble.braidings import standard_hecke
+from redouble.braidings import TensorOperator, standard_hecke
 from redouble.capelli import verify_capelli, verify_det_capelli
-from redouble.invariants import verify_cayley_hamilton
-from redouble.ncengine import Gen, MatrixOverAlgebra, NCElement
+from redouble.doubles import make_double
+from redouble.invariants import (characteristic_residual,
+                                 elementary_symmetric, verify_cayley_hamilton)
+from redouble.ncengine import (Gen, MatrixOverAlgebra, NCElement,
+                               matrix_generators, re_presentation)
 from redouble.scalars import (MIN_POINTS, ONE, Scalar, parameter_points,
                               random_parameter_values)
 from redouble.suites import SUITE_NAMES, SuiteConfig, run_suite
@@ -20,7 +23,8 @@ from redouble.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 # Every library entry point that takes (mode, rng, samples).
 ENTRY_POINTS = {
-    "parameter_points": lambda **kw: parameter_points(**kw),
+    "parameter_points": lambda **kw: parameter_points(standard_hecke(2),
+                                                      **kw),
     "cayley-hamilton": lambda **kw: verify_cayley_hamilton(
         standard_hecke(2), **kw),
     "capelli": lambda **kw: verify_capelli(standard_hecke(2), 1, **kw),
@@ -56,19 +60,115 @@ def test_suite_configs_reject_an_unknown_mode(suite):
 
 
 def test_exact_is_the_one_symbolic_point():
-    [(suffix, at)] = parameter_points("EXACT", None, 0)
-    x = NCElement.generator(Gen("m", 1, 1)).scale(Scalar.var())
-    assert suffix == "" and at(x) is x
+    b = standard_hecke(2)
+    [(suffix, point)] = parameter_points(b, "EXACT", None, 0)
+    assert suffix == "" and point is b
 
 
 def test_sampled_points_follow_the_draw_order():
-    x = NCElement.generator(Gen("m", 1, 1)).scale(Scalar.var())
-    points = parameter_points("SAMPLED", random.Random(5), 4)
+    b = standard_hecke(2)
+    points = list(parameter_points(b, "SAMPLED", random.Random(5), 4))
     values = random_parameter_values(random.Random(5), 4)
     assert [s for s, _ in points] == [f"@{v}" for v in values]
-    for (_, at), v in zip(points, values):
-        assert at(x) == x.substituted(v)
-        assert at(x).terms[(Gen("m", 1, 1),)] == Scalar.from_fraction(v)
+    for (_, point), v in zip(points, values):
+        assert point.q == Scalar.from_fraction(v)
+        assert point.op == b.op.substituted(v)
+        assert point.inv == b.inv.substituted(v)
+
+
+# ---------------------------------------------------------------------------
+# Built at a point equals built symbolically, then evaluated there.
+
+# Two drawn points, as SAMPLED mode draws them.
+VALUES = random_parameter_values(random.Random(11), 2)
+
+
+def _at(x: NCElement, v) -> NCElement:
+    """Reference: x with every coefficient evaluated at v."""
+    out = {w: c.with_value(v) for w, c in x.terms.items()}
+    return NCElement({w: c for w, c in out.items() if not c.is_zero()})
+
+
+def _matrix_at(m: MatrixOverAlgebra, v) -> MatrixOverAlgebra:
+    return m.map_entries(lambda e: _at(e, v))
+
+
+@pytest.mark.parametrize("v", VALUES)
+def test_the_rank_two_residual_built_at_a_point(v):
+    b = standard_hecke(2)
+    symbolic = characteristic_residual(b, "l")
+    assert not symbolic.is_zero()
+    assert characteristic_residual(b.substituted(v), "l") == \
+        _matrix_at(symbolic, v)
+
+
+def test_e3_at_rank_three_built_at_a_point():
+    b = standard_hecke(3)
+    symbolic = elementary_symmetric(b, "l", 3)
+    assert not symbolic.is_zero()
+    for v in VALUES:
+        assert elementary_symmetric(b.substituted(v), "l", 3) == \
+            _at(symbolic, v)
+
+
+@pytest.mark.parametrize("v", VALUES)
+def test_the_derivative_double_built_at_a_point(v):
+    b = standard_hecke(2)
+    symbolic = make_double(b, "derivative")
+    point = make_double(b.substituted(v), "derivative")
+    assert point.rule.table == {pair: _at(img, v) for pair, img
+                                in symbolic.rule.table.items()}
+    assert point.eps_a == {g: e.with_value(v)
+                           for g, e in symbolic.eps_a.items()}
+
+
+@pytest.mark.parametrize("v", VALUES)
+def test_normal_forms_in_a_presentation_built_at_a_point(v):
+    b = standard_hecke(2)
+    symbolic = re_presentation(b, "m")
+    point = re_presentation(b.substituted(v), "m")
+    q = Scalar.var()
+    coeffs = [ONE, -q, q * q + Scalar.from_fraction("1/2"),
+              (q + Scalar.from_int(3)).inverse()]
+    gens = matrix_generators("m", 2)
+    rng = random.Random(f"points-{v}")
+    for _ in range(6):
+        x = NCElement.zero()
+        for _ in range(4):
+            w = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
+            x = x + NCElement.word(w, rng.choice(coeffs))
+        nf = symbolic.normal_form(x)
+        assert point.normal_form(_at(x, v)) == _at(nf, v)
+    # and a relation times a word stays in the ideal at the point
+    rel = symbolic.relations[0] * NCElement.generator(gens[0])
+    assert symbolic.normal_form(rel).is_zero()
+    assert point.normal_form(_at(rel, v)).is_zero()
+
+
+def test_a_substituted_braiding_keeps_a_spoiled_inverse():
+    b = copy.copy(standard_hecke(2))
+    b.inv = b.inv.scale(Scalar.from_int(2))
+    v = VALUES[0]
+    point = b.substituted(v)  # not re-verified: no BraidingError
+    assert point.inv == b.inv.substituted(v)
+    assert point.op * point.inv != TensorOperator.identity(2, 2)
+    assert point.q == Scalar.from_fraction(v) and point.nu == b.nu.with_value(v)
+
+
+@pytest.mark.parametrize("kind", ["left", "derivative_shifted"])
+def test_a_substituted_double_is_the_double_at_the_point(kind):
+    b = standard_hecke(2)
+    v = VALUES[0]
+    q = Scalar.var()
+    h = q if kind == "derivative_shifted" else None
+    got = make_double(b, kind, h).substituted(v)
+    want = make_double(b.substituted(v), kind,
+                       None if h is None else Scalar.from_fraction(v))
+    assert got.kind == want.kind and got.braiding.op == want.braiding.op
+    assert got.defining[2] == want.defining[2]
+    assert got.rule.table == want.rule.table and got.eps_a == want.eps_a
+    for side in ("a_pres", "b_pres"):
+        assert getattr(got, side).relations == getattr(want, side).relations
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +265,8 @@ def test_sampled_det_capelli_is_not_vacuous(monkeypatch):
     [check] = run("SAMPLED").checks
     assert check["id"] == "traced-identity" and not check["passed"]
     # the witness names the first failing point and the residual there
-    [(suffix, at), *_] = parameter_points("SAMPLED", random.Random(1), 3)
+    [(suffix, _), *_] = parameter_points(standard_hecke(2), "SAMPLED",
+                                         random.Random(1), 3)
     point, residual = check["witness"].split(": ", 1)
     assert point == suffix
     assert "*" in residual and "q" not in residual  # rational coefficients

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from redouble import suites
 from redouble.anchors import ANCHORS, CONJECTURAL, anchor, is_conjectural
 from redouble.reports import VerificationReport
 from redouble.suites import (
@@ -173,6 +174,33 @@ def test_run_all_parallel_matches_serial():
     assert serial.passed, serial.failures()
     for jobs in (2, 3):
         assert run_all(seed=2, jobs=jobs).to_json() == serial.to_json(), jobs
+
+
+@pytest.mark.parametrize("jobs", [2, 10 ** 6])
+def test_the_pool_has_no_more_workers_than_tasks(jobs, monkeypatch):
+    # No process starts: the executor runs the tasks in this process and
+    # each row gets an empty, passing report.
+    made = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(suites, "_run_task", lambda task: [
+        (VerificationReport(config.suite, {}), 0.0) for _, config in task])
+    summary = run_all(jobs=jobs)
+    assert summary.passed and len(summary.checks) == len(acceptance_grid())
+    assert made == [min(jobs, len(grid_tasks(acceptance_grid())))]
 
 
 def test_exit_code_classification():
