@@ -176,9 +176,11 @@ def verify_capelli_action(braiding: Braiding, k: int,
     witness = None
     # the action is linear in the acting element: act once by the difference
     entries = (lhs - rhs).entries
-    for r, c in sorted(entries):
-        for w in targets:
-            image = double.act_mixed(entries[r, c], NCElement.word(w))
+    keys = sorted(entries)
+    images = double.act_each((entries[key] for key in keys),
+                             [NCElement.word(w) for w in targets])
+    for (r, c), row in zip(keys, images):
+        for w, image in zip(targets, row):
             if not double.b_pres.reduces_to_zero(image):
                 ok = False
                 witness = f"entry {r}->{c} on {w!r}"

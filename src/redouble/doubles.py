@@ -16,11 +16,18 @@ recursing on rest, with the counit on the empty word.  It runs on the
 packed Laurent integers of linalg.Triangular: each double packs its rule
 table and counit once, over one cleared denominator, and memoizes the
 action of an a-letter on a b-word as a packed vector for as long as the
-double lives (_PackedAction).  act_mixed loads x and b through
-Triangular's boundary, multiplies them on packed integers, and makes
-Scalars only for the entries of its result.  The ordering route stays
-as binormal_form's canonicalization and as an independent reference for
+double lives (_PackedAction).  act_each acts with each of several
+elements on a list of targets: it loads every element and every target
+once through Triangular's boundary, multiplies them on packed integers,
+and makes Scalars only for the entries of the results; act_mixed is that
+call with one element and one target.  The ordering route stays as
+binormal_form's canonicalization and as an independent reference for
 the action (act_by_ordering), sharing only the rule table with it.
+
+A slotwise action operator (action_operator) reduces each B-word of
+degree <= k once, into a packed table of normal forms, acts on each word
+of the monomial entries once, and maps every entry through those tables;
+no entry is normal-formed on its own.
 
 Kinds, each named by the role the A-side plays on the B-side:
   left              invariant fields, homogeneous form
@@ -38,7 +45,10 @@ derivative, d, n for the shifted derivatives, and l, x for vector.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
+from typing import Iterable
 
 from .braidings import Braiding, TensorOperator
 from .linalg import (_WIDTH, _pack, _pack_vector, _parameter, _spread,
@@ -56,7 +66,8 @@ from .ncengine import (
     symmetric_vector_presentation,
     vector_generators,
 )
-from .scalars import ONE, ZERO, Scalar, _pmul
+from .scalars import (ONE, ZERO, MixedParameterError, Scalar, _pcontent,
+                      _pdivexact, _pgcd, _pmul)
 
 
 class DoubleError(Exception):
@@ -209,30 +220,55 @@ class QuantumDouble:
 
     def act(self, a: NCElement, b: NCElement) -> NCElement:
         """Action of A on B: the counit-capped ordered form of a·b."""
-        for w in a.terms:
-            if any(g.tag != self.a_tag for g in w):
-                raise DoubleError("left action argument must be an A-element")
+        self._check_acting(a)
         return self.act_mixed(a, b)
 
     def act_mixed(self, x: NCElement, b: NCElement) -> NCElement:
-        """Regular action of any double element on a B-element.
+        """Regular action of any double element on a B-element."""
+        return next(self.act_each([x], [b]))[0]
+
+    def act_each(self, xs: Iterable[NCElement], targets: list):
+        """For each x of xs in turn, the list of x acting on every target.
 
         Each word of x·b acts on the empty B-word from its last letter to
         its first: a B-letter multiplies on the left, an A-letter acts
         through the double's packed (letter, B-word) memo.  Equal to
         act_by_ordering, since the rules a·b -> ... cannot overlap (so
         the ordered form is unique) and the counit is multiplicative.
+        The packed kernel loads every target once and each x once.
         """
-        self._check_target(b)
-        if x.terms and b.terms and max(map(len, x.terms)) + \
-                max(map(len, b.terms)) > self.max_word:
-            raise DoubleError("degree-overflow during the action")
+        for b in targets:
+            self._check_target(b)
+        longest = max((len(w) for b in targets for w in b.terms),
+                      default=None)
+        loaded = None  # (kernel, the targets loaded in it)
+
+        def run(kernel):
+            nonlocal loaded
+            if loaded is None or loaded[0] is not kernel:
+                loaded = kernel, [(_parameter(b.terms.values(), None),
+                                   *kernel._load(b.terms)) for b in targets]
+            return kernel.act(x.terms, loaded[1])
+
+        for x in xs:
+            if longest is not None and x.terms and \
+                    max(map(len, x.terms)) + longest > self.max_word:
+                raise DoubleError("degree-overflow during the action")
+            yield [NCElement(terms) for terms in self._with_kernel(run)]
+
+    def _with_kernel(self, run):
+        """run(kernel) on the packed action kernel of this double.
+
+        A kernel whose digits could overflow raises _TooWide; the double
+        then builds one of twice the width (with an empty memo) and runs
+        again.
+        """
         while True:
             kernel = self._kernel
             if kernel is None:
                 kernel = self._kernel = _PackedAction(self, _WIDTH)
             try:
-                return NCElement(kernel.act(x.terms, b.terms))
+                return run(kernel)
             except _TooWide:
                 self._kernel = _PackedAction(self, 2 * kernel.width)
 
@@ -254,6 +290,11 @@ class QuantumDouble:
                     break
             accumulate(out, bw, val)
         return NCElement(out)
+
+    def _check_acting(self, a: NCElement) -> None:
+        for w in a.terms:
+            if any(g.tag != self.a_tag for g in w):
+                raise DoubleError("left action argument must be an A-element")
 
     def _check_target(self, b: NCElement) -> None:
         for w in b.terms:
@@ -418,15 +459,15 @@ class _PackedAction:
         digits = max(map(int.bit_length, packed.values()), default=0) // w
         return frame, packed, den, bound + _spread(digits + 1)
 
-    def act(self, x: dict, b: dict) -> dict:
-        """Terms of x·b acting on the empty B-word; x and b are terms.
+    def _act(self, xs: dict, xbound: int, bs: dict, bbound: int) -> tuple:
+        """(top, frame, vec, bound) of x·b acting on the empty B-word.
 
-        Each word of x acts, from its last letter to its first, on the
-        packed vector of b.
+        xs and bs are the packed terms of x and b as _load gives them,
+        with L1 bounds xbound and bbound.  With their frames and
+        denominators, x·b acts as q^(xframe + bframe + frame) · vec /
+        (xden · bden · D^top).  Each word of x acts, from its last letter
+        to its first, on the packed vector of b.
         """
-        param = _parameter(b.values(), _parameter(x.values(), self.param))
-        xframe, xs, xden, xbound = self._load(x)
-        bframe, bs, bden, bbound = self._load(b)
         a_tag, b_tag = self.a_tag, self.b_tag
         parts = []
         for word, c in xs.items():
@@ -450,15 +491,36 @@ class _PackedAction:
             if vec:
                 parts.append((c, xbound, exp, fr, vec, vbound))
         if not parts:
-            return {}
+            return 0, 0, {}, 0
         top, lifted = self._lift(parts)
-        fr, vec, _ = self._sum(lifted)
-        den = xden if bden == (1,) else _pmul(xden, bden)
+        return (top, *self._sum(lifted))
+
+    def _scalars(self, param, frame: int, vec: dict, den: tuple,
+                 top: int) -> dict:
+        """The terms q^frame · vec / (den · D^top), made Scalars."""
         if top and self.den != (1,):
             den = _pmul(den, self._power(top)[2])
-        return {k: Scalar._make(param or "q", xframe + bframe + fr,
-                                _unpack(p, self.width), den)
+        w = self.width
+        return {k: Scalar._make(param or "q", frame, _unpack(p, w), den)
                 for k, p in vec.items()}
+
+    def act(self, x: dict, targets: list) -> list:
+        """Terms of x acting on each loaded target; x is a term dict.
+
+        targets are (param, frame, packed, den, bound) of B-elements, their
+        loads and first parameters.  x is loaded once.
+        """
+        xparam = _parameter(x.values(), self.param)
+        xframe, xs, xden, xbound = self._load(x)
+        out = []
+        for bparam, bframe, bs, bden, bbound in targets:
+            if None not in (xparam, bparam) and xparam != bparam:
+                raise MixedParameterError(f"{xparam!r} vs {bparam!r}")
+            top, fr, vec, _ = self._act(xs, xbound, bs, bbound)
+            den = xden if bden == (1,) else _pmul(xden, bden)
+            out.append(self._scalars(xparam or bparam, xframe + bframe + fr,
+                                     vec, den, top))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -698,33 +760,163 @@ def action_operator(double: QuantumDouble, a: NCElement,
 
 def _solve_action_operator(double: QuantumDouble, a: NCElement,
                            k: int) -> TensorOperator:
-    mon = monomial_matrix(double.braiding, double.b_tag, k)
+    """Solve act(a, M) = O · M for the monomial matrix M of degree k.
+
+    With nf the normal form of the B-presentation, row l of the system
+    holds nf(M[l][j]) at the keys (j, w) and target i holds
+    nf(act(a, M[i][j])); O[i] is the coordinates of target i in the rows.
+    Both are linear in the words of the entries, and nf of a word is
+    unique (the presentation is certified by the diamond lemma), so each
+    B-word of degree <= k is reduced once, into the table T[w] = m · nf(w)
+    (the action never raises the B-degree), and each word of the entries
+    is acted on once, into U[w] = m · nf(act(a, w)).  m is one nonzero
+    polynomial, the lcm of the denominators of the table's remainders.
+    Row l is then m · nf(M[l][j]) = sum of c_w T[w] and target i is
+    m · nf(act(a, M[i][j])) = sum of c_w U[w], over the terms c_w·w of
+    the entries, formed on packed Laurent integers with Scalars made only
+    for their entries.  Scaling every row and every target by the same
+    nonzero m changes neither the coordinates nor which check fails: the
+    scaled rows are dependent exactly when the rows are, and a scaled
+    target lies in the span of the scaled rows exactly when the target
+    lies in the span of the rows.
+
+    Raises DoubleError when the monomial entries are linearly dependent,
+    or when the action is not slotwise (a target outside that span).
+    """
+    double._check_acting(a)
+    if a.terms and max(map(len, a.terms)) + k > double.max_word:
+        raise DoubleError("degree-overflow during the action")
     idx = _index_space(double.braiding.dim, k)
-    nf_rows = []
-    for kk in idx:
-        row: dict = {}
-        for j in idx:
-            e = double.b_pres.normal_form(mon.entry(kk, j))
-            for w, c in e.terms.items():
-                row[(j, w)] = c
-        nf_rows.append(row)
-    try:
-        coords = coordinates(nf_rows)
-    except ArithmeticError as exc:
-        raise DoubleError("monomial entries are linearly dependent") from exc
-    rows: dict = {}
-    for i in idx:
-        target: dict = {}
-        for j in idx:
-            acted = double.act(a, mon.entry(i, j))
-            e = double.b_pres.normal_form(acted)
-            for w, c in e.terms.items():
-                accumulate(target, (j, w), c)
+    gens = double.b_pres.generators
+    words = [w for d in range(k + 1)
+             for w in itertools.product(gens, repeat=d)]
+
+    def solve(kernel):
+        mon = monomial_matrix(double.braiding, double.b_tag, k)
+        entries = [[mon.entry(i, j).terms for j in idx] for i in idx]
+        param = _parameter(a.terms.values(), kernel.param)
+        for row in entries:
+            for e in row:
+                param = _parameter(e.values(), param)
+        loaded = [[kernel._load(e) for e in row] for row in entries]
+        del mon, entries
+        table, tparam = _word_table(double.b_pres, words, kernel.width)
+        if None not in (param, tparam) and param != tparam:
+            raise MixedParameterError(f"{param!r} vs {tparam!r}")
+        param = param or tparam
         try:
-            row = {idx[pos]: c for pos, c in coords(target).items()}
+            coords = coordinates(
+                _packed_row(kernel, param, idx, row, (1,), table)
+                for row in loaded)
         except ArithmeticError as exc:
             raise DoubleError(
-                "action is not slotwise on these monomials") from exc
-        if row:
-            rows[i] = row
-    return TensorOperator(double.braiding.dim, k, rows)
+                "monomial entries are linearly dependent") from exc
+        xframe, xs, xden, xbound = kernel._load(a.terms)
+        # m · nf(act(a, w)) per word, kept until the last row that reads it
+        uses = collections.Counter(key for row in loaded for e in row
+                                   for key in e[1])
+        acted = {}
+        out: dict = {}
+        for i, row in zip(idx, loaded):
+            for _, packed, _, _ in row:
+                for w in packed:
+                    if w not in acted:
+                        acted[w] = _acted_word(kernel, xframe, xs, xbound,
+                                               w, table)
+            target = _packed_row(kernel, param, idx, row, xden, acted)
+            for _, packed, _, _ in row:
+                for w in packed:
+                    uses[w] -= 1
+                    if not uses[w]:
+                        del acted[w]
+            try:
+                row = {idx[pos]: c for pos, c in coords(target).items()}
+            except ArithmeticError as exc:
+                raise DoubleError(
+                    "action is not slotwise on these monomials") from exc
+            if row:
+                out[i] = row
+        return out
+
+    return TensorOperator(double.braiding.dim, k, double._with_kernel(solve))
+
+
+def _plcm(a: tuple, b: tuple) -> tuple:
+    """A least common multiple in Z[q] of two nonzero integer polynomials."""
+    g = _pgcd(a, b)
+    c = math.gcd(_pcontent(a), _pcontent(b))
+    return _pdivexact(_pmul(a, b), tuple(c * x for x in g))
+
+
+def _word_table(b_pres: QuadraticPresentation, words: list,
+                width: int) -> tuple:
+    """(table, param): m · nf(w) for every word w, packed at width.
+
+    table[w] = (0, frame, vec, bound) with m · nf(w) = q^frame · vec and
+    every coefficient's absolute values summing to at most 2^bound; words
+    whose normal form is zero are left out.  m is the lcm of the
+    denominators of the packed remainders, so vec is integral.  param is
+    the parameter of the presentation's remainders.  Raises _TooWide when
+    a coefficient does not fit the digits.
+    """
+    remainders = list(b_pres.word_remainders(words))
+    m = (1,)
+    for den in dict.fromkeys(r[4] for r in remainders):
+        m = _plcm(m, den)
+    table = {}
+    param = None  # every remainder carries the presentation's parameter
+    cofactors: dict = {}
+    for word, param, frame, packed, den, w in remainders:
+        cof = cofactors.get(den)
+        if cof is None:
+            cof = cofactors[den] = _pdivexact(m, den)
+        vec = {}
+        bound = 0
+        for key, p in packed.items():
+            c = _pmul(_unpack(p, w), cof)
+            bound = max(bound, _norm_bits(c))
+            vec[key] = _pack(c, width)
+        if bound > width - 2:
+            raise _TooWide
+        if vec:
+            table[word] = (0, frame, vec, bound)
+    return table, param
+
+
+def _acted_word(kernel: _PackedAction, xframe: int, xs: dict, xbound: int,
+                word: tuple, table: dict):
+    """m · nf(act(x, word)) as (top, frame, vec, bound), or None if zero.
+
+    x is loaded as kernel._load gives it; the image is
+    q^frame · vec / (xden · D^top), mapped through the word table.
+    """
+    top, fr, vec, bound = kernel._act(xs, xbound, {word: 1}, 0)
+    f, vec, b = kernel._sum([((), p, bound, *table[v][1:])
+                             for v, p in vec.items() if v in table])
+    return (top, xframe + fr + f, vec, b) if vec else None
+
+
+def _packed_row(kernel: _PackedAction, param, idx: list, row: list,
+                xden: tuple, table: dict) -> dict:
+    """A row of loaded entries mapped through a word table, as Scalars.
+
+    Entry j of row, the sum of c_w·w, becomes the sum of c_w·table[w] at
+    the keys (j, word); every table entry is over xden · D^top, and a
+    word that is missing or maps to None contributes nothing.
+    """
+    out = {}
+    for j, (eframe, packed, eden, ebound) in zip(idx, row):
+        parts = []
+        for v, p in packed.items():
+            t = table.get(v)
+            if t is not None:
+                parts.append((p, ebound, *t))
+        if not parts:
+            continue
+        top, lifted = kernel._lift(parts)
+        frame, vec, _ = kernel._sum(lifted)
+        den = xden if eden == (1,) else _pmul(xden, eden)
+        for word, c in kernel._scalars(param, eframe + frame, vec, den,
+                                       top).items():
+            out[(j, word)] = c
+    return out

@@ -27,11 +27,13 @@ over its gcd with the cleared coefficient (one small polynomial gcd per
 step, none per entry), and remembers the scale.
 
 Scalars meet the kernel only at its boundary, `_pack_vector`, which the
-counit action of a double (`doubles._PackedAction`) shares.  An
-input's non-constant denominators are cleared by
-`scalars.laurent_multiplier` and its integer ones by their lcm, both into
-the remembered scale; `reduce` divides each surviving entry once by that
-scale, and `row` unpacks a stored row.
+counit action of a double (`doubles._PackedAction`) shares; a caller
+that combines remainders on packed integers (the word tables of
+`doubles._solve_action_operator`) reads them through
+`Triangular.packed_remainder`.  An input's non-constant denominators are
+cleared by `scalars.laurent_multiplier` and its integer ones by their
+lcm, both into the remembered scale; `reduce` divides each surviving
+entry once by that scale, and `row` unpacks a stored row.
 Remainders modulo a leading-reduced basis are unique, so that division
 yields exactly the canonical Q(q) remainder that elimination over the
 field gives.
@@ -423,11 +425,22 @@ class Triangular:
                 {k: _pack(_unpack(p, w), wide) for k, p in rest.items()},
                 *tail)
 
+    def packed_remainder(self, vec: dict) -> tuple:
+        """The remainder of vec as (param, frame, packed, den, width).
+
+        The remainder is q^frame · packed / den: packed maps each key that
+        survives to an integer polynomial packed at digit width `width`
+        (`_pack`), and den is an integer polynomial.  param is `param`,
+        None while every entry seen was a constant.  `reduce` is this
+        remainder made into Scalars.
+        """
+        frame, vec, den = self._remainder(vec)
+        return self.param, frame, vec, den, self._width
+
     def reduce(self, vec: dict) -> dict:
         """Unique remainder of vec modulo the current row span."""
-        frame, vec, den = self._remainder(vec)
-        w = self._width
-        param = self.param or "q"
+        param, frame, vec, den, w = self.packed_remainder(vec)
+        param = param or "q"
         return {k: Scalar._make(param, frame, _unpack(p, w), den)
                 for k, p in vec.items()}
 
@@ -518,12 +531,12 @@ class _Position:
         return type(other) is _Position and self.i > other.i
 
 
-def coordinates(rows: list):
+def coordinates(rows):
     """Coordinates with respect to linearly independent rows.
 
-    Each row, augmented by a marker of its position, goes into one
-    `Triangular`; markers sort below the row keys, which must be
-    mutually comparable.  Raises ArithmeticError when the rows are
+    rows is any iterable, read once.  Each row, augmented by a marker of
+    its position, goes into one `Triangular`; markers sort below the row
+    keys, which must be mutually comparable.  Raises ArithmeticError when the rows are
     dependent.  Returns coords(vec) -> {i: c_i} with vec = sum of
     c_i * rows[i]; coords raises ArithmeticError when vec lies outside
     the span of the rows.

@@ -300,6 +300,18 @@ class QuadraticPresentation:
         self.ensure(x.degree())
         return NCElement(self._tri.reduce(dict(x.terms)))
 
+    def word_remainders(self, words: list):
+        """The normal forms of single words, packed: one elimination each.
+
+        Yields (word, param, frame, packed, den, width) for each word, as
+        Triangular.packed_remainder gives nf(word).  For tables that a
+        caller combines linearly on packed integers; `normal_form` is the
+        path for an element.
+        """
+        self.ensure(max(map(len, words), default=0))
+        for w in words:
+            yield (w, *self._tri.packed_remainder({w: ONE}))
+
     def reduces_to_zero(self, x: NCElement) -> bool:
         return self.normal_form(x).is_zero()
 

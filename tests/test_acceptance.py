@@ -8,6 +8,9 @@ re-emitted after the run in the "acceptance criteria" terminal section.
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import pathlib
 import random
 import time
 
@@ -199,15 +202,28 @@ def test_criterion_09_convention_guard():
     _run(9, 5.0, "trace-collapse + e1 convention guard", reports)
 
 
+def _grid_sha256() -> str:
+    """The benchmark's pin of the `--suite all` report bytes at seed 0."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GRID_SHA256
+
+
 def test_criterion_10_deterministic_reports():
-    """Two full grid runs with one seed serialize to identical bytes."""
+    """Two full grid runs with one seed serialize to identical bytes,
+    and those bytes are the ones the benchmark pins."""
     t0 = time.perf_counter()
     first = run_all(seed=0)
     second = run_all(seed=0)
     elapsed = time.perf_counter() - t0
-    identical = first.to_json() == second.to_json()
-    ok = first.passed and identical
+    text = first.to_json()
+    identical = text == second.to_json()
+    pinned = hashlib.sha256(text.encode()).hexdigest() == _grid_sha256()
+    ok = first.passed and identical and pinned
     _record(10, ok, f"run-all byte-identity over {len(first.checks)} rows, "
                     f"{elapsed:.2f}s")
     assert first.passed, first.failures()
     assert identical
+    assert pinned

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from redouble import doubles
 from redouble.braidings import TensorOperator, flip, standard_hecke
 from redouble.capelli import (
     StructureError,
@@ -148,6 +149,29 @@ def test_capelli_action_route():
     for k in (1, 2):
         report = verify_capelli_action(b, k, degree=2)
         assert report.passed, k
+
+
+def test_capelli_action_loads_each_entry_and_target_once(monkeypatch):
+    # The action route acts with every entry of lhs - rhs on every word of
+    # degree <= 2: the packed kernel loads each entry once and each target
+    # word once, not each entry once per target.
+    b = standard_hecke(2)
+    lhs, rhs = capelli_sides(make_double(b, "derivative"), 2)
+    entries = len((lhs - rhs).entries)
+    targets = 1 + 4 + 4 ** 2
+    loads = []
+    real = doubles._PackedAction._load
+
+    def counted(self, vec):
+        loads.append(None)
+        return real(self, vec)
+
+    monkeypatch.setattr(doubles._PackedAction, "_load", counted)
+    report = verify_capelli_action(b, 2, degree=2)
+    monkeypatch.undo()
+    assert report.passed
+    assert entries > 1 and loads
+    assert len(loads) <= entries + targets
 
 
 def test_capelli_rank_three_both_routes():

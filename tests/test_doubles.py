@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from redouble import doubles
 from redouble.braidings import TensorOperator, flip, standard_hecke
 from redouble.doubles import (
     DoubleError,
@@ -14,14 +16,17 @@ from redouble.doubles import (
     _defining_relation,
     _extract_rule,
     _index_space,
+    _PackedAction,
+    _solve_action_operator,
     action_operator,
     make_double,
     matrix_copy,
     monomial_matrix,
 )
 from redouble.heckerep import jucys_murphy_inverse
-from redouble.invariants import power_sum
-from redouble.linalg import _WIDTH, vec_add_scaled
+from redouble.invariants import elementary_symmetric, power_sum
+from redouble.linalg import (_WIDTH, _unpack, accumulate, coordinates,
+                             vec_add_scaled)
 from redouble.ncengine import Gen, MatrixOverAlgebra, NCElement, matrix_generators
 from redouble.scalars import ONE, ZERO, Scalar, nu, parameter_points
 from redouble.suites import _DOUBLE_KINDS
@@ -480,3 +485,147 @@ def test_binormal_form_equals_the_per_word_route(kind):
     assert any(d.binormal_form(x).is_zero() for x in elements)
     assert not all(d.binormal_form(x).is_zero() for x in elements)
 
+
+
+def _per_entry_operator(double, a, k):
+    """Reference for the action operator: one normal form per monomial
+    entry and one per acted entry, each reduced on its own."""
+    mon = monomial_matrix(double.braiding, double.b_tag, k)
+    idx = _index_space(double.braiding.dim, k)
+    nf_rows = []
+    for kk in idx:
+        row: dict = {}
+        for j in idx:
+            e = double.b_pres.normal_form(mon.entry(kk, j))
+            for w, c in e.terms.items():
+                row[(j, w)] = c
+        nf_rows.append(row)
+    try:
+        coords = coordinates(nf_rows)
+    except ArithmeticError as exc:
+        raise DoubleError("monomial entries are linearly dependent") from exc
+    rows: dict = {}
+    for i in idx:
+        target: dict = {}
+        for j in idx:
+            acted = double.act(a, mon.entry(i, j))
+            e = double.b_pres.normal_form(acted)
+            for w, c in e.terms.items():
+                accumulate(target, (j, w), c)
+        try:
+            row = {idx[pos]: c for pos, c in coords(target).items()}
+        except ArithmeticError as exc:
+            raise DoubleError(
+                "action is not slotwise on these monomials") from exc
+        if row:
+            rows[i] = row
+    return TensorOperator(double.braiding.dim, k, rows)
+
+
+def _left(n):
+    return make_double(standard_hecke(n), "left")
+
+
+_SOLVE_CASES = (
+    [(f"left-n{n}-p1-k{k}", lambda n=n: _left(n),
+      lambda d: power_sum(d.braiding, "l", 1), k)
+     for n in (2, 3) for k in (1, 2, 3)]
+    + [(f"left-n2-e2-k{k}", lambda: _left(2),
+        lambda d: elementary_symmetric(d.braiding, "l", 2), k)
+       for k in (1, 2, 3)]
+    + [(f"left-n2-p2-k{k}", lambda: _left(2),
+        lambda d: power_sum(d.braiding, "l", 2), k) for k in (1, 2, 3)]
+    # images of the unit-shifted fields leave degree k
+    + [(f"left_shifted-n2-p1-k{k}",
+        lambda: make_double(standard_hecke(2), "left_shifted"),
+        lambda d: power_sum(d.braiding, "l", 1), k) for k in (1, 2, 3)]
+    # rational constants: integer denominators in the rule table and rows
+    + [(f"substituted-n2-p1-k{k}",
+        lambda: _left(2).substituted(Fraction(3, 7)),
+        lambda d: power_sum(d.braiding, "l", 1), k) for k in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("make, element, k", [c[1:] for c in _SOLVE_CASES],
+                         ids=[c[0] for c in _SOLVE_CASES])
+def test_word_table_solve_equals_the_per_entry_solve(make, element, k):
+    d = make()
+    a = element(d)
+    got = _solve_action_operator(d, a, k)
+    assert got == _per_entry_operator(make(), a, k)
+    assert got.rows
+
+
+def test_the_word_table_carries_one_common_factor():
+    # T[w] = m · nf(w) with one m for every word; at rank 3 some degree-3
+    # remainders are over q^2 - 1 and the others over 1, so m = q^2 - 1
+    d = _left(3)
+    words = [w for k in range(4)
+             for w in itertools.product(d.b_pres.generators, repeat=k)]
+    table, param = doubles._word_table(d.b_pres, words, _WIDTH)
+    ratios = set()
+    for w in words:
+        nf = d.b_pres.normal_form(NCElement.word(w)).terms
+        assert (w in table) == bool(nf)
+        if nf:
+            _, frame, vec, _ = table[w]
+            assert vec.keys() == nf.keys()
+            for key, p in vec.items():
+                entry = Scalar._make(param, frame, _unpack(p, _WIDTH), (1,))
+                ratios.add(entry * nf[key].inverse())
+    q = q_scalar()
+    assert ratios == {q * q - ONE}
+
+
+@pytest.mark.parametrize("kind, letter", [("adjoint", Gen("l", 1, 2)),
+                                          ("derivative", Gen("d", 1, 2))])
+def test_an_off_diagonal_field_is_not_slotwise_on_either_route(kind, letter):
+    a = NCElement.generator(letter)
+    for solve in (_solve_action_operator, _per_entry_operator):
+        with pytest.raises(DoubleError, match="action is not slotwise"):
+            solve(make_double(standard_hecke(2), kind), a, 1)
+
+
+def test_wide_coefficients_widen_the_operator_solve(monkeypatch):
+    # a 2^80 coefficient in the acting element cannot sit in a 64-bit
+    # digit: the solve restarts on a kernel of twice the width and builds
+    # its word table again there
+    d = _left(2)
+    q = q_scalar()
+    big = Scalar.from_int(2 ** 80) * q + Scalar.from_int(3)
+    a = power_sum(d.braiding, "l", 1).scale(big)
+    widths = []
+    real = doubles._word_table
+
+    def spy(b_pres, words, width):
+        widths.append(width)
+        return real(b_pres, words, width)
+
+    monkeypatch.setattr(doubles, "_word_table", spy)
+    got = _solve_action_operator(d, a, 2)
+    monkeypatch.undo()
+    assert widths == [_WIDTH, 2 * _WIDTH]
+    assert got == _per_entry_operator(_left(2), a, 2)
+
+
+def test_a_narrow_kernel_widens_the_word_table(monkeypatch):
+    # at 4-bit digits the table's own remainders overflow, and so do the
+    # packed sums after it: every restart doubles the width
+    d = _left(2)
+    d._kernel = _PackedAction(d, 4)
+    overflowed = []
+    real = doubles._word_table
+
+    def spy(b_pres, words, width):
+        try:
+            return real(b_pres, words, width)
+        except doubles._TooWide:
+            overflowed.append(width)
+            raise
+
+    monkeypatch.setattr(doubles, "_word_table", spy)
+    a = power_sum(d.braiding, "l", 1)
+    got = _solve_action_operator(d, a, 3)
+    monkeypatch.undo()
+    assert overflowed == [4]
+    assert d._kernel.width > 8
+    assert got == _per_entry_operator(_left(2), a, 3)

@@ -195,12 +195,14 @@ def test_spectrum_operator_route_full_grid():
 
 
 def test_action_route_matches_operator_route():
-    b = standard_hecke(2)
-    d = make_double(b, "left")
-    trl = power_sum(b, "l", 1)
+    # rank 3, degree 3 is the grid's own solve (the spectrum-n3-3 rows)
     from redouble.doubles import action_operator
-    for k in (1, 2):
-        assert action_operator(d, trl, k) == trace_action_operator(b, k)
+    for n, degrees in ((2, (1, 2)), (3, (3,))):
+        b = standard_hecke(n)
+        d = make_double(b, "left")
+        trl = power_sum(b, "l", 1)
+        for k in degrees:
+            assert action_operator(d, trl, k) == trace_action_operator(b, k)
 
 
 def test_spectrum_action_route_trace():
