@@ -18,9 +18,12 @@ import sys
 import time
 
 from .braidings import BraidingError
+from .capelli import StructureError
+from .doubles import DoubleError
+from .heckerep import IdempotentError
 from .ncengine import PresentationError
 from .reports import VerificationReport
-from .scalars import MODES, MixedParameterError
+from .scalars import MODES, MixedParameterError, PoleError
 from .suites import (_PER_SUITE_FLAGS, _SUITE_READS, SUITE_NAMES,
                      SuiteConfig, clear_caches, exit_code_for, run_all,
                      run_suite)
@@ -28,10 +31,11 @@ from .u2h import UnsupportedElementError
 
 CONFIG_ERROR = 3
 
-# ValueErrors raised by the engine on a valid configuration: a failed run
-# (exit 1), not an unusable configuration (exit 3).
+# Errors raised by the engine on a valid configuration: a failed run
+# (exit 1), not an unusable configuration (exit 3, any other ValueError).
 ENGINE_ERRORS = (MixedParameterError, BraidingError, UnsupportedElementError,
-                 PresentationError)
+                 PresentationError, DoubleError, StructureError,
+                 IdempotentError, PoleError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -13,21 +13,23 @@ The action never orders a whole product.  A word acts letter by letter,
 from its last letter to its first: a b-letter multiplies on the left, and
 an a-letter g acts on a b-word b1·rest through the rule image of (g, b1),
 recursing on rest, with the counit on the empty word.  It runs on the
-packed Laurent integers of linalg.Triangular: each double packs its rule
-table and counit once, over one cleared denominator, and memoizes the
-action of an a-letter on a b-word as a packed vector for as long as the
-double lives (_PackedAction).  act_each acts with each of several
-elements on a list of targets: it loads every element and every target
-once through Triangular's boundary, multiplies them on packed integers,
-and makes Scalars only for the entries of the results; act_mixed is that
-call with one element and one target.  The ordering route stays as
-binormal_form's canonicalization and as an independent reference for
-the action (act_by_ordering), sharing only the rule table with it.
+packed Laurent format of linalg, which alone knows the digits, bounds,
+frames and denominators: each double loads its rule table and counit
+once, over one cleared denominator D, and memoizes the action of an
+a-letter on a b-word as a packed vector for as long as the double lives
+(_PackedAction); this module keeps the recursion and the powers of D.
+act_each acts with each of several elements on a list of targets: it
+loads every element and every target once, in the braiding's parameter,
+multiplies them on packed integers, and makes Scalars only for the
+entries of the results; act_mixed is that call with one element and one
+target.  The ordering route stays as binormal_form's canonicalization
+and as an independent reference for the action (act_by_ordering),
+sharing only the rule table with it.
 
-A slotwise action operator (action_operator) reduces each B-word of
-degree <= k once, into a packed table of normal forms, acts on each word
-of the monomial entries once, and maps every entry through those tables;
-no entry is normal-formed on its own.
+A slotwise action operator (action_operator) normal-forms each B-word
+of degree <= k once and loads those normal forms into one packed table,
+acts on each word of the monomial entries once, and maps every entry
+through those tables; no entry is normal-formed on its own.
 
 Kinds, each named by the role the A-side plays on the B-side:
   left              invariant fields, homogeneous form
@@ -47,13 +49,12 @@ from __future__ import annotations
 
 import collections
 import itertools
-import math
 from typing import Iterable
 
 from .braidings import Braiding, TensorOperator
-from .linalg import (_WIDTH, _pack, _pack_vector, _parameter, _spread,
-                     _unpack, accumulate, coordinates, mat_mul,
-                     vec_add_scaled)
+from .linalg import (_WIDTH, _pack_vector, _packed_sum, _reframed,
+                     _TooWide, _unpack_vector, accumulate, coordinates,
+                     mat_mul, vec_add_scaled)
 from .ncengine import (
     Gen,
     MatrixOverAlgebra,
@@ -66,8 +67,7 @@ from .ncengine import (
     symmetric_vector_presentation,
     vector_generators,
 )
-from .scalars import (ONE, ZERO, MixedParameterError, Scalar, _pcontent,
-                      _pdivexact, _pgcd, _pmul)
+from .scalars import ONE, ZERO, Scalar
 
 
 class DoubleError(Exception):
@@ -246,8 +246,9 @@ class QuantumDouble:
         def run(kernel):
             nonlocal loaded
             if loaded is None or loaded[0] is not kernel:
-                loaded = kernel, [(_parameter(b.terms.values(), None),
-                                   *kernel._load(b.terms)) for b in targets]
+                loaded = kernel, [
+                    _pack_vector(b.terms, kernel.width, kernel.param)[1:]
+                    for b in targets]
             return kernel.act(x.terms, loaded[1])
 
         for x in xs:
@@ -259,18 +260,20 @@ class QuantumDouble:
     def _with_kernel(self, run):
         """run(kernel) on the packed action kernel of this double.
 
-        A kernel whose digits could overflow raises _TooWide; the double
-        then builds one of twice the width (with an empty memo) and runs
-        again.
+        A kernel whose digits could overflow, in its rule table or in
+        run, raises _TooWide; the double then builds one of twice the
+        width (with an empty memo) and runs again.
         """
+        width = _WIDTH
         while True:
             kernel = self._kernel
-            if kernel is None:
-                kernel = self._kernel = _PackedAction(self, _WIDTH)
             try:
+                if kernel is None:
+                    kernel = self._kernel = _PackedAction(self, width)
                 return run(kernel)
             except _TooWide:
-                self._kernel = _PackedAction(self, 2 * kernel.width)
+                width = 2 * (width if kernel is None else kernel.width)
+                self._kernel = None
 
     def act_by_ordering(self, x: NCElement, b: NCElement) -> NCElement:
         """Reference route for act_mixed, independent of its memo.
@@ -283,12 +286,7 @@ class QuantumDouble:
         out: dict = {}
         for w, c in ordered.terms.items():
             bw, aw = self.split_word(w)
-            val = c
-            for g in aw:
-                val = val * self.eps_a[g]
-                if val.is_zero():
-                    break
-            accumulate(out, bw, val)
+            accumulate(out, bw, self.counit(NCElement.word(aw, c)))
         return NCElement(out)
 
     def _check_acting(self, a: NCElement) -> None:
@@ -310,15 +308,6 @@ class QuantumDouble:
                                  mat_mul(amoa.rows, bmoa.rows, self.act))
 
 
-def _norm_bits(poly: tuple) -> int:
-    """The least b with the absolute coefficients of poly summing to <= 2^b."""
-    return (sum(map(abs, poly)) - 1).bit_length()
-
-
-class _TooWide(Exception):
-    """A packed coefficient could outgrow the digit width."""
-
-
 class _PackedAction:
     """The counit action of one double, on packed Laurent vectors.
 
@@ -332,13 +321,9 @@ class _PackedAction:
     term that stops early (b' or a constant) takes D^|bw| in place of the
     rest of the recursion.  A vector that holds several such products
     carries the exponent of D it is scaled by, and sums lift each part to
-    the largest exponent.
-
-    `bound` is tracked: every entry's coefficients have absolute values
-    summing to at most 2^bound.  A product adds the bounds of its factors
-    and a sum of n parts adds _spread(n).  A bound past width - 2 raises
-    _TooWide; the double then builds a kernel of twice the width (with an
-    empty memo) and restarts the call.
+    the largest exponent.  Bounds follow linalg's convention: a product
+    adds the bounds of its factors, and `linalg._packed_sum` checks them.
+    Every value is in the braiding's parameter.
     """
 
     __slots__ = ("width", "param", "a_tag", "b_tag", "rule", "memo",
@@ -349,47 +334,40 @@ class _PackedAction:
         for pair, img in double.rule.table.items():
             for iw, c in img.terms.items():
                 coeffs[pair + (iw,)] = c
-        self.param = _parameter(coeffs.values(), None)
-        frame, packed, den, bound = _pack_vector(coeffs, width)
-        while bound > width - 2:
-            width *= 2
-            frame, packed, den, bound = _pack_vector(coeffs, width)
+        coeffs[()] = ONE  # loads as D itself
+        self.param = double.braiding.param
+        _, frame, packed, self.den, _ = _pack_vector(coeffs, width,
+                                                     self.param)
         self.width = width
         self.a_tag = double.a_tag
         self.b_tag = double.b_tag
-        self.den = den
-        # powers[n] = (D^n packed, its bound, D^n)
-        self.powers = [(1, 0, (1,))]
         self.rule = {pair: [] for pair in double.rule.table}
         self.memo = {}
         for key, p in packed.items():
-            c = _unpack(p, width)
-            low = 0
-            while not c[low]:
-                low += 1
-            c = c[low:]
-            entry = (_pack(c, width), frame + low, _norm_bits(c))
-            if len(key) == 1:  # the counit on the empty B-word
-                self.memo[(key[0], ())] = (entry[1], {(): entry[0]},
-                                           entry[2])
+            fr, vec, bound = _reframed(frame, {(): p}, width)
+            if not key:
+                # powers[n] = (D^n packed, its bound)
+                self.powers = [(1, 0), (vec[()], bound)]
+            elif len(key) == 1:  # the counit on the empty B-word
+                self.memo[(key[0], ())] = (fr, vec, bound)
             else:
                 ga, gb, iw = key
                 if iw and iw[-1].tag == self.a_tag:
                     # b'·a' or a': a' acts on the rest, b' stays on the left
-                    term = (iw[:-1], iw[-1], *entry)
+                    term = (iw[:-1], iw[-1], vec[()], fr, bound)
                 else:
                     # b' or a constant: nothing is left to act
-                    term = (iw, None, *entry)
+                    term = (iw, None, vec[()], fr, bound)
                 self.rule[(ga, gb)].append(term)
         for g in double.eps_a:
             self.memo.setdefault((g, ()), (0, {}, 0))
 
     def _power(self, n: int) -> tuple:
-        """(D^n packed, its bound, D^n)."""
+        """(D^n packed, its bound)."""
         powers = self.powers
         while len(powers) <= n:
-            poly = _pmul(powers[-1][2], self.den)
-            powers.append((_pack(poly, self.width), _norm_bits(poly), poly))
+            p, bound = powers[-1]
+            powers.append((p * powers[1][0], bound + powers[1][1]))
         return powers[n]
 
     def _letter(self, g: Gen, bw: tuple) -> tuple:
@@ -401,69 +379,35 @@ class _PackedAction:
         parts = []
         for prefix, a, pc, frame, bound in self.rule[(g, bw[0])]:
             if a is None:
-                power, pbound, _ = self._power(len(bw))
-                parts.append((prefix, pc * power, bound + pbound, frame,
-                              {rest: 1}, 0))
+                power, pbound = self._power(len(bw))
+                parts.append((pc * power, bound + pbound, frame,
+                              {prefix + rest: 1}, 0))
             else:
                 fr, vec, vbound = self._letter(a, rest)
                 if vec:
-                    parts.append((prefix, pc, bound, frame + fr, vec, vbound))
-        hit = self.memo[(g, bw)] = self._sum(parts)
+                    if prefix:
+                        vec = {prefix + k: p for k, p in vec.items()}
+                    parts.append((pc, bound, frame + fr, vec, vbound))
+        hit = self.memo[(g, bw)] = _packed_sum(parts, self.width)
         return hit
 
-    def _sum(self, parts: list) -> tuple:
-        """(frame, vec, bound) of the sum of m · q^fr · prefix·vec.
-
-        parts are (prefix, m, m_bound, fr, vec, vec_bound) with vec
-        nonempty; every key of vec is prefixed by the word prefix.
-        """
-        if not parts:
-            return 0, {}, 0
-        w = self.width
-        bound = max(p[2] + p[5] for p in parts) + _spread(len(parts))
-        if bound > w - 2:
-            raise _TooWide
-        if len(parts) == 1 and parts[0][0] == () and parts[0][1] == 1:
-            return parts[0][3], parts[0][4], bound
-        frame = min(p[3] for p in parts)
-        out: dict = {}
-        for prefix, m, _, fr, vec, _ in parts:
-            if fr != frame:
-                m <<= w * (fr - frame)
-            for k, p in vec.items():
-                if prefix:
-                    k = prefix + k
-                cur = out.get(k)
-                out[k] = m * p if cur is None else cur + m * p
-        return frame, {k: p for k, p in out.items() if p}, bound
-
     def _lift(self, parts: list) -> tuple:
-        """(top, parts for _sum): each (m, m_bound, exp, fr, vec, vec_bound)
-        part scaled from D^exp to D^top, top the largest exp."""
+        """(top, parts for _packed_sum): each (m, m_bound, exp, fr, vec,
+        vec_bound) part scaled from D^exp to D^top, top the largest exp."""
         top = max(p[2] for p in parts)
         out = []
         for m, mbound, exp, *tail in parts:
             if exp != top and self.den != (1,):
-                power, pbound, _ = self._power(top - exp)
+                power, pbound = self._power(top - exp)
                 m, mbound = m * power, mbound + pbound
-            out.append(((), m, mbound, *tail))
+            out.append((m, mbound, *tail))
         return top, out
-
-    def _load(self, vec: dict) -> tuple:
-        """(frame, packed, den, bound) of vec, with `bound` an L1 bound."""
-        w = self.width
-        frame, packed, den, bound = _pack_vector(vec, w)
-        if bound > w - 2:
-            raise _TooWide
-        # a packed polynomial whose digits fit has at most this many digits
-        digits = max(map(int.bit_length, packed.values()), default=0) // w
-        return frame, packed, den, bound + _spread(digits + 1)
 
     def _act(self, xs: dict, xbound: int, bs: dict, bbound: int) -> tuple:
         """(top, frame, vec, bound) of x·b acting on the empty B-word.
 
-        xs and bs are the packed terms of x and b as _load gives them,
-        with L1 bounds xbound and bbound.  With their frames and
+        xs and bs are the packed terms of x and b as _pack_vector gives
+        them, with bounds xbound and bbound.  With their frames and
         denominators, x·b acts as q^(xframe + bframe + frame) · vec /
         (xden · bden · D^top).  Each word of x acts, from its last letter
         to its first, on the packed vector of b.
@@ -486,40 +430,35 @@ class _PackedAction:
                     top, lifted = self._lift(
                         [(p, vbound, len(bw) + 1, *self._letter(g, bw))
                          for bw, p in vec.items()])
-                    f, vec, vbound = self._sum([p for p in lifted if p[4]])
+                    f, vec, vbound = _packed_sum(
+                        [p for p in lifted if p[3]], self.width)
                     fr, exp = fr + f, exp + top
             if vec:
                 parts.append((c, xbound, exp, fr, vec, vbound))
         if not parts:
             return 0, 0, {}, 0
         top, lifted = self._lift(parts)
-        return (top, *self._sum(lifted))
+        return (top, *_packed_sum(lifted, self.width))
 
-    def _scalars(self, param, frame: int, vec: dict, den: tuple,
+    def _scalars(self, frame: int, vec: dict, dens: tuple,
                  top: int) -> dict:
-        """The terms q^frame · vec / (den · D^top), made Scalars."""
-        if top and self.den != (1,):
-            den = _pmul(den, self._power(top)[2])
-        w = self.width
-        return {k: Scalar._make(param or "q", frame, _unpack(p, w), den)
-                for k, p in vec.items()}
+        """The terms q^frame · vec / (the product of dens, and D^top)."""
+        return _unpack_vector(self.param, frame, vec, self.width,
+                              dens + (self.den,) * top)
 
     def act(self, x: dict, targets: list) -> list:
         """Terms of x acting on each loaded target; x is a term dict.
 
-        targets are (param, frame, packed, den, bound) of B-elements, their
-        loads and first parameters.  x is loaded once.
+        targets are (frame, packed, den, bound) of B-elements, as
+        _pack_vector loads them here.  x is loaded once.
         """
-        xparam = _parameter(x.values(), self.param)
-        xframe, xs, xden, xbound = self._load(x)
+        _, xframe, xs, xden, xbound = _pack_vector(x, self.width,
+                                                   self.param)
         out = []
-        for bparam, bframe, bs, bden, bbound in targets:
-            if None not in (xparam, bparam) and xparam != bparam:
-                raise MixedParameterError(f"{xparam!r} vs {bparam!r}")
+        for bframe, bs, bden, bbound in targets:
             top, fr, vec, _ = self._act(xs, xbound, bs, bbound)
-            den = xden if bden == (1,) else _pmul(xden, bden)
-            out.append(self._scalars(xparam or bparam, xframe + bframe + fr,
-                                     vec, den, top))
+            out.append(self._scalars(xframe + bframe + fr, vec,
+                                     (xden, bden), top))
         return out
 
 
@@ -770,7 +709,7 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
     B-word of degree <= k is reduced once, into the table T[w] = m · nf(w)
     (the action never raises the B-degree), and each word of the entries
     is acted on once, into U[w] = m · nf(act(a, w)).  m is one nonzero
-    polynomial, the lcm of the denominators of the table's remainders.
+    polynomial, the cleared denominator of the table's normal forms.
     Row l is then m · nf(M[l][j]) = sum of c_w T[w] and target i is
     m · nf(act(a, M[i][j])) = sum of c_w U[w], over the terms c_w·w of
     the entries, formed on packed Laurent integers with Scalars made only
@@ -793,25 +732,19 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
 
     def solve(kernel):
         mon = monomial_matrix(double.braiding, double.b_tag, k)
-        entries = [[mon.entry(i, j).terms for j in idx] for i in idx]
-        param = _parameter(a.terms.values(), kernel.param)
-        for row in entries:
-            for e in row:
-                param = _parameter(e.values(), param)
-        loaded = [[kernel._load(e) for e in row] for row in entries]
-        del mon, entries
-        table, tparam = _word_table(double.b_pres, words, kernel.width)
-        if None not in (param, tparam) and param != tparam:
-            raise MixedParameterError(f"{param!r} vs {tparam!r}")
-        param = param or tparam
+        loaded = [[_pack_vector(mon.entry(i, j).terms, kernel.width,
+                                kernel.param)[1:] for j in idx]
+                  for i in idx]
+        del mon
+        table = _word_table(kernel, double.b_pres, words)
         try:
-            coords = coordinates(
-                _packed_row(kernel, param, idx, row, (1,), table)
-                for row in loaded)
+            coords = coordinates(_packed_row(kernel, idx, row, (1,), table)
+                                 for row in loaded)
         except ArithmeticError as exc:
             raise DoubleError(
                 "monomial entries are linearly dependent") from exc
-        xframe, xs, xden, xbound = kernel._load(a.terms)
+        _, xframe, xs, xden, xbound = _pack_vector(a.terms, kernel.width,
+                                                   kernel.param)
         # m · nf(act(a, w)) per word, kept until the last row that reads it
         uses = collections.Counter(key for row in loaded for e in row
                                    for key in e[1])
@@ -823,7 +756,7 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
                     if w not in acted:
                         acted[w] = _acted_word(kernel, xframe, xs, xbound,
                                                w, table)
-            target = _packed_row(kernel, param, idx, row, xden, acted)
+            target = _packed_row(kernel, idx, row, xden, acted)
             for _, packed, _, _ in row:
                 for w in packed:
                     uses[w] -= 1
@@ -841,63 +774,41 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
     return TensorOperator(double.braiding.dim, k, double._with_kernel(solve))
 
 
-def _plcm(a: tuple, b: tuple) -> tuple:
-    """A least common multiple in Z[q] of two nonzero integer polynomials."""
-    g = _pgcd(a, b)
-    c = math.gcd(_pcontent(a), _pcontent(b))
-    return _pdivexact(_pmul(a, b), tuple(c * x for x in g))
+def _word_table(kernel: _PackedAction, b_pres: QuadraticPresentation,
+                words: list) -> dict:
+    """m · nf(w) for every word w, packed at the kernel's width.
 
-
-def _word_table(b_pres: QuadraticPresentation, words: list,
-                width: int) -> tuple:
-    """(table, param): m · nf(w) for every word w, packed at width.
-
-    table[w] = (0, frame, vec, bound) with m · nf(w) = q^frame · vec and
-    every coefficient's absolute values summing to at most 2^bound; words
-    whose normal form is zero are left out.  m is the lcm of the
-    denominators of the packed remainders, so vec is integral.  param is
-    the parameter of the presentation's remainders.  Raises _TooWide when
-    a coefficient does not fit the digits.
+    table[w] = (0, frame, vec, bound) with m · nf(w) = q^frame · vec;
+    words whose normal form is zero are left out.  The normal forms are
+    loaded as one vector, so m is their one cleared denominator and every
+    vec is integral.
     """
-    remainders = list(b_pres.word_remainders(words))
-    m = (1,)
-    for den in dict.fromkeys(r[4] for r in remainders):
-        m = _plcm(m, den)
-    table = {}
-    param = None  # every remainder carries the presentation's parameter
-    cofactors: dict = {}
-    for word, param, frame, packed, den, w in remainders:
-        cof = cofactors.get(den)
-        if cof is None:
-            cof = cofactors[den] = _pdivexact(m, den)
-        vec = {}
-        bound = 0
-        for key, p in packed.items():
-            c = _pmul(_unpack(p, w), cof)
-            bound = max(bound, _norm_bits(c))
-            vec[key] = _pack(c, width)
-        if bound > width - 2:
-            raise _TooWide
-        if vec:
-            table[word] = (0, frame, vec, bound)
-    return table, param
+    nfs = {(w, key): c for w in words
+           for key, c in b_pres.normal_form(NCElement.word(w)).terms.items()}
+    _, frame, packed, _, _ = _pack_vector(nfs, kernel.width, kernel.param)
+    by_word: dict = {}
+    for (w, key), p in packed.items():
+        by_word.setdefault(w, {})[key] = p
+    return {w: (0, *_reframed(frame, vec, kernel.width))
+            for w, vec in by_word.items()}
 
 
 def _acted_word(kernel: _PackedAction, xframe: int, xs: dict, xbound: int,
                 word: tuple, table: dict):
     """m · nf(act(x, word)) as (top, frame, vec, bound), or None if zero.
 
-    x is loaded as kernel._load gives it; the image is
+    x is loaded as _pack_vector gives it; the image is
     q^frame · vec / (xden · D^top), mapped through the word table.
     """
     top, fr, vec, bound = kernel._act(xs, xbound, {word: 1}, 0)
-    f, vec, b = kernel._sum([((), p, bound, *table[v][1:])
-                             for v, p in vec.items() if v in table])
+    f, vec, b = _packed_sum([(p, bound, *table[v][1:])
+                             for v, p in vec.items() if v in table],
+                            kernel.width)
     return (top, xframe + fr + f, vec, b) if vec else None
 
 
-def _packed_row(kernel: _PackedAction, param, idx: list, row: list,
-                xden: tuple, table: dict) -> dict:
+def _packed_row(kernel: _PackedAction, idx: list, row: list, xden: tuple,
+                table: dict) -> dict:
     """A row of loaded entries mapped through a word table, as Scalars.
 
     Entry j of row, the sum of c_w·w, becomes the sum of c_w·table[w] at
@@ -914,9 +825,8 @@ def _packed_row(kernel: _PackedAction, param, idx: list, row: list,
         if not parts:
             continue
         top, lifted = kernel._lift(parts)
-        frame, vec, _ = kernel._sum(lifted)
-        den = xden if eden == (1,) else _pmul(xden, eden)
-        for word, c in kernel._scalars(param, eframe + frame, vec, den,
+        frame, vec, _ = _packed_sum(lifted, kernel.width)
+        for word, c in kernel._scalars(eframe + frame, vec, (xden, eden),
                                        top).items():
             out[(j, word)] = c
     return out

@@ -26,25 +26,28 @@ a pivot whose lead is not ±q^k scales the working vector by the lead
 over its gcd with the cleared coefficient (one small polynomial gcd per
 step, none per entry), and remembers the scale.
 
-Scalars meet the kernel only at its boundary, `_pack_vector`, which the
-counit action of a double (`doubles._PackedAction`) shares; a caller
-that combines remainders on packed integers (the word tables of
-`doubles._solve_action_operator`) reads them through
-`Triangular.packed_remainder`.  An input's non-constant denominators are
-cleared by `scalars.laurent_multiplier` and its integer ones by their
-lcm, both into the remembered scale; `reduce` divides each surviving
-entry once by that scale, and `row` unpacks a stored row.
-Remainders modulo a leading-reduced basis are unique, so that division
-yields exactly the canonical Q(q) remainder that elimination over the
-field gives.
+This module is the one owner of the packed format, which the counit
+action of a double (`doubles._PackedAction`) runs on too.  Scalars
+enter through one loader, `_pack_vector`: it checks the parameter,
+clears non-constant denominators by `scalars.laurent_multiplier` and
+integer ones by their lcm, packs, and bounds the result.  They leave
+through one conversion, `_unpack_vector`, which divides by the cleared
+denominator: `reduce` divides each surviving entry once by the
+remembered scale, and `row` unpacks a stored row.  Remainders modulo a
+leading-reduced basis are unique, so that division yields exactly the
+canonical Q(q) remainder that elimination over the field gives.
+`_packed_sum` combines packed vectors, and `_reframed` moves low zero
+digits into a vector's frame.
 
-Digits stay exact while every coefficient is below 2^(w-2) in magnitude.
-The working vector carries a bound on its coefficient bits: the cleared
-coefficient's is recomputed at each step and each stored row keeps its
-own, a product adds the bounds of its factors and the bits of its term
-count, and a sum adds one.  When the bound would pass w - 2 it is
-recomputed from the digits; if it is still too large, w doubles, the
-stored rows are repacked, and the elimination restarts from its input.
+Digits stay exact while the absolute coefficients of every polynomial
+sum to at most 2^(w-2).  Every packed vector carries a bound b on those
+sums, its `_bits`: a product adds the bounds of its factors and a sum
+of n terms adds _spread(n) (one, in an elimination step).  A bound that
+could pass w - 2 raises _TooWide, the one overflow signal; the owner of
+the digits widens them and restarts.  In `Triangular` the working
+vector's bound is first recomputed from the digits; if it is still too
+large, w doubles, the stored rows are repacked, and the elimination
+restarts from its input.
 """
 
 from __future__ import annotations
@@ -193,8 +196,16 @@ def first_nonzero(rows: dict, reduce) -> tuple:
     return True, None
 
 
-# Digit width, in bits, of the packed polynomials of a new Triangular.
+# Digit width, in bits, of a new Triangular or action kernel.
 _WIDTH = 64
+
+
+class _TooWide(Exception):
+    """A packed coefficient could outgrow the digit width.
+
+    Raised by the loads and sums below and by Triangular's elimination;
+    the owner of the digits widens them and starts the call again.
+    """
 
 
 def _pack(poly, w: int) -> int:
@@ -224,8 +235,8 @@ def _unpack(p: int, w: int) -> tuple:
 
 
 def _bits(poly: tuple) -> int:
-    """Bit length of the largest coefficient magnitude of a nonzero poly."""
-    return max(max(poly), -min(poly)).bit_length()
+    """The least b with the absolute coefficients of poly summing to <= 2^b."""
+    return (sum(map(abs, poly)) - 1).bit_length()
 
 
 def _spread(n: int) -> int:
@@ -233,29 +244,22 @@ def _spread(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def _parameter(values, param):
-    """param, or else the parameter of the first non-constant value.
+def _pack_vector(vec: dict, w: int, param):
+    """vec as (param, frame, packed, den, bound) at digit width w.
 
-    A rational constant's parameter is a label and is skipped; a value
-    with a parameter other than the one found raises MixedParameterError.
+    vec = q^frame · packed / den: packed maps each key to a packed integer
+    polynomial, den is an integer polynomial with a nonzero constant term,
+    and bound is the largest `_bits` of a packed polynomial.  Zero entries
+    are dropped; vec itself is left unchanged.  param is the given one, or
+    else the parameter of the first value that is not a rational constant
+    (a constant's parameter is a label); a value with another parameter
+    raises MixedParameterError.  Raises _TooWide when bound > w - 2.
     """
-    for v in values:
+    for v in vec.values():
         if v.param != param and not v._parameter_free():
             if param is not None:
                 raise MixedParameterError(f"{param!r} vs {v.param!r}")
             param = v.param
-    return param
-
-
-def _pack_vector(vec: dict, w: int):
-    """vec as (frame, packed, den, bound) at digit width w.
-
-    vec = q^frame · packed / den: packed maps each key to a packed integer
-    polynomial, den is an integer polynomial with a nonzero constant term,
-    and bound is the bit length of the largest packed coefficient, whose
-    digits are exact only when bound <= w - 2.  Zero entries are dropped;
-    vec itself is left unchanged.
-    """
     mult = laurent_multiplier(vec.values())
     # each value as q^shift · num / d, d an integer: mult clears the
     # primitive part p of a denominator c·p, v = q^shift·num·(mult/p)/(c·mult),
@@ -287,8 +291,63 @@ def _pack_vector(vec: dict, w: int):
             num = tuple(c * f for c in num)
         bound = max(bound, _bits(num))
         packed[k] = _pack(num, w) << (w * (shift - frame))
+    if bound > w - 2:
+        raise _TooWide
     den = (scale,) if mult is None else tuple(c * scale for c in mult)
-    return frame, packed, den, bound
+    return param, frame, packed, den, bound
+
+
+def _unpack_vector(param: str, frame: int, packed: dict, w: int,
+                   dens) -> dict:
+    """The Scalars q^frame · packed[k] / (the product of dens).
+
+    packed holds packed polynomials at digit width w and dens integer
+    polynomials.
+    """
+    den = (1,)
+    for d in dens:
+        if d != (1,):
+            den = _pmul(den, d)
+    return {k: Scalar._make(param, frame, _unpack(p, w), den)
+            for k, p in packed.items()}
+
+
+def _reframed(frame: int, vec: dict, w: int) -> tuple:
+    """(frame, vec, bound) of q^frame · vec with no zero low digit in common.
+
+    The low digits that are zero in every entry of the nonzero packed
+    vector vec go into the frame, and bound is read from the digits.
+    """
+    low = min(((p & -p).bit_length() - 1) // w for p in vec.values())
+    if low:
+        vec = {k: p >> (w * low) for k, p in vec.items()}
+    return frame + low, vec, max(_bits(_unpack(p, w)) for p in vec.values())
+
+
+def _packed_sum(parts: list, w: int) -> tuple:
+    """(frame, vec, bound) of the sum of m · q^fr · vec over parts.
+
+    parts are (m, m_bound, fr, vec, vec_bound): m a packed polynomial,
+    vec a nonempty packed vector, each with its bound.  A product's bound
+    is the sum of its factors' bounds, and a sum of n parts adds
+    _spread(n); raises _TooWide when that passes w - 2.
+    """
+    if not parts:
+        return 0, {}, 0
+    bound = max(p[1] + p[4] for p in parts) + _spread(len(parts))
+    if bound > w - 2:
+        raise _TooWide
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][2], parts[0][3], bound
+    frame = min(p[2] for p in parts)
+    out: dict = {}
+    for m, _, fr, vec, _ in parts:
+        if fr != frame:
+            m <<= w * (fr - frame)
+        for k, p in vec.items():
+            cur = out.get(k)
+            out[k] = m * p if cur is None else cur + m * p
+    return frame, {k: p for k, p in out.items() if p}, bound
 
 
 class Triangular:
@@ -302,8 +361,8 @@ class Triangular:
     coefficient, and `content` is its integer content.  The row is
     primitive: its
     coefficients share no integer factor, its polynomials no polynomial
-    factor and no power of the parameter.  `bound` is the exact bit length
-    of its largest coefficient.  Rows are kept leading-reduced (each row's
+    factor and no power of the parameter.  `bound` is the largest exact
+    `_bits` of its polynomials.  Rows are kept leading-reduced (each row's
     keys other than its pivot are strictly smaller), which makes
     remainders unique without full inter-reduction; sortkey must order
     distinct keys strictly.
@@ -323,23 +382,16 @@ class Triangular:
     def __len__(self):
         return len(self.pivots)
 
-    def _load(self, vec: dict):
-        """vec as `_pack_vector` gives it, or None if too wide."""
-        self.param = _parameter(vec.values(), self.param)
-        loaded = _pack_vector(vec, self._width)
-        return None if loaded[3] > self._width - 2 else loaded
-
     def _eliminate(self, vec: dict):
         """(frame, r, den) with q^frame · r / den the remainder of vec.
 
         r maps keys to packed integer polynomials and den is an integer
-        polynomial.  None when a coefficient could outgrow the digit width.
+        polynomial.  Raises _TooWide when a coefficient could outgrow the
+        digit width.
         """
-        loaded = self._load(vec)
-        if loaded is None:
-            return None
-        frame, vec, den, bound = loaded
         w = self._width
+        self.param, frame, vec, den, bound = \
+            _pack_vector(vec, w, self.param)
         limit = w - 2
         pivots = self.pivots
         sortkey = self.sortkey
@@ -373,14 +425,14 @@ class Triangular:
                     lead = tuple(x // g for x in lead)
                     c = tuple(x // g for x in c)
             unit = lead == (1,)
-            grow = 0 if unit else _bits(lead) + _spread(len(lead))
-            step = _bits(c) + rbound + _spread(len(c))
+            grow = 0 if unit else _bits(lead)
+            step = _bits(c) + rbound
             if max(bound + grow, step) >= limit:
                 # the tracked bound may be loose: take it from the digits
                 bound = max((_bits(_unpack(p, w)) for p in vec.values()),
                             default=0)
                 if max(bound + grow, step) >= limit:
-                    return None
+                    raise _TooWide
             bound = max(bound + grow, step) + 1
             e = tz - lshift
             m = 1 if unit else _pack(lead, w)
@@ -411,10 +463,10 @@ class Triangular:
     def _remainder(self, vec: dict):
         """_eliminate, widening the digits until the coefficients fit."""
         while True:
-            out = self._eliminate(vec)
-            if out is not None:
-                return out
-            self._widen()
+            try:
+                return self._eliminate(vec)
+            except _TooWide:
+                self._widen()
 
     def _widen(self):
         """Double the digit width and repack the stored rows."""
@@ -425,24 +477,11 @@ class Triangular:
                 {k: _pack(_unpack(p, w), wide) for k, p in rest.items()},
                 *tail)
 
-    def packed_remainder(self, vec: dict) -> tuple:
-        """The remainder of vec as (param, frame, packed, den, width).
-
-        The remainder is q^frame · packed / den: packed maps each key that
-        survives to an integer polynomial packed at digit width `width`
-        (`_pack`), and den is an integer polynomial.  param is `param`,
-        None while every entry seen was a constant.  `reduce` is this
-        remainder made into Scalars.
-        """
-        frame, vec, den = self._remainder(vec)
-        return self.param, frame, vec, den, self._width
-
     def reduce(self, vec: dict) -> dict:
         """Unique remainder of vec modulo the current row span."""
-        param, frame, vec, den, w = self.packed_remainder(vec)
-        param = param or "q"
-        return {k: Scalar._make(param, frame, _unpack(p, w), den)
-                for k, p in vec.items()}
+        frame, vec, den = self._remainder(vec)
+        return _unpack_vector(self.param or "q", frame, vec, self._width,
+                              (den,))
 
     def insert(self, vec: dict):
         """Reduce vec and adjoin it if independent; returns its pivot or None."""
@@ -505,10 +544,8 @@ class Triangular:
     def row(self, pivot) -> dict:
         """The stored row with pivot `pivot`, as one vector."""
         rest, _, shift, lead, _ = self.pivots[pivot]
-        w = self._width
         param = self.param or "q"
-        out = {k: Scalar._make(param, 0, _unpack(p, w), (1,))
-               for k, p in rest.items()}
+        out = _unpack_vector(param, 0, rest, self._width, ())
         out[pivot] = Scalar(param, shift, lead, (1,))
         return out
 

@@ -300,18 +300,6 @@ class QuadraticPresentation:
         self.ensure(x.degree())
         return NCElement(self._tri.reduce(dict(x.terms)))
 
-    def word_remainders(self, words: list):
-        """The normal forms of single words, packed: one elimination each.
-
-        Yields (word, param, frame, packed, den, width) for each word, as
-        Triangular.packed_remainder gives nf(word).  For tables that a
-        caller combines linearly on packed integers; `normal_form` is the
-        path for an element.
-        """
-        self.ensure(max(map(len, words), default=0))
-        for w in words:
-            yield (w, *self._tri.packed_remainder({w: ONE}))
-
     def reduces_to_zero(self, x: NCElement) -> bool:
         return self.normal_form(x).is_zero()
 
@@ -557,11 +545,13 @@ def _scaled_by_right(v, s: Scalar):
 # Reflection-equation presentations
 
 
-def re_relation_matrix(b: Braiding, tag: str, use_inverse: bool = False,
-                       shift: Scalar | None = None) -> MatrixOverAlgebra:
-    """Componentwise matrix R X1 R X1 - X1 R X1 R - shift*(R X1 - X1 R)."""
-    r = b.inv if use_inverse else b.op
-    x1 = MatrixOverAlgebra.generator_matrix(tag, b.dim, 2, 1)
+def re_relation_matrix(x1: MatrixOverAlgebra, r,
+                       shift: Scalar | None) -> MatrixOverAlgebra:
+    """Componentwise matrix R X1 R X1 - X1 R X1 R - shift*(R X1 - X1 R).
+
+    x1 is any matrix over an algebra sitting in the first of two slots,
+    and r the operator R on both.
+    """
     lhs = x1.lmul_op(r).rmul_op(r) * x1
     rhs = (x1.rmul_op(r) * x1).rmul_op(r)
     rel = lhs - rhs
@@ -579,7 +569,9 @@ def re_presentation(b: Braiding, tag: str, use_inverse: bool = False,
     inhomogeneous variant R X1 R X1 - X1 R X1 R = c (R X1 - X1 R); the
     use_inverse flag swaps R for R^-1 (the derivative-side algebra).
     """
-    rel = re_relation_matrix(b, tag, use_inverse, shift)
+    rel = re_relation_matrix(
+        MatrixOverAlgebra.generator_matrix(tag, b.dim, 2, 1),
+        b.inv if use_inverse else b.op, shift)
     variant = "inv" if use_inverse else "re"
     if shift is not None and not shift.is_zero():
         variant += "-shifted"

@@ -9,6 +9,7 @@ makes reports byte-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -252,31 +253,40 @@ def doubles_suite(config: SuiteConfig) -> VerificationReport:
                    True)
         a_gens = matrix_generators(d.a_tag, config.n)
         b_gens = sorted(d.b_pres.generators)
-        ok = all(d.act(NCElement.generator(g), one)
-                 == NCElement.constant(d.eps_a[g]) for g in a_gens)
-        report.add(f"unit-action-{kind}", anchor("double-action-unit"), ok)
-        ok = True
+        witness = None
+        for g in a_gens:
+            got = d.act(NCElement.generator(g), one)
+            if got != NCElement.constant(d.eps_a[g]):
+                witness = f"{g} on 1: {got!r}"
+                break
+        report.add(f"unit-action-{kind}", anchor("double-action-unit"),
+                   witness is None, witness)
         witness = None
         for _ in range(4):
-            a1 = NCElement.generator(rng.choice(a_gens))
-            a2 = NCElement.generator(rng.choice(a_gens))
-            target = NCElement.word(tuple(
-                rng.choice(b_gens) for _ in range(rng.randint(1, 2))))
+            g1, g2 = rng.choice(a_gens), rng.choice(a_gens)
+            word = tuple(rng.choice(b_gens)
+                         for _ in range(rng.randint(1, 2)))
+            a1, a2 = NCElement.generator(g1), NCElement.generator(g2)
+            target = NCElement.word(word)
             # One side by ordering: the letter route computes act(a1·a2)
             # as act(a1, act(a2, ·)), so comparing it with itself would
             # check nothing.
             diff = d.act_by_ordering(a1 * a2, target) \
                 - d.act(a1, d.act(a2, target))
-            if not d.b_pres.reduces_to_zero(diff):
-                ok, witness = False, "product action mismatch"
+            if witness is None and not d.b_pres.reduces_to_zero(diff):
+                witness = f"({g1!r}, {g2!r}, {'·'.join(map(repr, word))})"
         report.add(f"representation-{kind}", anchor("double-representation"),
-                   ok, witness)
-        ok = all(d.binormal_form(rel * NCElement.generator(g)).is_zero()
-                 for rel in d.a_pres.relations for g in b_gens) \
-            and all(d.binormal_form(NCElement.generator(g) * rel).is_zero()
-                    for rel in d.b_pres.relations for g in a_gens)
+                   witness is None, witness)
+        products = itertools.chain(
+            ((f"A-relation {i} · {g}", rel * NCElement.generator(g))
+             for i, rel in enumerate(d.a_pres.relations) for g in b_gens),
+            ((f"{g} · B-relation {i}", NCElement.generator(g) * rel)
+             for i, rel in enumerate(d.b_pres.relations) for g in a_gens))
+        witness = next((name for name, x in products
+                        if not d.binormal_form(x).is_zero()), None)
         report.add(f"ideal-compatibility-{kind}",
-                   anchor("double-ideal-compatibility"), ok)
+                   anchor("double-ideal-compatibility"), witness is None,
+                   witness)
     return report
 
 

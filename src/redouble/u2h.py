@@ -27,7 +27,8 @@ from .anchors import anchor
 from .braidings import Braiding, flip, standard_hecke
 from .doubles import DoubleError, QuantumDouble, make_double, matrix_copy
 from .linalg import accumulate, vec_add_scaled
-from .ncengine import Gen, MatrixOverAlgebra, NCElement, matrix_generators
+from .ncengine import (Gen, MatrixOverAlgebra, NCElement, matrix_generators,
+                       re_relation_matrix)
 from .reports import VerificationReport
 from .scalars import Scalar
 
@@ -66,15 +67,9 @@ def _shift_substitution_residual(braiding: Braiding, h: Scalar):
             out = out - d.rmul_op(r).scale(shift)
         return out
 
-    def quadratic(m, shift):
-        out = m.lmul_op(r).rmul_op(r) * m - (m.rmul_op(r) * m).rmul_op(r)
-        if shift is not None:
-            out = out - (m.lmul_op(r) - m.rmul_op(r)).scale(shift)
-        return out
-
     mixed_residual = mixed(d_sub, m_sub, None) - mixed(d1, n1, h)
-    quad_residual = quadratic(m_sub, None) \
-        - quadratic(n1, h).scale(v * v)
+    quad_residual = re_relation_matrix(m_sub, r, None) \
+        - re_relation_matrix(n1, r, h).scale(v * v)
     return mixed_residual, quad_residual
 
 

@@ -153,25 +153,25 @@ def test_capelli_action_route():
 
 def test_capelli_action_loads_each_entry_and_target_once(monkeypatch):
     # The action route acts with every entry of lhs - rhs on every word of
-    # degree <= 2: the packed kernel loads each entry once and each target
-    # word once, not each entry once per target.
+    # degree <= 2: the packed kernel loads its rule table once, each entry
+    # once and each target word once, not each entry once per target.
     b = standard_hecke(2)
     lhs, rhs = capelli_sides(make_double(b, "derivative"), 2)
     entries = len((lhs - rhs).entries)
     targets = 1 + 4 + 4 ** 2
     loads = []
-    real = doubles._PackedAction._load
+    real = doubles._pack_vector
 
-    def counted(self, vec):
+    def counted(vec, w, param):
         loads.append(None)
-        return real(self, vec)
+        return real(vec, w, param)
 
-    monkeypatch.setattr(doubles._PackedAction, "_load", counted)
+    monkeypatch.setattr(doubles, "_pack_vector", counted)
     report = verify_capelli_action(b, 2, degree=2)
     monkeypatch.undo()
     assert report.passed
     assert entries > 1 and loads
-    assert len(loads) <= entries + targets
+    assert len(loads) == 1 + entries + targets
 
 
 def test_capelli_rank_three_both_routes():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 import time
@@ -13,14 +16,17 @@ import pytest
 
 import redouble
 from redouble import suites
-from redouble.cli import _SUITE_READS, main
+from redouble.cli import _SUITE_READS, ENGINE_ERRORS, main
 from redouble.anchors import anchor
 from redouble.braidings import BraidingError
+from redouble.capelli import StructureError
+from redouble.doubles import DoubleError
+from redouble.heckerep import IdempotentError
 from redouble.invariants import SpectralCharacter
 from redouble.ncengine import (Gen, NCElement, PresentationError,
                                QuadraticPresentation, matrix_generators)
 from redouble.reports import VerificationReport
-from redouble.scalars import ONE, MixedParameterError
+from redouble.scalars import ONE, MixedParameterError, PoleError
 from redouble.suites import (SUITE_NAMES, SuiteConfig, acceptance_grid,
                              replay_command, run_all)
 from redouble.u2h import UnsupportedElementError
@@ -274,13 +280,17 @@ def test_suite_all_takes_the_run_wide_flags(tmp_path, capsys, monkeypatch):
     assert "wall_time_ms" in json.loads(target.read_text())["config"]
 
 
-ENGINE_ERRORS = (MixedParameterError("'q' vs 'h'"),
+RAISED_ERRORS = (MixedParameterError("'q' vs 'h'"),
                  BraidingError("standard: braid relation failed"),
                  UnsupportedElementError("derivative of a radius power"),
-                 PresentationError("re(m, dim=2) is not certified"))
+                 PresentationError("re(m, dim=2) is not certified"),
+                 DoubleError("degree-overflow during the action"),
+                 StructureError("lhs entry has the wrong degree"),
+                 IdempotentError("no idempotent for this tableau"),
+                 PoleError("parameter value is a pole"))
 
 
-@pytest.mark.parametrize("error", ENGINE_ERRORS,
+@pytest.mark.parametrize("error", RAISED_ERRORS,
                          ids=lambda e: type(e).__name__)
 def test_engine_errors_exit_with_status_one(capsys, monkeypatch, error):
     def broken(*args, **kwargs):
@@ -305,6 +315,41 @@ def test_engine_errors_exit_with_status_one(capsys, monkeypatch, error):
     payload = json.loads(out)
     assert payload["config"] == {"mode": "EXACT", "seed": 0}
     assert [c["id"] for c in payload["checks"]] == ["engine-error"]
+
+
+def test_a_real_engine_error_is_reported_with_status_one(capsys):
+    # the rank-1 action of a degree-24 operator passes the longest word a
+    # double acts on
+    code, out, err = run_cli(capsys, "--suite", "spectrum", "--n", "1",
+                             "--lambda", "24")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    [check] = payload["checks"]
+    assert check["id"] == "engine-error" and not check["passed"]
+    assert check["witness"] == \
+        "DoubleError: degree-overflow during the action"
+    assert "FAIL(1/1)" in err
+
+
+def test_every_error_class_has_an_exit_status():
+    # an error escaping the engine is a ValueError (exit 3), an engine
+    # error (exit 1), or private and caught inside the engine
+    sources = {}
+    classes = []
+    for info in pkgutil.iter_modules(redouble.__path__):
+        module = importlib.import_module(f"redouble.{info.name}")
+        sources[info.name] = inspect.getsource(module)
+        classes += [c for c in vars(module).values()
+                    if inspect.isclass(c) and issubclass(c, BaseException)
+                    and c.__module__ == module.__name__]
+    assert DoubleError in classes
+    for cls in classes:
+        if cls.__name__.startswith("_"):
+            assert any(f"except {cls.__name__}" in text
+                       for text in sources.values()), cls
+        else:
+            assert issubclass(cls, ValueError) or cls in ENGINE_ERRORS, cls
 
 
 def test_other_value_errors_still_exit_with_status_three(capsys,

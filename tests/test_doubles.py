@@ -28,7 +28,8 @@ from redouble.invariants import elementary_symmetric, power_sum
 from redouble.linalg import (_WIDTH, _unpack, accumulate, coordinates,
                              vec_add_scaled)
 from redouble.ncengine import Gen, MatrixOverAlgebra, NCElement, matrix_generators
-from redouble.scalars import ONE, ZERO, Scalar, nu, parameter_points
+from redouble.scalars import (ONE, ZERO, MixedParameterError, Scalar, nu,
+                              parameter_points)
 from redouble.suites import _DOUBLE_KINDS
 
 ALL_KINDS = ("left", "left_shifted", "adjoint", "adjoint_shifted",
@@ -381,6 +382,25 @@ def test_action_rejects_a_foreign_letter():
                     NCElement.generator(Gen("l", 1, 2)))
 
 
+def test_action_takes_the_parameter_of_its_braiding():
+    # every load reads values in the braiding's parameter: a non-constant
+    # h coefficient in a q double raises on each action route
+    d = make_double(standard_hecke(2), "left")
+    h = Scalar.var("h")
+    x = NCElement.generator(Gen("l", 1, 1))
+    b = NCElement.generator(Gen("m", 1, 2))
+    for a, target in ((x.scale(h), b), (x, b.scale(h))):
+        with pytest.raises(MixedParameterError):
+            d.act(a, target)
+        with pytest.raises(MixedParameterError):
+            next(d.act_each([a], [target]))
+    with pytest.raises(MixedParameterError):
+        action_operator(d, x.scale(h), 1)
+    # a rational constant carries any label
+    half = Scalar.from_fraction("1/2", "h")
+    assert d.act(x.scale(half), b) == d.act(x, b).scale(half)
+
+
 def test_action_overflow_guard():
     d = make_double(standard_hecke(2), "left")
     d.max_word = 3
@@ -556,13 +576,14 @@ def test_word_table_solve_equals_the_per_entry_solve(make, element, k):
 
 
 def test_the_word_table_carries_one_common_factor():
-    # T[w] = m · nf(w) with one m for every word; at rank 3 some degree-3
-    # remainders are over q^2 - 1 and the others over 1, so m = q^2 - 1
-    d = _left(3)
+    # T[w] = m · nf(w) with one m for every word.  At 3/7 the normal forms
+    # of degree <= 3 are over 1, 9, ..., 6561, so m is their lcm 6561.
+    d = _left(2).substituted(Fraction(3, 7))
     words = [w for k in range(4)
              for w in itertools.product(d.b_pres.generators, repeat=k)]
-    table, param = doubles._word_table(d.b_pres, words, _WIDTH)
+    table = doubles._word_table(_PackedAction(d, _WIDTH), d.b_pres, words)
     ratios = set()
+    dens = set()
     for w in words:
         nf = d.b_pres.normal_form(NCElement.word(w)).terms
         assert (w in table) == bool(nf)
@@ -570,10 +591,11 @@ def test_the_word_table_carries_one_common_factor():
             _, frame, vec, _ = table[w]
             assert vec.keys() == nf.keys()
             for key, p in vec.items():
-                entry = Scalar._make(param, frame, _unpack(p, _WIDTH), (1,))
+                entry = Scalar._make("q", frame, _unpack(p, _WIDTH), (1,))
                 ratios.add(entry * nf[key].inverse())
-    q = q_scalar()
-    assert ratios == {q * q - ONE}
+                dens.add(nf[key].den)
+    assert len(dens) > 2
+    assert ratios == {Scalar.from_int(6561)}
 
 
 @pytest.mark.parametrize("kind, letter", [("adjoint", Gen("l", 1, 2)),
@@ -596,9 +618,9 @@ def test_wide_coefficients_widen_the_operator_solve(monkeypatch):
     widths = []
     real = doubles._word_table
 
-    def spy(b_pres, words, width):
-        widths.append(width)
-        return real(b_pres, words, width)
+    def spy(kernel, b_pres, words):
+        widths.append(kernel.width)
+        return real(kernel, b_pres, words)
 
     monkeypatch.setattr(doubles, "_word_table", spy)
     got = _solve_action_operator(d, a, 2)
@@ -608,24 +630,27 @@ def test_wide_coefficients_widen_the_operator_solve(monkeypatch):
 
 
 def test_a_narrow_kernel_widens_the_word_table(monkeypatch):
-    # at 4-bit digits the table's own remainders overflow, and so do the
-    # packed sums after it: every restart doubles the width
+    # from 4-bit digits up, the rule table (at 4 bits), the row sums (at
+    # 8) and the acted word sums (at 16) overflow in turn: every restart
+    # builds a kernel of twice the width, and its word table there
     d = _left(2)
-    d._kernel = _PackedAction(d, 4)
-    overflowed = []
-    real = doubles._word_table
+    monkeypatch.setattr(doubles, "_WIDTH", 4)
+    built, tables = [], []
+    real_kernel, real_table = doubles._PackedAction, doubles._word_table
 
-    def spy(b_pres, words, width):
-        try:
-            return real(b_pres, words, width)
-        except doubles._TooWide:
-            overflowed.append(width)
-            raise
+    def kernel(double, width):
+        built.append(width)
+        return real_kernel(double, width)
 
-    monkeypatch.setattr(doubles, "_word_table", spy)
+    def table(kernel, b_pres, words):
+        tables.append(kernel.width)
+        return real_table(kernel, b_pres, words)
+
+    monkeypatch.setattr(doubles, "_PackedAction", kernel)
+    monkeypatch.setattr(doubles, "_word_table", table)
     a = power_sum(d.braiding, "l", 1)
     got = _solve_action_operator(d, a, 3)
     monkeypatch.undo()
-    assert overflowed == [4]
-    assert d._kernel.width > 8
+    assert built == [4, 8, 16, 32] and tables == [8, 16, 32]
+    assert d._kernel.width == 32
     assert got == _per_entry_operator(_left(2), a, 3)

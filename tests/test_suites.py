@@ -8,7 +8,10 @@ import pytest
 
 from redouble import suites
 from redouble.anchors import ANCHORS, CONJECTURAL, anchor, is_conjectural
+from redouble.doubles import QuantumDouble
+from redouble.ncengine import NCElement
 from redouble.reports import VerificationReport
+from redouble.scalars import ONE
 from redouble.suites import (
     SUITE_NAMES,
     SuiteConfig,
@@ -71,6 +74,55 @@ def test_doubles_suite_covers_every_kind():
         assert f"unit-action-{kind}" in ids
         assert f"representation-{kind}" in ids
         assert f"ideal-compatibility-{kind}" in ids
+
+
+def _spoil(monkeypatch, name, wrong):
+    """Replace QuantumDouble.name by wrong(real, self, *args); returns the
+    argument tuples of the calls, in order."""
+    real = getattr(QuantumDouble, name)
+    calls = []
+
+    def spoiled(self, *args):
+        calls.append(args)
+        return wrong(real, self, *args)
+
+    monkeypatch.setattr(QuantumDouble, name, spoiled)
+    return calls
+
+
+def _unit_plus_one(real, self, a, b):
+    out = real(self, a, b)
+    return out + NCElement.constant(ONE) if b.terms == {(): ONE} else out
+
+
+@pytest.mark.parametrize("check", ["unit-action", "representation",
+                                   "ideal-compatibility"])
+def test_doubles_suite_names_the_first_failure(monkeypatch, check):
+    monkeypatch.setattr(suites, "_DOUBLE_KINDS", ("left",))
+    if check == "unit-action":
+        _spoil(monkeypatch, "act", _unit_plus_one)
+    elif check == "representation":
+        calls = _spoil(monkeypatch, "act_by_ordering",
+                       lambda real, self, x, b: real(self, x, b) + b)
+    else:
+        _spoil(monkeypatch, "binormal_form",
+               lambda real, self, x: NCElement.constant(ONE))
+    report = run_suite(SuiteConfig("doubles", n=2, seed=5))
+    checks = {c["id"]: c for c in report.checks}
+    failed = checks.pop(f"{check}-left")
+    assert all(c["passed"] for c in checks.values())
+    assert not failed["passed"]
+    if check == "unit-action":
+        assert failed["witness"].startswith("l11 on 1: ")
+    elif check == "representation":
+        # the first (a1·a2, target) the ordering route saw
+        x, target = calls[0]
+        [word] = target.terms
+        a1, a2 = (f"{g!r}" for g in next(iter(x.terms)))
+        assert failed["witness"] == \
+            f"({a1}, {a2}, {'·'.join(map(repr, word))})"
+    else:
+        assert failed["witness"] == "A-relation 0 · m11"
 
 
 def test_spectrum_suite_pins_rank_two_closed_forms():
