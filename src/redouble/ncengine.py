@@ -403,10 +403,8 @@ class MatrixOverAlgebra:
 
     Rows have row_arity tensor slots and columns col_arity slots (they can
     differ: the vector of tensor-algebra generators has column arity 0).
-    Entries are NCElements, or any algebra elements with the same `+`,
-    `*`, `scale` and `is_zero` (u2h's PBWElement); they are
-    stored as sparse rows {row: {col: entry}} and computed through the
-    linalg matrix functions.
+    Entries are NCElements, stored as sparse rows {row: {col: entry}}
+    and computed through the linalg matrix functions.
     """
 
     __slots__ = ("dim", "row_arity", "col_arity", "rows")

@@ -14,7 +14,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import braidings, doubles, heckerep, u2h
+from . import braidings, doubles, heckerep
 from .adjoint_orbits import verify_adjoint_invariance, verify_orbit_descent
 from .anchors import anchor, is_conjectural
 from .braidings import BraidingError, rtrace_form, standard_hecke
@@ -503,8 +503,6 @@ def clear_caches() -> None:
     braidings._hecke_cache.clear()
     heckerep._idempotent_cache.clear()
     doubles._operator_cache.clear()
-    u2h._straighten_cache.clear()
-    u2h._act_cache.clear()
 
 
 def run_all(mode: str = "EXACT", seed: int = 0, jobs: int = 1

@@ -7,16 +7,21 @@ derivative double; for involutive braidings it also exposes the rule for
 derivatives shifted by h^-1, whose Leibniz structure is a matrix
 coproduct.
 
-The concrete layer works over Q(h) with the rank-2 compact basis: an
-enveloping algebra on x, y, z, t with brackets [x, y] = h z (cyclic in
-x, y, z) and central t, realized through exact normal forms ordered
-x < y < z < t.  Four derivative symbols push through words by a
-sixteen-entry table and cap with their counits; arranged into a 4x4
-matrix with prefactor h/2 (a MatrixOverAlgebra with PBWElement
-entries) they give an algebra homomorphism into matrices over the
-algebra.  A central square root of x^2+y^2+z^2-h^2/4
-(the radius) extends the algebra by Laurent powers, and the
-homomorphism property extends to it with closed-form derivative values.
+The concrete layer works over Q(h) through the certified engine of the
+other suites.  The compact algebra U(u_2)_h is a filtered
+QuadraticPresentation on the letters x < y < z < t, with brackets
+[x, y] = h z (cyclic in x, y, z) and t central; its radius extension
+adds a central letter r with r^2 = x^2 + y^2 + z^2 - h^2/4.  The
+diamond lemma certifies both on their first ensure(3), so their normal
+forms are unique.  The four derivative symbols and either algebra form
+a QuantumDouble: a symbol pushes through a letter by the sixteen-entry
+table _PUSH and caps with its counit.  Arranged into a 4x4 matrix with
+prefactor h/2, the derivatives give an algebra homomorphism into
+matrices over the algebra.  The derivatives of r hold r^-1, which the
+extension lacks, so the radius identities are checked multiplied by r,
+which is central and not a zero divisor; r·∂(r) has a closed form.
+Each verifier builds its own presentations and double, and nothing
+outlives the call.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ import itertools
 
 from .anchors import anchor
 from .braidings import Braiding, flip, standard_hecke
-from .doubles import DoubleError, QuantumDouble, make_double, matrix_copy
-from .linalg import accumulate, vec_add_scaled
-from .ncengine import (Gen, MatrixOverAlgebra, NCElement, matrix_generators,
-                       re_relation_matrix)
+from .doubles import (DoubleError, PermutationRule, QuantumDouble,
+                      make_double, matrix_copy)
+from .ncengine import (Gen, MatrixOverAlgebra, NCElement,
+                       QuadraticPresentation, free_presentation,
+                       matrix_generators, re_relation_matrix)
 from .reports import VerificationReport
 from .scalars import Scalar
 
@@ -215,163 +221,48 @@ HALF_H = H * Scalar.from_fraction("1/2", "h")
 COUNIT_SHIFT = HALF_H.inverse()                       # 2/h
 RADIUS_CONST = H * H * Scalar.from_fraction("-1/4", "h")
 
-_X, _Y, _Z, _T, _R = range(5)
-_ZERO_KEY = (0, 0, 0, 0, 0)
 GENERATOR_ORDER = ("x", "y", "z", "t")
 
-# g1 g0 = g0 g1 + coeff * (single letter), for letter indices g1 > g0
-_STRAIGHTEN = {
-    (_Y, _X): (_Z, -H),
-    (_Z, _X): (_Y, H),
-    (_Z, _Y): (_X, -H),
-}
+# One tag for every letter, as a double's B side needs; under word_sortkey
+# the column orders them x < y < z < t < r, so the normal words are the
+# sorted monomials.
+_X, _Y, _Z, _T, _R = (Gen("u", 1, k) for k in range(1, 6))
+_LETTERS = dict(zip(GENERATOR_ORDER + ("r",), (_X, _Y, _Z, _T, _R)))
 
 
-_straighten_cache: dict = {}
+def generator(name: str) -> NCElement:
+    """The letter x, y, z, t or (in the radius extension) r."""
+    return NCElement.generator(_LETTERS[name])
 
 
-def _straighten_word(word: tuple) -> dict:
-    cached = _straighten_cache.get(word)
-    if cached is not None:
-        return cached
-    pos = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]),
-               None)
-    if pos is None:
-        out = {word: H_ONE}
-    else:
-        swapped = word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2:]
-        letter, coeff = _STRAIGHTEN[(word[pos], word[pos + 1])]
-        out = dict(_straighten_word(swapped))
-        shorter = word[:pos] + (letter,) + word[pos + 2:]
-        vec_add_scaled(out, _straighten_word(shorter), coeff)
-    _straighten_cache[word] = out
-    return out
+def _bracket_relations() -> list:
+    x, y, z, t = (generator(name) for name in GENERATOR_ORDER)
+    return [y * x - x * y + z.scale(H), z * x - x * z - y.scale(H),
+            z * y - y * z + x.scale(H)] + [t * g - g * t for g in (x, y, z)]
 
 
-def _xyz_letters(key: tuple) -> tuple:
-    return (_X,) * key[0] + (_Y,) * key[1] + (_Z,) * key[2]
+def compact_presentation() -> QuadraticPresentation:
+    """[x, y] = h z cyclically in x, y, z, and t central, over Q(h).
 
-
-def _mono_mul_raw(k1: tuple, k2: tuple) -> dict:
-    """Product of two monomial keys, straightened but not radius-reduced."""
-    out = {}
-    tails = (k1[3] + k2[3], k1[4] + k2[4])
-    for w, c in _straighten_word(_xyz_letters(k1) + _xyz_letters(k2)).items():
-        accumulate(out, (w.count(_X), w.count(_Y), w.count(_Z)) + tails, c)
-    return out
-
-
-_RADIUS_SQ = {(2, 0, 0, 0, 0): H_ONE, (0, 2, 0, 0, 0): H_ONE,
-              (0, 0, 2, 0, 0): H_ONE, _ZERO_KEY: RADIUS_CONST}
-
-
-def _reduce_radius(raw: dict) -> dict:
-    out: dict = {}
-    pending = list(raw.items())
-    while pending:
-        key, c = pending.pop()
-        if c.is_zero():
-            continue
-        if key[4] >= 2:
-            base = key[:4] + (key[4] - 2,)
-            for sq_key, sq_c in _RADIUS_SQ.items():
-                for k, kc in _mono_mul_raw(base, sq_key).items():
-                    pending.append((k, c * sq_c * kc))
-            continue
-        accumulate(out, key, c)
-    return out
-
-
-class PBWElement:
-    """Element of the compact algebra in the ordered-monomial basis.
-
-    Terms map exponent keys (a, b, c, d, e) to Q(h) coefficients,
-    standing for x^a y^b z^c t^d radius^e; the radius exponent stays
-    below 2 (its square rewrites to x^2+y^2+z^2-h^2/4) and may be
-    negative in the extension.
+    A filtered presentation on x < y < z < t; its first ensure(3)
+    certifies it, so its normal words are the monomials x^a y^b z^c t^d.
     """
+    return QuadraticPresentation([_X, _Y, _Z, _T], _bracket_relations(),
+                                 name="compact(h)")
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = terms if terms is not None else {}
+def radius_presentation() -> QuadraticPresentation:
+    """The compact algebra with a central r, r^2 = x^2 + y^2 + z^2 - h^2/4.
 
-    @classmethod
-    def zero(cls) -> "PBWElement":
-        return cls({})
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "PBWElement":
-        return cls({_ZERO_KEY: c}) if not c.is_zero() else cls({})
-
-    @classmethod
-    def one(cls) -> "PBWElement":
-        return cls.constant(H_ONE)
-
-    @classmethod
-    def monomial(cls, key: tuple, c: Scalar = H_ONE) -> "PBWElement":
-        return cls(_reduce_radius({tuple(key): c}))
-
-    @classmethod
-    def generator(cls, name: str) -> "PBWElement":
-        pos = GENERATOR_ORDER.index(name)
-        key = tuple(1 if i == pos else 0 for i in range(5))
-        return cls({key: H_ONE})
-
-    @classmethod
-    def radius(cls, power: int = 1) -> "PBWElement":
-        return cls.monomial((0, 0, 0, 0, power))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PBWElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(out, k, c)
-        return PBWElement(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-H_ONE)
-
-    def __neg__(self):
-        return self.scale(-H_ONE)
-
-    def scale(self, c: Scalar) -> "PBWElement":
-        if c.is_zero():
-            return PBWElement({})
-        return PBWElement({k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        raw: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                vec_add_scaled(raw, _mono_mul_raw(k1, k2), c1 * c2)
-        return PBWElement(_reduce_radius(raw))
-
-    def degree(self) -> int:
-        return max((k[0] + k[1] + k[2] + k[3] + max(k[4], 0)
-                    for k in self.terms), default=0)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = GENERATOR_ORDER + ("r",)
-        bits = []
-        for key in sorted(self.terms):
-            word = "*".join(f"{names[i]}^{e}" if e != 1 else names[i]
-                            for i, e in enumerate(key) if e)
-            c = self.terms[key].text()
-            bits.append(f"({c})*{word}" if word else f"({c})")
-        return " + ".join(bits)
+    Its normal words are the monomials of the compact algebra, times 1
+    or r.
+    """
+    x, y, z, t, r = (generator(name) for name in _LETTERS)
+    casimir = x * x + y * y + z * z + NCElement.constant(RADIUS_CONST)
+    return QuadraticPresentation(
+        list(_LETTERS.values()),
+        _bracket_relations() + [r * g - g * r for g in (x, y, z, t)]
+        + [r * r - casimir], name="radius(h)")
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +270,8 @@ class PBWElement:
 
 DT, DX, DY, DZ = "dt", "dx", "dy", "dz"
 DERIVATIVE_SYMBOLS = (DT, DX, DY, DZ)
+_SYMBOLS = {sym: Gen("d", 1, k)
+            for k, sym in enumerate(DERIVATIVE_SYMBOLS, start=1)}
 
 COUNIT = {DT: COUNIT_SHIFT, DX: H_ZERO, DY: H_ZERO, DZ: H_ZERO}
 
@@ -394,73 +287,83 @@ _PUSH = {
     (DZ, _T): (DZ, 1),
 }
 
-_LETTER_KEYS = tuple(tuple(1 if i == pos else 0 for i in range(5))
-                     for pos in range(4))
-
+# r * (symbol acting on r): the closed forms, with no inverse of r
 _RADIUS_ACTION = {
-    DT: {(0, 0, 0, 0, 1): COUNIT_SHIFT, (0, 0, 0, 0, -1): -HALF_H},
-    DX: {(1, 0, 0, 0, -1): H_ONE},
-    DY: {(0, 1, 0, 0, -1): H_ONE},
-    DZ: {(0, 0, 1, 0, -1): H_ONE},
+    DT: NCElement({(_R, _R): COUNIT_SHIFT, (): -HALF_H}),
+    DX: generator("x"),
+    DY: generator("y"),
+    DZ: generator("z"),
 }
 
-_act_cache: dict = {}
 
+def derivative_double(b_pres: QuadraticPresentation) -> QuantumDouble:
+    """The four symbols acting on the compact algebra or its extension.
 
-def _act_letters(sym: str, letters: tuple) -> PBWElement:
-    cached = _act_cache.get((sym, letters))
-    if cached is not None:
-        return cached
-    if not letters:
-        out = PBWElement.constant(COUNIT[sym])
-    else:
-        head, rest = letters[0], letters[1:]
-        out = PBWElement({_LETTER_KEYS[head]: H_ONE}) * _act_letters(sym, rest)
-        target, sign = _PUSH[(sym, head)]
-        out = out + _act_letters(target, rest).scale(
-            HALF_H if sign > 0 else -HALF_H)
-    _act_cache[(sym, letters)] = out
-    return out
-
-
-def apply_derivative(sym: str, a: PBWElement) -> PBWElement:
-    """Push the symbol through a, capping trailing symbols with counits.
-
-    Polynomial terms go through the sixteen-entry table; the bare radius
-    letter uses its closed-form values; other radius powers are outside
-    the defined domain.
+    The A side is free on the symbols, the rule table is _PUSH and the
+    counit COUNIT; the double reads only the parameter h of its braiding.
+    Words with r have no rule: apply_derivative keeps them out.
     """
+    table = {}
+    for (sym, g), (target, sign) in _PUSH.items():
+        d = _SYMBOLS[sym]
+        table[(d, g)] = NCElement({(g, d): H_ONE,
+                                   (_SYMBOLS[target],): _half_h(sign)})
+    symbols = list(_SYMBOLS.values())
+    return QuantumDouble(
+        flip(2, "h"), "compact_derivative",
+        free_presentation(symbols, name="free(d)"), b_pres,
+        PermutationRule("d", "u", table),
+        {_SYMBOLS[sym]: c for sym, c in COUNIT.items()})
+
+
+def apply_derivative(double: QuantumDouble, sym: str,
+                     a: NCElement) -> NCElement:
+    """The symbol acting on a, in B normal form; see _derivatives."""
     if sym not in COUNIT:
         raise ValueError(f"unknown derivative symbol {sym!r}")
-    out = PBWElement.zero()
-    for key, coeff in a.terms.items():
-        if key[4] == 0:
-            word = _xyz_letters(key) + (_T,) * key[3]
-            res = _act_letters(sym, word)
-        elif key == (0, 0, 0, 0, 1):
-            res = PBWElement(dict(_RADIUS_ACTION[sym]))
-        else:
-            raise UnsupportedElementError(
-                f"derivative undefined on radius power {key[4]}")
-        out = out + res.scale(coeff)
+    return _derivatives(double, [a])[0][sym]
+
+
+def _derivatives(double: QuantumDouble, targets: list) -> list:
+    """For each target, {symbol: the symbol acting on it, in B normal form}.
+
+    The action pushes a symbol through each word by the sixteen-entry
+    table and caps it with its counit; a target stands for an algebra
+    element only if it is a normal form.  One act_each call loads every
+    target once.  A word with r raises UnsupportedElementError: the
+    derivatives of r leave the algebra.
+    """
+    for a in targets:
+        for w in a.terms:
+            if _R in w:
+                raise UnsupportedElementError(
+                    f"derivative undefined on the radius word "
+                    f"{NCElement.word(w)!r}")
+    nf = double.b_pres.normal_form
+    out = [{} for _ in targets]
+    acted = double.act_each([NCElement.generator(_SYMBOLS[sym])
+                             for sym in DERIVATIVE_SYMBOLS], targets)
+    for sym, values in zip(DERIVATIVE_SYMBOLS, acted):
+        for derivatives, value in zip(out, values):
+            derivatives[sym] = nf(value)
     return out
 
 
-def radius_cleared_is_zero(a: PBWElement) -> bool:
-    """Zero test in the radius extension.
+def cleared_derivative(double: QuantumDouble, sym: str,
+                       a: NCElement) -> NCElement:
+    """r times the symbol acting on a, over the radius presentation.
 
-    Negative radius powers are exponent-keyed, so elements that differ
-    by the square relation can look distinct; multiplying by an even
-    radius power is injective (the square is the central quadratic
-    polynomial, and the ring has no zero divisors) and lands in the
-    polynomial sector where reduced forms are unique.
+    a is a polynomial plus a multiple of the bare letter r, whose value
+    r·∂(r) is the closed form of _RADIUS_ACTION; any other word with r
+    raises UnsupportedElementError.  Since r is central and not a zero
+    divisor, identities multiplied by r prove the identities themselves.
     """
-    low = min((k[4] for k in a.terms), default=0)
-    if low >= 0:
-        return a.is_zero()
-    lift = 2 * ((1 - low) // 2)
-    raised = {k[:4] + (k[4] + lift,): c for k, c in a.terms.items()}
-    return not _reduce_radius(raised)
+    c = a.terms.get((_R,))
+    rest = NCElement({w: v for w, v in a.terms.items() if w != (_R,)})
+    out = generator("r") * apply_derivative(double, sym, rest)
+    if c is not None:
+        out = out + _RADIUS_ACTION[sym].scale(c)
+    return double.b_pres.normal_form(out)
 
 
 # ---------------------------------------------------------------------------
@@ -490,130 +393,165 @@ def _matrix(entries: dict) -> MatrixOverAlgebra:
     return MatrixOverAlgebra(4, 1, 1, rows)
 
 
-def dhat_matrix(a: PBWElement) -> MatrixOverAlgebra:
-    """Apply the sign pattern of derivatives to a, with prefactor h/2."""
-    entries = {}
-    for i, row in enumerate(_DHAT_PATTERN):
-        for j, (sign, sym) in enumerate(row):
-            entries[(i, j)] = apply_derivative(sym, a).scale(
-                HALF_H if sign > 0 else -HALF_H)
-    return _matrix(entries)
+def _half_h(sign: int) -> Scalar:
+    return HALF_H if sign > 0 else -HALF_H
+
+
+def _dhat(values: dict) -> MatrixOverAlgebra:
+    """The sign pattern over {symbol: value}, with prefactor h/2."""
+    half = {sym: v.scale(HALF_H) for sym, v in values.items()}
+    return _matrix({(i, j): half[sym] if sign > 0 else -half[sym]
+                    for i, row in enumerate(_DHAT_PATTERN)
+                    for j, (sign, sym) in enumerate(row)})
+
+
+def dhat_matrix(double: QuantumDouble, a: NCElement) -> MatrixOverAlgebra:
+    """The derivative matrix of a normal form a: the sign pattern of its
+    derivatives."""
+    return _dhat(_derivatives(double, [a])[0])
+
+
+def cleared_dhat_matrix(double: QuantumDouble,
+                        a: NCElement) -> MatrixOverAlgebra:
+    """r times the derivative matrix of a, by cleared_derivative."""
+    return _dhat({sym: cleared_derivative(double, sym, a)
+                  for sym in DERIVATIVE_SYMBOLS})
 
 
 def expected_radius_matrix() -> MatrixOverAlgebra:
-    """Closed form of the derivative matrix on the radius letter."""
-    diag = PBWElement.radius() + PBWElement.radius(-1).scale(RADIUS_CONST)
+    """r times the closed form of the derivative matrix on r.
+
+    The diagonal is r^2 - h^2/4, and the rest is (h/2)·x, y, z with the
+    signs of _RADIUS_PATTERN.
+    """
+    r = generator("r")
+    diag = r * r + NCElement.constant(RADIUS_CONST)
     entries = {(i, i): diag for i in range(4)}
-    inv = PBWElement.radius(-1).scale(HALF_H)
     for i, row in enumerate(_RADIUS_PATTERN):
         for j, cell in enumerate(row):
-            if cell is None:
-                continue
-            name, sign = cell
-            value = PBWElement.generator(name) * inv
-            entries[(i, j)] = value if sign > 0 else -value
+            if cell is not None:
+                name, sign = cell
+                entries[(i, j)] = generator(name).scale(_half_h(sign))
     return _matrix(entries)
 
 
 # ---------------------------------------------------------------------------
 # Reports
 
-def _polynomial_keys(degree: int):
-    for total in range(degree + 1):
-        for word in itertools.combinations_with_replacement(range(4), total):
-            yield (word.count(_X), word.count(_Y), word.count(_Z),
-                   word.count(_T), 0)
-
-
 def verify_derivative_commutativity(degree: int = 3) -> VerificationReport:
     """All symbol pairs commute on every monomial of bounded degree."""
     report = VerificationReport("u2h", {"layer": "calculus",
                                         "degree": degree})
+    double = derivative_double(compact_presentation())
+    words = [NCElement.word(w) for k in range(degree + 1)
+             for w in double.b_pres.normal_words(k)]
+    firsts = _derivatives(double, words)
+    # seconds[(i, s)][s2]: s2 acting on the s-derivative of words[i]
+    seconds = dict(zip(
+        itertools.product(range(len(words)), DERIVATIVE_SYMBOLS),
+        _derivatives(double, [f[sym] for f in firsts
+                              for sym in DERIVATIVE_SYMBOLS])))
     ok = True
     witness = None
-    for key in _polynomial_keys(degree):
-        a = PBWElement.monomial(key)
-        for s1, s2 in itertools.combinations(DERIVATIVE_SYMBOLS, 2):
-            one = apply_derivative(s1, apply_derivative(s2, a))
-            two = apply_derivative(s2, apply_derivative(s1, a))
-            if one != two:
-                ok = False
-                witness = f"{s1},{s2} on {key}"
-                break
-        if not ok:
+    for (i, a), (s1, s2) in itertools.product(
+            enumerate(words),
+            itertools.combinations(DERIVATIVE_SYMBOLS, 2)):
+        if seconds[(i, s2)][s1] != seconds[(i, s1)][s2]:
+            ok = False
+            witness = f"{s1},{s2} on {a!r}"
             break
     report.add("commutativity", anchor("u2h-commutativity"), ok, witness)
     return report
 
 
-def _random_element(rng, degree: int) -> PBWElement:
-    out = PBWElement.zero()
+def _random_element(rng, degree: int) -> NCElement:
+    letters = (_X, _Y, _Z, _T)
+    out = NCElement.zero()
     for _ in range(2):
         word = tuple(sorted(rng.randrange(4)
                             for _ in range(rng.randint(0, degree))))
-        key = (word.count(_X), word.count(_Y), word.count(_Z),
-               word.count(_T), 0)
-        out = out + PBWElement.monomial(
-            key, Scalar.from_int(rng.randint(1, 5), "h"))
+        out = out + NCElement.word(tuple(letters[i] for i in word),
+                                   Scalar.from_int(rng.randint(1, 5), "h"))
     return out
 
 
 def verify_dhat_homomorphism(rng=None,
                              samples: int = 20) -> VerificationReport:
-    """The derivative matrix is unital and multiplicative.
+    """The derivative matrix is unital, well defined and multiplicative.
 
     Covers the unit, all sixteen generator pairs, the sampled random
-    degree-bounded pairs and the three cyclic bracket images.
+    degree-bounded pairs and the three cyclic bracket images.  The
+    matrix of the normal form of a·b must equal dhat(a)·dhat(b), and for
+    a generator pair so must the matrix of the word a·b itself.
     """
     report = VerificationReport("u2h", {"layer": "calculus",
                                         "samples": samples})
+    compact = compact_presentation()
+    double = derivative_double(compact)
+    one = NCElement.constant(H_ONE)
     report.add("unit", anchor("u2h-multiplicative"),
-               dhat_matrix(PBWElement.one()) == _matrix(
-                   {(i, i): PBWElement.one() for i in range(4)}))
-    named = []
-    for na in GENERATOR_ORDER:
-        for nb in GENERATOR_ORDER:
-            named.append((f"pair-{na}{nb}", PBWElement.generator(na),
-                          PBWElement.generator(nb)))
+               dhat_matrix(double, one) == _matrix(
+                   {(i, i): one for i in range(4)}))
+    named = [(f"pair-{na}{nb}", generator(na), generator(nb))
+             for na in GENERATOR_ORDER for nb in GENERATOR_ORDER]
+    # The word a·b of a generator pair is not normal when a > b, so its
+    # matrix shows the rule entries that normal words never reach (t
+    # before x, say): it must equal the matrix of the normal form.
+    word_dhats = dict(zip((label for label, _, _ in named), map(
+        _dhat, _derivatives(double, [a * b for _, a, b in named]))))
     if samples:
         if rng is None:
             raise ValueError("random pairs need an rng")
         for i in range(samples):
             named.append((f"random-{i}", _random_element(rng, 3),
                           _random_element(rng, 3)))
-    for label, a, b in named:
-        residual = dhat_matrix(a * b) - dhat_matrix(a) * dhat_matrix(b)
-        ok, witness = residual.first_nonzero(lambda v: v)
+    # a and b are normal words: the matrices of the normal form of a·b,
+    # of a and of b, in one batch
+    dhats = iter([_dhat(d) for d in _derivatives(double, [
+        e for _, a, b in named for e in (compact.normal_form(a * b), a, b)])])
+    for (label, _, _), product, left, right in zip(named, dhats, dhats,
+                                                   dhats):
+        ok, witness = True, None
+        if label in word_dhats:
+            ok, witness = (word_dhats[label] - product).first_nonzero(
+                lambda v: v)
+        if ok:
+            ok, witness = (product - left * right).first_nonzero(
+                compact.normal_form)
         report.add(label, anchor("u2h-multiplicative"), ok, witness)
-    images = {name: dhat_matrix(PBWElement.generator(name))
+    images = {name: dhat_matrix(double, generator(name))
               for name in ("x", "y", "z")}
     for left, right, res in (("x", "y", "z"), ("y", "z", "x"),
                              ("z", "x", "y")):
-        ok = images[left] * images[right] \
-            - images[right] * images[left] == images[res].scale(H)
+        residual = images[left] * images[right] \
+            - images[right] * images[left] - images[res].scale(H)
+        ok, witness = residual.first_nonzero(compact.normal_form)
         report.add(f"bracket-{left}{right}",
-                   anchor("u2h-bracket-representation"), ok, None)
+                   anchor("u2h-bracket-representation"), ok, witness)
     return report
 
 
 def verify_radius() -> VerificationReport:
-    """Closed-form matrix, printed actions, and the square identity."""
+    """Closed-form matrix, printed actions, and the square identity.
+
+    Each is checked multiplied by r, with no inverse of r.
+    """
     report = VerificationReport("u2h", {"layer": "radius"})
-    r = PBWElement.radius()
-    got = dhat_matrix(r)
-    ok = got == expected_radius_matrix()
-    report.add("radius-matrix", anchor("u2h-radius-actions"), ok,
-               None if ok else "matrix mismatch")
-    inv = PBWElement.radius(-1)
-    plain_t = apply_derivative(DT, r) - r.scale(COUNIT_SHIFT)
-    ok = plain_t == inv.scale(-HALF_H) \
-        and apply_derivative(DX, r) == PBWElement.generator("x") * inv \
-        and apply_derivative(DY, r) == PBWElement.generator("y") * inv \
-        and apply_derivative(DZ, r) == PBWElement.generator("z") * inv
+    double = derivative_double(radius_presentation())
+    nf = double.b_pres.normal_form
+    r = generator("r")
+    cleared = cleared_dhat_matrix(double, r)
+    ok, witness = (cleared - expected_radius_matrix()).first_nonzero(nf)
+    report.add("radius-matrix", anchor("u2h-radius-actions"), ok, witness)
+    ok = nf(cleared_derivative(double, DT, r) - (r * r).scale(COUNIT_SHIFT)) \
+        == NCElement.constant(-HALF_H) and all(
+            cleared_derivative(double, sym, r) == generator(name)
+            for sym, name in ((DX, "x"), (DY, "y"), (DZ, "z")))
     report.add("radius-actions", anchor("u2h-radius-actions"), ok, None)
-    square = dhat_matrix(r) * dhat_matrix(r) - dhat_matrix(r * r)
-    ok = all(radius_cleared_is_zero(v) for v in square.entries.values())
-    report.add("radius-square", anchor("u2h-radius-square"), ok, None)
+    square = cleared * cleared - dhat_matrix(double, nf(r * r)).map_entries(
+        lambda v: r * r * v)
+    ok, witness = square.first_nonzero(nf)
+    report.add("radius-square", anchor("u2h-radius-square"), ok, witness)
     return report
 
 
@@ -624,37 +562,39 @@ def classical_limit_report() -> VerificationReport:
     corrections and the radius shift are explicit multiples of h.
     """
     report = VerificationReport("u2h", {"layer": "classical"})
+    double = derivative_double(radius_presentation())
+    firsts = dict(zip(GENERATOR_ORDER, _derivatives(
+        double, [generator(name) for name in GENERATOR_ORDER])))
     ok = True
     witness = None
     for i, sym in enumerate((DX, DY, DZ)):
         for j, name in enumerate(GENERATOR_ORDER):
-            got = apply_derivative(sym, PBWElement.generator(name))
-            want = PBWElement.constant(H_ONE if i == j else H_ZERO)
+            got = firsts[name][sym]
+            want = NCElement.constant(H_ONE if i == j else H_ZERO)
             if got != want:
                 ok = False
                 witness = f"{sym} on {name}: {got!r}"
     for name in GENERATOR_ORDER:
-        g = PBWElement.generator(name)
-        got = apply_derivative(DT, g) - g.scale(COUNIT_SHIFT)
-        want = PBWElement.constant(H_ONE if name == "t" else H_ZERO)
+        got = firsts[name][DT] - generator(name).scale(COUNIT_SHIFT)
+        want = NCElement.constant(H_ONE if name == "t" else H_ZERO)
         if got != want:
             ok = False
             witness = f"dt on {name}: {got!r}"
     report.add("first-order-actions", anchor("u2h-classical-limit"),
                ok, witness)
-    x = PBWElement.generator("x")
-    square = apply_derivative(DX, x * x)
-    cross = apply_derivative(
-        DX, PBWElement.generator("y") * PBWElement.generator("z"))
+    x = generator("x")
+    square = apply_derivative(double, DX, x * x)
+    cross = apply_derivative(double, DX, generator("y") * generator("z"))
     ok = square == x.scale(Scalar.from_int(2, "h")) \
-        and cross == PBWElement.constant(HALF_H) \
+        and cross == NCElement.constant(HALF_H) \
         and all(c.evaluate(0) == 0 for c in cross.terms.values())
     report.add("second-order-corrections", anchor("u2h-classical-limit"),
                ok, None)
-    drift = apply_derivative(DT, PBWElement.radius()) \
-        - PBWElement.radius().scale(COUNIT_SHIFT)
-    coeff = drift.terms.get((0, 0, 0, 0, -1), H_ZERO)
-    ok = list(drift.terms) == [(0, 0, 0, 0, -1)] \
+    r = generator("r")
+    drift = double.b_pres.normal_form(
+        cleared_derivative(double, DT, r) - (r * r).scale(COUNIT_SHIFT))
+    coeff = drift.terms.get((), H_ZERO)
+    ok = list(drift.terms) == [()] \
         and coeff == -HALF_H and coeff.evaluate(0) == 0
     report.add("radius-limit", anchor("u2h-classical-limit"), ok, None)
     return report

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from math import comb
 
 import pytest
 
+from redouble import u2h
 from redouble.braidings import flip, standard_hecke
 from redouble.doubles import DoubleError
-from redouble.ncengine import Gen, MatrixOverAlgebra
+from redouble.ncengine import Gen, MatrixOverAlgebra, NCElement
 from redouble.scalars import Scalar
+from redouble.suites import SuiteConfig, run_suite
 from redouble.u2h import (
     COUNIT_SHIFT,
     DERIVATIVE_SYMBOLS,
@@ -19,15 +23,19 @@ from redouble.u2h import (
     DZ,
     H,
     HALF_H,
-    PBWElement,
     RADIUS_CONST,
     UnsupportedElementError,
     apply_derivative,
     classical_limit_report,
+    cleared_derivative,
+    cleared_dhat_matrix,
+    compact_presentation,
+    derivative_double,
     dhat_matrix,
     expected_radius_matrix,
+    generator,
     h_shifted_double,
-    radius_cleared_is_zero,
+    radius_presentation,
     shifted_coproduct,
     shifted_derivative_relations,
     verify_derivative_commutativity,
@@ -36,103 +44,144 @@ from redouble.u2h import (
     verify_shift_structure,
 )
 
-X = PBWElement.generator("x")
-Y = PBWElement.generator("y")
-Z = PBWElement.generator("z")
-T = PBWElement.generator("t")
+X, Y, Z, T, R = (generator(name) for name in "xyztr")
+ONE_H = NCElement.constant(Scalar.from_int(1, "h"))
+
+# sha256 of run_suite(SuiteConfig("u2h", seed=0)).to_json(): 53 checks
+U2H_SHA256 = \
+    "edc08cdb8c7eea802d9e522ddfaede4937435c5d013ea56ed94657ff5869ab3c"
 
 
 def h_int(n):
     return Scalar.from_int(n, "h")
 
 
+def const(c):
+    return NCElement.constant(c)
+
+
+@pytest.fixture
+def compact():
+    return derivative_double(compact_presentation())
+
+
+@pytest.fixture
+def radius():
+    return derivative_double(radius_presentation())
+
+
 # -- normal forms -----------------------------------------------------------
 
+@pytest.mark.parametrize("d", range(5))
+def test_compact_algebra_has_the_polynomial_dimensions(d):
+    assert compact_presentation().filtered_dimension(d) == comb(d + 4, 4)
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_radius_extension_adds_one_radius_multiple(d):
+    assert radius_presentation().filtered_dimension(d) == \
+        comb(d + 4, 4) + comb(d + 3, 4)
+
+
 def test_straightening_brackets():
-    assert Y * X == X * Y - Z.scale(H)
-    assert Z * X == X * Z + Y.scale(H)
-    assert Z * Y == Y * Z - X.scale(H)
-    assert T * X == X * T and T * Y == Y * T and T * Z == Z * T
+    nf = compact_presentation().normal_form
+    assert nf(Y * X) == nf(X * Y - Z.scale(H))
+    assert nf(Z * X) == nf(X * Z + Y.scale(H))
+    assert nf(Z * Y) == nf(Y * Z - X.scale(H))
+    for g in (X, Y, Z):
+        assert nf(T * g) == g * T
+    # the brackets [x, y] = h z, cyclically
+    for a, b, c in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
+        assert nf(a * b - b * a - c.scale(H)).is_zero()
 
 
 def test_radius_square_rewrites_to_the_casimir():
-    r = PBWElement.radius()
-    assert r * r == X * X + Y * Y + Z * Z + PBWElement.constant(RADIUS_CONST)
-    assert PBWElement.radius(3) == r * r * r
-    assert PBWElement.radius(-1) * r == PBWElement.one()
+    nf = radius_presentation().normal_form
+    casimir = X * X + Y * Y + Z * Z + const(RADIUS_CONST)
+    assert nf(R * R) == casimir
+    assert nf(R * R * R) == nf(casimir * R)
+    # the Casimir is central in the compact algebra
+    for g in (X, Y, Z, T):
+        assert nf(casimir * g - g * casimir).is_zero()
+    for g in (X, Y, Z, T):
+        assert nf(g * R) == g * R and nf(R * g) == g * R
 
 
 def test_product_is_associative_on_random_words():
+    # normal forms respect the two-sided ideal, r included
     rng = random.Random(20240815)
+    nf = radius_presentation().normal_form
 
     def element():
-        out = PBWElement.zero()
+        out = NCElement.zero()
         for _ in range(2):
-            key = tuple(rng.randint(0, 2) for _ in range(4)) \
-                + (rng.randint(0, 1),)
-            out = out + PBWElement.monomial(key, h_int(rng.randint(1, 5)))
+            word = ONE_H
+            for _ in range(rng.randint(0, 2)):
+                word = word * rng.choice((X, Y, Z, T, R))
+            out = out + word.scale(h_int(rng.randint(1, 5)))
         return out
 
     for _ in range(25):
         a, b, c = element(), element(), element()
-        assert (a * b) * c == a * (b * c)
-
-
-def test_associativity_with_inverse_radius_holds_after_clearing():
-    rinv = PBWElement.radius(-1)
-    r = PBWElement.radius()
-    left = (rinv * r) * r
-    right = rinv * (r * r)
-    assert left != right
-    assert radius_cleared_is_zero(left - right)
+        assert nf(nf(a * b) * c) == nf(a * nf(b * c))
 
 
 def test_cleared_zero_detects_the_casimir_relation():
-    rinv2 = PBWElement.radius(-2)
-    lhs = (X * X + Y * Y + Z * Z) * rinv2
-    rhs = PBWElement.one() - rinv2.scale(RADIUS_CONST)
+    # (x^2 + y^2 + z^2) r^-2 = 1 + (h^2/4) r^-2, cleared of r^-2
+    nf = radius_presentation().normal_form
+    lhs = X * X + Y * Y + Z * Z
+    rhs = R * R - const(RADIUS_CONST)
     assert lhs != rhs
-    assert radius_cleared_is_zero(lhs - rhs)
-    assert radius_cleared_is_zero(X - X)
-    assert not radius_cleared_is_zero(X)
-    assert not radius_cleared_is_zero(X * rinv2)
+    assert nf(lhs - rhs).is_zero()
+    assert not nf(X).is_zero()
+    assert not nf(X * R * R).is_zero()
 
 
 def test_degree_and_coefficient_maps():
-    a = X * Y * PBWElement.radius() + T.scale(H)
+    a = radius_presentation().normal_form(Y * X * R + T.scale(H))
     assert a.degree() == 3
-    assert PBWElement.radius(-1).degree() == 0
-    # at h = 0 only the coefficients of the h-free terms survive
-    survivors = {k for k, c in a.terms.items() if c.evaluate(0)}
-    assert survivors == set((X * Y * PBWElement.radius()).terms)
+    # y x r = x y r - h z r: at h = 0 only the h-free terms survive
+    survivors = {w for w, c in a.terms.items() if c.evaluate(0)}
+    assert survivors == set((X * Y * R).terms)
 
 
 # -- the pushing table ------------------------------------------------------
 
-def test_first_order_derivative_values():
-    assert apply_derivative(DX, X) == PBWElement.one()
-    assert apply_derivative(DX, Y) == PBWElement.zero()
-    assert apply_derivative(DY, Y) == PBWElement.one()
-    assert apply_derivative(DZ, Z) == PBWElement.one()
-    assert apply_derivative(DT, T) == T.scale(COUNIT_SHIFT) + PBWElement.one()
-    assert apply_derivative(DT, PBWElement.one()) \
-        == PBWElement.constant(COUNIT_SHIFT)
-    assert apply_derivative(DX, PBWElement.one()) == PBWElement.zero()
+def test_first_order_derivative_values(compact):
+    one = ONE_H
+    assert apply_derivative(compact, DX, X) == one
+    assert apply_derivative(compact, DX, Y).is_zero()
+    assert apply_derivative(compact, DY, Y) == one
+    assert apply_derivative(compact, DZ, Z) == one
+    assert apply_derivative(compact, DT, T) == T.scale(COUNIT_SHIFT) + one
+    assert apply_derivative(compact, DT, one) == const(COUNIT_SHIFT)
+    assert apply_derivative(compact, DX, one).is_zero()
 
 
-def test_second_order_derivative_values():
-    assert apply_derivative(DX, X * X) == X.scale(h_int(2))
-    assert apply_derivative(DX, Y * Z) == PBWElement.constant(HALF_H)
-    assert apply_derivative(DX, Z * Y) == PBWElement.constant(-HALF_H)
+def test_second_order_derivative_values(compact):
+    assert apply_derivative(compact, DX, X * X) == X.scale(h_int(2))
+    assert apply_derivative(compact, DX, Y * Z) == const(HALF_H)
+    # z y = y z - h x
+    assert apply_derivative(compact, DX, Y * Z - X.scale(H)) \
+        == const(-HALF_H)
 
 
-def test_derivative_domain_errors():
+def test_derivative_domain_errors(radius):
     with pytest.raises(ValueError):
-        apply_derivative("dq", X)
-    with pytest.raises(UnsupportedElementError):
-        apply_derivative(DX, PBWElement.radius(-1))
-    with pytest.raises(UnsupportedElementError):
-        apply_derivative(DX, X * PBWElement.radius())
+        apply_derivative(radius, "dq", X)
+    for bad in (R, X * R, R * R):
+        with pytest.raises(UnsupportedElementError):
+            apply_derivative(radius, DX, bad)
+    # r times a derivative is defined on the bare r only
+    for bad in (X * R, R * R):
+        with pytest.raises(UnsupportedElementError):
+            cleared_derivative(radius, DX, bad)
+
+
+def test_cleared_derivative_adds_the_polynomial_part(radius):
+    # r·∂x(x + r) = r + x
+    assert cleared_derivative(radius, DX, X + R) == X + R
+    assert cleared_derivative(radius, DY, X).is_zero()
 
 
 def test_pairwise_commutativity_report():
@@ -162,48 +211,70 @@ def test_matrix_report_needs_an_rng_for_sampling():
     assert len(report.checks) == 20
 
 
-def test_matrix_report_accepts_explicit_pairs():
+def test_matrix_report_accepts_explicit_pairs(compact):
     # the multiplicativity the report checks, on two chosen pairs
+    nf = compact.b_pres.normal_form
     for a, b in ((X, Y * Z), (T, X * X)):
-        assert dhat_matrix(a * b) == dhat_matrix(a) * dhat_matrix(b)
+        residual = dhat_matrix(compact, nf(a * b)) \
+            - dhat_matrix(compact, a) * dhat_matrix(compact, b)
+        assert residual.first_nonzero(nf) == (True, None)
 
 
-def test_matrix_on_the_unit_is_the_identity():
-    unit = {(i,): {(i,): PBWElement.one()} for i in range(1, 5)}
-    assert dhat_matrix(PBWElement.one()) == MatrixOverAlgebra(4, 1, 1, unit)
+def test_matrix_on_the_unit_is_the_identity(compact):
+    unit = {(i,): {(i,): ONE_H} for i in range(1, 5)}
+    assert dhat_matrix(compact, ONE_H) == MatrixOverAlgebra(4, 1, 1, unit)
 
 
-def test_bracket_images_multiply_like_the_algebra():
-    gx, gy, gz = (dhat_matrix(PBWElement.generator(n)) for n in "xyz")
-    assert gx * gy - gy * gx == gz.scale(H)
-    assert gy * gz - gz * gy == gx.scale(H)
+def test_bracket_images_multiply_like_the_algebra(compact):
+    nf = compact.b_pres.normal_form
+    gx, gy, gz = (dhat_matrix(compact, g) for g in (X, Y, Z))
+    assert (gx * gy - gy * gx - gz.scale(H)).first_nonzero(nf)[0]
+    assert (gy * gz - gz * gy - gx.scale(H)).first_nonzero(nf)[0]
+
+
+@pytest.mark.parametrize("key", sorted(u2h._PUSH, key=repr), ids=repr)
+def test_a_flipped_pushing_sign_fails_a_pair_check(monkeypatch, key):
+    target, sign = u2h._PUSH[key]
+    monkeypatch.setitem(u2h._PUSH, key, (target, -sign))
+    report = verify_dhat_homomorphism(samples=0)
+    assert any(c["id"].startswith("pair-") for c in report.failures())
 
 
 # -- the radius -------------------------------------------------------------
 
-def test_radius_report_and_closed_forms():
+def test_radius_report_and_closed_forms(radius):
     report = verify_radius()
     assert report.passed, report.failures()
     assert [c["id"] for c in report.checks] == \
         ["radius-matrix", "radius-actions", "radius-square"]
-    r = PBWElement.radius()
-    rinv = PBWElement.radius(-1)
-    assert apply_derivative(DT, r) == r.scale(COUNIT_SHIFT) \
-        - rinv.scale(HALF_H)
-    assert apply_derivative(DX, r) == X * rinv
-    got = dhat_matrix(r)
-    assert got == expected_radius_matrix()
-    assert got.entry((1,), (1,)) == r + rinv.scale(RADIUS_CONST)
-    assert got.entry((1,), (2,)) == X * rinv.scale(HALF_H)
-    assert got.entry((2,), (1,)) == -(X * rinv.scale(HALF_H))
+    nf = radius.b_pres.normal_form
+    # r·∂t(r) = (2/h) r^2 - h/2 and r·∂x(r) = x
+    assert cleared_derivative(radius, DT, R) == \
+        nf((R * R).scale(COUNIT_SHIFT) - const(HALF_H))
+    assert cleared_derivative(radius, DX, R) == X
+    got = cleared_dhat_matrix(radius, R)
+    assert (got - expected_radius_matrix()).first_nonzero(nf) == (True, None)
+    assert got.entry((1,), (1,)) == nf(R * R + const(RADIUS_CONST))
+    assert got.entry((1,), (2,)) == X.scale(HALF_H)
+    assert got.entry((2,), (1,)) == X.scale(-HALF_H)
 
 
-def test_radius_square_identity_needs_clearing():
-    r = PBWElement.radius()
-    square = dhat_matrix(r) * dhat_matrix(r) - dhat_matrix(r * r)
-    diag = square.entry((1,), (1,))
-    assert not diag.is_zero()
-    assert radius_cleared_is_zero(diag)
+def test_radius_square_identity_needs_clearing(radius):
+    nf = radius.b_pres.normal_form
+    cleared = cleared_dhat_matrix(radius, R)
+    square = dhat_matrix(radius, nf(R * R))
+    # (r·dhat(r))^2 = r^2·dhat(r^2), but not dhat(r^2) itself
+    assert (cleared * cleared - square.map_entries(lambda v: R * R * v)
+            ).first_nonzero(nf)[0]
+    assert not (cleared * cleared - square).first_nonzero(nf)[0]
+
+
+@pytest.mark.parametrize("sym", DERIVATIVE_SYMBOLS)
+def test_a_spoiled_radius_value_fails_a_radius_check(monkeypatch, sym):
+    spoiled = u2h._RADIUS_ACTION[sym] + const(H)
+    monkeypatch.setitem(u2h._RADIUS_ACTION, sym, spoiled)
+    failed = {c["id"] for c in verify_radius().failures()}
+    assert failed & {"radius-matrix", "radius-square"}
 
 
 def test_classical_limit_report():
@@ -211,6 +282,13 @@ def test_classical_limit_report():
     assert report.passed, report.failures()
     assert [c["id"] for c in report.checks] == \
         ["first-order-actions", "second-order-corrections", "radius-limit"]
+
+
+def test_single_suite_bytes_are_pinned():
+    report = run_suite(SuiteConfig("u2h", seed=0))
+    assert len(report.checks) == 53
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == U2H_SHA256
 
 
 # -- the shift-deformed doubles ---------------------------------------------
