@@ -39,9 +39,13 @@ def _trace_commutes(double: QuantumDouble, trace: NCElement) -> tuple:
     return True, None
 
 
+def _fields(double: QuantumDouble) -> list:
+    return [NCElement.generator(g) for g in double.a_pres.generators]
+
+
 def _trace_annihilated(double: QuantumDouble, trace: NCElement) -> tuple:
-    for g in double.a_pres.generators:
-        image = double.act(NCElement.generator(g), trace)
+    for g, [image] in zip(double.a_pres.generators,
+                          double.act_each(_fields(double), [trace])):
         if not double.b_pres.reduces_to_zero(image):
             return False, f"field {g} acts by {image!r}"
     return True, None
@@ -103,11 +107,11 @@ def orbit_quotient(braiding: Braiding, alphas, tag: str = "m"
 
     The reflection-equation algebra divided by p_k - alpha_k, the traced
     k-th power minus its level constant, for k = 1..N.  The traced powers
-    are central in that algebra, so the quotient is a CentralQuotient of
-    the certified presentation: its ideal is spanned by the normal forms
-    of w·(p_k - alpha_k) over normal words w, and trace occurrences
-    rewrite to constants.  A traced power that fails to be central raises
-    PresentationError.
+    are central in that algebra, so the quotient is a CentralQuotient:
+    one certified presentation whose basis holds the re-keyed relation
+    rows and w·(p_k - alpha_k) over normal words w, so that trace
+    occurrences rewrite to constants in one elimination.  A traced power
+    that fails to be central raises PresentationError.
     """
     n = braiding.dim
     alphas = list(alphas)
@@ -149,19 +153,16 @@ def verify_orbit_descent(braiding: Braiding, alphas, degree: int = 1
              for w in itertools.product(quotient.generators, repeat=d)]
     ok = True
     witness = None
+    fields = _fields(double)
     for k, pinned in enumerate(quotient.pinned, start=1):
         # words[0] is the empty word: pinned itself, on either side
         products = [pinned] + [p for w in words[1:]
                                for p in (pinned * w, w * pinned)]
-        for g in double.a_pres.generators:
-            field = NCElement.generator(g)
-            for product in products:
-                image = double.act(field, product)
-                if not quotient.reduces_to_zero(image):
-                    ok = False
-                    witness = f"field {g} escapes the ideal at power {k}"
-                    break
-            if not ok:
+        for g, images in zip(double.a_pres.generators,
+                             double.act_each(fields, products)):
+            if not all(map(quotient.reduces_to_zero, images)):
+                ok = False
+                witness = f"field {g} escapes the ideal at power {k}"
                 break
         if not ok:
             break

@@ -20,11 +20,11 @@ of an element is its unique remainder against those rows, found by one
 elimination of the whole element.  A presentation that fails the check
 raises PresentationError; there is no other route.
 
-A CentralQuotient divides a certified presentation by elements that are
-central in it (checked on construction).  Their two-sided ideal is the
-left ideal they generate, spanned by the base normal forms of w·c for
-the base's normal words w, so it is built by linear algebra over normal
-words alone.
+A CentralQuotient is a presentation of the same kind, with elements
+pinned to zero that are central in it (checked once it is certified).
+Its one Triangular holds the re-keyed relation rows and, after them at
+every degree, the span of w·c over the normal words w and pinned c, so a
+normal form is still one elimination.
 
 Matrices over the algebra (MatrixOverAlgebra) keep the sparse rows of
 TensorOperator and compute through the same linalg functions: the entry
@@ -203,7 +203,8 @@ class QuadraticPresentation:
                 raise ValueError("constant relation makes the algebra trivial")
         self._tri = Triangular(word_sortkey)
         self._built = 0
-        # letter a -> the leading words ab of the relation rows
+        # the leading words ab of the relation rows, and a -> those ab
+        self._leads: set = set()
         self._leads_from: dict = {}
         # the normal words (no leading subword) of each length
         self._normal: list = [[()]]
@@ -220,7 +221,7 @@ class QuadraticPresentation:
         diamond lemma the rows of degree <= e span the ideal's part of
         degree <= e for every e: reducing an ideal element of that degree
         leaves only normal words, which are independent in the quotient.
-        Its pivots are exactly the words that contain a lead.
+        The pivots of those rows are exactly the words that contain a lead.
         """
         while self._built < d:
             e = self._built + 1
@@ -243,6 +244,7 @@ class QuadraticPresentation:
                     f"{self.name}: a relation row leads with {ab!r},"
                     " not with a quadratic word")
             leads_from.setdefault(ab[0], []).append(ab)
+        self._leads = set(tri.pivots)
         self._leads_from = leads_from
 
     def _rekey_degree(self, e: int) -> None:
@@ -269,7 +271,7 @@ class QuadraticPresentation:
         naming the presentation and the first overlap that does not.
         """
         tri = self._tri
-        rows = {ab: tri.row(ab) for ab in tri.pivots if len(ab) == 2}
+        rows = {ab: tri.row(ab) for ab in tri.pivots if ab in self._leads}
         for ab, row_ab in rows.items():
             for bc in self._leads_from.get(ab[1], ()):
                 row_bc = rows[bc]
@@ -285,14 +287,14 @@ class QuadraticPresentation:
                         f"{ab + bc[1:]!r} leaves {NCElement(residual)!r}")
 
     def normal_words(self, k: int) -> list:
-        """The words of length k with no leading subword, in a fixed order."""
-        if k >= 2:
+        """The words of length k with no relation lead, in a fixed order."""
+        if k >= 2 and not self._built:
             self.ensure(1)
-        pivots = self._tri.pivots
+        leads = self._leads
         while len(self._normal) <= k:
             self._normal.append(
                 [w + (g,) for w in self._normal[-1] for g in self.generators
-                 if not w or (w[-1], g) not in pivots])
+                 if not w or (w[-1], g) not in leads])
         return self._normal[k]
 
     def normal_form(self, x: NCElement) -> NCElement:
@@ -324,74 +326,56 @@ class QuadraticPresentation:
         return total - self.ideal_rank(d)
 
 
-class CentralQuotient:
-    """A certified presentation divided by elements central in it.
+class CentralQuotient(QuadraticPresentation):
+    """A certified presentation with elements pinned that are central in it.
 
-    Each pinned element c must commute with every generator modulo the
-    base's ideal; the constructor checks it and raises PresentationError
-    otherwise.  Then u·c·v = u·v·c in the base, so the two-sided ideal of
-    the pinned elements is their left ideal, and its part of degree <= d
-    is spanned by nf_base(w·c) for the base's normal words w with
-    |w| + deg c <= d.  Those vectors go into one Triangular over normal
-    words, grown lazily by degree; a normal form reduces in the base and
-    then modulo that span.  At every truncation degree the span equals
-    that of all u·r·v over the base relations and the pinned elements, so
-    pivots and normal forms are those of the two-sided ideal.
+    The quotient certifies the basis of the base's generators and
+    relations first (a failure names the base), then checks that each
+    pinned element c commutes with every generator modulo those rows, and
+    raises PresentationError otherwise.  Then u·c·v = u·v·c modulo the
+    relations, so the two-sided ideal of relations and pinned elements is
+    the relation ideal plus the left ideal of the pinned elements, and its
+    part of degree <= d is spanned by the re-keyed relation rows and w·c
+    for the normal words w with |w| + deg c <= d.  ensure(d) inserts those
+    w·c into the same Triangular after the relation rows through degree d,
+    so each insert is reduced modulo every relation row of its degree and
+    its pivot is a normal word.  A re-keyed pivot contains a lead, so the
+    two kinds never collide, the relation rows stay re-keyed copies with
+    pivots not stored yet (Triangular.rekey), and every word that contains
+    a lead stays a pivot.  Normal forms, ideal_rank and filtered_dimension
+    are then those of the two-sided ideal, through one elimination.
     """
 
     def __init__(self, base: QuadraticPresentation,
                  pinned: Iterable[NCElement], name: str = ""):
-        self.base = base
-        self.generators = base.generators
-        self.name = name
-        self.pinned = list(pinned)
-        base.ensure(3)  # certify the base before trusting its normal forms
-        for i, c in enumerate(self.pinned, start=1):
+        super().__init__(base.generators, base.relations, name=base.name)
+        self.pinned: list = []  # none while the relations alone are checked
+        self.ensure(3)  # certify before trusting the normal forms
+        pinned = list(pinned)
+        for i, c in enumerate(pinned, start=1):
             for g in self.generators:
                 x = NCElement.generator(g)
-                if not base.reduces_to_zero(x * c - c * x):
+                if not self.reduces_to_zero(x * c - c * x):
                     raise PresentationError(
                         f"{name}: pinned element {i} ({c!r}) does not "
                         f"commute with {g!r} in {base.name}")
-        self._tri = Triangular(word_sortkey)
-        self._built = -1  # degree 0 holds the multiples w = () as well
-
-    @property
-    def relations(self) -> list:
-        """The base relations and the pinned elements: one generating set."""
-        return self.base.relations + self.pinned
+        self.name = name
+        self.pinned = pinned
+        self.graded = self.graded and \
+            all(len(c.homogeneous_parts()) == 1 for c in pinned)
+        self._spanned = -1  # degree 0 holds the multiples w = () as well
 
     def ensure(self, d: int) -> None:
-        """Span nf_base(w·c) for every normal w and pinned c of degree <= d."""
-        self.base.ensure(d)
-        while self._built < d:
-            e = self._built + 1
+        """The relation rows through degree d, then w·c of degree <= d."""
+        super().ensure(d)
+        while self.pinned and self._spanned < d:
+            e = self._spanned + 1
             for c in self.pinned:
                 k = c.degree()
                 if k <= e:
-                    for w in self.base.normal_words(e - k):
-                        self._tri.insert(
-                            self.base.normal_form(NCElement.word(w) * c).terms)
-            self._built = e
-
-    def normal_form(self, x: NCElement) -> NCElement:
-        """The base normal form of x, reduced modulo the pinned span."""
-        self.ensure(x.degree())
-        return NCElement(self._tri.reduce(self.base.normal_form(x).terms))
-
-    def reduces_to_zero(self, x: NCElement) -> bool:
-        return self.normal_form(x).is_zero()
-
-    def ideal_rank(self, d: int) -> int:
-        """Number of leading words of degree <= d: base and pinned span."""
-        self.ensure(d)
-        return self.base.ideal_rank(d) + \
-            sum(1 for w in self._tri.pivots if len(w) <= d)
-
-    def filtered_dimension(self, d: int) -> int:
-        """dim of the degree <= d filtration component of the quotient."""
-        total = sum(len(self.generators) ** e for e in range(d + 1))
-        return total - self.ideal_rank(d)
+                    for w in self.normal_words(e - k):
+                        self._tri.insert((NCElement.word(w) * c).terms)
+            self._spanned = e
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from redouble.adjoint_orbits import (
     verify_orbit_descent,
 )
 from redouble.braidings import standard_hecke
-from redouble.doubles import make_double
+from redouble.doubles import QuantumDouble, make_double
 from redouble.invariants import power_sum
 from redouble.ncengine import (CentralQuotient, Gen, MatrixOverAlgebra,
                                NCElement, re_presentation)
@@ -102,7 +102,10 @@ def test_orbit_point_at_dimension_one():
     assert quotient.filtered_dimension(3) == 1
     # the free base has no relations: the pinned span holds (p_1 - 5)·m^j
     # for j <= 2, one row per degree
-    assert quotient.base.ideal_rank(3) == 0
+    assert re_presentation(b, "m").ideal_rank(3) == 0
+    assert quotient.relations == []
+    # a free base is graded, but p_1 - 5 is not homogeneous
+    assert not quotient.graded
     assert quotient.ideal_rank(3) == 3
 
 
@@ -145,6 +148,30 @@ def test_action_descends_to_the_orbit():
         ["pinned-reduction", "action-descends"]
     assert report.to_dict()["config"]["genericity_pairs"] == \
         "all ordered pairs including i=j"
+
+
+def test_a_spoiled_field_is_named_by_the_descent_check(monkeypatch):
+    # the witness names the first field, in generator order, that maps a
+    # product out of the ideal; spoil the action of the second and third
+    b = standard_hecke(2)
+    double = make_double(b, "adjoint_shifted")
+    first, second = double.a_pres.generators[1:3]
+    spoiled = [NCElement.generator(first), NCElement.generator(second)]
+    act_each = QuantumDouble.act_each
+
+    def spoiling(self, xs, targets):
+        for x, images in zip(xs, act_each(self, xs, targets)):
+            if x in spoiled:
+                images = [image + NCElement.generator(Gen("m", 1, 1))
+                          for image in images]
+            yield images
+
+    monkeypatch.setattr(QuantumDouble, "act_each", spoiling)
+    report = verify_orbit_descent(b, [ONE, Scalar.from_int(2)], degree=1)
+    [check] = [c for c in report.checks if c["id"] == "action-descends"]
+    assert not check["passed"]
+    assert check["witness"] == \
+        f"field {first} escapes the ideal at power 1"
 
 
 def test_action_descends_at_dimension_one():

@@ -145,19 +145,34 @@ def test_normal_form_is_idempotent_and_linear():
         assert nf == again
 
 
-def _word_remainder(pres, w):
-    """The remainder of the one word w, reduced alone."""
-    pres.ensure(len(w))
+def _two_stage_remainder(quotient, d):
+    """The remainder of one word by a quotient's route before it was one
+    presentation: a fresh base presentation, then a separate Triangular
+    of nf_base(w·c) over the base's normal words w."""
+    base = QuadraticPresentation(quotient.generators, quotient.relations)
+    span = Triangular(word_sortkey)
+    for e in range(d + 1):
+        for c in quotient.pinned:
+            if c.degree() <= e:
+                for w in base.normal_words(e - c.degree()):
+                    span.insert(base.normal_form(NCElement.word(w) * c).terms)
+    return lambda w: span.reduce(base.normal_form(NCElement.word(w)).terms)
+
+
+def _word_remainder(pres, d):
+    """The remainder of one word of degree <= d, reduced alone."""
     if isinstance(pres, CentralQuotient):
-        return pres._tri.reduce(_word_remainder(pres.base, w))
-    return pres._tri.reduce({w: ONE})
+        return _two_stage_remainder(pres, d)
+    pres.ensure(d)
+    return lambda w: pres._tri.reduce({w: ONE})
 
 
 def _per_word_normal_form(pres, x):
     """Reference: reduce every word of x alone, then add the remainders."""
+    remainder = _word_remainder(pres, x.degree())
     out: dict = {}
     for w, c in x.terms.items():
-        vec_add_scaled(out, _word_remainder(pres, w), c)
+        vec_add_scaled(out, remainder(w), c)
     return out
 
 
@@ -226,8 +241,9 @@ def _both_sided_basis(pres, d):
     """Reference ideal basis: both g·row and row·g for every row of a layer."""
     tri = Triangular(word_sortkey)
     layer = []
+    generators = pres.relations + getattr(pres, "pinned", [])
     for e in range(1, d + 1):
-        cand = [dict(r.terms) for r in pres.relations if r.degree() == e]
+        cand = [dict(r.terms) for r in generators if r.degree() == e]
         for row in layer:
             for g in pres.generators:
                 cand.append({(g,) + w: c for w, c in row.items()})
@@ -244,11 +260,18 @@ def _pivots_by_degree(words, d):
     return out
 
 
+def _has_lead(pres, w):
+    """Whether the word w contains a lead of a relation row of pres."""
+    return any(w[i:i + 2] in pres._leads for i in range(len(w) - 1))
+
+
 def _pivot_words(pres):
-    """The pivot words of a presentation, or of a quotient and its base."""
-    if isinstance(pres, CentralQuotient):
-        return [*pres._tri.pivots, *pres.base._tri.pivots]
-    return list(pres._tri.pivots)
+    """The pivot words of a presentation: each contains a relation lead,
+    except in a quotient, whose pinned pivots are normal words."""
+    pivots = list(pres._tri.pivots)
+    pinned = [w for w in pivots if not _has_lead(pres, w)]
+    assert bool(pinned) == isinstance(pres, CentralQuotient)
+    return pivots
 
 
 def _rank_three_orbit():
@@ -297,9 +320,56 @@ def test_rank_three_central_span_row_count(monkeypatch):
     monkeypatch.setattr(Triangular, "insert", counted)
     pres.ensure(4)
     assert len(calls) == 285
-    assert len(pres._tri) == 274
+    plain = re_presentation(standard_hecke(3), "m")
+    assert pres.ideal_rank(4) - plain.ideal_rank(4) == 274
     # the same rank as the two-sided ideal of relations and pinned elements
     assert pres.ideal_rank(4) == 6940
+
+
+def test_quotient_certifies_before_its_first_pinned_insert(monkeypatch):
+    events = []
+    certify, insert = QuadraticPresentation._certify, Triangular.insert
+
+    def spied_certify(pres):
+        certify(pres)
+        events.append("certified")
+
+    def spied_insert(tri, vec):
+        events.append("insert")
+        return insert(tri, vec)
+
+    monkeypatch.setattr(QuadraticPresentation, "_certify", spied_certify)
+    monkeypatch.setattr(Triangular, "insert", spied_insert)
+    pres = _rank_three_orbit()
+    relations = len(pres.relations)
+    assert events == ["insert"] * relations + ["certified"]
+    pres.ensure(4)
+    assert events[relations + 1:] == ["insert"] * 285
+    # the pinned span was not used up by the centrality check
+    assert pres.ideal_rank(4) > re_presentation(
+        standard_hecke(3), "m").ideal_rank(4)
+
+
+def test_a_quotient_normal_form_is_one_reduction(monkeypatch):
+    pres = orbit_quotient(standard_hecke(2), [Scalar.from_int(2),
+                                              Scalar.from_int(3)])
+    pres.ensure(3)
+    calls = []
+    reduce = Triangular.reduce
+
+    def counted(tri, vec):
+        calls.append(tri)
+        return reduce(tri, vec)
+
+    monkeypatch.setattr(Triangular, "reduce", counted)
+    rng = random.Random(7)
+    elements = [_random_element(rng, pres.generators, [ONE], range(4), 3)
+                for _ in range(5)]
+    for x in elements:
+        pres.normal_form(x)
+    assert calls == [pres._tri] * len(elements)
+    assert isinstance(pres, QuadraticPresentation)
+    assert not hasattr(pres, "base")
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL_PRESENTATIONS)
@@ -307,12 +377,12 @@ def test_every_presentation_certifies(name):
     build, _ = DIFFERENTIAL_PRESENTATIONS[name]
     pres = build()
     pres.ensure(3)  # certifies, or raises PresentationError
-    if isinstance(pres, CentralQuotient):
-        pres = pres.base
-    leads = {w for w in pres._tri.pivots if len(w) == 2}
-    assert leads
-    # the degree-3 pivots are exactly the words that contain a lead
-    assert {w for w in pres._tri.pivots if len(w) == 3} == \
+    pivots = _pivot_words(pres)
+    leads = pres._leads
+    assert leads and leads <= set(pivots)
+    # the degree-3 pivots with a lead are exactly the words that contain
+    # one; a quotient's other pivots are its pinned span
+    assert {w for w in pivots if len(w) == 3 and _has_lead(pres, w)} == \
         {w for w in itertools.product(pres.generators, repeat=3)
          if w[:2] in leads or w[1:] in leads}
 

@@ -191,6 +191,16 @@ def test_pairwise_commutativity_report():
     assert report.config["degree"] == 3
 
 
+@pytest.mark.parametrize("key", sorted(u2h._PUSH, key=repr), ids=repr)
+def test_a_flipped_pushing_sign_fails_commutativity(monkeypatch, key):
+    # on the normal words alone every single flip passes; the free words
+    # that are not normal forms catch it
+    target, sign = u2h._PUSH[key]
+    monkeypatch.setitem(u2h._PUSH, key, (target, -sign))
+    [check] = verify_derivative_commutativity().checks
+    assert not check["passed"] and check["witness"]
+
+
 # -- the derivative matrix --------------------------------------------------
 
 def test_matrix_is_unital_and_respects_brackets():
