@@ -8,12 +8,12 @@ from .scalars import Scalar, qint, nu
 from .braidings import Braiding, TensorOperator, standard_hecke, flip, rtrace_form
 from .doubles import QuantumDouble, make_double
 from .reports import VerificationReport
-from .suites import SUITE_NAMES, SuiteConfig, run_all, run_suite
+from .suites import SUITES, SuiteConfig, run_all, run_suite
 
 __all__ = [
     "Scalar", "qint", "nu",
     "Braiding", "TensorOperator", "standard_hecke", "flip", "rtrace_form",
     "QuantumDouble", "make_double",
     "VerificationReport",
-    "SUITE_NAMES", "SuiteConfig", "run_all", "run_suite",
+    "SUITES", "SuiteConfig", "run_all", "run_suite",
 ]

@@ -34,7 +34,7 @@ from .doubles import (QuantumDouble, conjugated_copy, make_double,
 from .heckerep import hecke_integer, skew_symmetrizer
 from .ncengine import MatrixOverAlgebra, NCElement
 from .reports import VerificationReport
-from .scalars import ONE, Scalar, parameter_points
+from .scalars import ONE, Scalar
 
 
 class StructureError(ArithmeticError):
@@ -138,20 +138,16 @@ def capelli_sides(double: QuantumDouble, k: int) -> tuple:
     return lhs, rhs
 
 
-def verify_capelli(braiding: Braiding, k: int, mode: str = "EXACT",
-                   rng=None, samples: int = 3) -> VerificationReport:
+def verify_capelli(braiding: Braiding, k: int) -> VerificationReport:
     """Word route: bi-normal forms of both sides agree entrywise.
 
-    One check per parameter point, in the double over its braiding.
+    Both sides live in the derivative double over the braiding.
     """
-    report = VerificationReport(
-        "capelli", {"n": braiding.dim, "k": k, "mode": mode, "route": "word"})
-    for suffix, b in parameter_points(braiding, mode, rng, samples):
-        double = make_double(b, "derivative")
-        lhs, rhs = capelli_sides(double, k)
-        ok, witness = (lhs - rhs).first_nonzero(double.binormal_form)
-        report.add(f"word-route{suffix}", anchor("capelli-word-route"),
-                   ok, witness)
+    report = VerificationReport("capelli")
+    double = make_double(braiding, "derivative")
+    lhs, rhs = capelli_sides(double, k)
+    ok, witness = (lhs - rhs).first_nonzero(double.binormal_form)
+    report.add("word-route", anchor("capelli-word-route"), ok, witness)
     return report
 
 
@@ -191,33 +187,25 @@ def verify_capelli_action(braiding: Braiding, k: int,
     return report
 
 
-def verify_det_capelli(braiding: Braiding, mode: str = "EXACT", rng=None,
-                       samples: int = 3) -> VerificationReport:
+def verify_det_capelli(braiding: Braiding) -> VerificationReport:
     """Traced identity: the k = N product against the determinant product.
 
     Full weighted trace of A^(N) times the shifted product equals
-    q^(-N) det_R M det_Rinv D in the double over the braiding of each
-    parameter point.  A failing check's witness is the bi-normal form of
-    the difference, prefixed in SAMPLED mode by the first point where it
-    does not vanish.
+    q^(-N) det_R M det_Rinv D in the derivative double over the braiding.
+    A failing check's witness is the bi-normal form of the difference.
     """
     n = braiding.dim
-    report = VerificationReport(
-        "det-capelli", {"n": n, "mode": mode})
-    witness = None
-    for suffix, b in parameter_points(braiding, mode, rng, samples):
-        double = make_double(b, "derivative")
-        skew = skew_symmetrizer(b, n)
-        lhs = MatrixOverAlgebra.from_operator(skew).traced_chain(
-            shifted_factors(double, n), b.trace_form().weights)
-        pair = extract_uv(skew)
-        det_m = det_r(b, double.b_tag, pair)
-        det_d = det_r(b, double.a_tag, pair, reverse=True)
-        rhs = (det_m * det_d).scale(b.q ** (-n))
-        residual = double.binormal_form(lhs - rhs)
-        if not residual.is_zero():
-            witness = f"{suffix}: {residual!r}" if suffix else repr(residual)
-            break
-    report.add("traced-identity", anchor("capelli-determinant"),
-               witness is None, witness)
+    report = VerificationReport("det-capelli")
+    double = make_double(braiding, "derivative")
+    skew = skew_symmetrizer(braiding, n)
+    lhs = MatrixOverAlgebra.from_operator(skew).traced_chain(
+        shifted_factors(double, n), braiding.trace_form().weights)
+    pair = extract_uv(skew)
+    det_m = det_r(braiding, double.b_tag, pair)
+    det_d = det_r(braiding, double.a_tag, pair, reverse=True)
+    rhs = (det_m * det_d).scale(braiding.q ** (-n))
+    residual = double.binormal_form(lhs - rhs)
+    ok = residual.is_zero()
+    report.add("traced-identity", anchor("capelli-determinant"), ok,
+               None if ok else repr(residual))
     return report

@@ -23,10 +23,9 @@ from .doubles import DoubleError
 from .heckerep import IdempotentError
 from .ncengine import PresentationError
 from .reports import VerificationReport
-from .scalars import MODES, MixedParameterError, PoleError
-from .suites import (_PER_SUITE_FLAGS, _SUITE_READS, SUITE_NAMES,
-                     SuiteConfig, clear_caches, exit_code_for, run_all,
-                     run_suite)
+from .scalars import MixedParameterError, PoleError
+from .suites import (_PER_SUITE_FLAGS, MODES, SUITES, SuiteConfig,
+                     clear_caches, exit_code_for, run_all, run_suite)
 from .u2h import UnsupportedElementError
 
 CONFIG_ERROR = 3
@@ -55,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                     " calculus.")
     parser.add_argument("--suite", required=True,
                         metavar="NAME",
-                        help="one of: " + ", ".join(SUITE_NAMES)
+                        help="one of: " + ", ".join(SUITES)
                         + ", or 'all' for the acceptance grid")
     parser.add_argument("--n", type=int, default=None,
                         help="matrix rank (default 2)")
@@ -94,7 +93,7 @@ def _unread_flags(args: argparse.Namespace) -> list:
         given.append("mode")
     if args.jobs is not None:
         given.append("jobs")
-    reads = _SUITE_READS[args.suite]
+    _, reads = SUITES[args.suite]
     if "mode" in reads and args.mode != "SAMPLED":
         reads = reads - {"samples"}
     return [_FLAG_TEXT[dest] for dest in given if dest not in reads]
@@ -137,7 +136,7 @@ def main(argv=None) -> int:
             if getattr(args, dest) is not None:
                 parser.error(f"{flag} applies to a single suite, not to"
                              " --suite all")
-    elif args.suite not in SUITE_NAMES:
+    elif args.suite not in SUITES:
         parser.error(f"unknown suite {args.suite!r}")
     else:
         unread = _unread_flags(args)

@@ -41,7 +41,7 @@ class VerificationReport:
         self._mark = time.perf_counter()
 
     def add(self, check_id: str, anchor: str, passed: bool,
-            witness: str | None = None, wall_ms: float | None = None) -> None:
+            witness: str | None = None) -> None:
         now = time.perf_counter()
         self.wall_ms[check_id] = round((now - self._mark) * 1000, 3)
         self._mark = now
@@ -50,7 +50,7 @@ class VerificationReport:
             "anchor": anchor,
             "passed": bool(passed),
             "witness": witness,
-            "wall_time_ms": wall_ms,
+            "wall_time_ms": None,
         })
 
     @property

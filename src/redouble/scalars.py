@@ -495,67 +495,5 @@ def nu(param: str = "q") -> Scalar:
     return Scalar.laurent({1: 1, -1: -1}, param)
 
 
-def is_root_of_unity_risk(value, bound: int) -> bool:
-    """True iff value^(2k) = 1 for some integer 2 <= k <= bound."""
-    value = Fraction(value)
-    p = value * value
-    acc = p  # value^(2k) at k = 1
-    for _ in range(2, bound + 1):
-        acc *= p
-        if acc == 1:
-            return True
-    return False
-
-
-def random_parameter_values(rng, count: int, unity_bound: int = 12) -> list:
-    """Distinct rational sample points, no zeros and no roots of unity."""
-    out = []
-    seen = set()
-    while len(out) < count:
-        v = Fraction(rng.randint(2, 19), rng.randint(1, 11))
-        if rng.random() < 0.5:
-            v = 1 / v
-        if v in seen or v == 0 or is_root_of_unity_risk(v, unity_bound) or v in (1, -1):
-            continue
-        seen.add(v)
-        out.append(v)
-    return out
-
-
-# Fewest random parameter points a SAMPLED check may draw.
-MIN_POINTS = 3
-
-# How an identity over the parameter field is checked: symbolically, or at
-# random rational values of the parameter.
-MODES = ("EXACT", "SAMPLED")
-
-
-def check_points(samples: int) -> None:
-    """Raise ValueError when samples is below MIN_POINTS."""
-    if samples < MIN_POINTS:
-        raise ValueError(f"SAMPLED mode needs at least {MIN_POINTS} points,"
-                         f" got {samples}")
-
-
-def parameter_points(braiding, mode: str, rng, samples: int):
-    """The points at which an identity is checked: (suffix, braiding) pairs.
-
-    EXACT gives the one symbolic point ("", braiding).  SAMPLED draws
-    `samples` (at least MIN_POINTS) distinct rational values v from rng on
-    the call and yields (f"@{v}", braiding.substituted(v)) for each, in
-    draw order; a check builds every object from its point's braiding.
-    The suffix names the point in check ids.
-    """
-    if mode == "EXACT":
-        return iter([("", braiding)])
-    if mode != "SAMPLED":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("SAMPLED mode needs an rng")
-    check_points(samples)
-    return ((f"@{v}", braiding.substituted(v))
-            for v in random_parameter_values(rng, samples))
-
-
 ZERO = Scalar("q", 0, (), (1,))
 ONE = Scalar("q", 0, (1,), (1,))

@@ -5,6 +5,10 @@ exposes.  Configurations are plain picklable records, so a grid can fan
 out across worker processes; assembly keeps the configured order, and
 every randomized choice flows through a seed echoed in the report, which
 makes reports byte-reproducible.
+
+This module alone reads the mode: an identity over Q(q) is checked
+either symbolically (EXACT) or at random rational values of q (SAMPLED),
+and `_sampled` runs a verifier once per parameter point.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import itertools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 from . import braidings, doubles, heckerep
 from .adjoint_orbits import verify_adjoint_invariance, verify_orbit_descent
@@ -28,14 +33,10 @@ from .invariants import (spectral_char_trl, verify_cayley_hamilton,
 from .linalg import first_nonzero
 from .ncengine import NCElement, matrix_generators
 from .reports import VerificationReport
-from .scalars import MIN_POINTS, MODES, ONE, Scalar, parameter_points
+from .scalars import ONE, Scalar
 from .u2h import (classical_limit_report, verify_derivative_commutativity,
                   verify_dhat_homomorphism, verify_radius,
                   verify_shift_structure)
-
-SUITE_NAMES = ("braiding", "heckerep", "doubles", "spectrum", "conjecture",
-               "cayley-hamilton", "capelli", "det-capelli", "adjoint",
-               "orbits", "u2h")
 
 # Pinned rank-2 values of the weighted-trace character.
 _CLOSED_FORMS = {
@@ -49,23 +50,64 @@ _CLOSED_FORMS = {
 _PER_SUITE_FLAGS = (("--n", "n"), ("--k", "k"), ("--lambda", "shape"),
                     ("--degree", "degree"), ("--samples", "samples"))
 
-# The flags each runner in suites._RUNNERS reads, by SuiteConfig field
-# ("shape" is --lambda).  "mode" stands for --mode SAMPLED, and a suite
-# that samples reads --samples, its point count, only in that mode.
-# --seed, --timings and --out apply to every run; --jobs only to --suite all.
-_SUITE_READS = {
-    "braiding": {"n", "mode", "samples"},
-    "heckerep": {"n", "k"},
-    "doubles": {"n"},
-    "spectrum": {"n", "shape"},
-    "conjecture": {"n", "k"},
-    "cayley-hamilton": {"n", "mode", "samples"},
-    "capelli": {"n", "k", "degree", "mode", "samples"},
-    "det-capelli": {"n", "mode", "samples"},
-    "adjoint": {"n", "k", "mode", "samples"},
-    "orbits": {"n", "degree"},
-    "u2h": {"degree", "samples"},
-}
+# ---------------------------------------------------------------------------
+# Parameter points
+
+# Fewest random parameter points a SAMPLED check may draw.
+MIN_POINTS = 3
+
+# How an identity over the parameter field is checked: symbolically, or at
+# random rational values of the parameter.
+MODES = ("EXACT", "SAMPLED")
+
+
+def is_root_of_unity_risk(value, bound: int) -> bool:
+    """True iff value^(2k) = 1 for some integer 2 <= k <= bound."""
+    value = Fraction(value)
+    p = value * value
+    acc = p  # value^(2k) at k = 1
+    for _ in range(2, bound + 1):
+        acc *= p
+        if acc == 1:
+            return True
+    return False
+
+
+def random_parameter_values(rng, count: int, unity_bound: int = 12) -> list:
+    """Distinct rational sample points, no zeros and no roots of unity."""
+    out = []
+    seen = set()
+    while len(out) < count:
+        v = Fraction(rng.randint(2, 19), rng.randint(1, 11))
+        if rng.random() < 0.5:
+            v = 1 / v
+        if v in seen or v == 0 or is_root_of_unity_risk(v, unity_bound) or v in (1, -1):
+            continue
+        seen.add(v)
+        out.append(v)
+    return out
+
+
+def parameter_points(braiding, mode: str, rng, samples: int):
+    """The points at which an identity is checked: (suffix, braiding) pairs.
+
+    EXACT gives the one symbolic point ("", braiding).  SAMPLED draws
+    `samples` (at least MIN_POINTS) distinct rational values v from rng on
+    the call and yields (f"@{v}", braiding.substituted(v)) for each, in
+    draw order; a check builds every object from its point's braiding.
+    The suffix names the point in check ids.
+    """
+    if mode == "EXACT":
+        return iter([("", braiding)])
+    if mode != "SAMPLED":
+        raise ValueError(f"unknown mode {mode!r}")
+    if rng is None:
+        raise ValueError("SAMPLED mode needs an rng")
+    if samples < MIN_POINTS:
+        raise ValueError(f"SAMPLED mode needs at least {MIN_POINTS} points,"
+                         f" got {samples}")
+    return ((f"@{v}", braiding.substituted(v))
+            for v in random_parameter_values(rng, samples))
 
 
 class SuiteConfig:
@@ -74,7 +116,7 @@ class SuiteConfig:
     Fields a suite does not consume are ignored, but every field is
     validated: mode is one of MODES; k, degree and samples default to
     per-suite values when left unset and must be positive when set, and a
-    suite that reads "mode" in _SUITE_READS needs at least MIN_POINTS samples.
+    suite whose SUITES entry reads "mode" needs at least MIN_POINTS samples.
     A fixed seed makes the resulting report byte-identical across runs.
     """
 
@@ -92,7 +134,7 @@ class SuiteConfig:
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         if samples is not None and samples < MIN_POINTS and \
-                "mode" in _SUITE_READS.get(suite, ()):
+                suite in SUITES and "mode" in SUITES[suite][1]:
             raise ValueError(f"{suite} needs at least {MIN_POINTS} sample"
                              f" points, got {samples}")
         self.suite = suite
@@ -119,28 +161,39 @@ def _points(config: SuiteConfig) -> int:
     return 3 if config.samples is None else config.samples
 
 
-def _sampled(config: SuiteConfig, verify, *args) -> VerificationReport:
-    """verify(*args) at the suite's parameter points.
+def _sampled_report(config: SuiteConfig, fields: dict
+                    ) -> VerificationReport:
+    """The report of a suite that samples, its config echoing fields.
 
-    A SAMPLED report echoes the sample count and the seed its points were
-    drawn from, so it replays from its own config.
+    The config adds the mode and, in SAMPLED mode, the point count and the
+    seed the points are drawn from, so the report replays from its config.
     """
-    samples = _points(config)
-    report = verify(*args, mode=config.mode, rng=config.rng(),
-                    samples=samples)
+    echo = dict(fields, mode=config.mode)
     if config.mode == "SAMPLED":
-        report.config["samples"] = samples
-        report.config["seed"] = config.seed
+        echo.update(samples=_points(config), seed=config.seed)
+    return VerificationReport(config.suite, echo)
+
+
+def _sampled(report: VerificationReport, config: SuiteConfig, verify,
+             braiding, *args) -> VerificationReport:
+    """Append verify(b, *args) at each parameter point b of braiding.
+
+    The one loop over the points of config: each check id gets the
+    suffix of its point ("" in EXACT mode, "@v" at the value v).
+    """
+    for suffix, b in parameter_points(braiding, config.mode, config.rng(),
+                                      _points(config)):
+        _merge(report, verify(b, *args), suffix=suffix)
     return report
 
 
 def _merge(report: VerificationReport, sub: VerificationReport,
-           prefix: str = "") -> None:
+           prefix: str = "", suffix: str = "") -> None:
     """Append sub's checks, keeping the wall times measured in sub."""
     for c in sub.checks:
-        report.add(prefix + c["id"], c["anchor"], c["passed"],
-                   c["witness"], c["wall_time_ms"])
-        report.wall_ms[prefix + c["id"]] = sub.wall_ms[c["id"]]
+        name = prefix + c["id"] + suffix
+        report.add(name, c["anchor"], c["passed"], c["witness"])
+        report.wall_ms[name] = sub.wall_ms[c["id"]]
 
 
 # ---------------------------------------------------------------------------
@@ -148,35 +201,35 @@ def _merge(report: VerificationReport, sub: VerificationReport,
 
 def braiding_suite(config: SuiteConfig) -> VerificationReport:
     """Braid relation, quadratic condition, and inverse for one rank."""
-    return _sampled(config, _braiding_checks, config.n)
-
-
-def _braiding_checks(n: int, mode: str, rng, samples: int
-                     ) -> VerificationReport:
-    report = VerificationReport("braiding", {"n": n, "mode": mode})
+    report = _sampled_report(config, {"n": config.n})
     try:
-        b = standard_hecke(n)
+        b = standard_hecke(config.n)
     except BraidingError as err:
         report.add("construction", anchor("braid-relation"), False, str(err))
         return report
-    for suffix, p in parameter_points(b, mode, rng, samples):
-        residuals = (
-            ("braid-relation",
-             p.at(1, 3) * p.at(2, 3) * p.at(1, 3)
-             - p.at(2, 3) * p.at(1, 3) * p.at(2, 3)),
-            ("hecke-condition",
-             p.op * p.op - p.identity(2) - p.op.scale(p.nu)),
-            ("braiding-inverse", p.op * p.inv - p.identity(2)),
-        )
-        for name, res in residuals:
-            ok, witness = first_nonzero(res.rows, lambda v: v)
-            report.add(name + suffix, anchor(name), ok, witness)
+    _sampled(report, config, _braiding_checks, b)
     try:
         rtrace_form(b)
         ok, witness = True, None
     except BraidingError as err:
         ok, witness = False, str(err)
     report.add("trace-property", anchor("trace-form"), ok, witness)
+    return report
+
+
+def _braiding_checks(p) -> VerificationReport:
+    """The defining identities of the braiding p, each as a residual."""
+    report = VerificationReport("braiding")
+    residuals = (
+        ("braid-relation",
+         p.at(1, 3) * p.at(2, 3) * p.at(1, 3)
+         - p.at(2, 3) * p.at(1, 3) * p.at(2, 3)),
+        ("hecke-condition", p.op * p.op - p.identity(2) - p.op.scale(p.nu)),
+        ("braiding-inverse", p.op * p.inv - p.identity(2)),
+    )
+    for name, res in residuals:
+        ok, witness = first_nonzero(res.rows, lambda v: v)
+        report.add(name, anchor(name), ok, witness)
     return report
 
 
@@ -207,24 +260,20 @@ def heckerep_suite(config: SuiteConfig) -> VerificationReport:
                fam.complete())
     report.add("projector-orthogonal", anchor("projector-orthogonal"),
                fam.orthogonal())
-    ok = True
-    witness = None
-    for tab in fam.tableaux:
-        p = fam.projector(tab)
-        for i in range(1, k + 1):
-            if (js[i - 1] * p) != p.scale(b.q ** (2 * tab.content_of(i))):
-                ok, witness = False, f"{tab!r} letter {i}"
+    bad = (f"{tab!r} letter {i}" for tab in fam.tableaux
+           for i in range(1, k + 1)
+           if js[i - 1] * fam.projector(tab)
+           != fam.projector(tab).scale(b.q ** (2 * tab.content_of(i))))
+    witness = next(bad, None)
     report.add("projector-jm-eigenvalue", anchor("projector-jm-eigenvalue"),
-               ok, witness)
-    ok = True
-    witness = None
-    for tab in fam.tableaux:
-        got = fam.projector(tab).substituted(1).rank()
-        want = weyl_dimension(tab.shape, n)
-        if got != want:
-            ok, witness = False, f"{tab!r}: rank {got} vs {want}"
+               witness is None, witness)
+    ranks = ((tab, fam.projector(tab).substituted(1).rank(),
+              weyl_dimension(tab.shape, n)) for tab in fam.tableaux)
+    bad = (f"{tab!r}: rank {got} vs {want}"
+           for tab, got, want in ranks if got != want)
+    witness = next(bad, None)
     report.add("projector-classical-rank",
-               anchor("projector-classical-rank"), ok, witness)
+               anchor("projector-classical-rank"), witness is None, witness)
     return report
 
 
@@ -322,30 +371,32 @@ def conjecture_suite(config: SuiteConfig) -> VerificationReport:
 
 
 def cayley_hamilton_suite(config: SuiteConfig) -> VerificationReport:
-    return _sampled(config, verify_cayley_hamilton, standard_hecke(config.n))
+    return _sampled(_sampled_report(config, {"n": config.n}), config,
+                    verify_cayley_hamilton, standard_hecke(config.n))
 
 
 def capelli_suite(config: SuiteConfig) -> VerificationReport:
-    """Word route and operator route for one monomial degree."""
+    """Word route at each parameter point, operator route once."""
     k = 2 if config.k is None else config.k
     degree = 2 if config.degree is None else config.degree
     b = standard_hecke(config.n)
-    word = _sampled(config, verify_capelli, b, k)
-    cfg = dict(word.config, degree=degree)
-    del cfg["route"]
-    report = VerificationReport("capelli", cfg)
-    _merge(report, word)
+    report = _sampled_report(config, {"n": config.n, "k": k,
+                                      "degree": degree})
+    _sampled(report, config, verify_capelli, b, k)
     _merge(report, verify_capelli_action(b, k, degree))
     return report
 
 
 def det_capelli_suite(config: SuiteConfig) -> VerificationReport:
-    return _sampled(config, verify_det_capelli, standard_hecke(config.n))
+    return _sampled(_sampled_report(config, {"n": config.n}), config,
+                    verify_det_capelli, standard_hecke(config.n))
 
 
 def adjoint_suite(config: SuiteConfig) -> VerificationReport:
     k = 1 if config.k is None else config.k
-    return _sampled(config, verify_adjoint_invariance,
+    report = _sampled_report(config, {"n": config.n, "k": k,
+                                      "kind": "adjoint_shifted"})
+    return _sampled(report, config, verify_adjoint_invariance,
                     standard_hecke(config.n), k)
 
 
@@ -371,26 +422,31 @@ def u2h_suite(config: SuiteConfig) -> VerificationReport:
     return report
 
 
-_RUNNERS = {
-    "braiding": braiding_suite,
-    "heckerep": heckerep_suite,
-    "doubles": doubles_suite,
-    "spectrum": spectrum_suite,
-    "conjecture": conjecture_suite,
-    "cayley-hamilton": cayley_hamilton_suite,
-    "capelli": capelli_suite,
-    "det-capelli": det_capelli_suite,
-    "adjoint": adjoint_suite,
-    "orbits": orbits_suite,
-    "u2h": u2h_suite,
+# Every suite, in CLI order: its runner, and the flags it reads by
+# SuiteConfig field ("shape" is --lambda).  "mode" stands for --mode
+# SAMPLED, and a suite that samples reads --samples, its point count, only
+# in that mode.  --seed, --timings and --out apply to every run; --jobs
+# only to --suite all.
+SUITES = {
+    "braiding": (braiding_suite, {"n", "mode", "samples"}),
+    "heckerep": (heckerep_suite, {"n", "k"}),
+    "doubles": (doubles_suite, {"n"}),
+    "spectrum": (spectrum_suite, {"n", "shape"}),
+    "conjecture": (conjecture_suite, {"n", "k"}),
+    "cayley-hamilton": (cayley_hamilton_suite, {"n", "mode", "samples"}),
+    "capelli": (capelli_suite, {"n", "k", "degree", "mode", "samples"}),
+    "det-capelli": (det_capelli_suite, {"n", "mode", "samples"}),
+    "adjoint": (adjoint_suite, {"n", "k", "mode", "samples"}),
+    "orbits": (orbits_suite, {"n", "degree"}),
+    "u2h": (u2h_suite, {"degree", "samples"}),
 }
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
-    runner = _RUNNERS.get(config.suite)
-    if runner is None:
+    if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite!r}; expected one of "
-                         + ", ".join(SUITE_NAMES))
+                         + ", ".join(SUITES))
+    runner, _ = SUITES[config.suite]
     return runner(config)
 
 
@@ -412,7 +468,7 @@ def replay_command(config: SuiteConfig) -> str:
     It passes each per-suite value that config sets and the suite reads,
     --mode SAMPLED with the point count for a SAMPLED run, and the seed.
     """
-    reads = _SUITE_READS[config.suite]
+    _, reads = SUITES[config.suite]
     words = ["redouble", "--suite", config.suite]
     for flag, field in _PER_SUITE_FLAGS:
         value = getattr(config, field)

@@ -21,6 +21,7 @@ from redouble.adjoint_orbits import verify_adjoint_invariance, \
     verify_orbit_descent
 from redouble.anchors import anchor
 from redouble.braidings import BraidingError, rtrace_form, standard_hecke
+from redouble.cli import main
 from redouble.heckerep import partitions
 from redouble.invariants import spectral_char_trl, \
     verify_character_consistency
@@ -202,13 +203,13 @@ def test_criterion_09_convention_guard():
     _run(9, 5.0, "trace-collapse + e1 convention guard", reports)
 
 
-def _grid_sha256() -> str:
-    """The benchmark's pin of the `--suite all` report bytes at seed 0."""
+def _benchmark_pin(name: str) -> str:
+    """A sha256 pin of report bytes at seed 0 from perfbench/run.py."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
     spec = importlib.util.spec_from_file_location("_perfbench_run", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.GRID_SHA256
+    return getattr(module, name)
 
 
 def test_criterion_10_deterministic_reports():
@@ -220,10 +221,19 @@ def test_criterion_10_deterministic_reports():
     elapsed = time.perf_counter() - t0
     text = first.to_json()
     identical = text == second.to_json()
-    pinned = hashlib.sha256(text.encode()).hexdigest() == _grid_sha256()
+    pinned = hashlib.sha256(text.encode()).hexdigest() == \
+        _benchmark_pin("GRID_SHA256")
     ok = first.passed and identical and pinned
     _record(10, ok, f"run-all byte-identity over {len(first.checks)} rows, "
                     f"{elapsed:.2f}s")
     assert first.passed, first.failures()
     assert identical
     assert pinned
+
+
+def test_orbits_report_bytes_are_the_benchmark_pin(tmp_path):
+    """`redouble --suite orbits --n 3` writes the bytes the benchmark pins."""
+    out = tmp_path / "orbits.json"
+    assert main(["--suite", "orbits", "--n", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        _benchmark_pin("ORBITS_SHA256")

@@ -17,6 +17,7 @@ from redouble.invariants import power_sum
 from redouble.ncengine import (CentralQuotient, Gen, MatrixOverAlgebra,
                                NCElement, re_presentation)
 from redouble.scalars import ONE, Scalar
+from redouble.suites import parameter_points
 
 
 def test_scalar_case_invariance():
@@ -35,15 +36,13 @@ def test_invariance_exact_small_powers():
 
 
 def test_invariance_sampled():
-    rng = random.Random(20240813)
-    report = verify_adjoint_invariance(standard_hecke(2), 3,
-                                       mode="SAMPLED", rng=rng)
-    assert report.passed, report.failures()
-    assert len(report.checks) == 9
-    rng = random.Random(20240813)
-    report = verify_adjoint_invariance(standard_hecke(3), 1,
-                                       mode="SAMPLED", rng=rng)
-    assert report.passed, report.failures()
+    for n, k in ((2, 3), (3, 1)):
+        points = parameter_points(standard_hecke(n), "SAMPLED",
+                                  random.Random(20240813), 3)
+        for _, b in points:
+            report = verify_adjoint_invariance(b, k)
+            assert report.passed, report.failures()
+            assert len(report.checks) == 3
 
 
 def test_invariance_argument_errors():

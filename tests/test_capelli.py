@@ -26,7 +26,7 @@ from redouble.heckerep import skew_symmetrizer
 from redouble.ncengine import (Gen, MatrixOverAlgebra, NCElement,
                                re_presentation)
 from redouble.scalars import ONE, Scalar
-from redouble.suites import SuiteConfig, run_suite
+from redouble.suites import SuiteConfig, parameter_points, run_suite
 
 
 def test_structure_pair_of_the_top_skew_symmetrizer():
@@ -137,11 +137,11 @@ def test_capelli_word_route_classical():
 
 
 def test_capelli_word_route_sampled():
-    rng = random.Random(20240812)
-    report = verify_capelli(standard_hecke(3), 2, mode="SAMPLED",
-                            rng=rng, samples=3)
-    assert report.passed
-    assert len(report.checks) == 3
+    points = parameter_points(standard_hecke(3), "SAMPLED",
+                              random.Random(20240812), 3)
+    reports = [verify_capelli(b, 2) for _, b in points]
+    assert len(reports) == 3
+    assert all(report.passed for report in reports)
 
 
 def test_capelli_action_route():

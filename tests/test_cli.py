@@ -15,8 +15,7 @@ import time
 import pytest
 
 import redouble
-from redouble import suites
-from redouble.cli import _SUITE_READS, ENGINE_ERRORS, main
+from redouble.cli import ENGINE_ERRORS, main
 from redouble.anchors import anchor
 from redouble.braidings import BraidingError
 from redouble.capelli import StructureError
@@ -27,7 +26,7 @@ from redouble.ncengine import (Gen, NCElement, PresentationError,
                                QuadraticPresentation, matrix_generators)
 from redouble.reports import VerificationReport
 from redouble.scalars import ONE, MixedParameterError, PoleError
-from redouble.suites import (SUITE_NAMES, SuiteConfig, acceptance_grid,
+from redouble.suites import (SUITES, SuiteConfig, acceptance_grid,
                              replay_command, run_all)
 from redouble.u2h import UnsupportedElementError
 
@@ -123,8 +122,8 @@ def _slow_passing_runner(config):
 def test_timings_fill_the_wall_time_of_each_grid_row(capsys, monkeypatch,
                                                      jobs):
     # forked workers inherit the patched runners and time them themselves
-    for suite in SUITE_NAMES:
-        monkeypatch.setitem(suites._RUNNERS, suite, _slow_passing_runner)
+    for suite, (_, reads) in SUITES.items():
+        monkeypatch.setitem(SUITES, suite, (_slow_passing_runner, reads))
     _, plain, _ = run_cli(capsys, "--suite", "all", "--jobs", jobs)
     assert all(c["wall_time_ms"] is None
                for c in json.loads(plain)["checks"])
@@ -144,7 +143,8 @@ def test_a_failing_grid_row_names_its_replay_command(capsys, monkeypatch):
         report.add("entries-vanish", "characteristic-identity", False, "x")
         return report
 
-    monkeypatch.setitem(suites._RUNNERS, "cayley-hamilton", failing)
+    monkeypatch.setitem(SUITES, "cayley-hamilton",
+                        (failing, SUITES["cayley-hamilton"][1]))
     summary = run_all(mode="SAMPLED", seed=3)
     rows = {c["id"]: c for c in summary.checks}
     assert [c["id"] for c in summary.failures()] == \
@@ -236,7 +236,6 @@ SUITE_FLAG_VALUES = {"n": ("--n", "3"), "k": ("--k", "2"),
 
 
 def test_each_suite_takes_the_flags_of_its_row(capsys, monkeypatch):
-    assert set(_SUITE_READS) == set(SUITE_NAMES)
     seen = []
 
     def fake_run_suite(config):
@@ -244,7 +243,7 @@ def test_each_suite_takes_the_flags_of_its_row(capsys, monkeypatch):
         return VerificationReport(config.suite, {})
 
     monkeypatch.setattr("redouble.cli.run_suite", fake_run_suite)
-    for suite, row in _SUITE_READS.items():
+    for suite, (_, row) in SUITES.items():
         argv = ["--suite", suite, "--seed", "5"]
         for field in sorted(row):
             argv += SUITE_FLAG_VALUES[field]

@@ -28,9 +28,8 @@ from redouble.invariants import elementary_symmetric, power_sum
 from redouble.linalg import (_WIDTH, _unpack, accumulate, coordinates,
                              vec_add_scaled)
 from redouble.ncengine import Gen, MatrixOverAlgebra, NCElement, matrix_generators
-from redouble.scalars import (ONE, ZERO, MixedParameterError, Scalar, nu,
-                              parameter_points)
-from redouble.suites import _DOUBLE_KINDS
+from redouble.scalars import ONE, ZERO, MixedParameterError, Scalar, nu
+from redouble.suites import _DOUBLE_KINDS, parameter_points
 
 ALL_KINDS = ("left", "left_shifted", "adjoint", "adjoint_shifted",
              "derivative", "vector")

@@ -26,6 +26,7 @@ from redouble.invariants import (
 from redouble.ncengine import (Gen, MatrixOverAlgebra, NCElement,
                                re_presentation)
 from redouble.scalars import ONE, Scalar
+from redouble.suites import parameter_points
 
 
 def q_power(k):
@@ -83,17 +84,19 @@ def test_characteristic_identity_is_exact_at_dimension_one():
 
 
 def test_cayley_hamilton_exact():
-    report = verify_cayley_hamilton(standard_hecke(2), mode="EXACT")
+    report = verify_cayley_hamilton(standard_hecke(2))
     assert report.passed
     assert len(report.checks) == 1
 
 
 def test_cayley_hamilton_sampled():
-    rng = random.Random(20240811)
-    report = verify_cayley_hamilton(standard_hecke(3), mode="SAMPLED",
-                                    rng=rng, samples=3)
-    assert report.passed
-    assert len(report.checks) == 3
+    points = parameter_points(standard_hecke(3), "SAMPLED",
+                              random.Random(20240811), 3)
+    reports = [verify_cayley_hamilton(b) for _, b in points]
+    assert len(reports) == 3
+    for report in reports:
+        assert report.passed
+        assert [c["id"] for c in report.checks] == ["entries-vanish"]
 
 
 def test_trace_character_closed_forms():

@@ -8,29 +8,48 @@ import random
 import pytest
 
 from redouble import adjoint_orbits, capelli, invariants, suites
-from redouble.adjoint_orbits import verify_adjoint_invariance
 from redouble.braidings import TensorOperator, standard_hecke
-from redouble.capelli import verify_capelli, verify_det_capelli
 from redouble.doubles import make_double
-from redouble.invariants import (characteristic_residual,
-                                 elementary_symmetric, verify_cayley_hamilton)
+from redouble.invariants import characteristic_residual, elementary_symmetric
 from redouble.ncengine import (Gen, MatrixOverAlgebra, NCElement,
                                matrix_generators, re_presentation)
-from redouble.scalars import (MIN_POINTS, ONE, Scalar, parameter_points,
-                              random_parameter_values)
-from redouble.suites import SUITE_NAMES, SuiteConfig, run_suite
+from redouble.scalars import ONE, Scalar
+from redouble.suites import (MIN_POINTS, SUITES, SuiteConfig,
+                             parameter_points, random_parameter_values,
+                             run_suite)
 
 
-# Every library entry point that takes (mode, rng, samples).
+class _GivenRng(SuiteConfig):
+    """A suite config whose points are drawn from a given rng, or None."""
+
+    __slots__ = ("given",)
+
+    def __init__(self, suite, rng, **fields):
+        super().__init__(suite, **fields)
+        self.given = rng
+
+    def rng(self):
+        return self.given
+
+
+def _sampled_suite(suite, n, **fields):
+    """Run suite at rank n with the given (mode, rng, samples)."""
+    def run(mode, rng, samples):
+        return run_suite(_GivenRng(suite, rng, n=n, mode=mode,
+                                   samples=samples, **fields))
+    return run
+
+
+# The one loop over points, and every suite that runs it, by the
+# arguments that choose the points.
 ENTRY_POINTS = {
     "parameter_points": lambda **kw: parameter_points(standard_hecke(2),
                                                       **kw),
-    "cayley-hamilton": lambda **kw: verify_cayley_hamilton(
-        standard_hecke(2), **kw),
-    "capelli": lambda **kw: verify_capelli(standard_hecke(2), 1, **kw),
-    "det-capelli": lambda **kw: verify_det_capelli(standard_hecke(1), **kw),
-    "adjoint": lambda **kw: verify_adjoint_invariance(
-        standard_hecke(2), 1, **kw),
+    "braiding": _sampled_suite("braiding", 2),
+    "cayley-hamilton": _sampled_suite("cayley-hamilton", 2),
+    "capelli": _sampled_suite("capelli", 2, k=1, degree=1),
+    "det-capelli": _sampled_suite("det-capelli", 1),
+    "adjoint": _sampled_suite("adjoint", 2, k=1),
 }
 
 BAD_ARGUMENTS = {
@@ -52,7 +71,15 @@ def test_sampled_entry_points_reject_bad_arguments(entry, args):
         entry(**args)
 
 
-@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_sampled_entry_points_accept_good_arguments():
+    for name, entry in ENTRY_POINTS.items():
+        points = entry(mode="SAMPLED", rng=random.Random(0),
+                       samples=MIN_POINTS)
+        if name != "parameter_points":
+            assert points.passed, name
+
+
+@pytest.mark.parametrize("suite", SUITES)
 def test_suite_configs_reject_an_unknown_mode(suite):
     for mode in ("exact", "bogus", None):
         with pytest.raises(ValueError):
@@ -209,34 +236,30 @@ def _spoil_braiding(monkeypatch):
     monkeypatch.setattr(suites, "standard_hecke", spoiled)
 
 
-# name: (SAMPLED run, spoiler, id prefix of the spoiled check)
+# name: (SAMPLED suite config, spoiler, id prefix of the spoiled check)
 SPOILED = {
     "cayley-hamilton": (
-        lambda rng: verify_cayley_hamilton(standard_hecke(2), mode="SAMPLED",
-                                           rng=rng, samples=3),
+        SuiteConfig("cayley-hamilton", n=2, mode="SAMPLED", seed=1),
         _spoil_cayley_hamilton, "entries-vanish"),
     "capelli": (
-        lambda rng: verify_capelli(standard_hecke(2), 2, mode="SAMPLED",
-                                   rng=rng, samples=3),
+        SuiteConfig("capelli", n=2, k=2, degree=1, mode="SAMPLED", seed=1),
         _spoil_capelli, "word-route"),
     "adjoint": (
-        lambda rng: verify_adjoint_invariance(standard_hecke(2), 1,
-                                              mode="SAMPLED", rng=rng,
-                                              samples=3),
+        SuiteConfig("adjoint", n=2, k=1, mode="SAMPLED", seed=1),
         _spoil_adjoint, "matrix-identity"),
     "braiding": (
-        lambda rng: run_suite(SuiteConfig("braiding", n=2, mode="SAMPLED")),
+        SuiteConfig("braiding", n=2, mode="SAMPLED"),
         _spoil_braiding, "braiding-inverse"),
 }
 
 
 @pytest.mark.parametrize("name", SPOILED)
 def test_sampled_checks_are_not_vacuous(name, monkeypatch):
-    run, spoil, prefix = SPOILED[name]
-    intact = run(random.Random(1))
+    config, spoil, prefix = SPOILED[name]
+    intact = run_suite(config)
     assert intact.passed, intact.failures()
     spoil(monkeypatch)
-    report = run(random.Random(1))
+    report = run_suite(config)
     spoiled = [c for c in report.checks if c["id"].startswith(prefix + "@")]
     assert len(spoiled) == 3
     assert not any(c["passed"] for c in spoiled)
@@ -256,21 +279,19 @@ def _spoil_det_capelli(monkeypatch):
 
 
 def test_sampled_det_capelli_is_not_vacuous(monkeypatch):
-    def run(mode):
-        return verify_det_capelli(standard_hecke(2), mode=mode,
-                                  rng=random.Random(1), samples=3)
-
-    assert run("SAMPLED").passed and run("EXACT").passed
+    sampled = SuiteConfig("det-capelli", n=2, mode="SAMPLED", seed=1)
+    exact = SuiteConfig("det-capelli", n=2, seed=1)
+    assert run_suite(sampled).passed and run_suite(exact).passed
     _spoil_det_capelli(monkeypatch)
-    [check] = run("SAMPLED").checks
+    # one failing check per point, its witness the residual there, with
+    # rational coefficients
+    points = parameter_points(standard_hecke(2), "SAMPLED", sampled.rng(), 3)
+    checks = run_suite(sampled).checks
+    assert [c["id"] for c in checks] == \
+        [f"traced-identity{suffix}" for suffix, _ in points]
+    for check in checks:
+        assert not check["passed"]
+        assert "*" in check["witness"] and "q" not in check["witness"]
+    [check] = run_suite(exact).checks
     assert check["id"] == "traced-identity" and not check["passed"]
-    # the witness names the first failing point and the residual there
-    [(suffix, _), *_] = parameter_points(standard_hecke(2), "SAMPLED",
-                                         random.Random(1), 3)
-    point, residual = check["witness"].split(": ", 1)
-    assert point == suffix
-    assert "*" in residual and "q" not in residual  # rational coefficients
-    [exact] = run("EXACT").checks
-    assert not exact["passed"] and "q" in exact["witness"]
-    assert not exact["witness"].startswith("@")
-
+    assert "q" in check["witness"]

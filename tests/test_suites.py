@@ -6,14 +6,16 @@ import pickle
 
 import pytest
 
-from redouble import suites
+from redouble import suites, u2h
 from redouble.anchors import ANCHORS, CONJECTURAL, anchor, is_conjectural
+from redouble.braidings import standard_hecke
 from redouble.doubles import QuantumDouble
-from redouble.ncengine import NCElement
+from redouble.heckerep import IdempotentFamily
+from redouble.ncengine import NCElement, matrix_generators
 from redouble.reports import VerificationReport
-from redouble.scalars import ONE
+from redouble.scalars import ONE, Scalar
 from redouble.suites import (
-    SUITE_NAMES,
+    SUITES,
     SuiteConfig,
     acceptance_grid,
     exit_code_for,
@@ -24,7 +26,7 @@ from redouble.suites import (
 
 
 def test_every_registered_suite_has_a_runner():
-    for name in SUITE_NAMES:
+    for name in SUITES:
         report = None
         if name in ("braiding", "spectrum", "orbits"):
             report = run_suite(SuiteConfig(name, n=1))
@@ -123,6 +125,47 @@ def test_doubles_suite_names_the_first_failure(monkeypatch, check):
             f"({a1}, {a2}, {'·'.join(map(repr, word))})"
     else:
         assert failed["witness"] == "A-relation 0 · m11"
+
+
+def _spoiled_report(monkeypatch, check):
+    """The report holding check, with check spoiled in every case."""
+    if check == "projector-jm-eigenvalue":
+        jm = suites.jucys_murphy
+        monkeypatch.setattr(suites, "jucys_murphy", lambda b, k: [
+            j.scale(Scalar.from_int(2)) for j in jm(b, k)])
+    elif check == "projector-classical-rank":
+        monkeypatch.setattr(suites, "weyl_dimension", lambda shape, n: -1)
+    elif check == "classical-generator-action":
+        _spoil(monkeypatch, "act", lambda real, self, a, b: real(
+            self, a, b).scale(Scalar.from_int(2, "h")))
+        return u2h.verify_shift_structure()
+    else:
+        derivatives = u2h._derivatives
+        monkeypatch.setattr(u2h, "_derivatives", lambda double, targets: [
+            {sym: v + NCElement.constant(u2h.H_ONE) for sym, v in d.items()}
+            for d in derivatives(double, targets)])
+        return u2h.classical_limit_report()
+    return run_suite(SuiteConfig("heckerep", n=2, k=2))
+
+
+@pytest.mark.parametrize("check", [
+    "projector-jm-eigenvalue", "projector-classical-rank",
+    "classical-generator-action", "first-order-actions"])
+def test_a_check_over_many_cases_names_the_first_failure(monkeypatch,
+                                                         check):
+    tableaux = IdempotentFamily(standard_hecke(2), 2).tableaux
+    gd, gn = next((gd, gn) for gd in matrix_generators("d", 2)
+                  for gn in matrix_generators("n", 2)
+                  if (gd.row, gd.col) == (gn.col, gn.row))
+    first = {"projector-jm-eigenvalue": f"{tableaux[0]!r} letter 1",
+             "projector-classical-rank": f"{tableaux[0]!r}: rank ",
+             "classical-generator-action": f"{gd} on {gn}: ",
+             "first-order-actions": f"{u2h.DX} on x: "}[check]
+    [failed] = [c for c in _spoiled_report(monkeypatch, check).checks
+                if c["id"] == check]
+    assert len(tableaux) == 2  # both tableaux fail, the first is named
+    assert not failed["passed"]
+    assert failed["witness"].startswith(first), failed["witness"]
 
 
 def test_spectrum_suite_pins_rank_two_closed_forms():
