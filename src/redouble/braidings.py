@@ -155,7 +155,7 @@ class Braiding:
         self.nu = nu
         self.inv = op - TensorOperator.identity(dim, 2).scale(nu)
         self._verify()
-        self._trace_form = None
+        self.memo: dict = {}  # filled by memoized()
 
     def _verify(self):
         dim = self.dim
@@ -181,16 +181,20 @@ class Braiding:
         return TensorOperator.identity(self.dim, arity)
 
     def trace_form(self) -> "RTraceForm":
-        if self._trace_form is None:
-            self._trace_form = rtrace_form(self)
-        return self._trace_form
+        return memoized(self, ("trace_form",), lambda: rtrace_form(self))
+
+    def __copy__(self) -> "Braiding":
+        """A shallow copy with its own, empty memo: a copy may be edited."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        out.memo = {}
+        return out
 
     def substituted(self, value) -> "Braiding":
         """This braiding at parameter = value, without re-verifying it.
 
         q, nu, R and R^-1 are each evaluated, so a braiding whose inverse
-        is wrong stays wrong at every point; the trace form is rebuilt on
-        first use.
+        is wrong stays wrong at every point; it starts with an empty memo.
         """
         out = copy.copy(self)
         out.q = self.q.with_value(value)
@@ -198,14 +202,26 @@ class Braiding:
         out.op = self.op.substituted(value)
         out.inv = self.inv.substituted(value)
         out.name = f"{self.name}@{value}"
-        out._trace_form = None
         return out
 
     def __repr__(self):
         return f"Braiding({self.name}, dim={self.dim})"
 
 
-# One braiding per (dim, param) within a run; emptied by
+def memoized(braiding: Braiding, key: tuple, build):
+    """braiding.memo[key], made by build() on the first call.
+
+    The one home of every object derived from a braiding: each is built
+    once and lives as long as the braiding.  key[0] names the kind of
+    object.  Callers share the result and must not mutate it.
+    """
+    memo = braiding.memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+# One braiding per (dim, param) within a run, with its memo; emptied by
 # suites.clear_caches().  A plain dict, not functools.cache: profilers may
 # rebind standard_hecke to a wrapper without cache_clear.
 _hecke_cache: dict = {}

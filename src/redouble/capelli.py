@@ -16,7 +16,8 @@ matrices in the derivative double), the shifted products satisfy
 
 verified here by two independent routes: entrywise bi-normal forms of
 both sides, and both sides applied as operators to bounded-degree
-monomials through the counit action.  Taking the full weighted trace at
+monomials through the counit action; both reduce one difference of the
+sides, built once per braiding.  Taking the full weighted trace at
 k = N relates the left product to q^(-N) det_R M det_Rinv D; that trace
 and both determinants are traced chains.
 """
@@ -28,7 +29,7 @@ import itertools
 import operator
 
 from .anchors import anchor
-from .braidings import Braiding, TensorOperator
+from .braidings import Braiding, TensorOperator, memoized
 from .doubles import (QuantumDouble, conjugated_copy, make_double,
                       matrix_copy, monomial_matrix)
 from .heckerep import hecke_integer, skew_symmetrizer
@@ -138,6 +139,19 @@ def capelli_sides(double: QuantumDouble, k: int) -> tuple:
     return lhs, rhs
 
 
+def capelli_difference(double: QuantumDouble, k: int) -> MatrixOverAlgebra:
+    """lhs - rhs of capelli_sides(double, k), memoized on the braiding.
+
+    double is the derivative double over its braiding; the difference
+    holds no double, so each route reduces it in a double of its own.
+    """
+    def build():
+        lhs, rhs = capelli_sides(double, k)
+        return lhs - rhs
+    return memoized(double.braiding, ("capelli_difference", double.kind, k),
+                    build)
+
+
 def verify_capelli(braiding: Braiding, k: int) -> VerificationReport:
     """Word route: bi-normal forms of both sides agree entrywise.
 
@@ -145,8 +159,8 @@ def verify_capelli(braiding: Braiding, k: int) -> VerificationReport:
     """
     report = VerificationReport("capelli")
     double = make_double(braiding, "derivative")
-    lhs, rhs = capelli_sides(double, k)
-    ok, witness = (lhs - rhs).first_nonzero(double.binormal_form)
+    ok, witness = capelli_difference(double, k).first_nonzero(
+        double.binormal_form)
     report.add("word-route", anchor("capelli-word-route"), ok, witness)
     return report
 
@@ -159,11 +173,8 @@ def verify_capelli_action(braiding: Braiding, k: int,
     double, to each word of length <= degree in the coordinate-side
     generators, and compares the results modulo the coordinate ideal.
     """
-    report = VerificationReport(
-        "capelli", {"n": braiding.dim, "k": k, "degree": degree,
-                    "route": "action"})
+    report = VerificationReport("capelli")
     double = make_double(braiding, "derivative")
-    lhs, rhs = capelli_sides(double, k)
     gens = double.b_pres.generators
     targets = [()]
     for d in range(1, degree + 1):
@@ -171,7 +182,7 @@ def verify_capelli_action(braiding: Braiding, k: int,
     ok = True
     witness = None
     # the action is linear in the acting element: act once by the difference
-    entries = (lhs - rhs).entries
+    entries = capelli_difference(double, k).entries
     keys = sorted(entries)
     images = double.act_each((entries[key] for key in keys),
                              [NCElement.word(w) for w in targets])

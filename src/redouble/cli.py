@@ -145,8 +145,6 @@ def main(argv=None) -> int:
                          + ", ".join(unread))
         if args.n is None:
             args.n = 2
-        elif args.n < 1:
-            parser.error("--n must be at least 1")
     if args.jobs is None:
         args.jobs = 1
     elif args.jobs < 1:

@@ -51,7 +51,7 @@ import collections
 import itertools
 from typing import Iterable
 
-from .braidings import Braiding, TensorOperator
+from .braidings import Braiding, TensorOperator, memoized
 from .linalg import (_WIDTH, _pack_vector, _packed_sum, _reframed,
                      _TooWide, _unpack_vector, accumulate, coordinates,
                      mat_mul, vec_add_scaled)
@@ -570,11 +570,7 @@ def _defining_relation(braiding: Braiding, kind: str, h: Scalar | None,
         b_gens = matrix_generators(b_tag, dim)
     elif kind == "derivative":
         a_tag, b_tag = "d", "m"
-        d1 = mat(a_tag)
-        m1 = mat(b_tag)
-        lhs = (d1.rmul_op(r) * m1).rmul_op(r)
-        rhs = (m1.lmul_op(r).rmul_op(rinv)) * d1 + \
-            MatrixOverAlgebra.from_operator(r)
+        lhs, rhs = derivative_relation(braiding, mat(a_tag), mat(b_tag))
         a_pres = re_presentation(braiding, a_tag, use_inverse=True)
         b_pres = re_presentation(braiding, b_tag)
         eps = {g: ZERO for g in matrix_generators(a_tag, dim)}
@@ -585,14 +581,13 @@ def _defining_relation(braiding: Braiding, kind: str, h: Scalar | None,
         a_tag, b_tag = "d", "n"
         d1 = mat(a_tag)
         n1 = mat(b_tag)
-        lhs = (d1.rmul_op(r) * n1).rmul_op(r)
         if kind == "derivative_shifted":
-            rhs = (n1.lmul_op(r).rmul_op(rinv)) * d1 + \
-                MatrixOverAlgebra.from_operator(r) + d1.rmul_op(r).scale(h)
+            lhs, rhs = derivative_relation(braiding, d1, n1, h)
             eps = {g: ZERO for g in matrix_generators(a_tag, dim)}
         else:
             if braiding.op != braiding.inv:
                 raise DoubleError("unit-shifted derivatives need an involutive braiding")
+            lhs = (d1.rmul_op(r) * n1).rmul_op(r)
             rhs = (n1.lmul_op(r).rmul_op(r)) * d1 + d1.rmul_op(r).scale(h)
             hinv = h.inverse()
             eps = {g: (hinv if g.row == g.col else ZERO)
@@ -622,6 +617,24 @@ def _defining_relation(braiding: Braiding, kind: str, h: Scalar | None,
     else:
         raise DoubleError(f"unknown double kind {kind!r}")
     return a_tag, b_tag, lhs, rhs, a_pres, b_pres, eps, b_gens
+
+
+def derivative_relation(braiding: Braiding, d: MatrixOverAlgebra,
+                        m: MatrixOverAlgebra, shift: Scalar | None = None
+                        ) -> tuple:
+    """(lhs, rhs) of the derivative relation D R M R = R M R^-1 D + R.
+
+    With a shift h the right side gains h D R (the derivative_shifted
+    kind).  d and m stand in slot 1 of V (x) V: the generator matrices of
+    a double, or any matrices over the algebra substituted for them.
+    """
+    r = braiding.op
+    lhs = (d.rmul_op(r) * m).rmul_op(r)
+    rhs = (m.lmul_op(r).rmul_op(braiding.inv)) * d + \
+        MatrixOverAlgebra.from_operator(r)
+    if shift is not None:
+        rhs = rhs + d.rmul_op(r).scale(shift)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +684,6 @@ def monomial_matrix(braiding: Braiding, tag: str, k: int,
     return out
 
 
-# Slotwise operators keyed on (double.defining, element terms, k); emptied
-# by suites.clear_caches().  The key holds no double, so memoizing keeps
-# no double's ordering or action memos alive.
-_operator_cache: dict = {}
-
-
 def action_operator(double: QuantumDouble, a: NCElement,
                     k: int) -> TensorOperator:
     """Slotwise operator form of acting by a on degree-k matrix monomials.
@@ -684,17 +691,18 @@ def action_operator(double: QuantumDouble, a: NCElement,
     Solves act(a, monomial entries) = O * (monomial entries) for the scalar
     operator O on k tensor slots; raises DoubleError when the system is
     inconsistent (the element does not act slotwise) or the monomial
-    entries are linearly dependent.  Memoized for doubles built by
-    make_double; callers share the returned operator and must not mutate
-    it.
+    entries are linearly dependent.  Memoized on the braiding for doubles
+    built by make_double, keyed on (kind, h, b_quotient, element terms,
+    k): the key holds no double, so the memo keeps no double's ordering
+    or action memos alive.
     """
     if double.defining is None:
         return _solve_action_operator(double, a, k)
-    key = (double.defining, frozenset(a.terms.items()), k)
-    cached = _operator_cache.get(key)
-    if cached is None:
-        cached = _operator_cache[key] = _solve_action_operator(double, a, k)
-    return cached
+    braiding, kind, h, b_quotient = double.defining
+    key = ("action_operator", kind, h, b_quotient,
+           frozenset(a.terms.items()), k)
+    return memoized(braiding, key,
+                    lambda: _solve_action_operator(double, a, k))
 
 
 def _solve_action_operator(double: QuantumDouble, a: NCElement,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .braidings import Braiding, TensorOperator
+from .braidings import Braiding, TensorOperator, memoized
 from .scalars import ONE, Scalar
 
 
@@ -218,11 +218,6 @@ class IdempotentError(ArithmeticError):
     """Raised when a constructed projector fails to be idempotent."""
 
 
-# Tableau projectors keyed on (braiding, tableau); emptied by
-# suites.clear_caches().
-_idempotent_cache: dict = {}
-
-
 def young_idempotent(b: Braiding, tableau: StandardTableau) -> TensorOperator:
     """Primitive idempotent of the tableau via Jucys-Murphy interpolation.
 
@@ -230,14 +225,10 @@ def young_idempotent(b: Braiding, tableau: StandardTableau) -> TensorOperator:
     (J_i - q^(2c') I) / (q^(2c(i)) - q^(2c')), where the admissible contents
     at step i are those of the corners addable to the shape spanned by
     entries 1..i-1.  Idempotency is verified; shapes with more rows than
-    dim V come out as the zero operator.  Memoized: callers share the
-    returned operator and must not mutate it.
+    dim V come out as the zero operator.  Memoized on the braiding.
     """
-    key = (b, tableau)
-    cached = _idempotent_cache.get(key)
-    if cached is None:
-        cached = _idempotent_cache[key] = _build_young_idempotent(b, tableau)
-    return cached
+    return memoized(b, ("young_idempotent", tableau),
+                    lambda: _build_young_idempotent(b, tableau))
 
 
 def _build_young_idempotent(b: Braiding, tableau: StandardTableau

@@ -24,7 +24,7 @@ import itertools
 
 from .anchors import anchor
 from .braidings import Braiding, TensorOperator
-from .doubles import QuantumDouble, action_operator, make_double, matrix_copy
+from .doubles import QuantumDouble, action_operator, matrix_copy
 from .heckerep import (
     content_sum_power,
     hecke_integer,
@@ -224,64 +224,35 @@ def _projector_checks(report: VerificationReport, op: TensorOperator,
         report.add(f"tableau-{i}", check_anchor, ok, witness)
 
 
-def verify_spectrum_operator(shape: tuple, braiding: Braiding) -> VerificationReport:
+def verify_spectrum_operator(shape: tuple, braiding: Braiding,
+                             chi: Scalar) -> VerificationReport:
     """Closed-form route: the trace operator restricted to each projector.
 
     Checks trace_action_operator(k) * P = chi * P for every standard
-    tableau of the shape, with chi from the content formula.
+    tableau of the shape; chi is the content-formula value
+    spectral_char_trl(shape, braiding).
     """
-    k = sum(shape)
-    chi = spectral_char_trl(shape, braiding)
-    report = VerificationReport("spectrum", {
-        "route": "operator", "lambda": _shape_label(shape),
-        "n": braiding.dim, "chi": chi.text()})
-    op = trace_action_operator(braiding, k)
+    report = VerificationReport("spectrum")
+    op = trace_action_operator(braiding, sum(shape))
     _projector_checks(report, op, chi, shape, braiding,
                       anchor("spectrum-operator"))
     return report
 
 
-def verify_spectrum(element: str, shape: tuple, braiding: Braiding,
-                    k: int | None = None,
-                    double: QuantumDouble | None = None) -> VerificationReport:
-    """Action route: a central element acting inside the double.
+def verify_spectrum(double: QuantumDouble, a: NCElement, chi: Scalar,
+                    shape: tuple, check_anchor: str) -> VerificationReport:
+    """Action route: the central element a acting inside the double.
 
-    element TRL is the weighted trace with the content-formula scalar;
-    E2 is the second elementary symmetric polynomial with the eigenvalue
-    compatibility scalar; PK is the k-th power sum with the
-    interpolation-weight scalar.  The element acts on monomials of degree
-    equal to the partition size; every standard tableau projector must be
-    an eigenprojector.  Failures are recorded, not raised: E2 and PK
-    probe a conjecture.
+    a acts on monomials of degree equal to the partition size, and every
+    standard tableau projector of the shape must be an eigenprojector with
+    eigenvalue chi: the weighted trace with the content-formula value, or
+    a probe (e_2 with SpectralCharacter.elementary(2), p_k with
+    SpectralCharacter.power(k)) under its conjecture anchor.  Failures are
+    recorded, not raised.
     """
-    size = sum(shape)
-    if double is None:
-        double = make_double(braiding, "left")
-    char = SpectralCharacter(shape, braiding)
-    if element == "TRL":
-        a = power_sum(braiding, double.a_tag, 1)
-        chi = spectral_char_trl(shape, braiding)
-        check_anchor = anchor("spectrum-action-route")
-    elif element == "E2":
-        a = elementary_symmetric(braiding, double.a_tag, 2)
-        chi = char.elementary(2)
-        check_anchor = anchor("conjecture-e2")
-    elif element == "PK":
-        if k is None:
-            raise ValueError("PK needs the power index k")
-        a = power_sum(braiding, double.a_tag, k)
-        chi = char.power(k)
-        check_anchor = anchor("conjecture-pk")
-    else:
-        raise ValueError(f"unknown element {element!r}")
-    config = {"route": "action", "element": element,
-              "lambda": _shape_label(shape), "n": braiding.dim,
-              "chi": chi.text()}
-    if k is not None:
-        config["k"] = k
-    report = VerificationReport("spectrum", config)
-    op = action_operator(double, a, size)
-    _projector_checks(report, op, chi, shape, braiding, check_anchor)
+    report = VerificationReport("spectrum")
+    op = action_operator(double, a, sum(shape))
+    _projector_checks(report, op, chi, shape, double.braiding, check_anchor)
     return report
 
 

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from . import braidings, doubles, heckerep
+from . import braidings
 from .adjoint_orbits import verify_adjoint_invariance, verify_orbit_descent
 from .anchors import anchor, is_conjectural
 from .braidings import BraidingError, rtrace_form, standard_hecke
@@ -27,16 +27,18 @@ from .capelli import verify_capelli, verify_capelli_action, verify_det_capelli
 from .doubles import DoubleError, make_double
 from .heckerep import (IdempotentFamily, jucys_murphy, partitions,
                        skew_symmetrizer, weyl_dimension)
-from .invariants import (spectral_char_trl, verify_cayley_hamilton,
+from .invariants import (SpectralCharacter, elementary_symmetric, power_sum,
+                         spectral_char_trl, verify_cayley_hamilton,
                          verify_character_consistency, verify_spectrum,
                          verify_spectrum_operator)
 from .linalg import first_nonzero
 from .ncengine import NCElement, matrix_generators
 from .reports import VerificationReport
 from .scalars import ONE, Scalar
-from .u2h import (classical_limit_report, verify_derivative_commutativity,
-                  verify_dhat_homomorphism, verify_radius,
-                  verify_shift_structure)
+from .u2h import (classical_limit_report, compact_presentation,
+                  derivative_double, radius_presentation,
+                  verify_derivative_commutativity, verify_dhat_homomorphism,
+                  verify_radius, verify_shift_structure)
 
 # Pinned rank-2 values of the weighted-trace character.
 _CLOSED_FORMS = {
@@ -114,9 +116,10 @@ class SuiteConfig:
     """Picklable description of one suite run.
 
     Fields a suite does not consume are ignored, but every field is
-    validated: mode is one of MODES; k, degree and samples default to
-    per-suite values when left unset and must be positive when set, and a
-    suite whose SUITES entry reads "mode" needs at least MIN_POINTS samples.
+    validated: mode is one of MODES; n is positive; k, degree and samples
+    default to per-suite values when left unset and must be positive when
+    set, and a suite whose SUITES entry reads "mode" needs at least
+    MIN_POINTS samples.
     A fixed seed makes the resulting report byte-identical across runs.
     """
 
@@ -129,7 +132,7 @@ class SuiteConfig:
                  seed: int = 0):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        for name, value in (("k", k), ("degree", degree),
+        for name, value in (("n", n), ("k", k), ("degree", degree),
                             ("samples", samples)):
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
@@ -346,8 +349,11 @@ def spectrum_suite(config: SuiteConfig) -> VerificationReport:
     chi = spectral_char_trl(shape, b)
     report = VerificationReport("spectrum", {
         "lambda": _label(shape), "n": config.n, "chi": chi.text()})
-    _merge(report, verify_spectrum_operator(shape, b), "operator-")
-    _merge(report, verify_spectrum("TRL", shape, b), "action-")
+    _merge(report, verify_spectrum_operator(shape, b, chi), "operator-")
+    double = make_double(b, "left")
+    trl = power_sum(b, double.a_tag, 1)
+    _merge(report, verify_spectrum(double, trl, chi, shape, anchor(
+        "spectrum-action-route")), "action-")
     pinned = _CLOSED_FORMS.get(shape)
     if config.n == 2 and pinned is not None:
         report.add("closed-form", anchor("spectrum-closed-form"),
@@ -363,9 +369,13 @@ def conjecture_suite(config: SuiteConfig) -> VerificationReport:
                                                "max_boxes": boxes})
     _merge(report, verify_character_consistency(b, boxes))
     if config.n == 2:
+        double = make_double(b, "left")
+        e2 = elementary_symmetric(b, double.a_tag, 2)
         for size in (2, 3):
             for shape in partitions(size, 2):
-                _merge(report, verify_spectrum("E2", shape, b),
+                chi = SpectralCharacter(shape, b).elementary(2)
+                _merge(report, verify_spectrum(double, e2, chi, shape,
+                                               anchor("conjecture-e2")),
                        f"e2-{_label(shape)}-")
     return report
 
@@ -376,8 +386,10 @@ def cayley_hamilton_suite(config: SuiteConfig) -> VerificationReport:
 
 
 def capelli_suite(config: SuiteConfig) -> VerificationReport:
-    """Word route at each parameter point, operator route once."""
+    """Word route at each parameter point, operator route once; k <= n."""
     k = 2 if config.k is None else config.k
+    if k > config.n:  # A^(k) = 0: both sides vanish, nothing is checked
+        raise ValueError(f"capelli needs k <= n, got k = {k}, n = {config.n}")
     degree = 2 if config.degree is None else config.degree
     b = standard_hecke(config.n)
     report = _sampled_report(config, {"n": config.n, "k": k,
@@ -413,11 +425,13 @@ def u2h_suite(config: SuiteConfig) -> VerificationReport:
     report = VerificationReport("u2h", {"degree": degree,
                                         "samples": samples,
                                         "seed": config.seed})
-    _merge(report, verify_derivative_commutativity(degree))
-    _merge(report, verify_dhat_homomorphism(rng=config.rng(),
+    compact = derivative_double(compact_presentation())
+    radius = derivative_double(radius_presentation())
+    _merge(report, verify_derivative_commutativity(compact, degree))
+    _merge(report, verify_dhat_homomorphism(compact, rng=config.rng(),
                                             samples=samples))
-    _merge(report, verify_radius())
-    _merge(report, classical_limit_report())
+    _merge(report, verify_radius(radius))
+    _merge(report, classical_limit_report(radius))
     _merge(report, verify_shift_structure())
     return report
 
@@ -550,15 +564,13 @@ def grid_tasks(grid: list) -> list:
 
 
 def clear_caches() -> None:
-    """Empty the run-wide memos, so that the next run starts cold.
+    """Forget the memoized braidings, so that the next run starts cold.
 
-    Within one run, braidings, Young idempotents and slotwise action
-    operators are built once and shared by the rows of one process;
-    forked --jobs workers inherit the empty memos.
+    Within one run, each braiding and every object in its memo are built
+    once and shared by the rows of one process; forked --jobs workers
+    inherit the empty cache.
     """
     braidings._hecke_cache.clear()
-    heckerep._idempotent_cache.clear()
-    doubles._operator_cache.clear()
 
 
 def run_all(mode: str = "EXACT", seed: int = 0, jobs: int = 1

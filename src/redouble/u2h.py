@@ -3,7 +3,7 @@
 Two layers.  The general layer builds, over any Hecke braiding, the
 derivative-side double on the shift-deformed coordinate algebra and
 checks at construction that it is the generator shift of the plain
-derivative double; for involutive braidings it also exposes the rule for
+derivative double; for involutive braidings it also checks the rule for
 derivatives shifted by h^-1, whose Leibniz structure is a matrix
 coproduct.
 
@@ -20,8 +20,9 @@ prefactor h/2, the derivatives give an algebra homomorphism into
 matrices over the algebra.  The derivatives of r hold r^-1, which the
 extension lacks, so the radius identities are checked multiplied by r,
 which is central and not a zero divisor; r·∂(r) has a closed form.
-Each verifier builds its own presentations and double, and nothing
-outlives the call.
+The u2h suite builds the compact double and the radius double once
+each and hands them to the verifiers that act in them; they die with the
+suite's run.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import itertools
 from .anchors import anchor
 from .braidings import Braiding, flip, standard_hecke
 from .doubles import (DoubleError, PermutationRule, QuantumDouble,
-                      make_double, matrix_copy)
+                      derivative_relation, make_double, matrix_copy)
 from .ncengine import (Gen, MatrixOverAlgebra, NCElement,
                        QuadraticPresentation, free_presentation,
                        matrix_generators, re_relation_matrix)
@@ -53,10 +54,11 @@ def _shift_substitution_residual(braiding: Braiding, h: Scalar):
     -nu^-1 * shifted derivative  into the plain mixed rule must reproduce
     the shifted mixed rule on the nose, and the same substitution must
     carry the coordinate-side quadratic relations onto nu^2 times the
-    shift-deformed ones.  Returns (mixed residual, quadratic residual).
+    shift-deformed ones.  Both mixed rules come from derivative_relation,
+    the relation the derivative doubles are extracted from.  Returns
+    (mixed residual, quadratic residual).
     """
     r = braiding.op
-    rinv = braiding.inv
     dim = braiding.dim
     v = braiding.q - braiding.q.inverse()
     d1 = MatrixOverAlgebra.generator_matrix("d", dim, 2, 1)
@@ -65,15 +67,9 @@ def _shift_substitution_residual(braiding: Braiding, h: Scalar):
     m_sub = ident.scale(h) - n1.scale(v)
     d_sub = d1.scale(-v.inverse())
 
-    def mixed(d, m, shift):
-        out = (d.rmul_op(r) * m).rmul_op(r) \
-            - (m.lmul_op(r).rmul_op(rinv)) * d \
-            - MatrixOverAlgebra.from_operator(r)
-        if shift is not None:
-            out = out - d.rmul_op(r).scale(shift)
-        return out
-
-    mixed_residual = mixed(d_sub, m_sub, None) - mixed(d1, n1, h)
+    plain_lhs, plain_rhs = derivative_relation(braiding, d_sub, m_sub)
+    lhs, rhs = derivative_relation(braiding, d1, n1, h)
+    mixed_residual = plain_lhs - plain_rhs - (lhs - rhs)
     quad_residual = re_relation_matrix(m_sub, r, None) \
         - re_relation_matrix(n1, r, h).scale(v * v)
     return mixed_residual, quad_residual
@@ -94,15 +90,6 @@ def h_shifted_double(braiding: Braiding, h: Scalar) -> QuantumDouble:
             raise DoubleError("shift substitution does not reproduce "
                               "the deformed relations")
     return double
-
-
-def shifted_derivative_relations(braiding: Braiding, h: Scalar):
-    """Permutation rule for the derivatives shifted by h^-1 on the diagonal.
-
-    Only defined over involutive braidings; the companion coproduct is
-    given by shifted_coproduct.
-    """
-    return make_double(braiding, "derivative_shifted_unit", h=h).rule
 
 
 def shifted_coproduct(dim: int, tag: str = "d") -> dict:
@@ -126,12 +113,13 @@ def verify_shift_structure() -> VerificationReport:
 
     Covers the generator-substitution consistency over a strict Hecke
     braiding, the derivative action on the conjugated coordinate copy,
-    the Kronecker action over the plain flip, the shape of the
-    involutive shifted rule (one swap term plus at most one h-multiple
+    the Kronecker action over the plain flip, the shape of the rule of
+    the derivatives shifted by h^-1 on the diagonal, which exist over
+    involutive braidings only (one swap term plus at most one h-multiple
     correction per generator pair), the coproduct counit axiom, and the
     coproduct route against the permutation route on generator pairs.
     """
-    report = VerificationReport("u2h", {"layer": "doubles"})
+    report = VerificationReport("u2h")
     b = standard_hecke(2)
     try:
         double = h_shifted_double(b, Scalar.from_fraction("7/3"))
@@ -161,10 +149,10 @@ def verify_shift_structure() -> VerificationReport:
             break
     report.add("classical-generator-action", anchor("u2h-classical-limit"),
                witness is None, witness)
-    rule = shifted_derivative_relations(p, hp)
-    ok = len(rule.table) == 16
+    unit_double = make_double(p, "derivative_shifted_unit", h=hp)
+    ok = len(unit_double.rule.table) == 16
     witness = None
-    for (gd, gn), image in rule.table.items():
+    for (gd, gn), image in unit_double.rule.table.items():
         swap = dict(image.terms)
         moved = swap.pop((gn, gd), None)
         if moved != Scalar.from_int(1, "h") or len(swap) > 1 or any(
@@ -175,7 +163,6 @@ def verify_shift_structure() -> VerificationReport:
             break
     report.add("shifted-rule-shape", anchor("u2h-structural-counts"),
                ok, witness)
-    unit_double = make_double(p, "derivative_shifted_unit", h=hp)
     cop = shifted_coproduct(2, unit_double.a_tag)
     hinv = hp.inverse()
     ok = all(
@@ -436,16 +423,16 @@ def expected_radius_matrix() -> MatrixOverAlgebra:
 # ---------------------------------------------------------------------------
 # Reports
 
-def verify_derivative_commutativity(degree: int = 3) -> VerificationReport:
+def verify_derivative_commutativity(double: QuantumDouble,
+                                    degree: int = 3) -> VerificationReport:
     """All symbol pairs commute on every free word of bounded degree.
 
-    Acting on words that are not normal forms checks that the symbols
-    respect the relations too: a wrong sign in _PUSH passes on the 35
-    normal words of degree <= 3, but not on all 85 free words.
+    double is the derivative double of the compact algebra.  Acting on
+    words that are not normal forms checks that the symbols respect the
+    relations too: a wrong sign in _PUSH passes on the 35 normal words of
+    degree <= 3, but not on all 85 free words.
     """
-    report = VerificationReport("u2h", {"layer": "calculus",
-                                        "degree": degree})
-    double = derivative_double(compact_presentation())
+    report = VerificationReport("u2h")
     words = [NCElement.word(w) for k in range(degree + 1)
              for w in itertools.product(double.b_pres.generators, repeat=k)]
     firsts = _derivatives(double, words)
@@ -478,19 +465,18 @@ def _random_element(rng, degree: int) -> NCElement:
     return out
 
 
-def verify_dhat_homomorphism(rng=None,
+def verify_dhat_homomorphism(double: QuantumDouble, rng=None,
                              samples: int = 20) -> VerificationReport:
     """The derivative matrix is unital, well defined and multiplicative.
 
-    Covers the unit, all sixteen generator pairs, the sampled random
-    degree-bounded pairs and the three cyclic bracket images.  The
-    matrix of the normal form of a·b must equal dhat(a)·dhat(b), and for
-    a generator pair so must the matrix of the word a·b itself.
+    double is the derivative double of the compact algebra.  Covers the
+    unit, all sixteen generator pairs, the sampled random degree-bounded
+    pairs and the three cyclic bracket images.  The matrix of the normal
+    form of a·b must equal dhat(a)·dhat(b), and for a generator pair so
+    must the matrix of the word a·b itself.
     """
-    report = VerificationReport("u2h", {"layer": "calculus",
-                                        "samples": samples})
-    compact = compact_presentation()
-    double = derivative_double(compact)
+    report = VerificationReport("u2h")
+    nf = double.b_pres.normal_form
     one = NCElement.constant(H_ONE)
     report.add("unit", anchor("u2h-multiplicative"),
                dhat_matrix(double, one) == _matrix(
@@ -511,7 +497,7 @@ def verify_dhat_homomorphism(rng=None,
     # a and b are normal words: the matrices of the normal form of a·b,
     # of a and of b, in one batch
     dhats = iter([_dhat(d) for d in _derivatives(double, [
-        e for _, a, b in named for e in (compact.normal_form(a * b), a, b)])])
+        e for _, a, b in named for e in (nf(a * b), a, b)])])
     for (label, _, _), product, left, right in zip(named, dhats, dhats,
                                                    dhats):
         ok, witness = True, None
@@ -519,8 +505,7 @@ def verify_dhat_homomorphism(rng=None,
             ok, witness = (word_dhats[label] - product).first_nonzero(
                 lambda v: v)
         if ok:
-            ok, witness = (product - left * right).first_nonzero(
-                compact.normal_form)
+            ok, witness = (product - left * right).first_nonzero(nf)
         report.add(label, anchor("u2h-multiplicative"), ok, witness)
     images = {name: dhat_matrix(double, generator(name))
               for name in ("x", "y", "z")}
@@ -528,19 +513,19 @@ def verify_dhat_homomorphism(rng=None,
                              ("z", "x", "y")):
         residual = images[left] * images[right] \
             - images[right] * images[left] - images[res].scale(H)
-        ok, witness = residual.first_nonzero(compact.normal_form)
+        ok, witness = residual.first_nonzero(nf)
         report.add(f"bracket-{left}{right}",
                    anchor("u2h-bracket-representation"), ok, witness)
     return report
 
 
-def verify_radius() -> VerificationReport:
+def verify_radius(double: QuantumDouble) -> VerificationReport:
     """Closed-form matrix, printed actions, and the square identity.
 
-    Each is checked multiplied by r, with no inverse of r.
+    double is the derivative double of the radius extension.  Each
+    identity is checked multiplied by r, with no inverse of r.
     """
-    report = VerificationReport("u2h", {"layer": "radius"})
-    double = derivative_double(radius_presentation())
+    report = VerificationReport("u2h")
     nf = double.b_pres.normal_form
     r = generator("r")
     cleared = cleared_dhat_matrix(double, r)
@@ -558,14 +543,14 @@ def verify_radius() -> VerificationReport:
     return report
 
 
-def classical_limit_report() -> VerificationReport:
+def classical_limit_report(double: QuantumDouble) -> VerificationReport:
     """Actions reduce to flat partial derivatives when the shift vanishes.
 
-    First-order actions are shift-free Kronecker values; second-order
-    corrections and the radius shift are explicit multiples of h.
+    double is the derivative double of the radius extension.  First-order
+    actions are shift-free Kronecker values; second-order corrections and
+    the radius shift are explicit multiples of h.
     """
-    report = VerificationReport("u2h", {"layer": "classical"})
-    double = derivative_double(radius_presentation())
+    report = VerificationReport("u2h")
     firsts = dict(zip(GENERATOR_ORDER, _derivatives(
         double, [generator(name) for name in GENERATOR_ORDER])))
     cases = [(f"{sym} on {name}", firsts[name][sym], i == j)

@@ -1,6 +1,11 @@
-"""Shared pytest plumbing: the acceptance-criteria summary block."""
+"""Shared pytest plumbing: the acceptance-criteria summary block, and a
+spy that counts the calls of a redouble function."""
 
 from __future__ import annotations
+
+import sys
+
+import pytest
 
 # test_acceptance.py records one line per criterion here; the terminal
 # summary below re-emits them after the run, outside output capture.
@@ -13,3 +18,27 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for num in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(ACCEPTANCE_LINES[num])
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(fn) -> the argument tuples of fn's later calls.
+
+    The spy replaces fn in every redouble module that holds it, so calls
+    through any `from ... import` binding are counted.
+    """
+    def install(fn) -> list:
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "redouble" or name.startswith("redouble."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, spy)
+        return calls
+
+    return install

@@ -1,13 +1,14 @@
-"""Run-wide memos: shared artifacts never change report bytes."""
+"""The braiding memo: shared artifacts never change report bytes."""
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 from fractions import Fraction
 
 import pytest
 
-from redouble import braidings, doubles, heckerep, suites
+from redouble import braidings, doubles, suites
 from redouble.braidings import standard_hecke
 from redouble.cli import main
 from redouble.doubles import action_operator, make_double
@@ -21,11 +22,16 @@ def _spectrum(shape: tuple) -> str:
     return run_suite(SuiteConfig("spectrum", n=2, shape=shape)).to_json()
 
 
+def _memo_keys(b, name: str) -> list:
+    """The keys of b's memo that hold objects of the named kind."""
+    return [key for key in b.memo if key[0] == name]
+
+
 def test_shared_operator_leaves_row_reports_unchanged():
     clear_caches()
     shared = [_spectrum((3,)), _spectrum((2, 1))]
     # both rows act by the same k = 3 operator: one memo entry
-    assert len(doubles._operator_cache) == 1
+    assert len(_memo_keys(standard_hecke(2), "action_operator")) == 1
     alone = []
     for shape in ((3,), (2, 1)):
         clear_caches()
@@ -54,7 +60,7 @@ def test_shift_scalar_is_part_of_the_key():
     second = action_operator(
         make_double(b, "derivative_shifted", h=Scalar.from_int(2)), one, 1)
     assert first is not second
-    assert len(doubles._operator_cache) == 2
+    assert len(_memo_keys(b, "action_operator")) == 2
     again = action_operator(
         make_double(b, "derivative_shifted", h=Scalar.from_int(2)), one, 1)
     assert again is second
@@ -66,10 +72,13 @@ def test_a_second_young_idempotent_is_the_same_object():
     t = standard_tableaux((2, 1))[1]
     first = young_idempotent(b, t)
     assert young_idempotent(b, t) is first
-    assert len(heckerep._idempotent_cache) == 1
+    assert len(_memo_keys(b, "young_idempotent")) == 1
     clear_caches()
-    assert young_idempotent(b, t) is not first
-    assert young_idempotent(b, t) == first
+    # the next run's braiding is a new one, with an empty memo
+    fresh = standard_hecke(2)
+    assert fresh is not b and fresh.memo == {}
+    assert young_idempotent(fresh, t) is not first
+    assert young_idempotent(fresh, t) == first
 
 
 def test_shared_idempotents_leave_row_reports_unchanged():
@@ -82,7 +91,7 @@ def test_shared_idempotents_leave_row_reports_unchanged():
     clear_caches()
     shared = [run_suite(config).to_json() for config in configs]
     # the spectrum row found both of its projectors built by heckerep
-    assert len(heckerep._idempotent_cache) == 4
+    assert len(_memo_keys(standard_hecke(3), "young_idempotent")) == 4
     assert shared == cold
     assert all('"passed": true' in text for text in cold)
 
@@ -108,8 +117,11 @@ def test_no_action_operator_is_solved_twice_under_jobs(monkeypatch,
 
 
 def _memo_sizes():
-    return (len(braidings._hecke_cache), len(heckerep._idempotent_cache),
-            len(doubles._operator_cache))
+    """Cached braidings, and the projectors and operators in their memos."""
+    cached = braidings._hecke_cache.values()
+    return (len(cached),
+            sum(len(_memo_keys(b, "young_idempotent")) for b in cached),
+            sum(len(_memo_keys(b, "action_operator")) for b in cached))
 
 
 def test_each_run_starts_from_empty_memos(monkeypatch):
@@ -135,3 +147,18 @@ def test_each_run_starts_from_empty_memos(monkeypatch):
     monkeypatch.setattr("redouble.cli.run_suite", spy)
     assert main(["--suite", "spectrum", "--n", "2", "--lambda", "2"]) == 0
     assert seen == [(0, 0, 0)]
+
+
+def test_a_copy_or_a_point_of_a_braiding_starts_with_an_empty_memo():
+    b = standard_hecke(2)
+    b.trace_form()
+    assert b.memo
+    spoiled = copy.copy(b)
+    assert spoiled.memo == {} and spoiled.memo is not b.memo
+    spoiled.trace_form()
+    assert spoiled.memo[("trace_form",)] is not b.memo[("trace_form",)]
+    keys = set(b.memo)
+    point = b.substituted(Fraction(7, 3))
+    assert point.memo == {}
+    assert point.trace_form() is not b.trace_form()
+    assert set(b.memo) == keys

@@ -13,6 +13,7 @@ from redouble.braidings import TensorOperator, flip, standard_hecke
 from redouble.capelli import (
     StructureError,
     StructurePair,
+    capelli_difference,
     capelli_sides,
     det_r,
     extract_uv,
@@ -124,11 +125,15 @@ def test_capelli_sides_at_k_one_coincide_before_reduction():
 
 
 def test_capelli_word_route_exact():
-    for n in (1, 2):
-        b = standard_hecke(n)
-        for k in (1, 2):
-            report = verify_capelli(b, k)
-            assert report.passed, (n, k)
+    for n, k in ((1, 1), (2, 1), (2, 2)):
+        report = verify_capelli(standard_hecke(n), k)
+        assert report.passed, (n, k)
+    # above the rank A^(k) vanishes: both sides are the zero matrix, and
+    # the word route passes without checking anything
+    b = standard_hecke(1)
+    lhs, rhs = capelli_sides(make_double(b, "derivative"), 2)
+    assert lhs.is_zero() and rhs.is_zero()
+    assert capelli_difference(make_double(b, "derivative"), 2).is_zero()
 
 
 def test_capelli_word_route_classical():

@@ -198,6 +198,9 @@ def test_config_errors_exit_with_status_three(capsys):
         ["--suite", "heckerep", "--k", "-2"],
         ["--suite", "conjecture", "--k", "-1"],
         ["--suite", "capelli", "--degree", "0"],
+        ["--suite", "heckerep", "--n", "-1"],
+        ["--suite", "capelli", "--n", "1", "--k", "2"],
+        ["--suite", "capelli", "--n", "2", "--k", "3"],
         ["--suite", "u2h", "--degree", "-1"],
         ["--suite", "u2h", "--samples", "0"],
         ["--suite", "braiding", "--mode", "SAMPLED", "--samples", "-1"],

@@ -9,7 +9,8 @@ import pytest
 
 from redouble import ncengine
 from redouble.braidings import flip, rtrace_form, standard_hecke
-from redouble.doubles import make_double, monomial_matrix
+from redouble.anchors import anchor
+from redouble.doubles import DoubleError, make_double, monomial_matrix
 from redouble.heckerep import partitions, skew_symmetrizer
 from redouble.invariants import (
     SpectralCharacter,
@@ -193,7 +194,8 @@ def test_spectrum_operator_route_full_grid():
         b = standard_hecke(n)
         for size in (1, 2, 3):
             for shape in partitions(size, n):
-                report = verify_spectrum_operator(shape, b)
+                chi = spectral_char_trl(shape, b)
+                report = verify_spectrum_operator(shape, b, chi)
                 assert report.passed, (n, shape)
 
 
@@ -211,36 +213,54 @@ def test_action_route_matches_operator_route():
 def test_spectrum_action_route_trace():
     b = standard_hecke(2)
     d = make_double(b, "left")
+    trl = power_sum(b, d.a_tag, 1)
     for size in (1, 2, 3):
         for shape in partitions(size, 2):
-            report = verify_spectrum("TRL", shape, b, double=d)
+            chi = spectral_char_trl(shape, b)
+            report = verify_spectrum(d, trl, chi, shape,
+                                     anchor("spectrum-action-route"))
             assert report.passed, shape
-            assert report.config["chi"] == spectral_char_trl(shape, b).text()
+            # a wrong eigenvalue fails every tableau, with a witness
+            wrong = verify_spectrum(d, trl, chi + ONE, shape,
+                                    anchor("spectrum-action-route"))
+            assert wrong.checks and not any(
+                c["passed"] for c in wrong.checks)
+            assert all(c["witness"] for c in wrong.checks)
 
 
 def test_spectrum_action_route_elementary_two():
     b = standard_hecke(2)
     d = make_double(b, "left")
+    e2 = elementary_symmetric(b, d.a_tag, 2)
     for size in (2, 3):
         for shape in partitions(size, 2):
-            report = verify_spectrum("E2", shape, b, double=d)
+            chi = SpectralCharacter(shape, b).elementary(2)
+            report = verify_spectrum(d, e2, chi, shape,
+                                     anchor("conjecture-e2"))
             assert report.passed, shape
 
 
 def test_spectrum_action_route_power_sums():
     b = standard_hecke(2)
     d = make_double(b, "left")
-    assert verify_spectrum("PK", (1,), b, k=2, double=d).passed
-    for shape in partitions(2, 2):
-        assert verify_spectrum("PK", shape, b, k=2, double=d).passed
+    p2 = power_sum(b, d.a_tag, 2)
+    for shape in [(1,)] + partitions(2, 2):
+        chi = SpectralCharacter(shape, b).power(2)
+        report = verify_spectrum(d, p2, chi, shape,
+                                 anchor("conjecture-pk"))
+        assert report.passed, shape
+        assert {c["anchor"] for c in report.checks} == \
+            {anchor("conjecture-pk")}
 
 
 def test_spectrum_rejects_unknown_element():
+    # an element outside the acting side of the double acts on nothing
     b = standard_hecke(2)
-    with pytest.raises(ValueError):
-        verify_spectrum("DET", (1,), b)
-    with pytest.raises(ValueError):
-        verify_spectrum("PK", (1,), b)
+    d = make_double(b, "left")
+    with pytest.raises(DoubleError):
+        verify_spectrum(d, power_sum(b, d.b_tag, 1),
+                        spectral_char_trl((1,), b), (1,),
+                        anchor("spectrum-action-route"))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from redouble import suites, u2h
+from redouble import capelli, invariants, suites, u2h
 from redouble.anchors import ANCHORS, CONJECTURAL, anchor, is_conjectural
 from redouble.braidings import standard_hecke
 from redouble.doubles import QuantumDouble
@@ -18,6 +18,7 @@ from redouble.suites import (
     SUITES,
     SuiteConfig,
     acceptance_grid,
+    clear_caches,
     exit_code_for,
     grid_tasks,
     run_all,
@@ -144,7 +145,8 @@ def _spoiled_report(monkeypatch, check):
         monkeypatch.setattr(u2h, "_derivatives", lambda double, targets: [
             {sym: v + NCElement.constant(u2h.H_ONE) for sym, v in d.items()}
             for d in derivatives(double, targets)])
-        return u2h.classical_limit_report()
+        return u2h.classical_limit_report(
+            u2h.derivative_double(u2h.radius_presentation()))
     return run_suite(SuiteConfig("heckerep", n=2, k=2))
 
 
@@ -194,6 +196,54 @@ def test_capelli_suite_runs_both_routes():
     report = run_suite(SuiteConfig("capelli", n=2, k=1))
     assert report.passed, report.failures()
     assert [c["id"] for c in report.checks] == ["word-route", "action-route"]
+
+
+@pytest.mark.parametrize("suite,n", [("braiding", 0), ("heckerep", -1)])
+def test_a_config_needs_a_positive_rank(suite, n):
+    # the zero space would pass the braiding checks vacuously
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        SuiteConfig(suite, n=n)
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 3)])
+def test_capelli_rejects_a_degree_above_the_rank(n, k):
+    # A^(k) vanishes for k > n: both sides are zero, nothing is checked
+    with pytest.raises(ValueError, match="k <= n"):
+        run_suite(SuiteConfig("capelli", n=n, k=k))
+
+
+def test_exact_capelli_builds_its_sides_once(count_calls):
+    clear_caches()
+    calls = count_calls(capelli.capelli_sides)
+    report = run_suite(SuiteConfig("capelli", n=2, k=2))
+    assert report.passed, report.failures()
+    assert len(calls) == 1
+
+
+def test_sampled_capelli_builds_the_sides_once_per_point(count_calls):
+    clear_caches()
+    calls = count_calls(capelli.capelli_sides)
+    report = run_suite(SuiteConfig("capelli", n=2, k=2, mode="SAMPLED"))
+    assert report.passed, report.failures()
+    # three points for the word route, the symbolic braiding for the action
+    assert len(calls) == 4
+    assert len({id(double.braiding) for double, _ in calls}) == 4
+
+
+def test_conjecture_builds_its_double_and_e2_once(count_calls):
+    doubles_made = count_calls(suites.make_double)
+    e2_made = count_calls(invariants.elementary_symmetric)
+    report = run_suite(SuiteConfig("conjecture", n=2))
+    assert report.passed, report.failures()
+    assert len(doubles_made) == 1 and len(e2_made) == 1
+
+
+@pytest.mark.parametrize("n,shape", [(1, (1,)), (2, (2, 1)), (3, (2, 1))])
+def test_a_spectrum_row_computes_its_character_once(count_calls, n, shape):
+    calls = count_calls(invariants.spectral_char_trl)
+    report = run_suite(SuiteConfig("spectrum", n=n, shape=shape))
+    assert report.passed, report.failures()
+    assert calls == [(shape, standard_hecke(n))]
 
 
 def test_sampled_suites_record_the_seed():

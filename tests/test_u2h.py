@@ -8,9 +8,9 @@ from math import comb
 
 import pytest
 
-from redouble import u2h
+from redouble import doubles, u2h
 from redouble.braidings import flip, standard_hecke
-from redouble.doubles import DoubleError
+from redouble.doubles import DoubleError, make_double
 from redouble.ncengine import Gen, MatrixOverAlgebra, NCElement
 from redouble.scalars import Scalar
 from redouble.suites import SuiteConfig, run_suite
@@ -37,7 +37,6 @@ from redouble.u2h import (
     h_shifted_double,
     radius_presentation,
     shifted_coproduct,
-    shifted_derivative_relations,
     verify_derivative_commutativity,
     verify_dhat_homomorphism,
     verify_radius,
@@ -184,11 +183,13 @@ def test_cleared_derivative_adds_the_polynomial_part(radius):
     assert cleared_derivative(radius, DY, X).is_zero()
 
 
-def test_pairwise_commutativity_report():
-    report = verify_derivative_commutativity()
+def test_pairwise_commutativity_report(compact):
+    report = verify_derivative_commutativity(compact)
     assert report.passed
     assert [c["id"] for c in report.checks] == ["commutativity"]
-    assert report.config["degree"] == 3
+    # the suite echoes the degree; the verifier builds no config of its own
+    assert report.config == {}
+    assert run_suite(SuiteConfig("u2h")).config["degree"] == 3
 
 
 @pytest.mark.parametrize("key", sorted(u2h._PUSH, key=repr), ids=repr)
@@ -197,14 +198,15 @@ def test_a_flipped_pushing_sign_fails_commutativity(monkeypatch, key):
     # that are not normal forms catch it
     target, sign = u2h._PUSH[key]
     monkeypatch.setitem(u2h._PUSH, key, (target, -sign))
-    [check] = verify_derivative_commutativity().checks
+    [check] = verify_derivative_commutativity(
+        derivative_double(compact_presentation())).checks
     assert not check["passed"] and check["witness"]
 
 
 # -- the derivative matrix --------------------------------------------------
 
-def test_matrix_is_unital_and_respects_brackets():
-    report = verify_dhat_homomorphism(rng=random.Random(20240814))
+def test_matrix_is_unital_and_respects_brackets(compact):
+    report = verify_dhat_homomorphism(compact, rng=random.Random(20240814))
     assert report.passed, report.failures()
     ids = [c["id"] for c in report.checks]
     assert len(ids) == 40
@@ -213,10 +215,10 @@ def test_matrix_is_unital_and_respects_brackets():
     assert {"bracket-xy", "bracket-yz", "bracket-zx"} <= set(ids)
 
 
-def test_matrix_report_needs_an_rng_for_sampling():
+def test_matrix_report_needs_an_rng_for_sampling(compact):
     with pytest.raises(ValueError):
-        verify_dhat_homomorphism()
-    report = verify_dhat_homomorphism(samples=0)
+        verify_dhat_homomorphism(compact)
+    report = verify_dhat_homomorphism(compact, samples=0)
     assert report.passed
     assert len(report.checks) == 20
 
@@ -246,14 +248,15 @@ def test_bracket_images_multiply_like_the_algebra(compact):
 def test_a_flipped_pushing_sign_fails_a_pair_check(monkeypatch, key):
     target, sign = u2h._PUSH[key]
     monkeypatch.setitem(u2h._PUSH, key, (target, -sign))
-    report = verify_dhat_homomorphism(samples=0)
+    report = verify_dhat_homomorphism(
+        derivative_double(compact_presentation()), samples=0)
     assert any(c["id"].startswith("pair-") for c in report.failures())
 
 
 # -- the radius -------------------------------------------------------------
 
 def test_radius_report_and_closed_forms(radius):
-    report = verify_radius()
+    report = verify_radius(radius)
     assert report.passed, report.failures()
     assert [c["id"] for c in report.checks] == \
         ["radius-matrix", "radius-actions", "radius-square"]
@@ -280,15 +283,16 @@ def test_radius_square_identity_needs_clearing(radius):
 
 
 @pytest.mark.parametrize("sym", DERIVATIVE_SYMBOLS)
-def test_a_spoiled_radius_value_fails_a_radius_check(monkeypatch, sym):
+def test_a_spoiled_radius_value_fails_a_radius_check(monkeypatch, radius,
+                                                     sym):
     spoiled = u2h._RADIUS_ACTION[sym] + const(H)
     monkeypatch.setitem(u2h._RADIUS_ACTION, sym, spoiled)
-    failed = {c["id"] for c in verify_radius().failures()}
+    failed = {c["id"] for c in verify_radius(radius).failures()}
     assert failed & {"radius-matrix", "radius-square"}
 
 
-def test_classical_limit_report():
-    report = classical_limit_report()
+def test_classical_limit_report(radius):
+    report = classical_limit_report(radius)
     assert report.passed, report.failures()
     assert [c["id"] for c in report.checks] == \
         ["first-order-actions", "second-order-corrections", "radius-limit"]
@@ -321,9 +325,37 @@ def test_shifted_double_construction_and_guards():
 
 def test_unit_shifted_rule_demands_involutive_braiding():
     with pytest.raises(DoubleError):
-        shifted_derivative_relations(standard_hecke(2), Scalar.var("q"))
-    rule = shifted_derivative_relations(flip(2, "h"), Scalar.var("h"))
-    assert len(rule.table) == 16
+        make_double(standard_hecke(2), "derivative_shifted_unit",
+                    h=Scalar.var("q"))
+    double = make_double(flip(2, "h"), "derivative_shifted_unit",
+                         h=Scalar.var("h"))
+    assert len(double.rule.table) == 16
+
+
+def test_a_spoiled_shift_term_fails_substitution_consistency(monkeypatch):
+    # the residual reads the derivative relation the doubles are built
+    # from, so a wrong shift term there cannot pass unseen
+    real = doubles.derivative_relation
+
+    def spoiled(braiding, d, m, shift=None):
+        return real(braiding, d, m, None if shift is None else shift + shift)
+
+    for module in (doubles, u2h):
+        monkeypatch.setattr(module, "derivative_relation", spoiled)
+    report = verify_shift_structure()
+    [check] = [c for c in report.checks
+               if c["id"] == "substitution-consistency"]
+    assert not check["passed"] and check["witness"]
+
+
+def test_the_suite_builds_each_u2h_double_once(count_calls):
+    compact = count_calls(u2h.compact_presentation)
+    radius = count_calls(u2h.radius_presentation)
+    doubles_made = count_calls(u2h.make_double)
+    assert run_suite(SuiteConfig("u2h")).passed
+    assert len(compact) == 1 and len(radius) == 1
+    kinds = [args[1] for args in doubles_made]
+    assert kinds.count("derivative_shifted_unit") == 1
 
 
 def test_coproduct_shape():
