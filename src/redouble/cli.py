@@ -149,7 +149,7 @@ def main(argv=None) -> int:
         args.jobs = 1
     elif args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    shape = _parse_shape(args.shape, parser) if args.shape else None
+    shape = None if args.shape is None else _parse_shape(args.shape, parser)
 
     clear_caches()
     started = time.perf_counter()

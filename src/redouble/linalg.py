@@ -370,11 +370,13 @@ class Triangular:
     `param` is the parameter of the first entry that is not a rational
     constant; an entry with another parameter raises MixedParameterError.
     Remainders and rows carry `param`, or q while every entry seen was a
-    constant (a constant's label does not matter).
+    constant (a constant's label does not matter).  `derive`, if given,
+    names the rows an elimination stores on first read (_derived).
     """
 
-    def __init__(self, sortkey=None):
+    def __init__(self, sortkey=None, derive=None):
         self.sortkey = sortkey if sortkey is not None else (lambda k: k)
+        self.derive = derive
         self.pivots: dict = {}
         self.param = None
         self._width = _WIDTH
@@ -395,9 +397,11 @@ class Triangular:
         limit = w - 2
         pivots = self.pivots
         sortkey = self.sortkey
-        # the pivot keys of vec by sortkey, ascending; a key that cancelled
-        # stays until it is popped
-        todo = sorted((sortkey(k), k) for k in vec if k in pivots)
+        derive = self.derive and self._derived
+        # the pivot keys of vec (stored, or derived on first read) by
+        # sortkey, ascending; a key that cancelled stays until it is popped
+        todo = sorted((sortkey(k), k) for k in vec
+                      if k in pivots or derive and derive(k))
         while True:
             while todo:
                 hit = todo.pop()[1]
@@ -449,7 +453,7 @@ class Triangular:
                 cur = vec.get(k)
                 if cur is None:
                     vec[k] = nc * r
-                    if k in pivots:
+                    if k in pivots or derive and derive(k):
                         insort(todo, (sortkey(k), k))
                 else:
                     s = cur + nc * r
@@ -528,18 +532,23 @@ class Triangular:
                               bound, shift, lead, _pcontent(lead))
         return pivot
 
-    def rekey(self, pivot: tuple, prefix: tuple, suffix: tuple) -> None:
-        """Store the row `pivot` again under the key map k -> prefix+k+suffix.
+    def _derived(self, key) -> bool:
+        """Store the row derive(key) names, if any, under the pivot key.
 
-        Keys are tuples.  Nothing is eliminated: the packed row is copied
-        with its bound, lead and content, and the copy's pivot is
-        prefix + pivot + suffix, which must not be stored yet.  The map
-        must be strictly monotone under sortkey (graded-lex on words is),
-        so the copy is leading-reduced and primitive like its source.
+        derive gives None or (source, prefix, suffix) with a stored pivot
+        source and key = prefix + source + suffix.  Nothing is eliminated:
+        the packed source row is copied with its bound, lead and content
+        under k -> prefix + k + suffix.  That map must be strictly
+        monotone under sortkey (graded-lex on words is), so the copy is
+        leading-reduced and primitive like its source.
         """
-        rest, *tail = self.pivots[pivot]
-        self.pivots[prefix + pivot + suffix] = (
+        if (found := self.derive(key)) is None:
+            return False
+        source, prefix, suffix = found
+        rest, *tail = self.pivots[source]
+        self.pivots[key] = (
             {prefix + k + suffix: p for k, p in rest.items()}, *tail)
+        return True
 
     def row(self, pivot) -> dict:
         """The stored row with pivot `pivot`, as one vector."""

@@ -17,14 +17,15 @@ every degree (PBW).  The ideal's part of degree <= d is then spanned,
 with no elimination at all, by one re-keyed copy u·row·v of a relation
 row for each word u·ab·v that contains a lead ab, and the normal form
 of an element is its unique remainder against those rows, found by one
-elimination of the whole element.  A presentation that fails the check
-raises PresentationError; there is no other route.
+elimination of the whole element; a row is stored when a reduction
+first reads its pivot.  A presentation that fails the check raises
+PresentationError; there is no other route.
 
 A CentralQuotient is a presentation of the same kind, with elements
 pinned to zero that are central in it (checked once it is certified).
-Its one Triangular holds the re-keyed relation rows and, after them at
-every degree, the span of w·c over the normal words w and pinned c, so a
-normal form is still one elimination.
+Its one Triangular holds the relation rows, re-keyed on first read, and
+the span of w·c over the normal words w and pinned c, so a normal form
+is still one elimination.
 
 Matrices over the algebra (MatrixOverAlgebra) keep the sparse rows of
 TensorOperator and compute through the same linalg functions: the entry
@@ -183,8 +184,8 @@ class QuadraticPresentation:
     """Generators plus relations with quadratic leading parts.
 
     Graded when every relation is homogeneous; otherwise filtered, with
-    reduction over the whole word space of degree <= d.  The basis grows
-    to the degree of each element reduced; no normal form is memoized.
+    reduction over the whole word space of degree <= d.  A row is stored
+    when a reduction first reads it; no normal form is memoized.
     """
 
     def __init__(self, generators: list, relations: Iterable[NCElement],
@@ -201,66 +202,51 @@ class QuadraticPresentation:
                 self.graded = False
             if r.degree() < 1:
                 raise ValueError("constant relation makes the algebra trivial")
-        self._tri = Triangular(word_sortkey)
+        self._tri = Triangular(word_sortkey, self._lead_row)
         self._built = 0
-        # the leading words ab of the relation rows, and a -> those ab
+        # the leading words ab of the relation rows
         self._leads: set = set()
-        self._leads_from: dict = {}
         # the normal words (no leading subword) of each length
         self._normal: list = [[()]]
 
     def ensure(self, d: int) -> None:
-        """Grow the ideal basis through every word of degree <= d.
+        """Make the ideal basis exact through every word of degree <= d.
 
-        Degree 1 inserts the relations, whose rows must all lead with a
-        word of length 2; below degree 3 those rows alone are exact.
-        Degree e >= 3 stores, for every word u·ab·v of length e whose
-        leftmost leading subword is ab, the copy u·row_ab·v of the row
-        with pivot ab (Triangular.rekey): no candidate is eliminated.
-        Degree 3 then certifies the presentation (_certify), and by the
-        diamond lemma the rows of degree <= e span the ideal's part of
-        degree <= e for every e: reducing an ideal element of that degree
-        leaves only normal words, which are independent in the quotient.
-        The pivots of those rows are exactly the words that contain a lead.
+        The first call with d >= 1 inserts the relations, whose rows must
+        all lead with a word of length 2; below degree 3 they are exact.
+        The first call with d >= 3 certifies the presentation (_certify):
+        by the diamond lemma the rows u·row_ab·v, one for each word u·ab·v
+        with leftmost lead ab, span the ideal in every degree, and reducing
+        an ideal element leaves only normal words, which are independent
+        in the quotient.  The Triangular stores such a row when a
+        reduction first reads its pivot (_lead_row); nothing grows here.
         """
-        while self._built < d:
-            e = self._built + 1
-            if e == 1:
-                self._insert_relations()
-            elif e >= 3:
-                self._rekey_degree(e)
-                if e == 3:
-                    self._certify()
-            self._built = e
+        if self._built < 1 <= d:
+            self._insert_relations()
+            self._built = 1
+        if self._built < 3 <= d:
+            self._certify()
+            self._built = 3
 
     def _insert_relations(self) -> None:
         tri = self._tri
         for r in self.relations:
             tri.insert(dict(r.terms))
-        leads_from: dict = {}
         for ab in tri.pivots:
             if len(ab) != 2:
                 raise PresentationError(
                     f"{self.name}: a relation row leads with {ab!r},"
                     " not with a quadratic word")
-            leads_from.setdefault(ab[0], []).append(ab)
         self._leads = set(tri.pivots)
-        self._leads_from = leads_from
 
-    def _rekey_degree(self, e: int) -> None:
-        """The re-keyed rows of every word of length e that has a lead.
-
-        A word u·ab·v has its leftmost lead ab at position len(u) exactly
-        when u·a is a normal word, so each such word is made once.
-        """
-        tri = self._tri
-        for i in range(e - 1):
-            tails = list(itertools.product(self.generators, repeat=e - 2 - i))
-            for ua in self.normal_words(i + 1):
-                u = ua[:-1]
-                for ab in self._leads_from.get(ua[-1], ()):
-                    for v in tails:
-                        tri.rekey(ab, u, v)
+    def _lead_row(self, word: tuple):
+        """(ab, u, v) with word = u·ab·v, ab its leftmost lead; else None."""
+        leads = self._leads
+        for i in range(len(word) - 1):
+            ab = word[i:i + 2]
+            if ab in leads:
+                return ab, word[:i], word[i + 2:]
+        return None
 
     def _certify(self) -> None:
         """Bergman's resolvability check on the overlaps of the leads.
@@ -273,8 +259,9 @@ class QuadraticPresentation:
         tri = self._tri
         rows = {ab: tri.row(ab) for ab in tri.pivots if ab in self._leads}
         for ab, row_ab in rows.items():
-            for bc in self._leads_from.get(ab[1], ()):
-                row_bc = rows[bc]
+            for bc, row_bc in rows.items():
+                if bc[0] != ab[1]:
+                    continue
                 s: dict = {}
                 vec_add_scaled(s, {w + bc[1:]: c for w, c in row_ab.items()},
                                row_bc[bc])
@@ -307,23 +294,25 @@ class QuadraticPresentation:
 
     def ideal_rank(self, d: int) -> int:
         """Number of leading words of degree <= d in the ideal basis."""
-        self.ensure(d)
-        return sum(1 for w in self._tri.pivots if len(w) <= d)
+        total = sum(len(self.generators) ** e for e in range(d + 1))
+        return total - self.filtered_dimension(d)
 
     def graded_dimension(self, d: int) -> int:
         """dim of the degree-d component (graded) of the quotient algebra."""
         if not self.graded:
             raise ValueError("graded dimensions need a graded presentation")
         self.ensure(d)
-        total = len(self.generators) ** d
-        used = sum(1 for w in self._tri.pivots if len(w) == d)
-        return total - used
+        return self._free_words(d)
 
     def filtered_dimension(self, d: int) -> int:
         """dim of the degree <= d filtration component of the quotient."""
         self.ensure(d)
-        total = sum(len(self.generators) ** e for e in range(d + 1))
-        return total - self.ideal_rank(d)
+        return sum(map(self._free_words, range(d + 1)))
+
+    def _free_words(self, e: int) -> int:
+        """The normal words of length e that lead no pinned row."""
+        pivots = self._tri.pivots
+        return sum(1 for w in self.normal_words(e) if w not in pivots)
 
 
 class CentralQuotient(QuadraticPresentation):
@@ -337,12 +326,12 @@ class CentralQuotient(QuadraticPresentation):
     the relation ideal plus the left ideal of the pinned elements, and its
     part of degree <= d is spanned by the re-keyed relation rows and w·c
     for the normal words w with |w| + deg c <= d.  ensure(d) inserts those
-    w·c into the same Triangular after the relation rows through degree d,
-    so each insert is reduced modulo every relation row of its degree and
-    its pivot is a normal word.  A re-keyed pivot contains a lead, so the
-    two kinds never collide, the relation rows stay re-keyed copies with
-    pivots not stored yet (Triangular.rekey), and every word that contains
-    a lead stays a pivot.  Normal forms, ideal_rank and filtered_dimension
+    w·c into the same Triangular once it is certified, so each insert is
+    reduced modulo every relation row of its degree (re-keyed on first
+    read) and its pivot is a normal word.  A re-keyed pivot contains a
+    lead, so the two kinds never collide, a relation row's key is never
+    stored before its copy is derived, and every word that contains a
+    lead stays a pivot.  Normal forms, ideal_rank and filtered_dimension
     are then those of the two-sided ideal, through one elimination.
     """
 
@@ -366,7 +355,7 @@ class CentralQuotient(QuadraticPresentation):
         self._spanned = -1  # degree 0 holds the multiples w = () as well
 
     def ensure(self, d: int) -> None:
-        """The relation rows through degree d, then w·c of degree <= d."""
+        """The certified relation rows, then w·c of degree <= d."""
         super().ensure(d)
         while self.pinned and self._spanned < d:
             e = self._spanned + 1

@@ -118,8 +118,8 @@ class SuiteConfig:
     Fields a suite does not consume are ignored, but every field is
     validated: mode is one of MODES; n is positive; k, degree and samples
     default to per-suite values when left unset and must be positive when
-    set, and a suite whose SUITES entry reads "mode" needs at least
-    MIN_POINTS samples.
+    set; a shape that is set must be nonempty; and a suite whose SUITES
+    entry reads "mode" needs at least MIN_POINTS samples.
     A fixed seed makes the resulting report byte-identical across runs.
     """
 
@@ -136,6 +136,8 @@ class SuiteConfig:
                             ("samples", samples)):
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if shape is not None and not shape:
+            raise ValueError("shape must be a nonempty partition")
         if samples is not None and samples < MIN_POINTS and \
                 suite in SUITES and "mode" in SUITES[suite][1]:
             raise ValueError(f"{suite} needs at least {MIN_POINTS} sample"
@@ -344,7 +346,7 @@ def doubles_suite(config: SuiteConfig) -> VerificationReport:
 
 def spectrum_suite(config: SuiteConfig) -> VerificationReport:
     """Both spectrum routes for one partition, plus pinned rank-2 values."""
-    shape = config.shape if config.shape else (1,)
+    shape = config.shape if config.shape is not None else (1,)
     b = standard_hecke(config.n)
     chi = spectral_char_trl(shape, b)
     report = VerificationReport("spectrum", {

@@ -1,11 +1,14 @@
-"""Shared pytest plumbing: the acceptance-criteria summary block, and a
-spy that counts the calls of a redouble function."""
+"""Shared pytest plumbing: the acceptance-criteria summary block, cold
+caches for every test, and a spy that counts the calls of a redouble
+function."""
 
 from __future__ import annotations
 
 import sys
 
 import pytest
+
+from redouble.suites import clear_caches
 
 # test_acceptance.py records one line per criterion here; the terminal
 # summary below re-emits them after the run, outside output capture.
@@ -18,6 +21,13 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for num in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(ACCEPTANCE_LINES[num])
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Each test starts with no memoized braiding, so a test that patches a
+    builder behind the memo reads its own build, not an earlier test's."""
+    clear_caches()
 
 
 @pytest.fixture

@@ -124,6 +124,14 @@ def _memo_sizes():
             sum(len(_memo_keys(b, "action_operator")) for b in cached))
 
 
+@pytest.mark.parametrize("step", ["first", "second"])
+def test_each_test_starts_with_no_memoized_braiding(step):
+    # the first step leaves a braiding memoized; the second must not see it
+    assert not braidings._hecke_cache
+    standard_hecke(2)
+    assert braidings._hecke_cache
+
+
 def test_each_run_starts_from_empty_memos(monkeypatch):
     rows = [("spectrum-n2-2", SuiteConfig("spectrum", n=2, shape=(2,))),
             ("spectrum-n2-1,1", SuiteConfig("spectrum", n=2, shape=(1, 1)))]

@@ -184,6 +184,14 @@ def test_replay_commands_of_every_grid_row_parse(capsys, monkeypatch):
                     (command, field)
 
 
+def test_an_empty_partition_exits_with_status_three(capsys):
+    # it must not fall back to the partition (1) under a "1" label
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--suite", "spectrum", "--n", "2", "--lambda", ""])
+    assert excinfo.value.code == 3
+    assert "--lambda" in capsys.readouterr().err
+
+
 def test_config_errors_exit_with_status_three(capsys):
     for argv in (
         ["--suite", "spectra"],

@@ -223,23 +223,51 @@ def test_rows_span_what_was_inserted():
         assert tri.reduce(row) == {}
 
 
-def test_a_rekeyed_row_is_the_row_with_its_keys_mapped():
+def test_a_derived_row_is_its_source_with_the_keys_mapped():
     # tuple keys under graded-lex: k -> prefix + k + suffix is monotone
     def graded(k):
         return (len(k), k)
 
+    def derive(key):
+        # a key with (2, 1) after its first letter is prefix·(2, 1)·suffix
+        if len(key) > 3 and key[1:3] == (2, 1):
+            return (2, 1), key[:1], key[3:]
+        return None
+
     q = Scalar.var("q")
     vec = {(2, 1): q * q + ONE, (1, 2): -q, (1,): ONE,
            (): Scalar.from_fraction("1/2")}
-    tri = Triangular(graded)
+    mapped = {(3,) + k + (1, 1): v for k, v in vec.items()}
+    tri = Triangular(graded, derive)
     assert tri.insert(vec) == (2, 1)
     tri._widen()  # a copy keeps the digit width of its source
-    tri.rekey((2, 1), (3,), (1, 1))
-    assert tri.row((3, 2, 1, 1, 1)) == \
-        {(3,) + k + (1, 1): v for k, v in tri.row((2, 1)).items()}
-    # the copy spans the mapped input; a word with no pivot is left alone
-    assert tri.reduce({(3,) + k + (1, 1): v for k, v in vec.items()}) == {}
+    assert list(tri.pivots) == [(2, 1)]
+    # the first read stores the copy, which spans the mapped input
+    assert tri.reduce(dict(mapped)) == {}
+    assert list(tri.pivots) == [(2, 1), (3, 2, 1, 1, 1)]
+    for _ in range(2):  # and a stored copy is repacked with its source
+        assert tri.row((3, 2, 1, 1, 1)) == \
+            {(3,) + k + (1, 1): v for k, v in tri.row((2, 1)).items()}
+        tri._widen()
+    assert tri.reduce(dict(mapped)) == {}
+    # a word with no lead is left alone, and no row is stored for it
     assert tri.reduce({(3, 3, 1, 1, 1): ONE}) == {(3, 3, 1, 1, 1): ONE}
+    assert len(tri) == 2
+
+
+def test_a_triangular_without_derive_makes_no_derive_call(monkeypatch):
+    def forbidden(tri, key):
+        raise AssertionError(f"derive called for {key!r}")
+
+    monkeypatch.setattr(Triangular, "_derived", forbidden)
+    tri = Triangular()
+    assert tri.derive is None
+    assert tri.insert({2: ONE, 1: -ONE}) == 2
+    assert tri.reduce({3: ONE, 2: ONE}) == {3: ONE, 1: ONE}
+    assert list(tri.pivots) == [2]
+    # coordinates runs on such a Triangular too
+    coords = coordinates([{0: ONE, 1: ONE}, {1: ONE}])
+    assert coords({0: ONE, 1: -ONE}) == {0: ONE, 1: Scalar.from_int(-2)}
 
 
 def _independent(rng, param, keys, count):

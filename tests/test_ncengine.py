@@ -265,13 +265,15 @@ def _has_lead(pres, w):
     return any(w[i:i + 2] in pres._leads for i in range(len(w) - 1))
 
 
-def _pivot_words(pres):
-    """The pivot words of a presentation: each contains a relation lead,
-    except in a quotient, whose pinned pivots are normal words."""
-    pivots = list(pres._tri.pivots)
-    pinned = [w for w in pivots if not _has_lead(pres, w)]
+def _pivot_words(pres, d):
+    """The pivot words of degree <= d: every word that contains a relation
+    lead, whether or not a reduction has stored its row yet, and in a
+    quotient the stored pinned pivots, which are normal words."""
+    pinned = [w for w in pres._tri.pivots if not _has_lead(pres, w)]
     assert bool(pinned) == isinstance(pres, CentralQuotient)
-    return pivots
+    return [w for e in range(d + 1)
+            for w in itertools.product(pres.generators, repeat=e)
+            if _has_lead(pres, w)] + pinned
 
 
 def _rank_three_orbit():
@@ -291,10 +293,10 @@ def test_one_sided_layers_span_the_both_sided_ideal(name):
     # span w·c of a central quotient, against both multiples of every row.
     build, param, d = ONE_SIDED_CASES[name]
     pres = build()
-    pres.ensure(2)  # two calls: the second grows the kept basis
+    pres.ensure(2)  # two calls: the second certifies the kept basis
     pres.ensure(d)
     ref = _both_sided_basis(pres, d)
-    assert _pivots_by_degree(_pivot_words(pres), d) == \
+    assert _pivots_by_degree(_pivot_words(pres, d), d) == \
         _pivots_by_degree(ref.pivots, d)
     p = Scalar.var(param)
     coeffs = [ONE, -ONE, p, Scalar.from_fraction("1/2"), (p + ONE).inverse()]
@@ -303,6 +305,12 @@ def test_one_sided_layers_span_the_both_sided_ideal(name):
     for _ in range(8):
         x = _random_element(rng, gens, coeffs, range(d + 1), 4)
         assert pres.normal_form(x).terms == ref.reduce(dict(x.terms)), x
+    # every row of degree <= d stored on the way, re-keyed or pinned, lies
+    # in the ideal (a quotient's centrality check reads some of degree d+1)
+    tri = pres._tri
+    for pivot in tri.pivots:
+        if len(pivot) <= d:
+            assert ref.reduce(tri.row(pivot)) == {}, pivot
 
 
 def test_rank_three_central_span_row_count(monkeypatch):
@@ -324,6 +332,18 @@ def test_rank_three_central_span_row_count(monkeypatch):
     assert pres.ideal_rank(4) - plain.ideal_rank(4) == 274
     # the same rank as the two-sided ideal of relations and pinned elements
     assert pres.ideal_rank(4) == 6940
+
+
+def test_only_the_rows_a_reduction_reads_are_stored():
+    pres = re_presentation(standard_hecke(3), "m")
+    gens = pres.generators
+    x = NCElement.word((gens[0], gens[8], gens[4], gens[2]))
+    assert pres.normal_form(x).terms != x.terms
+    # the rank counts every word with a lead, stored or not, and PBW
+    # leaves C(e + 8, 8) normal words in each degree e
+    rank = pres.ideal_rank(4)
+    assert rank == sum(9 ** e - math.comb(e + 8, 8) for e in range(5))
+    assert len(pres._tri.pivots) < rank
 
 
 def test_quotient_certifies_before_its_first_pinned_insert(monkeypatch):
@@ -377,14 +397,18 @@ def test_every_presentation_certifies(name):
     build, _ = DIFFERENTIAL_PRESENTATIONS[name]
     pres = build()
     pres.ensure(3)  # certifies, or raises PresentationError
-    pivots = _pivot_words(pres)
+    pivots = _pivot_words(pres, 3)
     leads = pres._leads
-    assert leads and leads <= set(pivots)
-    # the degree-3 pivots with a lead are exactly the words that contain
-    # one; a quotient's other pivots are its pinned span
-    assert {w for w in pivots if len(w) == 3 and _has_lead(pres, w)} == \
-        {w for w in itertools.product(pres.generators, repeat=3)
-         if w[:2] in leads or w[1:] in leads}
+    assert leads and leads <= set(pivots) and leads <= set(pres._tri.pivots)
+    # reading every word of degree 3 stores a row for exactly the words
+    # that contain a lead; a quotient's other pivots are its pinned span
+    words = list(itertools.product(pres.generators, repeat=3))
+    for w in words:
+        pres.normal_form(NCElement.word(w))
+    stored = {w for w in pres._tri.pivots if len(w) == 3}
+    assert {w for w in stored if _has_lead(pres, w)} == \
+        {w for w in words if w[:2] in leads or w[1:] in leads}
+    assert stored <= set(pivots)
 
 
 # (fresh rank-3 presentation, graded); re is in the test above

@@ -205,6 +205,12 @@ def test_a_config_needs_a_positive_rank(suite, n):
         SuiteConfig(suite, n=n)
 
 
+def test_a_config_needs_a_nonempty_shape():
+    # the spectrum suite would run the partition (1) in its place
+    with pytest.raises(ValueError, match="nonempty partition"):
+        SuiteConfig("spectrum", n=2, shape=())
+
+
 @pytest.mark.parametrize("n,k", [(1, 2), (2, 3)])
 def test_capelli_rejects_a_degree_above_the_rank(n, k):
     # A^(k) vanishes for k > n: both sides are zero, nothing is checked
