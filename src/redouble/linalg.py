@@ -22,9 +22,11 @@ polynomial sum of c_i·q^i is the one integer sum of c_i·2^(w·i), with
 signed digits and one digit width w per Triangular, 64 bits to start.
 A product of polynomials is then one integer product, and a step costs
 a few big-integer multiplies, shifts and adds per entry.  A step against
-a pivot whose lead is not ±q^k scales the working vector by the lead
-over its gcd with the cleared coefficient (one small polynomial gcd per
-step, none per entry), and remembers the scale.
+a pivot whose lead is q^k reads no digit: the cleared coefficient stays
+one packed integer.  A step against any other lead unpacks the
+coefficient, scales the working vector by the lead over its gcd with it
+(one small polynomial gcd per step, none per entry), and remembers the
+scale.
 
 This module is the one owner of the packed format, which the counit
 action of a double (`doubles._PackedAction`) runs on too.  Scalars
@@ -44,10 +46,12 @@ sum to at most 2^(w-2).  Every packed vector carries a bound b on those
 sums, its `_bits`: a product adds the bounds of its factors and a sum
 of n terms adds _spread(n) (one, in an elimination step).  A bound that
 could pass w - 2 raises _TooWide, the one overflow signal; the owner of
-the digits widens them and restarts.  In `Triangular` the working
-vector's bound is first recomputed from the digits; if it is still too
-large, w doubles, the stored rows are repacked, and the elimination
-restarts from its input.
+the digits widens them and restarts.  In `Triangular` every entry of the
+working vector carries its own bound, which only the steps that touch
+the entry raise, and a non-unit lead raises all of them at once through
+a running offset.  When one could pass w - 2, the bounds are first
+recomputed from the digits; if one is still too large, w doubles, the
+stored rows are repacked, and the elimination restarts from its input.
 """
 
 from __future__ import annotations
@@ -365,7 +369,9 @@ class Triangular:
     `_bits` of its polynomials.  Rows are kept leading-reduced (each row's
     keys other than its pivot are strictly smaller), which makes
     remainders unique without full inter-reduction; sortkey must order
-    distinct keys strictly.
+    distinct keys strictly.  An elimination (`_eliminate`) bounds each
+    entry of its working vector apart, so a step against a row whose lead
+    is 1 reads no digit.
 
     `param` is the parameter of the first entry that is not a rational
     constant; an entry with another parameter raises MixedParameterError.
@@ -388,11 +394,19 @@ class Triangular:
         """(frame, r, den) with q^frame · r / den the remainder of vec.
 
         r maps keys to packed integer polynomials and den is an integer
-        polynomial.  Raises _TooWide when a coefficient could outgrow the
-        digit width.
+        polynomial.  Each entry of the working vector carries its own
+        bound, the loader's until a step touches it: a step adds c times
+        the row, whose bound is the cleared coefficient c's plus the row's,
+        and one more when the entry was already there.  A step against a
+        pivot whose lead is 1 reads no digit: c stays packed, its low zero
+        digits are counted from its lowest set bit, and its bound is the
+        entry's.  Other leads take the gcd path, which unpacks c and scales
+        every entry by the lead; a running offset adds the lead's bound to
+        every entry's at once.  When a bound could pass w - 2, all are read
+        from the digits once; raises _TooWide when one is still too large.
         """
         w = self._width
-        self.param, frame, vec, den, bound = \
+        self.param, frame, vec, den, base = \
             _pack_vector(vec, w, self.param)
         limit = w - 2
         pivots = self.pivots
@@ -402,6 +416,11 @@ class Triangular:
         # sortkey, ascending; a key that cancelled stays until it is popped
         todo = sorted((sortkey(k), k) for k in vec
                       if k in pivots or derive and derive(k))
+        # bounds[k] + off bounds the `_bits` of entry k, base + off one
+        # that no step touched yet; top bounds every entry
+        bounds: dict = {}
+        off = 0
+        top = base
         while True:
             while todo:
                 hit = todo.pop()[1]
@@ -409,35 +428,52 @@ class Triangular:
                     break
             else:
                 return frame, vec, den
-            c = _unpack(vec.pop(hit), w)
+            cp = vec.pop(hit)
+            own = bounds.pop(hit, base) + off
             rest, rbound, lshift, lead, lcont = pivots[hit]
-            tz = 0
-            while not c[tz]:
-                tz += 1
-            if tz:
-                c = c[tz:]
-            # vec := lead' vec - c' q^(tz - lshift) rest, where lead' and c'
-            # are lead and c over their gcd in Z[q]
-            if len(lead) > 1:
-                g = _pgcd(lead, c)
-                if g != (1,):
-                    lead = _pdivexact(lead, g)
-                    c = _pdivexact(c, g)
-            if lcont != 1:
-                g = math.gcd(lcont, *c)
-                if g != 1:
-                    lead = tuple(x // g for x in lead)
-                    c = tuple(x // g for x in c)
-            unit = lead == (1,)
-            grow = 0 if unit else _bits(lead)
-            step = _bits(c) + rbound
-            if max(bound + grow, step) >= limit:
-                # the tracked bound may be loose: take it from the digits
-                bound = max((_bits(_unpack(p, w)) for p in vec.values()),
-                            default=0)
-                if max(bound + grow, step) >= limit:
+            if lead == (1,):
+                tz = ((cp & -cp).bit_length() - 1) // w
+                if tz:
+                    cp >>= w * tz
+                unit = True
+                grow = 0
+                step = own + rbound
+            else:
+                c = _unpack(cp, w)
+                tz = 0
+                while not c[tz]:
+                    tz += 1
+                if tz:
+                    c = c[tz:]
+                # vec := lead' vec - c' q^(tz - lshift) rest, where lead'
+                # and c' are lead and c over their gcd in Z[q]
+                if len(lead) > 1:
+                    g = _pgcd(lead, c)
+                    if g != (1,):
+                        lead = _pdivexact(lead, g)
+                        c = _pdivexact(c, g)
+                if lcont != 1:
+                    g = math.gcd(lcont, *c)
+                    if g != 1:
+                        lead = tuple(x // g for x in lead)
+                        c = tuple(x // g for x in c)
+                cp = _pack(c, w)
+                unit = lead == (1,)
+                grow = 0 if unit else _bits(lead)
+                step = _bits(c) + rbound
+            hi = max(top + grow, step)
+            if hi >= limit:
+                # the tracked bounds may be loose: take them from the digits
+                bounds = {k: _bits(_unpack(p, w)) for k, p in vec.items()}
+                off = 0
+                top = max(bounds.values(), default=0)
+                step = _bits(_unpack(cp, w)) + rbound
+                hi = max(top + grow, step)
+                if hi >= limit:
                     raise _TooWide
-            bound = max(bound + grow, step) + 1
+            off += grow
+            sb = step - off
+            hi -= off
             e = tz - lshift
             m = 1 if unit else _pack(lead, w)
             if e < 0:  # lower the frame so that rest lines up with vec
@@ -448,19 +484,26 @@ class Triangular:
                 vec = {k: p * m for k, p in vec.items()}
             if not unit:
                 den = _pmul(den, lead)
-            nc = -(_pack(c, w) << (w * e))
+            nc = -(cp << (w * e))
             for k, r in rest.items():
                 cur = vec.get(k)
                 if cur is None:
                     vec[k] = nc * r
+                    bounds[k] = sb
                     if k in pivots or derive and derive(k):
                         insort(todo, (sortkey(k), k))
                 else:
                     s = cur + nc * r
                     if s:
                         vec[k] = s
+                        b = bounds.get(k, base)
+                        b = (b if b > sb else sb) + 1
+                        bounds[k] = b
+                        if b > hi:
+                            hi = b
                     else:
                         del vec[k]
+            top = hi + off
             if hit in vec:  # the step cancels the pivot key by construction
                 raise AssertionError("reduction failed to clear pivot key")
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from redouble import linalg
 from redouble.linalg import (_WIDTH, Triangular, _pack, _unpack, coordinates,
                              mat_mul, traced, vec_add_scaled)
 from redouble.ncengine import Gen, NCElement
@@ -187,14 +188,93 @@ def test_wide_coefficients_match_field_elimination(param):
         _check_same_remainders(tri.reduce(dict(probe)), ref.reduce(probe))
 
 
+@pytest.mark.parametrize("width", [4, 6, 8])
+def test_narrow_digits_give_the_field_remainders(monkeypatch, width):
+    # digits of 4 to 8 bits overflow within a few steps, so the per-entry
+    # bounds, their recompute from the digits and the widening all run on
+    # small systems of unit and non-unit leads
+    monkeypatch.setattr(linalg, "_WIDTH", width)
+    widened = 0
+    for seed in range(4):
+        param = "qh"[seed % 2]
+        rng = random.Random(f"narrow:{width}:{seed}")
+        keys = list(range(10))
+        tri, ref = Triangular(), FieldTriangular(lambda k: k)
+        # a first row with the non-monic lead 2q^2+3 at the largest key, 9
+        first = {9: Scalar.laurent({2: 2, 0: 3}, param),
+                 0: Scalar.from_fraction("1/6", param)}
+        for vec in [first] + _system(rng, param, keys, 10, mixed=True):
+            assert tri.insert(vec) == ref.insert(vec)
+            for probe in _system(rng, param, keys, 3, mixed=True):
+                _check_same_remainders(tri.reduce(dict(probe)),
+                                       ref.reduce(probe))
+        widened += tri._width > width
+    assert widened
+
+
 def test_a_loose_bound_is_recomputed_before_widening():
-    # reducing {79: 1} takes 79 unit steps; the tracked bound gains a bit
-    # at each, while every digit stays ±1 and fits the first width
+    # reducing {79: 1} takes 79 unit steps along a chain; each step's new
+    # entry carries its own bound, and every digit stays ±1
     tri = Triangular()
     for i in range(79, 0, -1):
         assert tri.insert({i: ONE, i - 1: -ONE}) == i
     assert tri.reduce({79: ONE}) == {0: ONE}
     assert tri._width == _WIDTH
+
+
+@pytest.mark.parametrize("c, widens", [(1, False), (2 ** 60, True)],
+                         ids=["1", "2^60"])
+def test_an_entry_touched_by_many_unit_steps(c, widens):
+    # 79 unit steps each add c to entry 0: its tracked bound gains a bit at
+    # each until it nears the width; the digits then show 7 bits for c = 1,
+    # and 67 bits, too many for one digit, for c = 2^60
+    tri = Triangular()
+    for i in range(1, 80):
+        assert tri.insert({i: ONE, 0: Scalar.from_int(-c)}) == i
+    assert tri.reduce({i: ONE for i in range(1, 80)}) == \
+        {0: Scalar.from_int(79 * c)}
+    assert (tri._width > _WIDTH) == widens
+
+
+def test_a_coefficient_doubling_along_a_unit_chain_widens():
+    # each of the 79 unit steps passes twice its coefficient to a new entry,
+    # whose bound is the coefficient's plus the row's: 2^79 needs a wider
+    # digit
+    tri = Triangular()
+    for i in range(79, 0, -1):
+        assert tri.insert({i: ONE, i - 1: Scalar.from_int(-2)}) == i
+    assert tri.reduce({79: ONE}) == {0: Scalar.from_int(2 ** 79)}
+    assert tri._width > _WIDTH
+
+
+@pytest.mark.parametrize("rows, probe", [
+    # the lead 15 scales entry 1 (2^30), which no step touched, before a
+    # unit step clears it into entry 0 through 2^30 more bits
+    ([{2: 15, 0: 1}, {1: 1, 0: -2 ** 30}], {2: 1, 1: 2 ** 30}),
+    # a unit step makes entry 1 (2^60), which the lead 15 then scales
+    ([{3: 1, 1: -2 ** 60}, {2: 15, 0: 1}], {3: 1, 2: 1}),
+], ids=["scaled-then-cleared", "made-then-scaled"])
+def test_a_non_unit_lead_scales_every_tracked_bound(rows, probe):
+    # either way the remainder has a 64-bit coefficient over 15
+    tri, ref = Triangular(), FieldTriangular(lambda k: k)
+    for row in rows:
+        vec = {k: Scalar.from_int(c) for k, c in row.items()}
+        assert tri.insert(vec) == ref.insert(vec)
+    assert tri._width == _WIDTH
+    probe = {k: Scalar.from_int(c) for k, c in probe.items()}
+    _check_same_remainders(tri.reduce(dict(probe)), ref.reduce(probe))
+    assert tri._width > _WIDTH
+
+
+def test_unit_steps_read_no_digits(count_calls):
+    # the 79 unit steps of the chain leave every coefficient packed: the
+    # one unpack is the remainder's
+    tri = Triangular()
+    for i in range(79, 0, -1):
+        tri.insert({i: ONE, i - 1: -ONE})
+    calls = count_calls(_unpack)
+    assert tri.reduce({79: ONE}) == {0: ONE}
+    assert calls == [(1, _WIDTH)]
 
 
 def test_one_triangular_takes_one_parameter():
