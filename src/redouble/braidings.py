@@ -52,10 +52,6 @@ class TensorOperator:
                 rows.setdefault(r, {})[c] = v
         return cls(dim, arity, rows)
 
-    def entry(self, r, c) -> Scalar:
-        v = self.rows.get(r, {}).get(c)
-        return v if v is not None else ONE - ONE
-
     # -- ring operations ------------------------------------------------------
 
     def _check(self, other):

@@ -5,9 +5,10 @@ mapping each adjacent pair (a-letter, b-letter) to its reordered form, a
 linear combination of words b'·a', b', a' and constants.  The table is not
 typed in by hand: it is extracted from the defining matrix relation of each
 kind by solving the linear system the relation imposes on generator pairs.
-Mixed words are canonicalized by moving every b-letter left of every
-a-letter (leftmost pair first), then reducing the two blocks by their own
-ideals; the counit of A turns ordering into an action of A on B.
+A double reduces in one certified presentation (presentation): the A-
+and B-relations plus an exchange row a·b - sigma(a, b) per pair, whose
+normal words are B-words times A-words, as A-letters rank above
+B-letters.  The counit of A turns ordering into an action of A on B.
 
 The action never orders a whole product.  A word acts letter by letter,
 from its last letter to its first: a b-letter multiplies on the left, and
@@ -22,9 +23,9 @@ act_each acts with each of several elements on a list of targets: it
 loads every element and every target once, in the braiding's parameter,
 multiplies them on packed integers, and makes Scalars only for the
 entries of the results; act_mixed is that call with one element and one
-target.  The ordering route stays as binormal_form's canonicalization
-and as an independent reference for the action (act_by_ordering),
-sharing only the rule table with it.
+target.  Normal ordering (every b-letter moved left of every a-letter,
+leftmost pair first) stays as an independent reference for the action
+(act_by_ordering), sharing only the rule table with it.
 
 A slotwise action operator (action_operator) normal-forms each B-word
 of degree <= k once and loads those normal forms into one packed table,
@@ -48,6 +49,7 @@ derivative, d, n for the shifted derivatives, and l, x for vector.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 from typing import Iterable
 
@@ -60,6 +62,7 @@ from .ncengine import (
     MatrixOverAlgebra,
     NCElement,
     QuadraticPresentation,
+    _letter_key,
     free_presentation,
     matrix_generators,
     re_presentation,
@@ -122,6 +125,9 @@ class QuantumDouble:
         for rel in a_pres.relations:
             if not self.counit(rel).is_zero():
                 raise DoubleError("counit does not annihilate the A-relations")
+        if any(_letter_key(ga) <= _letter_key(gb)
+               for ga in a_pres.generators for gb in b_pres.generators):
+            raise DoubleError("an A-letter does not rank above every B-letter")
 
     # -- counit ------------------------------------------------------------
 
@@ -184,27 +190,21 @@ class QuantumDouble:
                 raise DoubleError("word is not normal-ordered")
         return w[:cut], w[cut:]
 
-    def binormal_form(self, x: NCElement) -> NCElement:
-        """Normal order, then reduce the B-block and A-block by their ideals.
+    @functools.cached_property
+    def presentation(self) -> QuadraticPresentation:
+        """The A- and B-relations and the exchange rows a·b - sigma(a, b),
+        on the B- and A-letters; its certificate (ensure(3)) is the
+        double's ideal compatibility."""
+        return QuadraticPresentation(
+            self.b_pres.generators + self.a_pres.generators,
+            self.a_pres.relations + self.b_pres.relations
+            + [NCElement.word(pair) - img
+               for pair, img in self.rule.table.items()],
+            name=f"double({self.kind}, dim={self.braiding.dim})")
 
-        Each stage reduces whole vectors: the A-blocks beside one B-block,
-        then the B-blocks beside one reduced A-word.
-        """
-        by_b: dict = {}
-        for w, c in self.normal_order(x).terms.items():
-            bw, aw = self.split_word(w)
-            by_b.setdefault(bw, {})[aw] = c
-        by_a: dict = {}
-        for bw, avec in by_b.items():
-            nfa = self.a_pres.normal_form(NCElement(avec))
-            for wa, ca in nfa.terms.items():
-                by_a.setdefault(wa, {})[bw] = ca
-        out: dict = {}
-        for wa, bvec in by_a.items():
-            nfb = self.b_pres.normal_form(NCElement(bvec))
-            for wb, cb in nfb.terms.items():
-                out[wb + wa] = cb
-        return NCElement(out)
+    def binormal_form(self, x: NCElement) -> NCElement:
+        """The normal form of x in the double's presentation."""
+        return self.presentation.normal_form(x)
 
     def substituted(self, value) -> "QuantumDouble":
         """The same kind of double built over the braiding at value.

@@ -126,9 +126,9 @@ def spectral_char_trl(shape: tuple, braiding: Braiding) -> Scalar:
     if len([p for p in shape if p]) > n:
         raise ValueError("partition has more parts than the matrix size")
     q = braiding.q
-    v = q - q.inverse()
     boxes = content_sum_power(shape, q)
-    return braiding.trace_form().dimension_value() - v * q ** (-2 * n) * boxes
+    return braiding.trace_form().dimension_value() \
+        - braiding.nu * q ** (-2 * n) * boxes
 
 
 class SpectralCharacter:
@@ -268,8 +268,6 @@ def verify_character_consistency(braiding: Braiding,
     """
     report = VerificationReport(
         "conjecture", {"max_boxes": max_boxes, "n": braiding.dim})
-    q = braiding.q
-    v = q - q.inverse()
     for size in range(1, max_boxes + 1):
         for shape in partitions(size, braiding.dim):
             label = _shape_label(shape)
@@ -279,7 +277,7 @@ def verify_character_consistency(braiding: Braiding,
             report.add(f"e1-{label}", anchor("character-e1-consistency"),
                        e1 == trl,
                        None if e1 == trl else f"{e1.text()} vs {trl.text()}")
-            link = all(m == ONE - v * mh
+            link = all(m == ONE - braiding.nu * mh
                        for m, mh in zip(char.mu, char.mu_hat))
             report.add(f"shift-link-{label}", anchor("character-mu-shift"),
                        link, None if link else "linear shift link broken")

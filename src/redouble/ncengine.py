@@ -2,8 +2,9 @@
 
 Words are tuples of generator symbols; elements are {word: Scalar} maps
 including the empty word for constants.  Words are ordered graded
-lexicographically, with letters compared by tag, then by descending row,
-then by column (word_sortkey); the largest word of an element leads.
+lexicographically, with letters compared by tag (z lowest), then by
+descending row, then by column (word_sortkey); the largest word of an
+element leads.  Every algebra, a double too, reduces in a presentation.
 
 A presentation holds relations whose leading (top-degree) parts are
 quadratic, plus lower-degree tails (the inhomogeneous reflection-equation
@@ -67,17 +68,18 @@ class Gen(NamedTuple):
 
 @functools.cache
 def _letter_key(g: Gen) -> tuple:
-    """A letter's place in the word order: tag, then -row, then col."""
-    return (g.tag, -g.row, g.col)
+    """A letter's place in the word order: -ord(tag), then -row, then col."""
+    return (-ord(g.tag), -g.row, g.col)
 
 
 def word_sortkey(word: tuple):
     """Graded lexicographic order; the largest word is the leading one.
 
-    Letters compare by tag, then by descending row, then by column.  Under
-    this order the degree-2 relation rows of every presentation built here
-    certify (QuadraticPresentation.ensure); under (row, col) the plain
-    reflection-equation algebra does not.
+    Letters compare by one-letter tag (z lowest), then by descending row,
+    then by column.  Under this order the degree-2 relation rows of every
+    presentation built here certify (QuadraticPresentation.ensure); under
+    (row, col) the plain reflection-equation algebra does not.  A-tags
+    (d, l) rank above B-tags (m, n, u, x): a double's a·b lead its rows.
     """
     return (len(word), tuple(map(_letter_key, word)))
 

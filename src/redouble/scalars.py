@@ -280,9 +280,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == (1,) and self.shift == 0
-
     def _parameter_free(self) -> bool:
         # A rational constant: its parameter is a label, not a value.
         return self.shift == 0 and len(self.num) <= 1 and len(self.den) == 1

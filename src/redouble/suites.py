@@ -13,7 +13,6 @@ and `_sampled` runs a verifier once per parameter point.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +31,7 @@ from .invariants import (SpectralCharacter, elementary_symmetric, power_sum,
                          verify_character_consistency, verify_spectrum,
                          verify_spectrum_operator)
 from .linalg import first_nonzero
-from .ncengine import NCElement, matrix_generators
+from .ncengine import NCElement, PresentationError, matrix_generators
 from .reports import VerificationReport
 from .scalars import ONE, Scalar
 from .u2h import (classical_limit_report, compact_presentation,
@@ -331,13 +330,11 @@ def doubles_suite(config: SuiteConfig) -> VerificationReport:
                 witness = f"({g1!r}, {g2!r}, {'·'.join(map(repr, word))})"
         report.add(f"representation-{kind}", anchor("double-representation"),
                    witness is None, witness)
-        products = itertools.chain(
-            ((f"A-relation {i} · {g}", rel * NCElement.generator(g))
-             for i, rel in enumerate(d.a_pres.relations) for g in b_gens),
-            ((f"{g} · B-relation {i}", NCElement.generator(g) * rel)
-             for i, rel in enumerate(d.b_pres.relations) for g in a_gens))
-        witness = next((name for name, x in products
-                        if not d.binormal_form(x).is_zero()), None)
+        witness = None
+        try:
+            d.presentation.ensure(3)
+        except PresentationError as err:
+            witness = str(err)
         report.add(f"ideal-compatibility-{kind}",
                    anchor("double-ideal-compatibility"), witness is None,
                    witness)

@@ -60,7 +60,7 @@ def _shift_substitution_residual(braiding: Braiding, h: Scalar):
     """
     r = braiding.op
     dim = braiding.dim
-    v = braiding.q - braiding.q.inverse()
+    v = braiding.nu
     d1 = MatrixOverAlgebra.generator_matrix("d", dim, 2, 1)
     n1 = MatrixOverAlgebra.generator_matrix("n", dim, 2, 1)
     ident = MatrixOverAlgebra.identity(dim, 2)
@@ -83,7 +83,7 @@ def h_shifted_double(braiding: Braiding, h: Scalar) -> QuantumDouble:
     to the plain derivative double; a mismatch raises DoubleError.
     """
     double = make_double(braiding, "derivative_shifted", h=h)
-    if not (braiding.q - braiding.q.inverse()).is_zero():
+    if not braiding.nu.is_zero():
         mixed_residual, quad_residual = \
             _shift_substitution_residual(braiding, h)
         if not (mixed_residual.is_zero() and quad_residual.is_zero()):

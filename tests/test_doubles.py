@@ -12,6 +12,7 @@ from redouble import doubles
 from redouble.braidings import TensorOperator, flip, standard_hecke
 from redouble.doubles import (
     DoubleError,
+    PermutationRule,
     QuantumDouble,
     _defining_relation,
     _extract_rule,
@@ -27,7 +28,9 @@ from redouble.heckerep import jucys_murphy_inverse
 from redouble.invariants import elementary_symmetric, power_sum
 from redouble.linalg import (_WIDTH, _unpack, accumulate, coordinates,
                              vec_add_scaled)
-from redouble.ncengine import Gen, MatrixOverAlgebra, NCElement, matrix_generators
+from redouble.ncengine import (Gen, MatrixOverAlgebra, NCElement,
+                               PresentationError, free_presentation,
+                               matrix_generators)
 from redouble.scalars import ONE, ZERO, MixedParameterError, Scalar, nu
 from redouble.suites import _DOUBLE_KINDS, parameter_points
 
@@ -475,12 +478,19 @@ def _per_word_binormal_form(d, x):
     return out
 
 
-@pytest.mark.parametrize("kind", _DOUBLE_KINDS)
-def test_binormal_form_equals_the_per_word_route(kind):
+def _kind_double(n, kind):
+    """make_double(standard_hecke(n), kind), derivative_shifted at 7/3."""
     kwargs = {"h": Scalar.from_fraction("7/3")} \
         if kind == "derivative_shifted" else {}
-    d = make_double(standard_hecke(2), kind, **kwargs)
-    a_gens = matrix_generators(d.a_tag, 2)
+    return make_double(standard_hecke(n), kind, **kwargs)
+
+
+@pytest.mark.parametrize("n, kind", [
+    *(pytest.param(2, kind, id=kind) for kind in _DOUBLE_KINDS),
+    pytest.param(3, "left_shifted", id="left_shifted-n3")])
+def test_binormal_form_equals_the_per_word_route(n, kind):
+    d = _kind_double(n, kind)
+    a_gens = matrix_generators(d.a_tag, n)
     b_gens = sorted(d.b_pres.generators)
     q = q_scalar()
     coeffs = [ONE, -ONE, q, Scalar.from_fraction("1/2"),
@@ -503,6 +513,34 @@ def test_binormal_form_equals_the_per_word_route(kind):
             d.split_word(w)  # raises unless B-letters precede A-letters
     assert any(d.binormal_form(x).is_zero() for x in elements)
     assert not all(d.binormal_form(x).is_zero() for x in elements)
+
+
+@pytest.mark.parametrize("n, kind", [(n, kind) for n in (2, 3)
+                                     for kind in _DOUBLE_KINDS])
+def test_every_double_presentation_certifies(n, kind):
+    d = _kind_double(n, kind)
+    d.presentation.ensure(3)  # raises PresentationError unless flat
+    assert len(d.presentation.relations) == len(d.a_pres.relations) + \
+        len(d.b_pres.relations) + len(d.rule.table)
+
+
+@pytest.mark.parametrize("kind", _DOUBLE_KINDS)
+def test_a_spoiled_rule_entry_fails_certification(kind):
+    d = _kind_double(2, kind)
+    pair, img = next(iter(d.rule.table.items()))
+    d.rule.table[pair] = img + NCElement.word(*next(iter(img.terms.items())))
+    with pytest.raises(PresentationError, match="is not certified"):
+        d.presentation.ensure(3)
+
+
+def test_a_letters_must_rank_above_b_letters():
+    # tag m ranks below tag l, so m·l would not lead its exchange row
+    a_pres = free_presentation(matrix_generators("m", 2))
+    b_pres = free_presentation(matrix_generators("l", 2))
+    with pytest.raises(DoubleError, match="rank above"):
+        QuantumDouble(standard_hecke(2), "swapped", a_pres, b_pres,
+                      PermutationRule("m", "l", {}),
+                      {g: ZERO for g in a_pres.generators})
 
 
 

@@ -150,7 +150,7 @@ def test_default_parameter_constants_in_laurent_rows():
                   {3: h, 2: ONE}, {3: Scalar.power(-2, "h"), 1: ONE}):
         got = tri.reduce(dict(probe))
         _check_same_remainders(got, ref.reduce(probe))
-        assert all(v.param == "h" or v.is_constant() for v in got.values())
+        assert all(v.param == "h" for v in got.values())
     assert tri.reduce({1: ONE}) == {0: -h}
 
 

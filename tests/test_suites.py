@@ -108,8 +108,17 @@ def test_doubles_suite_names_the_first_failure(monkeypatch, check):
         calls = _spoil(monkeypatch, "act_by_ordering",
                        lambda real, self, x, b: real(self, x, b) + b)
     else:
-        _spoil(monkeypatch, "binormal_form",
-               lambda real, self, x: NCElement.constant(ONE))
+        build = suites.make_double
+
+        def spoiled_double(*args, **kwargs):
+            # one exchange-rule entry gains its image's first term again
+            d = build(*args, **kwargs)
+            pair, img = next(iter(d.rule.table.items()))
+            d.rule.table[pair] = img + NCElement.word(*next(iter(
+                img.terms.items())))
+            return d
+
+        monkeypatch.setattr(suites, "make_double", spoiled_double)
     report = run_suite(SuiteConfig("doubles", n=2, seed=5))
     checks = {c["id"]: c for c in report.checks}
     failed = checks.pop(f"{check}-left")
@@ -125,7 +134,8 @@ def test_doubles_suite_names_the_first_failure(monkeypatch, check):
         assert failed["witness"] == \
             f"({a1}, {a2}, {'·'.join(map(repr, word))})"
     else:
-        assert failed["witness"] == "A-relation 0 · m11"
+        assert failed["witness"].startswith(
+            "double(left, dim=2) is not certified: the overlap (")
 
 
 def _spoiled_report(monkeypatch, check):
