@@ -4,9 +4,12 @@ A braiding here is an invertible operator R on V (x) V satisfying the braid
 relation R1 R2 R1 = R2 R1 R2 on V^3 together with the quadratic condition
 R^2 = I + (q - q^-1) R.  The flip is the q = 1 case.  Operators on tensor
 powers are stored sparsely as {row multi-index: {col multi-index: Scalar}}
-with 1-based index tuples, and composed, added and traced by the
-linalg sparse-matrix functions; columns hold images of basis vectors, so
-(R X R^-1) composes left to right as matrix multiplication.
+with 1-based index tuples, and added and traced by the linalg
+sparse-matrix functions.  They compose on packed Laurent integers
+(linalg.packed_mat_mul): each operator keeps its packed load, so an
+operator used in many products is read from its Scalars once.  Columns
+hold images of basis vectors, so (R X R^-1) composes left to right as
+matrix multiplication.
 
 The weighted trace uses the diagonal form C = diag(q^(1-2i)); the braided
 copies X over/under a slot are R-conjugates and the defining property is
@@ -20,19 +23,28 @@ import copy
 import itertools
 import operator
 
-from .linalg import Triangular, mat_add, mat_map, mat_mul, partial_trace
+from .linalg import (Triangular, mat_add, mat_map, packed_mat_mul,
+                     partial_trace)
 from .scalars import ONE, ZERO, Scalar
 
 
 class TensorOperator:
-    """Sparse exact operator on the arity-fold tensor power of Q(q)^dim."""
+    """Sparse exact operator on the arity-fold tensor power of Q(q)^dim.
 
-    __slots__ = ("dim", "arity", "rows")
+    `rows` is filled before construction and never mutated after it:
+    `_load` keeps the packed integers of `rows` for composition
+    (linalg.packed_mat_mul), filled by the operator's first product or
+    handed over by the product that built the operator (one whose
+    denominator is an integer).
+    """
+
+    __slots__ = ("dim", "arity", "rows", "_load")
 
     def __init__(self, dim: int, arity: int, rows: dict | None = None):
         self.dim = dim
         self.arity = arity
         self.rows = rows if rows is not None else {}
+        self._load = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -73,8 +85,11 @@ class TensorOperator:
     def __mul__(self, other):
         """Composition self . other (apply other first)."""
         self._check(other)
-        return TensorOperator(self.dim, self.arity,
-                              mat_mul(self.rows, other.rows, operator.mul))
+        rows, load, self._load, other._load = packed_mat_mul(
+            self.rows, self._load, other.rows, other._load)
+        out = TensorOperator(self.dim, self.arity, rows)
+        out._load = load
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, TensorOperator):

@@ -202,9 +202,15 @@ def skew_symmetrizer(b: Braiding, k: int) -> TensorOperator:
     A^(1) = I and
     A^(k) = (1/k_q) A^(k-1) (q^(k-1) I - (k-1)_q R_{k-1}) A^(k-1)
     with the previous symmetrizer lifted to the first k-1 slots.
+    Memoized on the braiding.
     """
     if k < 1:
         raise ValueError("k >= 1")
+    return memoized(b, ("skew_symmetrizer", k),
+                    lambda: _build_skew_symmetrizer(b, k))
+
+
+def _build_skew_symmetrizer(b: Braiding, k: int) -> TensorOperator:
     cur = TensorOperator.identity(b.dim, 1)
     for m in range(2, k + 1):
         prev = cur.embed(m, 1)

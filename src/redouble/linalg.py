@@ -5,11 +5,13 @@ hashable (index tuples, words).  Reduction picks the largest key under a
 caller-supplied sort key as the leading entry, so the same machinery serves
 operator rank computations and graded-lexicographic ideal reduction.
 
-Sparse matrices are rows {row index: {col index: entry}}.  Their one
+Sparse matrices are rows {row index: {col index: entry}}.  Their
 product, entrywise sum, entry map, weighted partial trace, traced
 product (the one full trace: it forms only the diagonal of left . right)
 and first-nonzero witness live here, shared by braidings.TensorOperator
-(Scalar entries) and ncengine.MatrixOverAlgebra (algebra entries).
+(Scalar entries) and ncengine.MatrixOverAlgebra (algebra entries).  The
+generic product `mat_mul` serves algebra entries and mixed products; two
+Scalar operators compose on packed integers (`packed_mat_mul`).
 
 `Triangular` is the only elimination, and `coordinates` the only solve:
 it writes a vector in the span of independent rows as their combination,
@@ -28,8 +30,12 @@ coefficient, scales the working vector by the lead over its gcd with it
 (one small polynomial gcd per step, none per entry), and remembers the
 scale.
 
-This module is the one owner of the packed format, which the counit
-action of a double (`doubles._PackedAction`) runs on too.  Scalars
+This module is the one owner of the packed format.  Three users run on
+it: `Triangular`, the counit action of a double (`doubles._PackedAction`)
+and the operator product `packed_mat_mul`, which loads each operator
+once (`_load_matrix`), forms every entry of a product as one integer
+multiply-accumulate and hands a product with an integer denominator its
+packed rows.  Scalars
 enter through one loader, `_pack_vector`: it checks the parameter,
 clears non-constant denominators by `scalars.laurent_multiplier` and
 integer ones by their lcm, packs, and bounds the result.  They leave
@@ -352,6 +358,85 @@ def _packed_sum(parts: list, w: int) -> tuple:
             cur = out.get(k)
             out[k] = m * p if cur is None else cur + m * p
     return frame, {k: p for k, p in out.items() if p}, bound
+
+
+def _load_matrix(rows: dict, load, w: int) -> tuple:
+    """The load (w, param, frame, packed rows, den, bound) of Scalar rows.
+
+    rows = q^frame · packed / den, read by _pack_vector over the (row,
+    col) entries.  load is None or an earlier load of the same rows at a
+    width <= w, which is repacked, as Triangular._widen does, rather
+    than read again.  Raises _TooWide as _pack_vector does.
+    """
+    if load is None:
+        param, frame, packed, den, bound = _pack_vector(
+            {(r, c): v for r, cs in rows.items() for c, v in cs.items()},
+            w, None)
+        prows: dict = {}
+        for (r, c), p in packed.items():
+            prows.setdefault(r, {})[c] = p
+        return w, param, frame, prows, den, bound
+    lw, param, frame, prows, den, bound = load
+    if lw == w:
+        return load
+    prows = {r: {c: _pack(_unpack(p, lw), w) for c, p in cs.items()}
+             for r, cs in prows.items()}
+    return w, param, frame, prows, den, bound
+
+
+def packed_mat_mul(left: dict, left_load, right: dict, right_load) -> tuple:
+    """mat_mul(left, right, operator.mul) of Scalar rows, on packed integers.
+
+    Each operand goes in with its load: None, or the one an earlier call
+    returned for the same rows (rows must not change once loaded).
+    Returns (rows, load, left load, right load), the loads at the width
+    of this product.  Every output entry is one integer multiply-
+    accumulate, bounded by the factors' bounds plus _spread of the
+    longest left row, and every output row leaves through one
+    _unpack_vector.  The product's load is handed over unreduced (den
+    the factors' dens multiplied, bound this product's) when den is an
+    integer, and is None otherwise: a polynomial den would grow along a
+    chain of products, and the canonical rows load to a smaller one.  A
+    bound past w - 2 doubles the width and restarts.  Operands in two
+    parameters raise MixedParameterError.
+    """
+    loads = [x[0] for x in (left_load, right_load) if x is not None]
+    w = max(loads, default=_WIDTH)
+    while True:
+        try:
+            left_load = _load_matrix(left, left_load, w)
+            right_load = left_load if right is left else \
+                _load_matrix(right, right_load, w)
+            _, lp, lf, lrows, ld, lb = left_load
+            _, rp, rf, rrows, rd, rb = right_load
+            if lp and rp and lp != rp:
+                raise MixedParameterError(f"{lp!r} vs {rp!r}")
+            bound = lb + rb + _spread(max(map(len, lrows.values()),
+                                          default=1))
+            if bound > w - 2:
+                raise _TooWide
+            break
+        except _TooWide:
+            w *= 2
+    param = lp or rp
+    frame = lf + rf
+    den = _pmul(ld, rd)
+    rows: dict = {}
+    packed: dict = {}
+    for r, cs in lrows.items():
+        acc: dict = {}
+        for k, a in cs.items():
+            mid = rrows.get(k)
+            if mid:
+                for c, b in mid.items():
+                    cur = acc.get(c)
+                    acc[c] = a * b if cur is None else cur + a * b
+        acc = {c: p for c, p in acc.items() if p}
+        if acc:
+            packed[r] = acc
+            rows[r] = _unpack_vector(param or "q", frame, acc, w, (den,))
+    load = (w, param, frame, packed, den, bound) if len(den) == 1 else None
+    return rows, load, left_load, right_load
 
 
 class Triangular:

@@ -12,7 +12,8 @@ from redouble import braidings, doubles, suites
 from redouble.braidings import standard_hecke
 from redouble.cli import main
 from redouble.doubles import action_operator, make_double
-from redouble.heckerep import standard_tableaux, young_idempotent
+from redouble.heckerep import (skew_symmetrizer, standard_tableaux,
+                               young_idempotent)
 from redouble.ncengine import Gen, NCElement
 from redouble.scalars import ONE, Scalar
 from redouble.suites import SuiteConfig, clear_caches, run_all, run_suite
@@ -79,6 +80,22 @@ def test_a_second_young_idempotent_is_the_same_object():
     assert fresh is not b and fresh.memo == {}
     assert young_idempotent(fresh, t) is not first
     assert young_idempotent(fresh, t) == first
+
+
+def test_a_second_skew_symmetrizer_is_the_same_object():
+    clear_caches()
+    b = standard_hecke(2)
+    first = skew_symmetrizer(b, 2)
+    assert skew_symmetrizer(b, 2) is first
+    assert skew_symmetrizer(b, 3) is not first
+    assert _memo_keys(b, "skew_symmetrizer") == [("skew_symmetrizer", 2),
+                                                 ("skew_symmetrizer", 3)]
+    # a product keeps the symmetrizer's packed load with it
+    assert (first * first) == first and first._load is not None
+    clear_caches()
+    fresh = standard_hecke(2)
+    assert skew_symmetrizer(fresh, 2) is not first
+    assert skew_symmetrizer(fresh, 2) == first
 
 
 def test_shared_idempotents_leave_row_reports_unchanged():

@@ -1,7 +1,7 @@
 """Fraction-free elimination gives the remainders of field elimination,
 also when coefficients outgrow one packed digit, `coordinates` solves
-in the span of independent rows, and `traced` sums the weighted diagonal
-of a product."""
+in the span of independent rows, `traced` sums the weighted diagonal
+of a product, and the packed operator product is the Scalar one."""
 
 from __future__ import annotations
 
@@ -13,8 +13,10 @@ from fractions import Fraction
 import pytest
 
 from redouble import linalg
-from redouble.linalg import (_WIDTH, Triangular, _pack, _unpack, coordinates,
-                             mat_mul, traced, vec_add_scaled)
+from redouble.braidings import TensorOperator, standard_hecke
+from redouble.linalg import (_WIDTH, Triangular, _pack, _pack_vector,
+                             _unpack, coordinates, mat_mul, packed_mat_mul,
+                             traced, vec_add_scaled)
 from redouble.ncengine import Gen, NCElement
 from redouble.scalars import ONE, MixedParameterError, Scalar, _pgcd
 
@@ -459,3 +461,158 @@ def test_traced_without_a_diagonal_entry_is_zero():
     assert traced({(1,): {(2,): x}}, {(2,): {(2,): y}}, weights,
                   operator.mul, zero) is zero
     assert traced({}, {(1,): {(1,): y}}, weights, operator.mul, zero) is zero
+
+
+# ---------------------------------------------------------------------------
+# The packed operator product against mat_mul over Scalars
+
+
+def _check_same_product(got: dict, left: dict, right: dict):
+    want = mat_mul(left, right, operator.mul)
+    assert got == want
+    for r, cs in want.items():
+        for c, v in cs.items():
+            assert got[r][c].text() == v.text(), (r, c)
+
+
+def _random_rows(rng, param, keys, density=0.4):
+    """Sparse rows with ±q^k, rationals, Laurent and rational entries."""
+    rows: dict = {}
+    for r in keys:
+        row = {c: _scalar(rng, param) for c in keys
+               if rng.random() < density}
+        if row:
+            rows[r] = row
+    return rows
+
+
+@pytest.mark.parametrize("param", ["q", "h"])
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_product_is_the_scalar_product(param, seed):
+    # entries with negative shifts and non-constant denominators, and
+    # sums that cancel
+    rng = random.Random(f"product:{param}:{seed}")
+    keys = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    left = _random_rows(rng, param, keys)
+    right = _random_rows(rng, param, keys)
+    rows, load, left_load, right_load = packed_mat_mul(left, None,
+                                                       right, None)
+    _check_same_product(rows, left, right)
+    assert left_load[1] == right_load[1] == param
+    assert any(len(v.den) > 1 for cs in left.values() for v in cs.values())
+    assert load is None  # its denominator is a polynomial
+    assert any(v.shift < 0 for cs in right.values() for v in cs.values())
+    # the same loads give the same product again, read from no Scalar
+    again = packed_mat_mul(left, left_load, right, right_load)
+    assert again[0] == rows and again[2] is left_load
+    # a square reads its one operand once
+    square = packed_mat_mul(left, None, left, None)
+    _check_same_product(square[0], left, left)
+    assert square[2] is square[3]
+
+
+def test_constant_operators_multiply_as_constants():
+    op = standard_hecke(2).op.substituted(Fraction(7, 3))
+    other = (op + TensorOperator.identity(2, 2)).substituted(1)
+    prod = op * other
+    _check_same_product(prod.rows, op.rows, other.rows)
+    assert prod._load[1] is None
+    assert prod.rows[(1, 1)][(1, 1)] == Scalar.from_fraction(Fraction(70, 9))
+    # the entries q = 7/3 and q - 1/q = 40/21 clear by 21 in each factor,
+    # and the handed-over load keeps the integer denominator 21·21
+    assert prod._load[4] == (441,)
+    _check_same_product((prod * op).rows, prod.rows, op.rows)
+
+
+def test_empty_operators_compose_to_empty():
+    op = standard_hecke(2).op
+    empty = TensorOperator(2, 2, {})
+    assert (empty * op).is_zero() and (op * empty).is_zero()
+    assert (empty * empty).is_zero()
+    assert packed_mat_mul({}, None, {}, None)[0] == {}
+
+
+@pytest.mark.parametrize("huge", [False, True], ids=["product", "operand"])
+def test_wide_coefficients_widen_the_product(huge):
+    # each factor fits one 64-bit digit and their product does not, or an
+    # operand's coefficient 2^70 does not; the narrower load is repacked,
+    # not read from the Scalars again
+    q = Scalar.var("q")
+    big = Scalar.from_int(2 ** 40 + 1) * q - Scalar.from_int(3 * 2 ** 39)
+    left = {(1,): {(1,): big, (2,): q.inverse()},
+            (2,): {(2,): Scalar.from_fraction("1/6") * big}}
+    right = {(1,): {(1,): big}, (2,): {(1,): ONE, (2,): big * q}}
+    if huge:
+        right[(1,)][(2,)] = Scalar.from_int(2 ** 70)
+    lload = linalg._load_matrix(left, None, _WIDTH)
+    rows, load, wider, _ = packed_mat_mul(left, lload, right, None)
+    _check_same_product(rows, left, right)
+    assert load[0] > _WIDTH and wider[0] == load[0]
+    assert _unpack(wider[3][(1,)][(1,)], wider[0]) == \
+        _unpack(lload[3][(1,)][(1,)], _WIDTH)
+
+
+@pytest.mark.parametrize("width", [4, 6, 8])
+def test_narrow_digits_give_the_scalar_product(monkeypatch, width):
+    # with digits of 4 to 8 bits the bounds of loads, of products and of
+    # their sums decide the width: four products 7·7 fit one 8-bit digit,
+    # their sum 196 does not
+    monkeypatch.setattr(linalg, "_WIDTH", width)
+    seven = Scalar.from_int(7)
+    sevens = {(i,): {(j,): seven for j in range(4)} for i in range(4)}
+    rows, load, _, _ = packed_mat_mul(sevens, None, sevens, None)
+    _check_same_product(rows, sevens, sevens)
+    assert load[0] > 8
+    for seed in range(4):
+        rng = random.Random(f"narrow product:{width}:{seed}")
+        keys = list(range(6))
+        left = _random_rows(rng, "qh"[seed % 2], keys)
+        right = _random_rows(rng, "qh"[seed % 2], keys)
+        rows, load, _, _ = packed_mat_mul(left, None, right, None)
+        _check_same_product(rows, left, right)
+        _check_same_product(packed_mat_mul(rows, load, left, None)[0],
+                            rows, left)
+
+
+def test_a_chain_reuses_the_loads_a_product_hands_over(count_calls):
+    b = standard_hecke(3)
+    r1, r2 = b.at(1, 3), b.at(2, 3)
+    loads = count_calls(_pack_vector)
+    first = r1 * r2
+    assert len(loads) == 2 and first._load is not None
+    chain = first * r1
+    # r1 kept its load and first was handed its own: nothing was read
+    assert len(loads) == 2
+    _check_same_product(first.rows, r1.rows, r2.rows)
+    _check_same_product(chain.rows, first.rows, r1.rows)
+    assert chain == r2 * r1 * r2
+    # R has Laurent entries: no denominator is cleared
+    assert chain._load[4] == first._load[4] == (1,)
+
+
+def test_a_product_with_a_polynomial_denominator_hands_over_no_load(
+        count_calls):
+    b = standard_hecke(2)
+    q = b.q
+    mid = (b.op - TensorOperator.identity(2, 2).scale(q)).scale(
+        (q * q + ONE).inverse())
+    square = mid * mid
+    assert len(mid._load[4]) > 1 and square._load is None
+    loads = count_calls(_pack_vector)
+    chain = square * b.op * mid
+    # square and square . R load from their canonical rows; R and mid
+    # kept their loads
+    assert len(loads) == 2
+    _check_same_product(square.rows, mid.rows, mid.rows)
+    _check_same_product(chain.rows, mat_mul(square.rows, b.op.rows,
+                                            operator.mul), mid.rows)
+
+
+def test_operators_in_two_parameters_do_not_compose():
+    q_op = standard_hecke(2, "q").op
+    h_op = standard_hecke(2, "h").op
+    with pytest.raises(MixedParameterError):
+        q_op * h_op
+    # a constant operator carries any label
+    const = h_op.substituted(2)
+    _check_same_product((q_op * const).rows, q_op.rows, const.rows)
