@@ -6,8 +6,9 @@ R^2 = I + (q - q^-1) R.  The flip is the q = 1 case.  Operators on tensor
 powers are stored sparsely as {row multi-index: {col multi-index: Scalar}}
 with 1-based index tuples, and added and traced by the linalg
 sparse-matrix functions.  They compose on packed Laurent integers
-(linalg.packed_mat_mul): each operator keeps its packed load, so an
-operator used in many products is read from its Scalars once.  Columns
+(linalg.packed_mat_mul): each operator caches its own packed load, read
+from its Scalars once per digit width, so an operator used in many
+products is read once; a product is built from Scalar rows alone.  Columns
 hold images of basis vectors, so (R X R^-1) composes left to right as
 matrix multiplication.
 
@@ -23,19 +24,19 @@ import copy
 import itertools
 import operator
 
-from .linalg import (Triangular, mat_add, mat_map, packed_mat_mul,
-                     partial_trace)
+from .linalg import (_WIDTH, Triangular, _load_matrix, _TooWide, mat_add,
+                     mat_map, packed_mat_mul, partial_trace)
 from .scalars import ONE, ZERO, Scalar
 
 
 class TensorOperator:
     """Sparse exact operator on the arity-fold tensor power of Q(q)^dim.
 
-    `rows` is filled before construction and never mutated after it:
-    `_load` keeps the packed integers of `rows` for composition
-    (linalg.packed_mat_mul), filled by the operator's first product or
-    handed over by the product that built the operator (one whose
-    denominator is an integer).
+    `rows` is filled before construction and never mutated after it.
+    `_load` caches the packed integers of `rows` at one digit width for
+    composition (linalg.packed_mat_mul): `_loaded(w)` reads them from
+    `rows` on the first product and again when a product needs another
+    width.  A product starts with no load.
     """
 
     __slots__ = ("dim", "arity", "rows", "_load")
@@ -82,14 +83,29 @@ class TensorOperator:
         return TensorOperator(self.dim, self.arity,
                               mat_map(self.rows, lambda v: coeff * v))
 
+    def _loaded(self, w: int) -> tuple:
+        """The load of rows at digit width w, read from rows on a miss."""
+        if self._load is None or self._load[0] != w:
+            self._load = _load_matrix(self.rows.items(), w)
+        return self._load
+
     def __mul__(self, other):
-        """Composition self . other (apply other first)."""
+        """Composition self . other (apply other first).
+
+        Both operands load at the widest width either has cached, at
+        least _WIDTH; a product that could overflow its digits doubles
+        the width and reloads both from their rows.
+        """
         self._check(other)
-        rows, load, self._load, other._load = packed_mat_mul(
-            self.rows, self._load, other.rows, other._load)
-        out = TensorOperator(self.dim, self.arity, rows)
-        out._load = load
-        return out
+        w = max((x._load[0] for x in (self, other) if x._load is not None),
+                default=_WIDTH)
+        while True:
+            try:
+                rows = packed_mat_mul(self._loaded(w), other._loaded(w))
+                break
+            except _TooWide:
+                w *= 2
+        return TensorOperator(self.dim, self.arity, rows)
 
     def __eq__(self, other):
         if not isinstance(other, TensorOperator):

@@ -54,9 +54,9 @@ import itertools
 from typing import Iterable
 
 from .braidings import Braiding, TensorOperator, memoized
-from .linalg import (_WIDTH, _pack_vector, _packed_sum, _reframed,
-                     _TooWide, _unpack_vector, accumulate, coordinates,
-                     mat_mul, vec_add_scaled)
+from .linalg import (_WIDTH, _load_matrix, _pack_vector, _packed_sum,
+                     _reframed, _TooWide, _unpack_vector, accumulate,
+                     coordinates, mat_mul, vec_add_scaled)
 from .ncengine import (
     Gen,
     MatrixOverAlgebra,
@@ -788,15 +788,12 @@ def _word_table(kernel: _PackedAction, b_pres: QuadraticPresentation,
 
     table[w] = (0, frame, vec, bound) with m · nf(w) = q^frame · vec;
     words whose normal form is zero are left out.  The normal forms are
-    loaded as one vector, so m is their one cleared denominator and every
-    vec is integral.
+    loaded as the rows of one matrix, so m is their one cleared
+    denominator and every vec is integral.
     """
-    nfs = {(w, key): c for w in words
-           for key, c in b_pres.normal_form(NCElement.word(w)).terms.items()}
-    _, frame, packed, _, _ = _pack_vector(nfs, kernel.width, kernel.param)
-    by_word: dict = {}
-    for (w, key), p in packed.items():
-        by_word.setdefault(w, {})[key] = p
+    nfs = ((w, b_pres.normal_form(NCElement.word(w)).terms) for w in words)
+    _, _, frame, by_word, _, _ = _load_matrix(nfs, kernel.width,
+                                              kernel.param)
     return {w: (0, *_reframed(frame, vec, kernel.width))
             for w, vec in by_word.items()}
 

@@ -50,6 +50,11 @@ def partitions(k: int, max_len: int | None = None):
     return out
 
 
+def shape_label(shape: tuple) -> str:
+    """The partition as report text: its parts joined by commas."""
+    return ",".join(str(p) for p in shape)
+
+
 def addable_corners(shape: tuple):
     """Positions (row, col), 1-based, where a box can be added."""
     corners = []

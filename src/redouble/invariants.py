@@ -30,6 +30,7 @@ from .heckerep import (
     hecke_integer,
     jucys_murphy_inverse,
     partitions,
+    shape_label,
     skew_symmetrizer,
     standard_tableaux,
     young_idempotent,
@@ -208,10 +209,6 @@ def trace_action_operator(braiding: Braiding, k: int) -> TensorOperator:
     return jinv.rtrace(k + 1, braiding.trace_form().weights)
 
 
-def _shape_label(shape: tuple) -> str:
-    return ",".join(str(p) for p in shape)
-
-
 def _projector_checks(report: VerificationReport, op: TensorOperator,
                       chi: Scalar, shape: tuple, braiding: Braiding,
                       check_anchor: str) -> None:
@@ -270,7 +267,7 @@ def verify_character_consistency(braiding: Braiding,
         "conjecture", {"max_boxes": max_boxes, "n": braiding.dim})
     for size in range(1, max_boxes + 1):
         for shape in partitions(size, braiding.dim):
-            label = _shape_label(shape)
+            label = shape_label(shape)
             char = SpectralCharacter(shape, braiding)
             trl = spectral_char_trl(shape, braiding)
             e1 = char.elementary(1)

@@ -32,11 +32,12 @@ scale.
 
 This module is the one owner of the packed format.  Three users run on
 it: `Triangular`, the counit action of a double (`doubles._PackedAction`)
-and the operator product `packed_mat_mul`, which loads each operator
-once (`_load_matrix`), forms every entry of a product as one integer
-multiply-accumulate and hands a product with an integer denominator its
-packed rows.  Scalars
-enter through one loader, `_pack_vector`: it checks the parameter,
+and the operator product `packed_mat_mul`, which forms every entry of
+the product of two loads as one integer multiply-accumulate and returns
+Scalar rows.  Scalars enter through one loader, `_pack_vector`, and
+matrices through its row form `_load_matrix`, the one matrix loader: an
+operator caches its load (braidings.TensorOperator), and a double loads
+its word table through it.  `_pack_vector` checks the parameter,
 clears non-constant denominators by `scalars.laurent_multiplier` and
 integer ones by their lcm, packs, and bounds the result.  They leave
 through one conversion, `_unpack_vector`, which divides by the cleared
@@ -360,69 +361,45 @@ def _packed_sum(parts: list, w: int) -> tuple:
     return frame, {k: p for k, p in out.items() if p}, bound
 
 
-def _load_matrix(rows: dict, load, w: int) -> tuple:
+def _load_matrix(rows, w: int, param=None) -> tuple:
     """The load (w, param, frame, packed rows, den, bound) of Scalar rows.
 
-    rows = q^frame · packed / den, read by _pack_vector over the (row,
-    col) entries.  load is None or an earlier load of the same rows at a
-    width <= w, which is repacked, as Triangular._widen does, rather
-    than read again.  Raises _TooWide as _pack_vector does.
+    rows yields (row index, {col index: Scalar}) pairs, as the items of
+    sparse rows do, and is read once, so a caller can make each row as
+    it is read.  rows = q^frame · packed / den, read by _pack_vector over
+    the (row, col) entries with the given param; rows without entries
+    are left out.  Raises _TooWide and MixedParameterError as
+    _pack_vector does.
     """
-    if load is None:
-        param, frame, packed, den, bound = _pack_vector(
-            {(r, c): v for r, cs in rows.items() for c, v in cs.items()},
-            w, None)
-        prows: dict = {}
-        for (r, c), p in packed.items():
-            prows.setdefault(r, {})[c] = p
-        return w, param, frame, prows, den, bound
-    lw, param, frame, prows, den, bound = load
-    if lw == w:
-        return load
-    prows = {r: {c: _pack(_unpack(p, lw), w) for c, p in cs.items()}
-             for r, cs in prows.items()}
+    param, frame, packed, den, bound = _pack_vector(
+        {(r, c): v for r, cs in rows for c, v in cs.items()}, w, param)
+    prows: dict = {}
+    for (r, c), p in packed.items():
+        prows.setdefault(r, {})[c] = p
     return w, param, frame, prows, den, bound
 
 
-def packed_mat_mul(left: dict, left_load, right: dict, right_load) -> tuple:
-    """mat_mul(left, right, operator.mul) of Scalar rows, on packed integers.
+def packed_mat_mul(left: tuple, right: tuple) -> dict:
+    """mat_mul(left rows, right rows, operator.mul) from two loads.
 
-    Each operand goes in with its load: None, or the one an earlier call
-    returned for the same rows (rows must not change once loaded).
-    Returns (rows, load, left load, right load), the loads at the width
-    of this product.  Every output entry is one integer multiply-
-    accumulate, bounded by the factors' bounds plus _spread of the
-    longest left row, and every output row leaves through one
-    _unpack_vector.  The product's load is handed over unreduced (den
-    the factors' dens multiplied, bound this product's) when den is an
-    integer, and is None otherwise: a polynomial den would grow along a
-    chain of products, and the canonical rows load to a smaller one.  A
-    bound past w - 2 doubles the width and restarts.  Operands in two
-    parameters raise MixedParameterError.
+    left and right are loads (_load_matrix) at one digit width w; the
+    product is the rows of Scalars.  Every output entry is one integer
+    multiply-accumulate, bounded by the factors' bounds plus _spread of
+    the longest left row, and every output row leaves through one
+    _unpack_vector.  Raises _TooWide when that bound passes w - 2 (the
+    caller widens and reloads both operands) and MixedParameterError for
+    operands in two parameters.
     """
-    loads = [x[0] for x in (left_load, right_load) if x is not None]
-    w = max(loads, default=_WIDTH)
-    while True:
-        try:
-            left_load = _load_matrix(left, left_load, w)
-            right_load = left_load if right is left else \
-                _load_matrix(right, right_load, w)
-            _, lp, lf, lrows, ld, lb = left_load
-            _, rp, rf, rrows, rd, rb = right_load
-            if lp and rp and lp != rp:
-                raise MixedParameterError(f"{lp!r} vs {rp!r}")
-            bound = lb + rb + _spread(max(map(len, lrows.values()),
-                                          default=1))
-            if bound > w - 2:
-                raise _TooWide
-            break
-        except _TooWide:
-            w *= 2
-    param = lp or rp
+    w, lp, lf, lrows, ld, lb = left
+    _, rp, rf, rrows, rd, rb = right
+    if lp and rp and lp != rp:
+        raise MixedParameterError(f"{lp!r} vs {rp!r}")
+    if lb + rb + _spread(max(map(len, lrows.values()), default=1)) > w - 2:
+        raise _TooWide
+    param = lp or rp or "q"
     frame = lf + rf
     den = _pmul(ld, rd)
     rows: dict = {}
-    packed: dict = {}
     for r, cs in lrows.items():
         acc: dict = {}
         for k, a in cs.items():
@@ -433,10 +410,8 @@ def packed_mat_mul(left: dict, left_load, right: dict, right_load) -> tuple:
                     acc[c] = a * b if cur is None else cur + a * b
         acc = {c: p for c, p in acc.items() if p}
         if acc:
-            packed[r] = acc
-            rows[r] = _unpack_vector(param or "q", frame, acc, w, (den,))
-    load = (w, param, frame, packed, den, bound) if len(den) == 1 else None
-    return rows, load, left_load, right_load
+            rows[r] = _unpack_vector(param, frame, acc, w, (den,))
+    return rows
 
 
 class Triangular:

@@ -158,12 +158,6 @@ class NCElement:
                 best = n
         return best
 
-    def homogeneous_parts(self) -> dict:
-        parts: dict = {}
-        for w, c in self.terms.items():
-            parts.setdefault(len(w), {})[w] = c
-        return {d: NCElement(t) for d, t in parts.items()}
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -185,9 +179,9 @@ class PresentationError(ValueError):
 class QuadraticPresentation:
     """Generators plus relations with quadratic leading parts.
 
-    Graded when every relation is homogeneous; otherwise filtered, with
-    reduction over the whole word space of degree <= d.  A row is stored
-    when a reduction first reads it; no normal form is memoized.
+    Relations may carry lower-degree tails, so reduction runs over the
+    whole word space of degree <= d.  A row is stored when a reduction
+    first reads it; no normal form is memoized.
     """
 
     def __init__(self, generators: list, relations: Iterable[NCElement],
@@ -195,13 +189,10 @@ class QuadraticPresentation:
         self.generators = list(generators)
         self.name = name
         self.relations = []
-        self.graded = True
         for r in relations:
             if r.is_zero():
                 continue
             self.relations.append(r)
-            if len(r.homogeneous_parts()) > 1:
-                self.graded = False
             if r.degree() < 1:
                 raise ValueError("constant relation makes the algebra trivial")
         self._tri = Triangular(word_sortkey, self._lead_row)
@@ -299,13 +290,6 @@ class QuadraticPresentation:
         total = sum(len(self.generators) ** e for e in range(d + 1))
         return total - self.filtered_dimension(d)
 
-    def graded_dimension(self, d: int) -> int:
-        """dim of the degree-d component (graded) of the quotient algebra."""
-        if not self.graded:
-            raise ValueError("graded dimensions need a graded presentation")
-        self.ensure(d)
-        return self._free_words(d)
-
     def filtered_dimension(self, d: int) -> int:
         """dim of the degree <= d filtration component of the quotient."""
         self.ensure(d)
@@ -352,8 +336,6 @@ class CentralQuotient(QuadraticPresentation):
                         f"commute with {g!r} in {base.name}")
         self.name = name
         self.pinned = pinned
-        self.graded = self.graded and \
-            all(len(c.homogeneous_parts()) == 1 for c in pinned)
         self._spanned = -1  # degree 0 holds the multiples w = () as well
 
     def ensure(self, d: int) -> None:

@@ -25,7 +25,7 @@ from .braidings import BraidingError, rtrace_form, standard_hecke
 from .capelli import verify_capelli, verify_capelli_action, verify_det_capelli
 from .doubles import DoubleError, make_double
 from .heckerep import (IdempotentFamily, jucys_murphy, partitions,
-                       skew_symmetrizer, weyl_dimension)
+                       shape_label, skew_symmetrizer, weyl_dimension)
 from .invariants import (SpectralCharacter, elementary_symmetric, power_sum,
                          spectral_char_trl, verify_cayley_hamilton,
                          verify_character_consistency, verify_spectrum,
@@ -154,10 +154,6 @@ class SuiteConfig:
         label = (f"{self.seed}:{self.suite}:{self.n}:{self.k}"
                  f":{self.shape}:{self.mode}")
         return random.Random(label)
-
-
-def _label(shape: tuple) -> str:
-    return ",".join(str(p) for p in shape)
 
 
 def _points(config: SuiteConfig) -> int:
@@ -347,7 +343,7 @@ def spectrum_suite(config: SuiteConfig) -> VerificationReport:
     b = standard_hecke(config.n)
     chi = spectral_char_trl(shape, b)
     report = VerificationReport("spectrum", {
-        "lambda": _label(shape), "n": config.n, "chi": chi.text()})
+        "lambda": shape_label(shape), "n": config.n, "chi": chi.text()})
     _merge(report, verify_spectrum_operator(shape, b, chi), "operator-")
     double = make_double(b, "left")
     trl = power_sum(b, double.a_tag, 1)
@@ -375,7 +371,7 @@ def conjecture_suite(config: SuiteConfig) -> VerificationReport:
                 chi = SpectralCharacter(shape, b).elementary(2)
                 _merge(report, verify_spectrum(double, e2, chi, shape,
                                                anchor("conjecture-e2")),
-                       f"e2-{_label(shape)}-")
+                       f"e2-{shape_label(shape)}-")
     return report
 
 
@@ -489,7 +485,7 @@ def replay_command(config: SuiteConfig) -> str:
         if value is None or field not in reads or \
                 (field == "samples" and "mode" in reads):
             continue
-        words += [flag, _label(value) if field == "shape" else str(value)]
+        words += [flag, shape_label(value) if field == "shape" else str(value)]
     if config.mode == "SAMPLED":
         words += ["--mode", "SAMPLED", "--samples", str(_points(config))]
     return " ".join(words + ["--seed", str(config.seed)])
@@ -516,7 +512,7 @@ def acceptance_grid(mode: str = "EXACT", seed: int = 0) -> list:
     for n in (1, 2, 3):
         for size in (1, 2, 3):
             for shape in partitions(size, n):
-                rows.append((f"spectrum-n{n}-{_label(shape)}",
+                rows.append((f"spectrum-n{n}-{shape_label(shape)}",
                              SuiteConfig("spectrum", n=n, shape=shape,
                                          seed=seed)))
     rows.append(("doubles-n2", SuiteConfig("doubles", n=2, seed=seed)))

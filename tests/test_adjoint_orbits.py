@@ -103,8 +103,6 @@ def test_orbit_point_at_dimension_one():
     # for j <= 2, one row per degree
     assert re_presentation(b, "m").ideal_rank(3) == 0
     assert quotient.relations == []
-    # a free base is graded, but p_1 - 5 is not homogeneous
-    assert not quotient.graded
     assert quotient.ideal_rank(3) == 3
 
 

@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from redouble import linalg
+from redouble import braidings, linalg
 from redouble.braidings import TensorOperator, standard_hecke
-from redouble.linalg import (_WIDTH, Triangular, _pack, _pack_vector,
-                             _unpack, coordinates, mat_mul, packed_mat_mul,
-                             traced, vec_add_scaled)
+from redouble.linalg import (_WIDTH, Triangular, _load_matrix, _pack,
+                             _pack_vector, _TooWide, _unpack, coordinates,
+                             mat_mul, packed_mat_mul, traced, vec_add_scaled)
 from redouble.ncengine import Gen, NCElement
 from redouble.scalars import ONE, MixedParameterError, Scalar, _pgcd
 
@@ -495,20 +495,17 @@ def test_packed_product_is_the_scalar_product(param, seed):
     keys = [(i, j) for i in range(1, 4) for j in range(1, 4)]
     left = _random_rows(rng, param, keys)
     right = _random_rows(rng, param, keys)
-    rows, load, left_load, right_load = packed_mat_mul(left, None,
-                                                       right, None)
-    _check_same_product(rows, left, right)
+    left_load = _load_matrix(left.items(), _WIDTH)
+    right_load = _load_matrix(right.items(), _WIDTH)
     assert left_load[1] == right_load[1] == param
+    rows = packed_mat_mul(left_load, right_load)
+    _check_same_product(rows, left, right)
     assert any(len(v.den) > 1 for cs in left.values() for v in cs.values())
-    assert load is None  # its denominator is a polynomial
     assert any(v.shift < 0 for cs in right.values() for v in cs.values())
     # the same loads give the same product again, read from no Scalar
-    again = packed_mat_mul(left, left_load, right, right_load)
-    assert again[0] == rows and again[2] is left_load
-    # a square reads its one operand once
-    square = packed_mat_mul(left, None, left, None)
-    _check_same_product(square[0], left, left)
-    assert square[2] is square[3]
+    assert packed_mat_mul(left_load, right_load) == rows
+    # a square multiplies one load by itself
+    _check_same_product(packed_mat_mul(left_load, left_load), left, left)
 
 
 def test_constant_operators_multiply_as_constants():
@@ -516,12 +513,13 @@ def test_constant_operators_multiply_as_constants():
     other = (op + TensorOperator.identity(2, 2)).substituted(1)
     prod = op * other
     _check_same_product(prod.rows, op.rows, other.rows)
-    assert prod._load[1] is None
+    assert op._load[1] is None
     assert prod.rows[(1, 1)][(1, 1)] == Scalar.from_fraction(Fraction(70, 9))
-    # the entries q = 7/3 and q - 1/q = 40/21 clear by 21 in each factor,
-    # and the handed-over load keeps the integer denominator 21·21
-    assert prod._load[4] == (441,)
+    # the entries q = 7/3 and q - 1/q = 40/21 clear by 21 in each factor;
+    # the product loads from its canonical rows, which clear by 21·21
+    assert op._load[4] == other._load[4] == (21,)
     _check_same_product((prod * op).rows, prod.rows, op.rows)
+    assert prod._load[4] == (441,)
 
 
 def test_empty_operators_compose_to_empty():
@@ -529,14 +527,13 @@ def test_empty_operators_compose_to_empty():
     empty = TensorOperator(2, 2, {})
     assert (empty * op).is_zero() and (op * empty).is_zero()
     assert (empty * empty).is_zero()
-    assert packed_mat_mul({}, None, {}, None)[0] == {}
+    nothing = _load_matrix((), _WIDTH)
+    assert packed_mat_mul(nothing, nothing) == {}
 
 
-@pytest.mark.parametrize("huge", [False, True], ids=["product", "operand"])
-def test_wide_coefficients_widen_the_product(huge):
-    # each factor fits one 64-bit digit and their product does not, or an
-    # operand's coefficient 2^70 does not; the narrower load is repacked,
-    # not read from the Scalars again
+def _wide_rows(huge: bool) -> tuple:
+    """Two operators that each fit one 64-bit digit while their product
+    does not, or (huge) whose right operand holds the coefficient 2^70."""
     q = Scalar.var("q")
     big = Scalar.from_int(2 ** 40 + 1) * q - Scalar.from_int(3 * 2 ** 39)
     left = {(1,): {(1,): big, (2,): q.inverse()},
@@ -544,12 +541,18 @@ def test_wide_coefficients_widen_the_product(huge):
     right = {(1,): {(1,): big}, (2,): {(1,): ONE, (2,): big * q}}
     if huge:
         right[(1,)][(2,)] = Scalar.from_int(2 ** 70)
-    lload = linalg._load_matrix(left, None, _WIDTH)
-    rows, load, wider, _ = packed_mat_mul(left, lload, right, None)
-    _check_same_product(rows, left, right)
-    assert load[0] > _WIDTH and wider[0] == load[0]
-    assert _unpack(wider[3][(1,)][(1,)], wider[0]) == \
-        _unpack(lload[3][(1,)][(1,)], _WIDTH)
+    return TensorOperator(2, 1, left), TensorOperator(2, 1, right)
+
+
+@pytest.mark.parametrize("huge", [False, True], ids=["product", "operand"])
+def test_wide_coefficients_widen_the_product(huge):
+    left, right = _wide_rows(huge)
+    with pytest.raises(_TooWide):
+        packed_mat_mul(_load_matrix(left.rows.items(), _WIDTH),
+                       _load_matrix(right.rows.items(), _WIDTH))
+    prod = left * right
+    _check_same_product(prod.rows, left.rows, right.rows)
+    assert left._load[0] == right._load[0] > _WIDTH
 
 
 @pytest.mark.parametrize("width", [4, 6, 8])
@@ -557,55 +560,93 @@ def test_narrow_digits_give_the_scalar_product(monkeypatch, width):
     # with digits of 4 to 8 bits the bounds of loads, of products and of
     # their sums decide the width: four products 7·7 fit one 8-bit digit,
     # their sum 196 does not
-    monkeypatch.setattr(linalg, "_WIDTH", width)
+    monkeypatch.setattr(braidings, "_WIDTH", width)
     seven = Scalar.from_int(7)
-    sevens = {(i,): {(j,): seven for j in range(4)} for i in range(4)}
-    rows, load, _, _ = packed_mat_mul(sevens, None, sevens, None)
-    _check_same_product(rows, sevens, sevens)
-    assert load[0] > 8
+    sevens = TensorOperator(4, 1, {(i,): {(j,): seven for j in range(4)}
+                                   for i in range(4)})
+    _check_same_product((sevens * sevens).rows, sevens.rows, sevens.rows)
+    assert sevens._load[0] > 8
     for seed in range(4):
         rng = random.Random(f"narrow product:{width}:{seed}")
         keys = list(range(6))
-        left = _random_rows(rng, "qh"[seed % 2], keys)
-        right = _random_rows(rng, "qh"[seed % 2], keys)
-        rows, load, _, _ = packed_mat_mul(left, None, right, None)
-        _check_same_product(rows, left, right)
-        _check_same_product(packed_mat_mul(rows, load, left, None)[0],
-                            rows, left)
+        left = TensorOperator(6, 1, _random_rows(rng, "qh"[seed % 2], keys))
+        right = TensorOperator(6, 1, _random_rows(rng, "qh"[seed % 2], keys))
+        prod = left * right
+        _check_same_product(prod.rows, left.rows, right.rows)
+        _check_same_product((prod * left).rows, prod.rows, left.rows)
 
 
-def test_a_chain_reuses_the_loads_a_product_hands_over(count_calls):
+def _reads(loads: list) -> list:
+    """(rows, width) of each spied _load_matrix call on an operator."""
+    return [(args[0].mapping, args[1]) for args in loads]
+
+
+def test_a_product_hands_over_no_load(count_calls):
     b = standard_hecke(3)
     r1, r2 = b.at(1, 3), b.at(2, 3)
-    loads = count_calls(_pack_vector)
     first = r1 * r2
-    assert len(loads) == 2 and first._load is not None
+    assert first._load is None
+    assert r1._load is not None and r2._load is not None
+    loads = count_calls(_load_matrix)
     chain = first * r1
-    # r1 kept its load and first was handed its own: nothing was read
-    assert len(loads) == 2
+    # first is read from its rows; r1 kept its load
+    assert _reads(loads) == [(first.rows, _WIDTH)]
+    assert chain._load is None
     _check_same_product(first.rows, r1.rows, r2.rows)
     _check_same_product(chain.rows, first.rows, r1.rows)
     assert chain == r2 * r1 * r2
     # R has Laurent entries: no denominator is cleared
-    assert chain._load[4] == first._load[4] == (1,)
-
-
-def test_a_product_with_a_polynomial_denominator_hands_over_no_load(
-        count_calls):
-    b = standard_hecke(2)
+    assert first._load[4] == (1,)
+    # a product with a polynomial denominator: square and square . R
+    # load from their canonical rows, R and mid keep their loads
     q = b.q
-    mid = (b.op - TensorOperator.identity(2, 2).scale(q)).scale(
+    mid = (b.op - TensorOperator.identity(3, 2).scale(q)).scale(
         (q * q + ONE).inverse())
     square = mid * mid
     assert len(mid._load[4]) > 1 and square._load is None
-    loads = count_calls(_pack_vector)
+    del loads[:]
     chain = square * b.op * mid
-    # square and square . R load from their canonical rows; R and mid
-    # kept their loads
     assert len(loads) == 2
     _check_same_product(square.rows, mid.rows, mid.rows)
     _check_same_product(chain.rows, mat_mul(square.rows, b.op.rows,
                                             operator.mul), mid.rows)
+
+
+def test_a_reused_operand_is_loaded_once_per_width(count_calls):
+    op = standard_hecke(2).op.embed(3, 1)
+    loads = count_calls(_load_matrix)
+    square = op * op
+    # a square reads its one operand once
+    assert _reads(loads) == [(op.rows, _WIDTH)]
+    square * op
+    op * square
+    assert _reads(loads) == [(op.rows, _WIDTH), (square.rows, _WIDTH)]
+    # 2^70 does not fit a 64-bit digit: op is reloaded once at 128 bits,
+    # and later products load at the widest width cached
+    huge = TensorOperator.identity(2, 3).scale(Scalar.from_int(2 ** 70))
+    op * huge
+    op * op
+    square * op
+    assert _reads(loads[2:]) == [
+        (huge.rows, _WIDTH), (op.rows, 2 * _WIDTH),
+        (huge.rows, 2 * _WIDTH), (square.rows, 2 * _WIDTH)]
+
+
+def test_an_operand_cached_at_64_bits_is_reloaded_when_a_product_overflows(
+        count_calls):
+    left, right = _wide_rows(huge=False)
+    cached = left._loaded(_WIDTH)
+    loads = count_calls(_load_matrix)
+    prod = left * right
+    _check_same_product(prod.rows, left.rows, right.rows)
+    # right loads at 64 bits, the product overflows, and both operands
+    # are read again from their rows at 128
+    assert _reads(loads) == [
+        (right.rows, _WIDTH), (left.rows, 2 * _WIDTH),
+        (right.rows, 2 * _WIDTH)]
+    assert cached[0] == _WIDTH and left._load[0] == 2 * _WIDTH
+    assert _unpack(left._load[3][(1,)][(1,)], 2 * _WIDTH) == \
+        _unpack(cached[3][(1,)][(1,)], _WIDTH)
 
 
 def test_operators_in_two_parameters_do_not_compose():
