@@ -597,15 +597,37 @@ def test_a_product_hands_over_no_load(count_calls):
     assert chain == r2 * r1 * r2
     # R has Laurent entries: no denominator is cleared
     assert first._load[4] == (1,)
-    # a product with a polynomial denominator: square and square . R
-    # load from their canonical rows, R and mid keep their loads
+
+
+def test_a_chain_reuses_the_loads_a_product_hands_over(count_calls):
+    # a product hands over its rows; once it is an operand its load is
+    # cached, and every later product of the chain reuses it
+    b = standard_hecke(3)
+    r1, r2 = b.at(1, 3), b.at(2, 3)
+    first = r1 * r2
+    loads = count_calls(_load_matrix)
+    left = first * r1
+    right = first * r2
+    again = r1 * first
+    assert _reads(loads) == [(first.rows, _WIDTH)]
+    _check_same_product(left.rows, first.rows, r1.rows)
+    _check_same_product(right.rows, first.rows, r2.rows)
+    _check_same_product(again.rows, r1.rows, first.rows)
+    assert left == r2 * r1 * r2 and again == r1 * r1 * r2
+
+
+def test_a_product_with_a_polynomial_denominator_hands_over_no_load(
+        count_calls):
+    b = standard_hecke(3)
     q = b.q
     mid = (b.op - TensorOperator.identity(3, 2).scale(q)).scale(
         (q * q + ONE).inverse())
     square = mid * mid
     assert len(mid._load[4]) > 1 and square._load is None
-    del loads[:]
+    loads = count_calls(_load_matrix)
     chain = square * b.op * mid
+    # square and square . R load from their canonical rows; R and mid
+    # keep their loads
     assert len(loads) == 2
     _check_same_product(square.rows, mid.rows, mid.rows)
     _check_same_product(chain.rows, mat_mul(square.rows, b.op.rows,
