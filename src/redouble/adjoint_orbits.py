@@ -5,7 +5,8 @@ field-side generator commutes with every weighted trace power of the
 coordinate matrix, hence annihilates those traces under the regular
 action.  Pinning the first N trace powers to constants therefore gives
 quotient coordinate algebras that still carry the field action; they
-play the role of function rings on fixed conjugation orbits.
+play the role of function rings on fixed conjugation orbits.  The descent
+is checked on the pinned trace powers times the bounded normal words.
 
 The commutation claim is checked two ways: generator-by-generator
 bi-normal forms, and the matrix identity behind it,
@@ -17,8 +18,6 @@ commutator of Lhat with the traced power.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .anchors import anchor
 from .braidings import Braiding
@@ -122,9 +121,13 @@ def verify_orbit_descent(braiding: Braiding, alphas, degree: int = 1
     """The field action is well defined on the pinned quotient.
 
     Checks that each trace power reduces to its level constant, and that
-    every field generator maps the pinned ideal into itself: acting on
-    (trace power - constant) times any word of length <= degree, on
-    either side, lands back in the ideal.
+    every field maps the pinned ideal J into itself: it acts on p_k·w for
+    each pinned p_k (trace power minus level) and normal w, |w| <= degree.
+    Modulo the relation ideal I these span p_k·w and w·p_k for every free
+    word w of that length: a free word is a normal word plus an element
+    of I (diamond lemma), w·p_k - p_k·w lies in I (the quotient certifies
+    that p_k is central), and the fields map I into itself once the
+    double's presentation is certified, which is checked first.
     """
     n = braiding.dim
     report = VerificationReport(
@@ -143,17 +146,16 @@ def verify_orbit_descent(braiding: Braiding, alphas, degree: int = 1
             witness = f"trace power {k} reduces to {reduced!r}"
             break
     report.add("pinned-reduction", anchor("orbit-quotient"), ok, witness)
+    double.presentation.ensure(3)
     words = [NCElement.word(w) for d in range(degree + 1)
-             for w in itertools.product(quotient.generators, repeat=d)]
+             for w in quotient.normal_words(d)]
     ok = True
     witness = None
     fields = _fields(double)
     for k, pinned in enumerate(quotient.pinned, start=1):
-        # words[0] is the empty word: pinned itself, on either side
-        products = [pinned] + [p for w in words[1:]
-                               for p in (pinned * w, w * pinned)]
         for g, images in zip(double.a_pres.generators,
-                             double.act_each(fields, products)):
+                             double.act_each(fields,
+                                             [pinned * w for w in words])):
             if not all(map(quotient.reduces_to_zero, images)):
                 ok = False
                 witness = f"field {g} escapes the ideal at power {k}"

@@ -15,17 +15,17 @@ matrices in the derivative double), the shifted products satisfy
     = q^(k(k-1)) A^(k) M_over(1) ... M_over(k) D_over(k) ... D_over(1),
 
 verified here by two independent routes: entrywise bi-normal forms of
-both sides, and both sides applied as operators to bounded-degree
-monomials through the counit action; both reduce one difference of the
-sides, built once per braiding.  Taking the full weighted trace at
-k = N relates the left product to q^(-N) det_R M det_Rinv D; that trace
-and both determinants are traced chains.
+both sides, and both sides applied as operators to the bounded-degree
+normal words through the counit action of the certified double; both
+reduce one difference of the sides, built once per braiding.  Taking
+the full weighted trace at k = N relates the left product to
+q^(-N) det_R M det_Rinv D; that trace and both determinants are traced
+chains.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 
 from .anchors import anchor
@@ -170,15 +170,17 @@ def verify_capelli_action(braiding: Braiding, k: int,
     """Operator route: both sides act identically on bounded monomials.
 
     Applies every entry of both sides, through the counit action of the
-    double, to each word of length <= degree in the coordinate-side
-    generators, and compares the results modulo the coordinate ideal.
+    double, to each normal word of length <= degree of the coordinate
+    algebra, and compares the results modulo its relation ideal I.  These
+    span every free word of that length modulo I (diamond lemma), and the
+    double maps I into itself once its presentation is certified, which
+    is checked first.
     """
     report = VerificationReport("capelli")
     double = make_double(braiding, "derivative")
-    gens = double.b_pres.generators
-    targets = [()]
-    for d in range(1, degree + 1):
-        targets.extend(itertools.product(gens, repeat=d))
+    double.presentation.ensure(3)
+    targets = [w for d in range(degree + 1)
+               for w in double.b_pres.normal_words(d)]
     ok = True
     witness = None
     # the action is linear in the acting element: act once by the difference

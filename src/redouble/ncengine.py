@@ -149,14 +149,9 @@ class NCElement:
     def __eq__(self, other):
         return isinstance(other, NCElement) and self.terms == other.terms
 
-    def degree(self, tags: set | None = None) -> int:
-        """Max letter count (restricted to tags if given); zero element -> -1."""
-        best = -1
-        for w in self.terms:
-            n = len(w) if tags is None else sum(1 for g in w if g.tag in tags)
-            if n > best:
-                best = n
-        return best
+    def degree(self) -> int:
+        """Max letter count; zero element -> -1."""
+        return max(map(len, self.terms), default=-1)
 
     def __repr__(self):
         if not self.terms:

@@ -1,6 +1,6 @@
 """Shared pytest plumbing: the acceptance-criteria summary block, cold
-caches for every test, and a spy that counts the calls of a redouble
-function."""
+caches for every test, a spy that counts the calls of a redouble
+function, and two spoilers for the verifiers that act through a double."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from redouble.doubles import QuantumDouble
+from redouble.ncengine import Gen, NCElement
 from redouble.suites import clear_caches
 
 # test_acceptance.py records one line per criterion here; the terminal
@@ -50,5 +52,43 @@ def count_calls(monkeypatch):
                     if value is fn:
                         monkeypatch.setattr(module, attr, spy)
         return calls
+
+    return install
+
+
+@pytest.fixture
+def spoil_action(monkeypatch):
+    """spoil_action(spoiled): act_each adds m11 to every image of an
+    acting element x with spoiled(x), and acts as before otherwise."""
+    def install(spoiled) -> None:
+        act_each = QuantumDouble.act_each
+        m11 = NCElement.generator(Gen("m", 1, 1))
+
+        def spoiling(self, xs, targets):
+            xs = list(xs)
+            for x, images in zip(xs, act_each(self, xs, targets)):
+                if spoiled(x):
+                    images = [image + m11 for image in images]
+                yield images
+
+        monkeypatch.setattr(QuantumDouble, "act_each", spoiling)
+
+    return install
+
+
+@pytest.fixture
+def spoil_rule(monkeypatch):
+    """spoil_rule(module): the make_double that module calls returns
+    doubles whose first rule image is doubled."""
+    def install(module) -> None:
+        make_double = module.make_double
+
+        def spoiled(*args, **kwargs):
+            double = make_double(*args, **kwargs)
+            pair, image = next(iter(double.rule.table.items()))
+            double.rule.table[pair] = image + image
+            return double
+
+        monkeypatch.setattr(module, "make_double", spoiled)
 
     return install

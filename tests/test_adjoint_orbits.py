@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import re
 
 import pytest
 
+from redouble import adjoint_orbits
 from redouble.adjoint_orbits import (
     orbit_quotient,
     verify_adjoint_invariance,
     verify_orbit_descent,
 )
 from redouble.braidings import standard_hecke
-from redouble.doubles import QuantumDouble, make_double
+from redouble.doubles import make_double
 from redouble.invariants import power_sum
 from redouble.ncengine import (CentralQuotient, Gen, MatrixOverAlgebra,
-                               NCElement, re_presentation)
+                               NCElement, PresentationError, re_presentation)
 from redouble.scalars import ONE, Scalar
 from redouble.suites import parameter_points
 
@@ -147,28 +150,62 @@ def test_action_descends_to_the_orbit():
         "all ordered pairs including i=j"
 
 
-def test_a_spoiled_field_is_named_by_the_descent_check(monkeypatch):
-    # the witness names the first field, in generator order, that maps a
-    # product out of the ideal; spoil the action of the second and third
+def _free_word_descent(b, alphas, degree):
+    """Reference for the action-descends check: the witness of the field
+    route over every free word w of length <= degree, acting on both
+    pinned·w and w·pinned, or None when every image reduces to zero."""
+    double = make_double(b, "adjoint_shifted")
+    quotient = orbit_quotient(b, alphas, double.b_tag)
+    fields = [NCElement.generator(g) for g in double.a_pres.generators]
+    words = [NCElement.word(w) for d in range(degree + 1)
+             for w in itertools.product(quotient.generators, repeat=d)]
+    for k, pinned in enumerate(quotient.pinned, start=1):
+        products = [p for w in words for p in (pinned * w, w * pinned)]
+        for g, images in zip(double.a_pres.generators,
+                             double.act_each(fields, products)):
+            if not all(map(quotient.reduces_to_zero, images)):
+                return f"field {g} escapes the ideal at power {k}"
+    return None
+
+
+def _descent_check(report):
+    [check] = [c for c in report.checks if c["id"] == "action-descends"]
+    return check
+
+
+def test_the_free_word_route_agrees_with_the_descent_check():
     b = standard_hecke(2)
+    alphas = [ONE, Scalar.from_int(2)]
+    check = _descent_check(verify_orbit_descent(b, alphas, degree=2))
+    assert check["passed"]
+    assert _free_word_descent(b, alphas, 2) is None
+
+
+def test_a_spoiled_field_is_named_by_the_descent_check(spoil_action):
+    # the witness names the first field, in generator order, that maps a
+    # product out of the ideal; spoil the action of the second and third,
+    # and the free-word route names the same field
+    b = standard_hecke(2)
+    alphas = [ONE, Scalar.from_int(2)]
     double = make_double(b, "adjoint_shifted")
     first, second = double.a_pres.generators[1:3]
     spoiled = [NCElement.generator(first), NCElement.generator(second)]
-    act_each = QuantumDouble.act_each
-
-    def spoiling(self, xs, targets):
-        for x, images in zip(xs, act_each(self, xs, targets)):
-            if x in spoiled:
-                images = [image + NCElement.generator(Gen("m", 1, 1))
-                          for image in images]
-            yield images
-
-    monkeypatch.setattr(QuantumDouble, "act_each", spoiling)
-    report = verify_orbit_descent(b, [ONE, Scalar.from_int(2)], degree=1)
-    [check] = [c for c in report.checks if c["id"] == "action-descends"]
+    spoil_action(lambda x: x in spoiled)
+    check = _descent_check(verify_orbit_descent(b, alphas, degree=1))
     assert not check["passed"]
-    assert check["witness"] == \
-        f"field {first} escapes the ideal at power 1"
+    witness = f"field {first} escapes the ideal at power 1"
+    assert check["witness"] == witness
+    assert _free_word_descent(b, alphas, 2) == witness
+
+
+def test_a_spoiled_rule_entry_stops_the_descent_check(spoil_rule):
+    # a double whose exchange rule fails its certificate justifies no
+    # spanning set: the check raises, naming the double, and never passes
+    spoil_rule(adjoint_orbits)
+    with pytest.raises(PresentationError, match=re.escape(
+            "double(adjoint_shifted, dim=2) is not certified")):
+        verify_orbit_descent(standard_hecke(2), [ONE, Scalar.from_int(2)],
+                             degree=2)
 
 
 def test_action_descends_at_dimension_one():

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import random
+import re
 
 import pytest
 
-from redouble import doubles
+from redouble import capelli, doubles
 from redouble.braidings import TensorOperator, flip, standard_hecke
 from redouble.capelli import (
     StructureError,
@@ -25,7 +27,7 @@ from redouble.capelli import (
 from redouble.doubles import make_double, matrix_copy
 from redouble.heckerep import skew_symmetrizer
 from redouble.ncengine import (Gen, MatrixOverAlgebra, NCElement,
-                               re_presentation)
+                               PresentationError, re_presentation)
 from redouble.scalars import ONE, Scalar
 from redouble.suites import SuiteConfig, parameter_points, run_suite
 
@@ -156,14 +158,59 @@ def test_capelli_action_route():
         assert report.passed, k
 
 
+def _free_target_action(b, k, degree):
+    """Reference for the action route: the witness of acting with every
+    entry of lhs - rhs on every free word of length <= degree in the
+    coordinate generators, or None when every image reduces to zero."""
+    double = make_double(b, "derivative")
+    targets = [w for d in range(degree + 1)
+               for w in itertools.product(double.b_pres.generators, repeat=d)]
+    entries = capelli_difference(double, k).entries
+    keys = sorted(entries)
+    images = double.act_each([entries[key] for key in keys],
+                             [NCElement.word(w) for w in targets])
+    for (r, c), row in zip(keys, images):
+        for w, image in zip(targets, row):
+            if not double.b_pres.reduces_to_zero(image):
+                return f"entry {r}->{c} on {w!r}"
+    return None
+
+
+def test_the_free_target_route_agrees_with_the_action_route():
+    b = standard_hecke(2)
+    assert verify_capelli_action(b, 2, degree=2).passed
+    assert _free_target_action(b, 2, 2) is None
+
+
+def test_a_spoiled_action_fails_both_action_routes(spoil_action):
+    # every image gains m11, so both routes fail on the empty word with
+    # the first entry
+    b = standard_hecke(2)
+    spoil_action(lambda x: True)
+    [check] = verify_capelli_action(b, 2, degree=2).checks
+    assert not check["passed"]
+    assert check["witness"].endswith(" on ()")
+    assert _free_target_action(b, 2, 2) == check["witness"]
+
+
+def test_a_spoiled_rule_entry_stops_the_action_route(spoil_rule):
+    # a double whose exchange rule fails its certificate justifies no
+    # spanning set: the route raises, naming the double, and never passes
+    spoil_rule(capelli)
+    with pytest.raises(PresentationError, match=re.escape(
+            "double(derivative, dim=2) is not certified")):
+        verify_capelli_action(standard_hecke(2), 2, degree=2)
+
+
 def test_capelli_action_loads_each_entry_and_target_once(monkeypatch):
-    # The action route acts with every entry of lhs - rhs on every word of
-    # degree <= 2: the packed kernel loads its rule table once, each entry
-    # once and each target word once, not each entry once per target.
+    # The action route acts with every entry of lhs - rhs on every normal
+    # word of degree <= 2 (ten of the sixteen quadratic words): the packed
+    # kernel loads its rule table once, each entry once and each target
+    # word once, not each entry once per target.
     b = standard_hecke(2)
     lhs, rhs = capelli_sides(make_double(b, "derivative"), 2)
     entries = len((lhs - rhs).entries)
-    targets = 1 + 4 + 4 ** 2
+    targets = 1 + 4 + 10
     loads = []
     real = doubles._pack_vector
 
