@@ -7,6 +7,8 @@ action.  Pinning the first N trace powers to constants therefore gives
 quotient coordinate algebras that still carry the field action; they
 play the role of function rings on fixed conjugation orbits.  The descent
 is checked on the pinned trace powers times the bounded normal words.
+The quotient is built on the double's own coordinate presentation, so an
+orbits row builds its reflection-equation algebra once, with its double.
 
 The commutation claim is checked two ways: generator-by-generator
 bi-normal forms, and the matrix identity behind it,
@@ -23,8 +25,7 @@ from .anchors import anchor
 from .braidings import Braiding
 from .doubles import QuantumDouble, make_double
 from .invariants import power_sum
-from .ncengine import (CentralQuotient, MatrixOverAlgebra, NCElement,
-                       re_presentation)
+from .ncengine import CentralQuotient, MatrixOverAlgebra, NCElement
 from .reports import VerificationReport
 
 
@@ -94,25 +95,26 @@ def verify_adjoint_invariance(braiding: Braiding, k: int
 # Orbit quotients
 
 
-def orbit_quotient(braiding: Braiding, alphas, tag: str = "m"
-                   ) -> CentralQuotient:
-    """Coordinate algebra with the first N traced powers pinned.
+def orbit_quotient(double: QuantumDouble, alphas) -> CentralQuotient:
+    """Coordinate algebra of the double with the first N traced powers pinned.
 
-    The reflection-equation algebra divided by p_k - alpha_k, the traced
-    k-th power minus its level constant, for k = 1..N.  The traced powers
-    are central in that algebra, so the quotient is a CentralQuotient:
-    one certified presentation whose basis holds the re-keyed relation
-    rows and w·(p_k - alpha_k) over normal words w, so that trace
-    occurrences rewrite to constants in one elimination.  A traced power
-    that fails to be central raises PresentationError.
+    The double's reflection-equation algebra (double.b_pres) divided by
+    p_k - alpha_k, the traced k-th power minus its level constant, for
+    k = 1..N.  The traced powers are central in that algebra, so the
+    quotient is a CentralQuotient: one certified presentation whose basis
+    holds the re-keyed relation rows and w·(p_k - alpha_k) over normal
+    words w, so that trace occurrences rewrite to constants in one
+    elimination.  A traced power that fails to be central raises
+    PresentationError.
     """
+    braiding, tag = double.braiding, double.b_tag
     n = braiding.dim
     alphas = list(alphas)
     if len(alphas) != n:
         raise ValueError("need one level constant per matrix size")
     pinned = [power_sum(braiding, tag, k) - NCElement.constant(alpha)
               for k, alpha in enumerate(alphas, start=1)]
-    return CentralQuotient(re_presentation(braiding, tag), pinned,
+    return CentralQuotient(double.b_pres, pinned,
                            name=f"orbit({tag}, dim={n})")
 
 
@@ -135,7 +137,7 @@ def verify_orbit_descent(braiding: Braiding, alphas, degree: int = 1
                    "degree": degree,
                    "genericity_pairs": "all ordered pairs including i=j"})
     double = make_double(braiding, "adjoint_shifted")
-    quotient = orbit_quotient(braiding, alphas, double.b_tag)
+    quotient = orbit_quotient(double, alphas)
     ok = True
     witness = None
     for k, (alpha, pinned) in enumerate(zip(alphas, quotient.pinned),

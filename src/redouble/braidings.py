@@ -185,17 +185,10 @@ class Braiding:
         self.memo: dict = {}  # filled by memoized()
 
     def _verify(self):
-        dim = self.dim
-        ident2 = TensorOperator.identity(dim, 2)
-        if (self.op * self.inv) != ident2:
-            raise BraidingError(f"{self.name}: inverse from quadratic relation failed")
-        hecke = self.op * self.op - ident2 - self.op.scale(self.nu)
-        if not hecke.is_zero():
-            raise BraidingError(f"{self.name}: quadratic Hecke condition failed")
-        r1 = self.op.embed(3, 1)
-        r2 = self.op.embed(3, 2)
-        if (r1 * r2 * r1) != (r2 * r1 * r2):
-            raise BraidingError(f"{self.name}: braid relation failed")
+        for name, residual in braiding_residuals(self).items():
+            if not residual.is_zero():
+                raise BraidingError(
+                    f"{self.name}: {name.replace('-', ' ')} failed")
 
     def at(self, i: int, arity: int) -> TensorOperator:
         """R acting in slots (i, i+1) of the arity-fold tensor power."""
@@ -233,6 +226,22 @@ class Braiding:
 
     def __repr__(self):
         return f"Braiding({self.name}, dim={self.dim})"
+
+
+def braiding_residuals(b: Braiding) -> dict:
+    """The defining identities of b as residuals, by check id.
+
+    braid-relation is R_1 R_2 R_1 - R_2 R_1 R_2 on V^3, hecke-condition
+    R^2 - I - (q - q^-1) R and braiding-inverse R R^-1 - I on V^2; each
+    is zero for a braiding.
+    """
+    r1, r2 = b.at(1, 3), b.at(2, 3)
+    ident = b.identity(2)
+    return {
+        "braid-relation": r1 * r2 * r1 - r2 * r1 * r2,
+        "hecke-condition": b.op * b.op - ident - b.op.scale(b.nu),
+        "braiding-inverse": b.op * b.inv - ident,
+    }
 
 
 def memoized(braiding: Braiding, key: tuple, build):

@@ -16,9 +16,11 @@ matrices in the derivative double), the shifted products satisfy
 
 verified here by two independent routes: entrywise bi-normal forms of
 both sides, and both sides applied as operators to the bounded-degree
-normal words through the counit action of the certified double; both
-reduce one difference of the sides, built once per braiding.  Taking
-the full weighted trace at k = N relates the left product to
+normal words through the counit action of the certified double.  Both
+routes reduce one difference of the sides in one derivative double: the
+capelli suite builds that pair once per parameter point and hands it to
+the routes of its point, so neither route builds a double.  Taking the
+full weighted trace at k = N relates the left product to
 q^(-N) det_R M det_Rinv D; that trace and both determinants are traced
 chains.
 """
@@ -29,7 +31,7 @@ import functools
 import operator
 
 from .anchors import anchor
-from .braidings import Braiding, TensorOperator, memoized
+from .braidings import Braiding, TensorOperator
 from .doubles import (QuantumDouble, conjugated_copy, make_double,
                       matrix_copy, monomial_matrix)
 from .heckerep import hecke_integer, skew_symmetrizer
@@ -140,51 +142,44 @@ def capelli_sides(double: QuantumDouble, k: int) -> tuple:
 
 
 def capelli_difference(double: QuantumDouble, k: int) -> MatrixOverAlgebra:
-    """lhs - rhs of capelli_sides(double, k), memoized on the braiding.
-
-    double is the derivative double over its braiding; the difference
-    holds no double, so each route reduces it in a double of its own.
-    """
-    def build():
-        lhs, rhs = capelli_sides(double, k)
-        return lhs - rhs
-    return memoized(double.braiding, ("capelli_difference", double.kind, k),
-                    build)
+    """lhs - rhs of capelli_sides(double, k) in the derivative double."""
+    lhs, rhs = capelli_sides(double, k)
+    return lhs - rhs
 
 
-def verify_capelli(braiding: Braiding, k: int) -> VerificationReport:
+def verify_capelli(double: QuantumDouble, difference: MatrixOverAlgebra
+                   ) -> VerificationReport:
     """Word route: bi-normal forms of both sides agree entrywise.
 
-    Both sides live in the derivative double over the braiding.
+    difference is capelli_difference(double, k) of the derivative double.
     """
     report = VerificationReport("capelli")
-    double = make_double(braiding, "derivative")
-    ok, witness = capelli_difference(double, k).first_nonzero(
-        double.binormal_form)
+    ok, witness = difference.first_nonzero(double.binormal_form)
     report.add("word-route", anchor("capelli-word-route"), ok, witness)
     return report
 
 
-def verify_capelli_action(braiding: Braiding, k: int,
+def verify_capelli_action(double: QuantumDouble,
+                          difference: MatrixOverAlgebra,
                           degree: int = 2) -> VerificationReport:
     """Operator route: both sides act identically on bounded monomials.
 
-    Applies every entry of both sides, through the counit action of the
-    double, to each normal word of length <= degree of the coordinate
-    algebra, and compares the results modulo its relation ideal I.  These
-    span every free word of that length modulo I (diamond lemma), and the
-    double maps I into itself once its presentation is certified, which
-    is checked first.
+    Applies every entry of difference, capelli_difference(double, k) of
+    the derivative double, through the counit action of the double, to
+    each normal word of length <= degree of the coordinate algebra, and
+    compares the results modulo its relation ideal I.  These span every
+    free word of that length modulo I (diamond lemma), and the double
+    maps I into itself once its presentation is certified, which is
+    checked first.
     """
     report = VerificationReport("capelli")
-    double = make_double(braiding, "derivative")
     double.presentation.ensure(3)
     targets = [w for d in range(degree + 1)
                for w in double.b_pres.normal_words(d)]
     ok = True
     witness = None
     # the action is linear in the acting element: act once by the difference
-    entries = capelli_difference(double, k).entries
+    entries = difference.entries
     keys = sorted(entries)
     images = double.act_each((entries[key] for key in keys),
                              [NCElement.word(w) for w in targets])

@@ -11,11 +11,15 @@ tableau per eigenspace, which gives the spectral construction of the
 primitive idempotents used here: interpolate each J_i over the contents
 that were admissible at step i.  Diagrams with more rows than dim V have
 empty eigenspaces and produce the zero operator.
+
+The Jucys-Murphy list, the skew-symmetrizers and the Young idempotents
+live in the braiding's memo (braidings.memoized) and nowhere else: each
+is built once per braiding and degree, and every projector of degree k
+reads the one list of degree k.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .braidings import Braiding, TensorOperator, memoized
@@ -179,25 +183,23 @@ def hecke_integer(b: Braiding, k: int) -> Scalar:
     return total
 
 
-def jucys_murphy(b: Braiding, k: int, arity: int | None = None) -> list:
-    """[J_1, ..., J_k] on the arity-fold power (arity defaults to k)."""
-    n = arity if arity is not None else k
-    if k > n:
-        raise ValueError("need arity >= k")
-    out = [TensorOperator.identity(b.dim, n)]
-    for i in range(2, k + 1):
-        r = b.at(i - 1, n)
-        out.append(r * out[-1] * r)
-    return out
+def jucys_murphy(b: Braiding, k: int) -> list:
+    """[J_1, ..., J_k] on V^k, memoized on the braiding."""
+    return memoized(b, ("jucys_murphy", k),
+                    lambda: _jucys_murphy_chain(b.at, b.dim, k))
 
 
-def jucys_murphy_inverse(b: Braiding, k: int, arity: int | None = None) -> list:
+def jucys_murphy_inverse(b: Braiding, k: int) -> list:
     """Inverses of the Jucys-Murphy elements, built from R^-1 directly."""
-    n = arity if arity is not None else k
-    out = [TensorOperator.identity(b.dim, n)]
+    return _jucys_murphy_chain(b.inv_at, b.dim, k)
+
+
+def _jucys_murphy_chain(at, dim: int, k: int) -> list:
+    """[J_1, ..., J_k] on V^k: J_1 = I, J_i = g J_(i-1) g, g = at(i-1, k)."""
+    out = [TensorOperator.identity(dim, k)]
     for i in range(2, k + 1):
-        rinv = b.inv_at(i - 1, n)
-        out.append(rinv * out[-1] * rinv)
+        r = at(i - 1, k)
+        out.append(r * out[-1] * r)
     return out
 
 
@@ -261,35 +263,3 @@ def _build_young_idempotent(b: Braiding, tableau: StandardTableau
     if (proj * proj) != proj:
         raise IdempotentError(f"projector not idempotent for {tableau!r}")
     return proj
-
-
-class IdempotentFamily:
-    """All tableau projectors for monomial degree k over one braiding."""
-
-    def __init__(self, b: Braiding, k: int):
-        self.braiding = b
-        self.k = k
-        self.tableaux = []
-        self.projectors = {}
-        for shape in partitions(k):
-            for t in standard_tableaux(shape):
-                self.tableaux.append(t)
-                self.projectors[t] = young_idempotent(b, t)
-
-    def projector(self, t: StandardTableau) -> TensorOperator:
-        return self.projectors[t]
-
-    def complete(self) -> bool:
-        total = TensorOperator(self.braiding.dim, self.k, {})
-        for p in self.projectors.values():
-            total = total + p
-        return total == TensorOperator.identity(self.braiding.dim, self.k)
-
-    def orthogonal(self) -> bool:
-        ts = self.tableaux
-        for a in range(len(ts)):
-            pa = self.projectors[ts[a]]
-            for bb in range(a + 1, len(ts)):
-                if not (pa * self.projectors[ts[bb]]).is_zero():
-                    return False
-        return True

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .anchors import anchor
-from .braidings import Braiding, TensorOperator
+from .braidings import Braiding, TensorOperator, memoized
 from .doubles import QuantumDouble, action_operator, matrix_copy
 from .heckerep import (
     content_sum_power,
@@ -145,7 +145,7 @@ class SpectralCharacter:
     q = -1; the weights divide by their differences.
     """
 
-    __slots__ = ("shape", "braiding", "mu", "mu_hat", "_weights")
+    __slots__ = ("shape", "braiding", "mu", "mu_hat")
 
     def __init__(self, shape: tuple, braiding: Braiding):
         n = braiding.dim
@@ -159,7 +159,6 @@ class SpectralCharacter:
         self.mu_hat = [q ** (-(lam[i] + n - i - 1)) *
                        hecke_integer(braiding, lam[i] + n - i - 1)
                        for i in range(n)]
-        self._weights = None
 
     def elementary(self, k: int) -> Scalar:
         """Value of e_k: the elementary symmetric function of mu over q^k."""
@@ -173,19 +172,17 @@ class SpectralCharacter:
 
     def weights(self) -> list:
         """Interpolation weights d_i entering the power-sum expansion."""
-        if self._weights is None:
-            q = self.braiding.q
-            if len(set(self.mu)) < len(self.mu):
-                raise ValueError("interpolation weights need distinct mu")
-            out = []
-            for i, mi in enumerate(self.mu):
-                w = q.inverse()
-                for j, mj in enumerate(self.mu):
-                    if j != i:
-                        w = w * (mi - q ** (-2) * mj) / (mi - mj)
-                out.append(w)
-            self._weights = out
-        return self._weights
+        q = self.braiding.q
+        if len(set(self.mu)) < len(self.mu):
+            raise ValueError("interpolation weights need distinct mu")
+        out = []
+        for i, mi in enumerate(self.mu):
+            w = q.inverse()
+            for j, mj in enumerate(self.mu):
+                if j != i:
+                    w = w * (mi - q ** (-2) * mj) / (mi - mj)
+            out.append(w)
+        return out
 
     def power(self, k: int) -> Scalar:
         """Value of the k-th power sum: sum of mu_i^k d_i."""
@@ -203,10 +200,12 @@ def trace_action_operator(braiding: Braiding, k: int) -> TensorOperator:
     """Operator of the weighted trace on degree-k monomials, closed form.
 
     The partial weighted trace over slot k+1 of the inverse Jucys-Murphy
-    element J_(k+1)^-1.
+    element J_(k+1)^-1.  Memoized on the braiding.
     """
-    jinv = jucys_murphy_inverse(braiding, k + 1)[k]
-    return jinv.rtrace(k + 1, braiding.trace_form().weights)
+    def build():
+        jinv = jucys_murphy_inverse(braiding, k + 1)[k]
+        return jinv.rtrace(k + 1, braiding.trace_form().weights)
+    return memoized(braiding, ("trace_action_operator", k), build)
 
 
 def _projector_checks(report: VerificationReport, op: TensorOperator,

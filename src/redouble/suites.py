@@ -21,11 +21,14 @@ from fractions import Fraction
 from . import braidings
 from .adjoint_orbits import verify_adjoint_invariance, verify_orbit_descent
 from .anchors import anchor, is_conjectural
-from .braidings import BraidingError, rtrace_form, standard_hecke
-from .capelli import verify_capelli, verify_capelli_action, verify_det_capelli
+from .braidings import (BraidingError, TensorOperator, braiding_residuals,
+                        rtrace_form, standard_hecke)
+from .capelli import (capelli_difference, verify_capelli,
+                      verify_capelli_action, verify_det_capelli)
 from .doubles import DoubleError, make_double
-from .heckerep import (IdempotentFamily, jucys_murphy, partitions,
-                       shape_label, skew_symmetrizer, weyl_dimension)
+from .heckerep import (jucys_murphy, partitions, shape_label,
+                       skew_symmetrizer, standard_tableaux, weyl_dimension,
+                       young_idempotent)
 from .invariants import (SpectralCharacter, elementary_symmetric, power_sum,
                          spectral_char_trl, verify_cayley_hamilton,
                          verify_character_consistency, verify_spectrum,
@@ -220,14 +223,7 @@ def braiding_suite(config: SuiteConfig) -> VerificationReport:
 def _braiding_checks(p) -> VerificationReport:
     """The defining identities of the braiding p, each as a residual."""
     report = VerificationReport("braiding")
-    residuals = (
-        ("braid-relation",
-         p.at(1, 3) * p.at(2, 3) * p.at(1, 3)
-         - p.at(2, 3) * p.at(1, 3) * p.at(2, 3)),
-        ("hecke-condition", p.op * p.op - p.identity(2) - p.op.scale(p.nu)),
-        ("braiding-inverse", p.op * p.inv - p.identity(2)),
-    )
-    for name, res in residuals:
+    for name, res in braiding_residuals(p).items():
         ok, witness = first_nonzero(res.rows, lambda v: v)
         report.add(name, anchor(name), ok, witness)
     return report
@@ -255,20 +251,23 @@ def heckerep_suite(config: SuiteConfig) -> VerificationReport:
                skew_symmetrizer(b, n).rank() == 1)
     report.add("skew-vanish-above", anchor("skew-vanish-above"),
                skew_symmetrizer(b, n + 1).is_zero())
-    fam = IdempotentFamily(b, k)
+    tableaux = [t for shape in partitions(k) for t in standard_tableaux(shape)]
+    projectors = [young_idempotent(b, t) for t in tableaux]
     report.add("projector-complete", anchor("projector-complete"),
-               fam.complete())
+               sum(projectors, TensorOperator(b.dim, k)) == b.identity(k))
     report.add("projector-orthogonal", anchor("projector-orthogonal"),
-               fam.orthogonal())
-    bad = (f"{tab!r} letter {i}" for tab in fam.tableaux
+               all((pa * pb).is_zero()
+                   for a, pa in enumerate(projectors)
+                   for pb in projectors[a + 1:]))
+    bad = (f"{tab!r} letter {i}" for tab, proj in zip(tableaux, projectors)
            for i in range(1, k + 1)
-           if js[i - 1] * fam.projector(tab)
-           != fam.projector(tab).scale(b.q ** (2 * tab.content_of(i))))
+           if js[i - 1] * proj
+           != proj.scale(b.q ** (2 * tab.content_of(i))))
     witness = next(bad, None)
     report.add("projector-jm-eigenvalue", anchor("projector-jm-eigenvalue"),
                witness is None, witness)
-    ranks = ((tab, fam.projector(tab).substituted(1).rank(),
-              weyl_dimension(tab.shape, n)) for tab in fam.tableaux)
+    ranks = ((tab, proj.substituted(1).rank(), weyl_dimension(tab.shape, n))
+             for tab, proj in zip(tableaux, projectors))
     bad = (f"{tab!r}: rank {got} vs {want}"
            for tab, got, want in ranks if got != want)
     witness = next(bad, None)
@@ -381,7 +380,13 @@ def cayley_hamilton_suite(config: SuiteConfig) -> VerificationReport:
 
 
 def capelli_suite(config: SuiteConfig) -> VerificationReport:
-    """Word route at each parameter point, operator route once; k <= n."""
+    """Word route at each parameter point, operator route once; k <= n.
+
+    Each point gets one derivative double and one difference of the
+    sides, which its routes share; EXACT's one point is the symbolic
+    braiding, so both routes read one pair.  Only the pair of the last
+    point is held: it is dropped before the next pair is built.
+    """
     k = 2 if config.k is None else config.k
     if k > config.n:  # A^(k) = 0: both sides vanish, nothing is checked
         raise ValueError(f"capelli needs k <= n, got k = {k}, n = {config.n}")
@@ -389,8 +394,17 @@ def capelli_suite(config: SuiteConfig) -> VerificationReport:
     b = standard_hecke(config.n)
     report = _sampled_report(config, {"n": config.n, "k": k,
                                       "degree": degree})
-    _sampled(report, config, verify_capelli, b, k)
-    _merge(report, verify_capelli_action(b, k, degree))
+    held = []  # [point, double, difference] of the last point
+
+    def pair(point) -> list:
+        if not held or held[0] is not point:
+            held.clear()
+            double = make_double(point, "derivative")
+            held[:] = point, double, capelli_difference(double, k)
+        return held[1:]
+
+    _sampled(report, config, lambda point: verify_capelli(*pair(point)), b)
+    _merge(report, verify_capelli_action(*pair(b), degree))
     return report
 
 

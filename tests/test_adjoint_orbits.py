@@ -97,7 +97,7 @@ def test_trace_powers_are_central_before_pinning():
 def test_orbit_point_at_dimension_one():
     b = standard_hecke(1)
     level = Scalar.from_int(5)
-    quotient = orbit_quotient(b, [level])
+    quotient = orbit_quotient(make_double(b, "adjoint_shifted"), [level])
     assert isinstance(quotient, CentralQuotient)
     m = NCElement.generator(Gen("m", 1, 1))
     assert quotient.normal_form(m) == NCElement.constant(b.q * level)
@@ -111,7 +111,8 @@ def test_orbit_point_at_dimension_one():
 
 def test_orbit_level_count_must_match():
     with pytest.raises(ValueError):
-        orbit_quotient(standard_hecke(2), [ONE])
+        orbit_quotient(make_double(standard_hecke(2), "adjoint_shifted"),
+                       [ONE])
 
 
 def test_classical_orbit_dimension_count():
@@ -122,7 +123,8 @@ def test_classical_orbit_dimension_count():
     b = standard_hecke(2).substituted(1)
     plain = re_presentation(b, "m")
     assert plain.filtered_dimension(2) == 15
-    classical = orbit_quotient(b, [Scalar.from_int(2), Scalar.from_int(5)])
+    classical = orbit_quotient(make_double(b, "adjoint_shifted"),
+                               [Scalar.from_int(2), Scalar.from_int(5)])
     assert isinstance(classical, CentralQuotient)
     assert classical.filtered_dimension(1) == 4
     assert classical.filtered_dimension(2) == 9
@@ -134,7 +136,7 @@ def test_classical_orbit_dimension_count():
 def test_quantum_orbit_pins_traces():
     b = standard_hecke(2)
     alphas = [b.q, Scalar.from_int(3)]
-    quotient = orbit_quotient(b, alphas)
+    quotient = orbit_quotient(make_double(b, "adjoint_shifted"), alphas)
     for k, alpha in enumerate(alphas, start=1):
         reduced = quotient.normal_form(power_sum(b, "m", k))
         assert reduced == NCElement.constant(alpha)
@@ -155,7 +157,7 @@ def _free_word_descent(b, alphas, degree):
     route over every free word w of length <= degree, acting on both
     pinned·w and w·pinned, or None when every image reduces to zero."""
     double = make_double(b, "adjoint_shifted")
-    quotient = orbit_quotient(b, alphas, double.b_tag)
+    quotient = orbit_quotient(double, alphas)
     fields = [NCElement.generator(g) for g in double.a_pres.generators]
     words = [NCElement.word(w) for d in range(degree + 1)
              for w in itertools.product(quotient.generators, repeat=d)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from redouble import braidings, doubles, suites
+from redouble import braidings, doubles, heckerep, suites
 from redouble.braidings import standard_hecke
 from redouble.cli import main
 from redouble.doubles import action_operator, make_double
@@ -111,6 +111,32 @@ def test_shared_idempotents_leave_row_reports_unchanged():
     assert len(_memo_keys(standard_hecke(3), "young_idempotent")) == 4
     assert shared == cold
     assert all('"passed": true' in text for text in cold)
+
+
+def test_each_hecke_chain_is_built_once_per_braiding_and_degree(
+        count_calls):
+    # Jucys-Murphy lists and trace action operators live in the braiding
+    # memo: a serial grid builds each once per (braiding, k)
+    chains = count_calls(heckerep._jucys_murphy_chain)
+    inverses = count_calls(heckerep.jucys_murphy_inverse)
+    assert run_all().passed
+    lists = [(id(at.__self__), k) for at, _, k in chains
+             if at.__name__ == "at"]
+    operators = [(id(b), k) for b, k in inverses]
+    assert lists and operators
+    assert len(lists) == len(set(lists))
+    assert len(operators) == len(set(operators))
+
+
+def test_no_memo_holds_a_capelli_difference():
+    # a difference is read by the routes of one row's point, so it lives
+    # in that row and not in the braiding memo
+    for mode in ("EXACT", "SAMPLED"):
+        report = run_suite(SuiteConfig("capelli", n=2, k=2, mode=mode))
+        assert report.passed, report.failures()
+    assert braidings._hecke_cache
+    assert not any(_memo_keys(b, "capelli_difference")
+                   for b in braidings._hecke_cache.values())
 
 
 def test_no_action_operator_is_solved_twice_under_jobs(monkeypatch,

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from redouble import capelli, doubles
+from redouble import doubles
 from redouble.braidings import TensorOperator, flip, standard_hecke
 from redouble.capelli import (
     StructureError,
@@ -126,9 +126,15 @@ def test_capelli_sides_at_k_one_coincide_before_reduction():
     assert lhs == rhs
 
 
+def _routes_input(b, k):
+    """The derivative double over b and the difference of its sides."""
+    double = make_double(b, "derivative")
+    return double, capelli_difference(double, k)
+
+
 def test_capelli_word_route_exact():
     for n, k in ((1, 1), (2, 1), (2, 2)):
-        report = verify_capelli(standard_hecke(n), k)
+        report = verify_capelli(*_routes_input(standard_hecke(n), k))
         assert report.passed, (n, k)
     # above the rank A^(k) vanishes: both sides are the zero matrix, and
     # the word route passes without checking anything
@@ -139,14 +145,14 @@ def test_capelli_word_route_exact():
 
 
 def test_capelli_word_route_classical():
-    report = verify_capelli(flip(2), 2)
+    report = verify_capelli(*_routes_input(flip(2), 2))
     assert report.passed
 
 
 def test_capelli_word_route_sampled():
     points = parameter_points(standard_hecke(3), "SAMPLED",
                               random.Random(20240812), 3)
-    reports = [verify_capelli(b, 2) for _, b in points]
+    reports = [verify_capelli(*_routes_input(b, 2)) for _, b in points]
     assert len(reports) == 3
     assert all(report.passed for report in reports)
 
@@ -154,7 +160,7 @@ def test_capelli_word_route_sampled():
 def test_capelli_action_route():
     b = standard_hecke(2)
     for k in (1, 2):
-        report = verify_capelli_action(b, k, degree=2)
+        report = verify_capelli_action(*_routes_input(b, k), degree=2)
         assert report.passed, k
 
 
@@ -178,7 +184,7 @@ def _free_target_action(b, k, degree):
 
 def test_the_free_target_route_agrees_with_the_action_route():
     b = standard_hecke(2)
-    assert verify_capelli_action(b, 2, degree=2).passed
+    assert verify_capelli_action(*_routes_input(b, 2), degree=2).passed
     assert _free_target_action(b, 2, 2) is None
 
 
@@ -187,7 +193,7 @@ def test_a_spoiled_action_fails_both_action_routes(spoil_action):
     # the first entry
     b = standard_hecke(2)
     spoil_action(lambda x: True)
-    [check] = verify_capelli_action(b, 2, degree=2).checks
+    [check] = verify_capelli_action(*_routes_input(b, 2), degree=2).checks
     assert not check["passed"]
     assert check["witness"].endswith(" on ()")
     assert _free_target_action(b, 2, 2) == check["witness"]
@@ -196,10 +202,12 @@ def test_a_spoiled_action_fails_both_action_routes(spoil_action):
 def test_a_spoiled_rule_entry_stops_the_action_route(spoil_rule):
     # a double whose exchange rule fails its certificate justifies no
     # spanning set: the route raises, naming the double, and never passes
-    spoil_rule(capelli)
+    spoil_rule(doubles)
+    double = doubles.make_double(standard_hecke(2), "derivative")
+    difference = capelli_difference(double, 2)
     with pytest.raises(PresentationError, match=re.escape(
             "double(derivative, dim=2) is not certified")):
-        verify_capelli_action(standard_hecke(2), 2, degree=2)
+        verify_capelli_action(double, difference, degree=2)
 
 
 def test_capelli_action_loads_each_entry_and_target_once(monkeypatch):
@@ -207,9 +215,8 @@ def test_capelli_action_loads_each_entry_and_target_once(monkeypatch):
     # word of degree <= 2 (ten of the sixteen quadratic words): the packed
     # kernel loads its rule table once, each entry once and each target
     # word once, not each entry once per target.
-    b = standard_hecke(2)
-    lhs, rhs = capelli_sides(make_double(b, "derivative"), 2)
-    entries = len((lhs - rhs).entries)
+    double, difference = _routes_input(standard_hecke(2), 2)
+    entries = len(difference.entries)
     targets = 1 + 4 + 10
     loads = []
     real = doubles._pack_vector
@@ -219,7 +226,7 @@ def test_capelli_action_loads_each_entry_and_target_once(monkeypatch):
         return real(vec, w, param)
 
     monkeypatch.setattr(doubles, "_pack_vector", counted)
-    report = verify_capelli_action(b, 2, degree=2)
+    report = verify_capelli_action(double, difference, degree=2)
     monkeypatch.undo()
     assert report.passed
     assert entries > 1 and loads

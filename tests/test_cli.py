@@ -15,6 +15,7 @@ import time
 import pytest
 
 import redouble
+from redouble import adjoint_orbits
 from redouble.cli import ENGINE_ERRORS, main
 from redouble.anchors import anchor
 from redouble.braidings import BraidingError
@@ -453,8 +454,15 @@ def _uncertified(braiding, tag):
 
 
 def test_an_uncertified_presentation_is_an_engine_error(capsys, monkeypatch):
-    monkeypatch.setattr("redouble.adjoint_orbits.re_presentation",
-                        _uncertified)
+    # the orbit quotient is built on its double's coordinate presentation
+    make_double = adjoint_orbits.make_double
+
+    def uncertified_double(braiding, kind):
+        double = make_double(braiding, kind)
+        double.b_pres = _uncertified(braiding, double.b_tag)
+        return double
+
+    monkeypatch.setattr(adjoint_orbits, "make_double", uncertified_double)
     witness = _engine_error_witness(capsys, "--suite", "orbits", "--n", "2")
     assert witness.startswith("PresentationError: uncertified(m) is not"
                               " certified: the overlap (m12, m12, m12)")

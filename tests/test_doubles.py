@@ -235,7 +235,7 @@ def test_action_operator_of_weighted_trace():
     trl = MatrixOverAlgebra.identity(2, 1).traced_chain([l], form.weights)
     for k in (1, 2):
         op = action_operator(d, trl, k)
-        expected = jucys_murphy_inverse(b, k + 1, k + 1)[k].rtrace(
+        expected = jucys_murphy_inverse(b, k + 1)[k].rtrace(
             k + 1, form.weights)
         assert op == expected
     assert action_operator(d, NCElement.constant(ONE), 1) == \

@@ -11,6 +11,7 @@ import pytest
 from redouble import ncengine
 from redouble.adjoint_orbits import orbit_quotient
 from redouble.braidings import TensorOperator, flip, standard_hecke
+from redouble.doubles import make_double
 from redouble.linalg import Triangular, vec_add_scaled
 from redouble.ncengine import (
     CentralQuotient,
@@ -202,8 +203,7 @@ DIFFERENTIAL_PRESENTATIONS = {
     "sym": (lambda: symmetric_vector_presentation(standard_hecke(2), "x"),
             "q"),
     "skew": (lambda: skew_vector_presentation(standard_hecke(2), "x"), "q"),
-    "orbit": (lambda: orbit_quotient(
-        standard_hecke(2), [Scalar.from_int(2), Scalar.from_int(3)]), "q"),
+    "orbit": (lambda: _orbit(2, (2, 3)), "q"),
 }
 
 
@@ -278,9 +278,14 @@ def _pivot_words(pres, d):
             if _has_lead(pres, w)] + pinned
 
 
+def _orbit(n, levels):
+    """The orbit quotient of the rank-n adjoint double at the levels."""
+    double = make_double(standard_hecke(n), "adjoint_shifted")
+    return orbit_quotient(double, [Scalar.from_int(i) for i in levels])
+
+
 def _rank_three_orbit():
-    return orbit_quotient(standard_hecke(3), [Scalar.from_int(i)
-                                              for i in (2, 3, 4)])
+    return _orbit(3, (2, 3, 4))
 
 
 # name: (fresh presentation, its parameter, basis degree)
@@ -360,9 +365,11 @@ def test_quotient_certifies_before_its_first_pinned_insert(monkeypatch):
         events.append("insert")
         return insert(tri, vec)
 
+    # the double solves its rule table through inserts of its own
+    double = make_double(standard_hecke(3), "adjoint_shifted")
     monkeypatch.setattr(QuadraticPresentation, "_certify", spied_certify)
     monkeypatch.setattr(Triangular, "insert", spied_insert)
-    pres = _rank_three_orbit()
+    pres = orbit_quotient(double, [Scalar.from_int(i) for i in (2, 3, 4)])
     relations = len(pres.relations)
     assert events == ["insert"] * relations + ["certified"]
     pres.ensure(4)
@@ -373,8 +380,7 @@ def test_quotient_certifies_before_its_first_pinned_insert(monkeypatch):
 
 
 def test_a_quotient_normal_form_is_one_reduction(monkeypatch):
-    pres = orbit_quotient(standard_hecke(2), [Scalar.from_int(2),
-                                              Scalar.from_int(3)])
+    pres = _orbit(2, (2, 3))
     pres.ensure(3)
     calls = []
     reduce = Triangular.reduce

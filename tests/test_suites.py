@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import pytest
 
-from redouble import capelli, invariants, suites, u2h
+from redouble import capelli, doubles, invariants, ncengine, suites, u2h
 from redouble.anchors import ANCHORS, CONJECTURAL, anchor, is_conjectural
-from redouble.braidings import standard_hecke
+from redouble.braidings import (Braiding, BraidingError, TensorOperator,
+                                braiding_residuals, standard_hecke)
 from redouble.doubles import QuantumDouble
-from redouble.heckerep import IdempotentFamily
+from redouble.heckerep import partitions, standard_tableaux
 from redouble.ncengine import NCElement, matrix_generators
 from redouble.reports import VerificationReport
 from redouble.scalars import ONE, Scalar
@@ -54,6 +56,46 @@ def test_braiding_suite_sampled_is_seed_reproducible():
     assert [c["id"] for c in one.checks] != [c["id"] for c in other.checks]
     with pytest.raises(ValueError):
         run_suite(SuiteConfig("braiding", n=2, mode="APPROX"))
+
+
+def _edited(b, edit):
+    """R of b with edit(rows) applied, and the ids of the identities it
+    fails, read from an unverified copy of b on it."""
+    rows = {r: dict(cs) for r, cs in b.op.rows.items()}
+    edit(rows)
+    op = TensorOperator(b.dim, 2, rows)
+    spoiled = copy.copy(b)
+    spoiled.op, spoiled.inv = op, op - b.identity(2).scale(b.nu)
+    return op, {name for name, residual in braiding_residuals(spoiled).items()
+                if not residual.is_zero()}
+
+
+def test_a_doubled_diagonal_entry_is_no_braiding():
+    # doubling q in R fails every identity; construction names the first
+    b = standard_hecke(2)
+
+    def double_q(rows):
+        rows[(1, 1)][(1, 1)] = b.q + b.q
+
+    op, failed = _edited(b, double_q)
+    assert failed == {"braid-relation", "hecke-condition", "braiding-inverse"}
+    with pytest.raises(BraidingError,
+                       match=r"^doubled: braid relation failed$"):
+        Braiding(2, b.q, op, "doubled")
+
+
+def test_a_hecke_operator_off_the_braid_relation_is_no_braiding():
+    # moving the nu of the (1, 3) pair to the cell of (1, 3) keeps each
+    # 2x2 block Hecke but breaks the braid relation on V^3
+    b = standard_hecke(3)
+
+    def move_nu(rows):
+        rows[(1, 3)][(1, 3)] = rows[(3, 1)].pop((3, 1))
+
+    op, failed = _edited(b, move_nu)
+    assert failed == {"braid-relation"}
+    with pytest.raises(BraidingError, match=r"^moved: braid relation failed$"):
+        Braiding(3, b.q, op, "moved")
 
 
 def test_heckerep_suite_checks():
@@ -165,7 +207,8 @@ def _spoiled_report(monkeypatch, check):
     "classical-generator-action", "first-order-actions"])
 def test_a_check_over_many_cases_names_the_first_failure(monkeypatch,
                                                          check):
-    tableaux = IdempotentFamily(standard_hecke(2), 2).tableaux
+    tableaux = [t for shape in partitions(2)
+                for t in standard_tableaux(shape)]
     gd, gn = next((gd, gn) for gd in matrix_generators("d", 2)
                   for gn in matrix_generators("n", 2)
                   if (gd.row, gd.col) == (gn.col, gn.row))
@@ -244,6 +287,35 @@ def test_sampled_capelli_builds_the_sides_once_per_point(count_calls):
     # three points for the word route, the symbolic braiding for the action
     assert len(calls) == 4
     assert len({id(double.braiding) for double, _ in calls}) == 4
+
+
+def test_exact_capelli_routes_share_one_double(count_calls):
+    # EXACT's one point is the symbolic braiding: the word route and the
+    # action route read one derivative double and one pair of sides
+    made = count_calls(doubles.make_double)
+    sides = count_calls(capelli.capelli_sides)
+    report = run_suite(SuiteConfig("capelli", n=2, k=2))
+    assert report.passed, report.failures()
+    assert len(made) == 1 and len(sides) == 1
+
+
+def test_sampled_capelli_builds_one_double_per_point_and_one_more(
+        count_calls):
+    made = count_calls(doubles.make_double)
+    report = run_suite(SuiteConfig("capelli", n=2, k=2, mode="SAMPLED"))
+    assert report.passed, report.failures()
+    points = [c for c in report.checks if c["id"].startswith("word-route@")]
+    # one double per point, and the symbolic one of the action route
+    assert len(points) == 3
+    assert len(made) == len(points) + 1
+
+
+def test_an_orbits_row_builds_its_coordinate_algebra_once(count_calls):
+    # the orbit quotient is built on the double's coordinate presentation
+    built = count_calls(ncengine.re_presentation)
+    report = run_suite(SuiteConfig("orbits", n=2))
+    assert report.passed, report.failures()
+    assert [args[1] for args in built].count("m") == 1
 
 
 def test_conjecture_builds_its_double_and_e2_once(count_calls):
