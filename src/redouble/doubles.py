@@ -27,6 +27,13 @@ target.  Normal ordering (every b-letter moved left of every a-letter,
 leftmost pair first) stays as an independent reference for the action
 (act_by_ordering), sharing only the rule table with it.
 
+make_double is the one route to the named doubles.  A double's
+definition (its rule table, A- and B-presentations and counit, and its
+presentation once read) is read-only and lives in its braiding's memo,
+so each is extracted, filled and certified once per braiding.  Each call
+returns a new QuantumDouble around it, whose ordering memo and packed
+action kernel die with the row that made it.
+
 A slotwise action operator (action_operator) normal-forms each B-word
 of degree <= k once and loads those normal forms into one packed table,
 acts on each word of the monomial entries once, and maps every entry
@@ -51,6 +58,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import types
 from typing import Iterable
 
 from .braidings import Braiding, TensorOperator, memoized
@@ -78,10 +86,11 @@ class DoubleError(Exception):
 
 
 class PermutationRule:
-    """Finite reordering table on generator pairs.
+    """Finite reordering table on generator pairs, read-only once built.
 
     Every image must lie in span{b·a, b, a, 1}: reordering one pair yields
-    at most one letter of each side again.
+    at most one letter of each side again.  The table is a read-only copy,
+    since the doubles of one definition share it.
     """
 
     __slots__ = ("a_tag", "b_tag", "table")
@@ -89,7 +98,7 @@ class PermutationRule:
     def __init__(self, a_tag: str, b_tag: str, table: dict):
         self.a_tag = a_tag
         self.b_tag = b_tag
-        self.table = table
+        self.table = types.MappingProxyType(dict(table))
         for (ga, gb), img in table.items():
             if ga.tag != a_tag or gb.tag != b_tag:
                 raise DoubleError("rule key tags do not match the double")
@@ -194,13 +203,18 @@ class QuantumDouble:
     def presentation(self) -> QuadraticPresentation:
         """The A- and B-relations and the exchange rows a·b - sigma(a, b),
         on the B- and A-letters; its certificate (ensure(3)) is the
-        double's ideal compatibility."""
-        return QuadraticPresentation(
-            self.b_pres.generators + self.a_pres.generators,
-            self.a_pres.relations + self.b_pres.relations
-            + [NCElement.word(pair) - img
-               for pair, img in self.rule.table.items()],
-            name=f"double({self.kind}, dim={self.braiding.dim})")
+        double's ideal compatibility.  Built on first use, and shared
+        through the braiding's memo by the doubles of one make_double
+        definition (_shared)."""
+        def build():
+            return QuadraticPresentation(
+                self.b_pres.generators + self.a_pres.generators,
+                self.a_pres.relations + self.b_pres.relations
+                + [NCElement.word(pair) - img
+                   for pair, img in self.rule.table.items()],
+                name=f"double({self.kind}, dim={self.braiding.dim})")
+
+        return _shared(self, ("presentation",), build)
 
     def binormal_form(self, x: NCElement) -> NCElement:
         """The normal form of x in the double's presentation."""
@@ -519,19 +533,48 @@ def make_double(braiding: Braiding, kind: str, h: Scalar | None = None,
     The kind fixes the letters of both sides and the defining relation;
     the rule table is extracted from that relation.  h is the shift of
     the derivative_shifted kinds, b_quotient the B-side of the vector
-    kind ("free", "symmetric" or "skew").  Not memoized: a shared double
-    would keep its ordering and packed action memos, and the ideal bases
-    of its presentations, alive after the rows that use it: memoizing
-    doubles per run raised the peak RSS of `--suite all` from 24.6 to
-    26.7 MB (+9%, Python 3.11 on x86-64), with identical report bytes.
+    kind ("free", "symmetric" or "skew").
+
+    The definition (rule table, A- and B-presentations and counit, and
+    the double's presentation once a double reads it) is read-only and
+    lives in the braiding's memo, keyed by (kind, h, b_quotient): each is
+    extracted, and its presentations filled and certified, once per
+    braiding.  The double itself is not memoized.  Each call returns a
+    new QuantumDouble around the shared definition, and its ordering memo
+    and packed action kernel die with the caller.  Memoizing whole
+    doubles per run kept those alive for the whole run and raised the
+    peak RSS of `--suite all` from 24.6 to 26.7 MB (+9%, Python 3.11 on
+    x86-64), with identical report bytes.
     """
+    double = QuantumDouble(braiding, kind, *memoized(
+        braiding, ("double", kind, h, b_quotient),
+        lambda: _definition(braiding, kind, h, b_quotient)))
+    double.defining = (braiding, kind, h, b_quotient)
+    return double
+
+
+def _definition(braiding: Braiding, kind: str, h: Scalar | None,
+                b_quotient: str) -> tuple:
+    """(a_pres, b_pres, rule, eps_a) of a make_double call."""
     a_tag, b_tag, lhs, rhs, a_pres, b_pres, eps, b_gens = \
         _defining_relation(braiding, kind, h, b_quotient)
     rule = _extract_rule(lhs, rhs, matrix_generators(a_tag, braiding.dim),
                          b_gens, a_tag, b_tag)
-    double = QuantumDouble(braiding, kind, a_pres, b_pres, rule, eps)
-    double.defining = (braiding, kind, h, b_quotient)
-    return double
+    return a_pres, b_pres, rule, types.MappingProxyType(eps)
+
+
+def _shared(double: QuantumDouble, key: tuple, build):
+    """build(), shared by the doubles of one make_double definition.
+
+    It sits in the braiding's memo under key[0], the definition's (kind,
+    h, b_quotient) and the rest of key, so the memo holds no double.  A
+    double not built by make_double builds its own.
+    """
+    if double.defining is None:
+        return build()
+    braiding, kind, h, b_quotient = double.defining
+    return memoized(braiding, key[:1] + (kind, h, b_quotient) + key[1:],
+                    build)
 
 
 def _defining_relation(braiding: Braiding, kind: str, h: Scalar | None,
@@ -691,18 +734,13 @@ def action_operator(double: QuantumDouble, a: NCElement,
     Solves act(a, monomial entries) = O * (monomial entries) for the scalar
     operator O on k tensor slots; raises DoubleError when the system is
     inconsistent (the element does not act slotwise) or the monomial
-    entries are linearly dependent.  Memoized on the braiding for doubles
-    built by make_double, keyed on (kind, h, b_quotient, element terms,
-    k): the key holds no double, so the memo keeps no double's ordering
-    or action memos alive.
+    entries are linearly dependent.  Shared through the braiding's memo
+    (_shared) by the doubles of one make_double definition, keyed on the
+    element's terms and k: the key holds no double, so the memo keeps no
+    double's ordering or action memos alive.
     """
-    if double.defining is None:
-        return _solve_action_operator(double, a, k)
-    braiding, kind, h, b_quotient = double.defining
-    key = ("action_operator", kind, h, b_quotient,
-           frozenset(a.terms.items()), k)
-    return memoized(braiding, key,
-                    lambda: _solve_action_operator(double, a, k))
+    return _shared(double, ("action_operator", frozenset(a.terms.items()), k),
+                   lambda: _solve_action_operator(double, a, k))
 
 
 def _solve_action_operator(double: QuantumDouble, a: NCElement,

@@ -20,7 +20,7 @@ row for each word u·ab·v that contains a lead ab, and the normal form
 of an element is its unique remainder against those rows, found by one
 elimination of the whole element; a row is stored when a reduction
 first reads its pivot.  A presentation that fails the check raises
-PresentationError; there is no other route.
+PresentationError, on every later call as well; there is no other route.
 
 A CentralQuotient is a presentation of the same kind, with elements
 pinned to zero that are central in it (checked once it is certified).
@@ -45,7 +45,7 @@ import itertools
 import operator
 from typing import Callable, Iterable, NamedTuple
 
-from .braidings import Braiding, TensorOperator
+from .braidings import Braiding, TensorOperator, memoized
 from .linalg import (Triangular, accumulate, first_nonzero, mat_add, mat_map,
                      mat_mul, partial_trace, traced, vec_add_scaled)
 from .scalars import ONE, Scalar
@@ -192,6 +192,8 @@ class QuadraticPresentation:
                 raise ValueError("constant relation makes the algebra trivial")
         self._tri = Triangular(word_sortkey, self._lead_row)
         self._built = 0
+        # the message of a failed certificate, raised again on every call
+        self._uncertified = None
         # the leading words ab of the relation rows
         self._leads: set = set()
         # the normal words (no leading subword) of each length
@@ -208,12 +210,21 @@ class QuadraticPresentation:
         an ideal element leaves only normal words, which are independent
         in the quotient.  The Triangular stores such a row when a
         reduction first reads its pivot (_lead_row); nothing grows here.
+        A failed certificate raises the same PresentationError on every
+        later call with d >= 3, so no reduction, in any row that shares
+        the presentation, trusts rows the certificate did not justify.
         """
         if self._built < 1 <= d:
             self._insert_relations()
             self._built = 1
         if self._built < 3 <= d:
-            self._certify()
+            if self._uncertified is not None:
+                raise PresentationError(self._uncertified)
+            try:
+                self._certify()
+            except PresentationError as exc:
+                self._uncertified = str(exc)
+                raise
             self._built = 3
 
     def _insert_relations(self) -> None:
@@ -518,12 +529,23 @@ def re_presentation(b: Braiding, tag: str, use_inverse: bool = False,
     shift = None gives the homogeneous algebra; a nonzero shift c gives the
     inhomogeneous variant R X1 R X1 - X1 R X1 R = c (R X1 - X1 R); the
     use_inverse flag swaps R for R^-1 (the derivative-side algebra).
+    Memoized on the braiding (braidings.memoized) by (tag, use_inverse,
+    shift), so each presentation is built, filled and certified once per
+    braiding; its readers share it and must not change it.
     """
+    if shift is not None and shift.is_zero():
+        shift = None
+    return memoized(b, ("re_presentation", tag, use_inverse, shift),
+                    lambda: _re_presentation(b, tag, use_inverse, shift))
+
+
+def _re_presentation(b: Braiding, tag: str, use_inverse: bool,
+                     shift: Scalar | None) -> QuadraticPresentation:
     rel = re_relation_matrix(
         MatrixOverAlgebra.generator_matrix(tag, b.dim, 2, 1),
         b.inv if use_inverse else b.op, shift)
     variant = "inv" if use_inverse else "re"
-    if shift is not None and not shift.is_zero():
+    if shift is not None:
         variant += "-shifted"
     return QuadraticPresentation(
         matrix_generators(tag, b.dim),

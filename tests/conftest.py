@@ -1,6 +1,6 @@
 """Shared pytest plumbing: the acceptance-criteria summary block, cold
 caches for every test, a spy that counts the calls of a redouble
-function, and two spoilers for the verifiers that act through a double."""
+function, and spoilers for the verifiers that act through a double."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from redouble.doubles import QuantumDouble
+from redouble.doubles import PermutationRule, QuantumDouble
 from redouble.ncengine import Gen, NCElement
 from redouble.suites import clear_caches
 
@@ -37,13 +37,15 @@ def count_calls(monkeypatch):
     """count_calls(fn) -> the argument tuples of fn's later calls.
 
     The spy replaces fn in every redouble module that holds it, so calls
-    through any `from ... import` binding are counted.
+    through any `from ... import` binding are counted.  With
+    count_calls(fn, key), key(*args, **kwargs) is recorded in place of
+    the argument tuple.
     """
-    def install(fn) -> list:
+    def install(fn, key=None) -> list:
         calls = []
 
         def spy(*args, **kwargs):
-            calls.append(args)
+            calls.append(args if key is None else key(*args, **kwargs))
             return fn(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
@@ -76,18 +78,36 @@ def spoil_action(monkeypatch):
     return install
 
 
+def spoiled_copy(double: QuantumDouble, spoil) -> QuantumDouble:
+    """A copy of double whose first rule image is spoil(image).
+
+    The copy has its own rule table and builds its own presentation, so
+    the definition that make_double shares stays whole.
+    """
+    table = dict(double.rule.table)
+    pair, image = next(iter(table.items()))
+    table[pair] = spoil(image)
+    return QuantumDouble(double.braiding, double.kind, double.a_pres,
+                         double.b_pres,
+                         PermutationRule(double.a_tag, double.b_tag, table),
+                         double.eps_a)
+
+
+def first_term_again(image: NCElement) -> NCElement:
+    """image plus its first term: a spoiled rule image."""
+    return image + NCElement.word(*next(iter(image.terms.items())))
+
+
 @pytest.fixture
 def spoil_rule(monkeypatch):
     """spoil_rule(module): the make_double that module calls returns
-    doubles whose first rule image is doubled."""
+    spoiled copies of its doubles, whose first rule image is doubled."""
     def install(module) -> None:
         make_double = module.make_double
 
         def spoiled(*args, **kwargs):
-            double = make_double(*args, **kwargs)
-            pair, image = next(iter(double.rule.table.items()))
-            double.rule.table[pair] = image + image
-            return double
+            return spoiled_copy(make_double(*args, **kwargs),
+                                lambda image: image + image)
 
         monkeypatch.setattr(module, "make_double", spoiled)
 

@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import copy
+import gc
 import multiprocessing
+import types
+import weakref
 from fractions import Fraction
 
 import pytest
+from conftest import spoiled_copy
 
-from redouble import braidings, doubles, heckerep, suites
+from redouble import braidings, doubles, heckerep, ncengine, suites
 from redouble.braidings import standard_hecke
 from redouble.cli import main
-from redouble.doubles import action_operator, make_double
+from redouble.doubles import QuantumDouble, action_operator, make_double
 from redouble.heckerep import (skew_symmetrizer, standard_tableaux,
                                young_idempotent)
-from redouble.ncengine import Gen, NCElement
+from redouble.ncengine import (Gen, NCElement, PresentationError,
+                               QuadraticPresentation)
 from redouble.scalars import ONE, Scalar
 from redouble.suites import SuiteConfig, clear_caches, run_all, run_suite
 
@@ -213,3 +218,136 @@ def test_a_copy_or_a_point_of_a_braiding_starts_with_an_empty_memo():
     assert point.memo == {}
     assert point.trace_form() is not b.trace_form()
     assert set(b.memo) == keys
+
+
+def _double_key(braiding, kind, h=None, b_quotient="free") -> tuple:
+    return braiding, kind, h, b_quotient
+
+
+def _presentation_key(braiding, tag, use_inverse=False, shift=None) -> tuple:
+    return braiding, tag, use_inverse, shift
+
+
+def _by_identity(keys: list) -> list:
+    """The keys with each braiding replaced by its id (the calls keep
+    every braiding alive, so no id is reused)."""
+    return [(id(key[0]),) + key[1:] for key in keys]
+
+
+def _reachable(root) -> list:
+    """The objects reachable from root, not looking into classes,
+    modules or functions."""
+    seen = {}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(
+                x, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(x)] = x
+        stack.extend(gc.get_referents(x))
+    return list(seen.values())
+
+
+def test_a_grid_defines_each_double_and_presentation_once(count_calls,
+                                                          monkeypatch):
+    made = count_calls(doubles.make_double, _double_key)
+    extracted = count_calls(doubles._extract_rule)
+    asked = count_calls(ncengine.re_presentation, _presentation_key)
+    built = count_calls(ncengine._re_presentation)
+    certified = []
+    certify = QuadraticPresentation._certify
+
+    def spy(self):
+        certified.append(self)
+        return certify(self)
+
+    monkeypatch.setattr(QuadraticPresentation, "_certify", spy)
+    assert run_all().passed
+    # one rule extraction per distinct (braiding, kind, h, b_quotient)
+    definitions = set(_by_identity(made))
+    assert len(definitions) == 11 and len(made) > len(definitions)
+    assert len(extracted) == len(definitions)
+    # one build per distinct presentation, however often it is asked for
+    assert len(asked) > len(built)
+    assert len(set(_by_identity(built))) == len(built)
+    assert set(_by_identity(built)) == set(_by_identity(asked))
+    # and no presentation is certified twice
+    assert certified
+    assert len({id(p) for p in certified}) == len(certified)
+    # the memos hold definitions, never a double
+    cached = list(braidings._hecke_cache.values())
+    assert any(_memo_keys(b, "double") for b in cached)
+    assert not any(isinstance(x, QuantumDouble)
+                   for b in cached for x in _reachable(b.memo))
+
+
+def test_the_memo_holds_the_definition_and_no_double():
+    b = standard_hecke(2)
+    first = make_double(b, "left")
+    l11 = NCElement.generator(Gen(first.a_tag, 1, 1))
+    m12 = NCElement.generator(Gen(first.b_tag, 1, 2))
+    first.act(l11, m12)
+    first.normal_order(l11 * m12)
+    assert first._kernel is not None and first._order_cache
+    shared = (first.rule, first.a_pres, first.b_pres, first.presentation)
+    dropped = weakref.ref(first)
+    del first
+    gc.collect()
+    assert dropped() is None
+    second = make_double(b, "left")
+    assert second._order_cache == {} and second._kernel is None
+    assert all(x is y for x, y in zip(
+        (second.rule, second.a_pres, second.b_pres, second.presentation),
+        shared))
+
+
+def test_a_failed_certificate_fails_on_every_call(monkeypatch):
+    # a later row sharing the presentation must not pass on the rows the
+    # failed certificate left behind
+    d = spoiled_copy(make_double(standard_hecke(2), "left"),
+                     lambda image: image + image)
+    runs = []
+    certify = QuadraticPresentation._certify
+    monkeypatch.setattr(QuadraticPresentation, "_certify",
+                        lambda self: runs.append(self) or certify(self))
+    messages = []
+    for _ in range(3):
+        with pytest.raises(PresentationError,
+                           match="is not certified") as err:
+            d.presentation.ensure(3)
+        messages.append(str(err.value))
+    cubic = NCElement.word(tuple(d.presentation.generators[:3]))
+    with pytest.raises(PresentationError, match="is not certified"):
+        d.binormal_form(cubic)
+    assert len(runs) == 1 and len(set(messages)) == 1
+
+
+def _labels(task: list) -> tuple:
+    return tuple(label for label, _ in task)
+
+
+def _row_bytes(done: dict) -> dict:
+    return {labels: [report.to_json() for report, _ in results]
+            for labels, results in done.items()}
+
+
+def test_reverse_task_order_gives_the_same_rows_and_summary(monkeypatch):
+    # shared presentations keep the rows their reductions stored; no
+    # verdict or byte may depend on which row stored them
+    tasks = suites.grid_tasks(suites.acceptance_grid())
+    clear_caches()
+    backward = {_labels(task): suites._run_task(task) for task in tasks[::-1]}
+    forward = {}
+    real = suites._run_task
+
+    def spy(task):
+        forward[_labels(task)] = results = real(task)
+        return results
+
+    monkeypatch.setattr(suites, "_run_task", spy)
+    summary = run_all().to_json()
+    assert _row_bytes(backward) == _row_bytes(forward)
+    monkeypatch.setattr(suites, "_run_task",
+                        lambda task: backward[_labels(task)])
+    assert run_all().to_json() == summary

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import first_term_again, spoiled_copy
 
 from redouble import doubles
 from redouble.braidings import TensorOperator, flip, standard_hecke
@@ -526,11 +527,17 @@ def test_every_double_presentation_certifies(n, kind):
 
 @pytest.mark.parametrize("kind", _DOUBLE_KINDS)
 def test_a_spoiled_rule_entry_fails_certification(kind):
-    d = _kind_double(2, kind)
-    pair, img = next(iter(d.rule.table.items()))
-    d.rule.table[pair] = img + NCElement.word(*next(iter(img.terms.items())))
+    d = spoiled_copy(_kind_double(2, kind), first_term_again)
     with pytest.raises(PresentationError, match="is not certified"):
         d.presentation.ensure(3)
+
+
+def test_the_shared_rule_table_is_read_only():
+    d = _kind_double(2, "left")
+    pair, image = next(iter(d.rule.table.items()))
+    with pytest.raises(TypeError):
+        d.rule.table[pair] = image + image
+    assert make_double(standard_hecke(2), "left").rule.table[pair] == image
 
 
 def test_a_letters_must_rank_above_b_letters():

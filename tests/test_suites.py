@@ -6,6 +6,7 @@ import copy
 import pickle
 
 import pytest
+from conftest import first_term_again, spoiled_copy
 
 from redouble import capelli, doubles, invariants, ncengine, suites, u2h
 from redouble.anchors import ANCHORS, CONJECTURAL, anchor, is_conjectural
@@ -154,11 +155,7 @@ def test_doubles_suite_names_the_first_failure(monkeypatch, check):
 
         def spoiled_double(*args, **kwargs):
             # one exchange-rule entry gains its image's first term again
-            d = build(*args, **kwargs)
-            pair, img = next(iter(d.rule.table.items()))
-            d.rule.table[pair] = img + NCElement.word(*next(iter(
-                img.terms.items())))
-            return d
+            return spoiled_copy(build(*args, **kwargs), first_term_again)
 
         monkeypatch.setattr(suites, "make_double", spoiled_double)
     report = run_suite(SuiteConfig("doubles", n=2, seed=5))
