@@ -6,14 +6,14 @@ the shifted enveloping-algebra calculus); no floating point is used.
 
 from .scalars import Scalar, qint, nu
 from .braidings import Braiding, TensorOperator, standard_hecke, flip, rtrace_form
-from .doubles import QuantumDouble, make_double
+from .doubles import DoubleDefinition, QuantumDouble, make_double
 from .reports import VerificationReport
 from .suites import SUITES, SuiteConfig, run_all, run_suite
 
 __all__ = [
     "Scalar", "qint", "nu",
     "Braiding", "TensorOperator", "standard_hecke", "flip", "rtrace_form",
-    "QuantumDouble", "make_double",
+    "DoubleDefinition", "QuantumDouble", "make_double",
     "VerificationReport",
     "SUITES", "SuiteConfig", "run_all", "run_suite",
 ]

@@ -141,13 +141,9 @@ class TensorOperator:
 
     # -- linear-algebra views ----------------------------------------------------
 
-    def as_vectors(self):
-        for r, cs in self.rows.items():
-            yield {c: v for c, v in cs.items()}
-
     def rank(self) -> int:
         tri = Triangular()
-        for v in self.as_vectors():
+        for v in self.rows.values():
             tri.insert(v)
         return len(tri)
 

@@ -27,10 +27,12 @@ target.  Normal ordering (every b-letter moved left of every a-letter,
 leftmost pair first) stays as an independent reference for the action
 (act_by_ordering), sharing only the rule table with it.
 
-make_double is the one route to the named doubles.  A double's
-definition (its rule table, A- and B-presentations and counit, and its
-presentation once read) is read-only and lives in its braiding's memo,
-so each is extracted, filled and certified once per braiding.  Each call
+Every double is a QuantumDouble(braiding, definition).  The
+DoubleDefinition holds the kind, the A- and B-presentations, the rule
+table and the counit; its constructor checks them once, and it builds
+and owns the double's presentation.  make_double is the route to the
+named doubles: it keeps each definition in its braiding's memo, so each
+is extracted, checked, filled and certified once per braiding, and
 returns a new QuantumDouble around it, whose ordering memo and packed
 action kernel die with the row that made it.
 
@@ -59,6 +61,7 @@ import collections
 import functools
 import itertools
 import types
+from operator import attrgetter
 from typing import Iterable
 
 from .braidings import Braiding, TensorOperator, memoized
@@ -72,7 +75,6 @@ from .ncengine import (
     QuadraticPresentation,
     _letter_key,
     free_presentation,
-    matrix_generators,
     re_presentation,
     skew_vector_presentation,
     symmetric_vector_presentation,
@@ -109,36 +111,35 @@ class PermutationRule:
                     raise DoubleError("rule image term is not reordered")
 
 
-class QuantumDouble:
-    """Presentations A and B glued along a permutation rule."""
+class DoubleDefinition:
+    """A double without its braiding: presentations, rule and counit.
 
-    max_word = 24  # longest word ordered or acted on
+    eps_a is the counit on the A-letters (read-only); h and b_quotient
+    are the arguments of make_double, dim is the braiding's.  Checked
+    once, here: the counit kills every A-relation, and every A-letter
+    ranks above every B-letter, so that a·b leads its exchange row.
+    """
 
-    def __init__(self, braiding: Braiding, kind: str,
-                 a_pres: QuadraticPresentation, b_pres: QuadraticPresentation,
-                 rule: PermutationRule, eps_a: dict):
-        self.braiding = braiding
+    def __init__(self, kind: str, dim: int, a_pres: QuadraticPresentation,
+                 b_pres: QuadraticPresentation, rule: PermutationRule,
+                 eps_a: dict, h: Scalar | None = None,
+                 b_quotient: str = "free"):
         self.kind = kind
+        self.dim = dim
         self.a_pres = a_pres
         self.b_pres = b_pres
         self.rule = rule
         self.a_tag = rule.a_tag
         self.b_tag = rule.b_tag
-        self.eps_a = eps_a
-        # Arguments of the make_double call that built this double, or
-        # None for any other construction.
-        self.defining = None
-        self._order_cache: dict = {}
-        # the packed rule table and action memo, built on the first action
-        self._kernel = None
+        self.eps_a = types.MappingProxyType(dict(eps_a))
+        self.h = h
+        self.b_quotient = b_quotient
         for rel in a_pres.relations:
             if not self.counit(rel).is_zero():
                 raise DoubleError("counit does not annihilate the A-relations")
         if any(_letter_key(ga) <= _letter_key(gb)
                for ga in a_pres.generators for gb in b_pres.generators):
             raise DoubleError("an A-letter does not rank above every B-letter")
-
-    # -- counit ------------------------------------------------------------
 
     def counit(self, a: NCElement) -> Scalar:
         """Multiplicative extension of eps_a to A-elements."""
@@ -153,6 +154,42 @@ class QuantumDouble:
                     break
             total = total + val
         return total
+
+    @functools.cached_property
+    def presentation(self) -> QuadraticPresentation:
+        """The A- and B-relations and the exchange rows a·b - sigma(a, b),
+        on the B- and A-letters; its certificate (ensure(3)) is the
+        double's ideal compatibility.  Built on first read."""
+        return QuadraticPresentation(
+            self.b_pres.generators + self.a_pres.generators,
+            self.a_pres.relations + self.b_pres.relations
+            + [NCElement.word(pair) - img
+               for pair, img in self.rule.table.items()],
+            name=f"double({self.kind}, dim={self.dim})")
+
+
+class QuantumDouble:
+    """A definition over a braiding, with the memos that one row fills."""
+
+    max_word = 24  # longest word ordered or acted on
+
+    def __init__(self, braiding: Braiding, definition: DoubleDefinition):
+        self.braiding = braiding
+        self.definition = definition
+        self._order_cache: dict = {}
+        # the packed rule table and action memo, built on the first action
+        self._kernel = None
+
+    # the shared definition, read through the double
+    kind = property(attrgetter("definition.kind"))
+    a_pres = property(attrgetter("definition.a_pres"))
+    b_pres = property(attrgetter("definition.b_pres"))
+    rule = property(attrgetter("definition.rule"))
+    a_tag = property(attrgetter("definition.a_tag"))
+    b_tag = property(attrgetter("definition.b_tag"))
+    eps_a = property(attrgetter("definition.eps_a"))
+    counit = property(attrgetter("definition.counit"))
+    presentation = property(attrgetter("definition.presentation"))
 
     # -- normal ordering -----------------------------------------------------
 
@@ -199,23 +236,6 @@ class QuantumDouble:
                 raise DoubleError("word is not normal-ordered")
         return w[:cut], w[cut:]
 
-    @functools.cached_property
-    def presentation(self) -> QuadraticPresentation:
-        """The A- and B-relations and the exchange rows a·b - sigma(a, b),
-        on the B- and A-letters; its certificate (ensure(3)) is the
-        double's ideal compatibility.  Built on first use, and shared
-        through the braiding's memo by the doubles of one make_double
-        definition (_shared)."""
-        def build():
-            return QuadraticPresentation(
-                self.b_pres.generators + self.a_pres.generators,
-                self.a_pres.relations + self.b_pres.relations
-                + [NCElement.word(pair) - img
-                   for pair, img in self.rule.table.items()],
-                name=f"double({self.kind}, dim={self.braiding.dim})")
-
-        return _shared(self, ("presentation",), build)
-
     def binormal_form(self, x: NCElement) -> NCElement:
         """The normal form of x in the double's presentation."""
         return self.presentation.normal_form(x)
@@ -223,12 +243,12 @@ class QuantumDouble:
     def substituted(self, value) -> "QuantumDouble":
         """The same kind of double built over the braiding at value.
 
-        Needs a double from make_double; its shift h is evaluated too.
+        Needs a double of a make_double kind; its shift h is evaluated too.
         """
-        braiding, kind, h, b_quotient = self.defining
-        return make_double(braiding.substituted(value), kind,
-                           None if h is None else h.with_value(value),
-                           b_quotient)
+        d = self.definition
+        return make_double(self.braiding.substituted(value), d.kind,
+                           None if d.h is None else d.h.with_value(value),
+                           d.b_quotient)
 
     # -- action ------------------------------------------------------------
 
@@ -485,8 +505,7 @@ def _index_space(dim: int, arity: int):
 
 
 def _extract_rule(lhs: MatrixOverAlgebra, rhs: MatrixOverAlgebra,
-                  a_gens: list, b_gens: list,
-                  a_tag: str, b_tag: str) -> PermutationRule:
+                  a_gens: list, b_gens: list) -> PermutationRule:
     """Solve the matrix relation LHS = RHS for the pair images.
 
     The left side must be strictly bilinear in (a-letter, b-letter) words.
@@ -495,6 +514,7 @@ def _extract_rule(lhs: MatrixOverAlgebra, rhs: MatrixOverAlgebra,
     them then express that pair as the matching combination of right-side
     entries.
     """
+    a_tag, b_tag = a_gens[0].tag, b_gens[0].tag
     pairs = [(ga, gb) for ga in a_gens for gb in b_gens]
     pidx = {p: i for i, p in enumerate(pairs)}
     positions = [(r, c)
@@ -535,54 +555,37 @@ def make_double(braiding: Braiding, kind: str, h: Scalar | None = None,
     the derivative_shifted kinds, b_quotient the B-side of the vector
     kind ("free", "symmetric" or "skew").
 
-    The definition (rule table, A- and B-presentations and counit, and
-    the double's presentation once a double reads it) is read-only and
-    lives in the braiding's memo, keyed by (kind, h, b_quotient): each is
-    extracted, and its presentations filled and certified, once per
-    braiding.  The double itself is not memoized.  Each call returns a
-    new QuantumDouble around the shared definition, and its ordering memo
-    and packed action kernel die with the caller.  Memoizing whole
-    doubles per run kept those alive for the whole run and raised the
-    peak RSS of `--suite all` from 24.6 to 26.7 MB (+9%, Python 3.11 on
+    The definition lives in the braiding's memo, keyed by (kind, h,
+    b_quotient), so each is extracted, checked, filled and certified once
+    per braiding.  Each call returns a new QuantumDouble around it, whose
+    ordering memo and packed action kernel die with the caller: memoizing
+    whole doubles kept those alive for the whole run and raised the peak
+    RSS of `--suite all` from 24.6 to 26.7 MB (+9%, Python 3.11 on
     x86-64), with identical report bytes.
     """
-    double = QuantumDouble(braiding, kind, *memoized(
-        braiding, ("double", kind, h, b_quotient),
-        lambda: _definition(braiding, kind, h, b_quotient)))
-    double.defining = (braiding, kind, h, b_quotient)
-    return double
+    definition = memoized(braiding, ("double", kind, h, b_quotient),
+                          lambda: _definition(braiding, kind, h, b_quotient))
+    return QuantumDouble(braiding, definition)
 
 
 def _definition(braiding: Braiding, kind: str, h: Scalar | None,
-                b_quotient: str) -> tuple:
-    """(a_pres, b_pres, rule, eps_a) of a make_double call."""
-    a_tag, b_tag, lhs, rhs, a_pres, b_pres, eps, b_gens = \
-        _defining_relation(braiding, kind, h, b_quotient)
-    rule = _extract_rule(lhs, rhs, matrix_generators(a_tag, braiding.dim),
-                         b_gens, a_tag, b_tag)
-    return a_pres, b_pres, rule, types.MappingProxyType(eps)
-
-
-def _shared(double: QuantumDouble, key: tuple, build):
-    """build(), shared by the doubles of one make_double definition.
-
-    It sits in the braiding's memo under key[0], the definition's (kind,
-    h, b_quotient) and the rest of key, so the memo holds no double.  A
-    double not built by make_double builds its own.
-    """
-    if double.defining is None:
-        return build()
-    braiding, kind, h, b_quotient = double.defining
-    return memoized(braiding, key[:1] + (kind, h, b_quotient) + key[1:],
-                    build)
+                b_quotient: str) -> DoubleDefinition:
+    """The definition of a make_double call."""
+    lhs, rhs, a_pres, b_pres, unit = _defining_relation(braiding, kind, h,
+                                                        b_quotient)
+    rule = _extract_rule(lhs, rhs, a_pres.generators, b_pres.generators)
+    eps_a = {g: (unit if g.row == g.col else ZERO)
+             for g in a_pres.generators}
+    return DoubleDefinition(kind, braiding.dim, a_pres, b_pres, rule, eps_a,
+                            h, b_quotient)
 
 
 def _defining_relation(braiding: Braiding, kind: str, h: Scalar | None,
                       b_quotient: str) -> tuple:
-    """(a_tag, b_tag, lhs, rhs, a_pres, b_pres, eps_a, b_gens) of a kind.
+    """(lhs, rhs, a_pres, b_pres, unit) of a kind.
 
     lhs = rhs is the matrix relation whose bilinear left side the rule
-    table reorders.
+    table reorders; the counit is unit on diagonal A-letters, else zero.
     """
     dim = braiding.dim
     r = braiding.op
@@ -592,9 +595,7 @@ def _defining_relation(braiding: Braiding, kind: str, h: Scalar | None,
         return MatrixOverAlgebra.generator_matrix(tag, dim, 2, 1)
 
     if kind in ("left", "left_shifted", "adjoint", "adjoint_shifted"):
-        a_tag, b_tag = "l", "m"
-        x1 = mat(a_tag)
-        m1 = mat(b_tag)
+        x1, m1 = mat("l"), mat("m")
         lhs = x1.lmul_op(r).rmul_op(r) * m1
         shifted = kind.endswith("_shifted")
         if kind == "left":
@@ -605,61 +606,49 @@ def _defining_relation(braiding: Braiding, kind: str, h: Scalar | None,
             rhs = (m1 * x1.lmul_op(r)).rmul_op(r)
         else:
             rhs = (m1 * x1.lmul_op(r)).rmul_op(r) + m1.lmul_op(r) - m1.rmul_op(r)
-        a_pres = re_presentation(braiding, a_tag,
+        a_pres = re_presentation(braiding, "l",
                                  shift=(ONE if shifted else None))
-        b_pres = re_presentation(braiding, b_tag)
-        eps = {g: (ZERO if shifted else (ONE if g.row == g.col else ZERO))
-               for g in matrix_generators(a_tag, dim)}
-        b_gens = matrix_generators(b_tag, dim)
+        b_pres = re_presentation(braiding, "m")
+        unit = ZERO if shifted else ONE
     elif kind == "derivative":
-        a_tag, b_tag = "d", "m"
-        lhs, rhs = derivative_relation(braiding, mat(a_tag), mat(b_tag))
-        a_pres = re_presentation(braiding, a_tag, use_inverse=True)
-        b_pres = re_presentation(braiding, b_tag)
-        eps = {g: ZERO for g in matrix_generators(a_tag, dim)}
-        b_gens = matrix_generators(b_tag, dim)
+        lhs, rhs = derivative_relation(braiding, mat("d"), mat("m"))
+        a_pres = re_presentation(braiding, "d", use_inverse=True)
+        b_pres = re_presentation(braiding, "m")
+        unit = ZERO
     elif kind in ("derivative_shifted", "derivative_shifted_unit"):
         if h is None or h.is_zero():
             raise DoubleError(f"kind {kind!r} needs a nonzero shift scalar")
-        a_tag, b_tag = "d", "n"
-        d1 = mat(a_tag)
-        n1 = mat(b_tag)
+        d1, n1 = mat("d"), mat("n")
         if kind == "derivative_shifted":
             lhs, rhs = derivative_relation(braiding, d1, n1, h)
-            eps = {g: ZERO for g in matrix_generators(a_tag, dim)}
+            unit = ZERO
         else:
             if braiding.op != braiding.inv:
                 raise DoubleError("unit-shifted derivatives need an involutive braiding")
             lhs = (d1.rmul_op(r) * n1).rmul_op(r)
             rhs = (n1.lmul_op(r).rmul_op(r)) * d1 + d1.rmul_op(r).scale(h)
-            hinv = h.inverse()
-            eps = {g: (hinv if g.row == g.col else ZERO)
-                   for g in matrix_generators(a_tag, dim)}
-        a_pres = re_presentation(braiding, a_tag, use_inverse=True)
-        b_pres = re_presentation(braiding, b_tag, shift=h)
-        b_gens = matrix_generators(b_tag, dim)
+            unit = h.inverse()
+        a_pres = re_presentation(braiding, "d", use_inverse=True)
+        b_pres = re_presentation(braiding, "n", shift=h)
     elif kind == "vector":
-        a_tag, b_tag = "l", "x"
-        l1 = mat(a_tag)
-        x1 = MatrixOverAlgebra.generator_vector(b_tag, dim, 2, 1)
+        l1 = mat("l")
+        x1 = MatrixOverAlgebra.generator_vector("x", dim, 2, 1)
         lhs = (l1.lmul_op(r).rmul_op(r)) * x1
-        rhs = x1 * MatrixOverAlgebra.generator_matrix(a_tag, dim, 1, 1)
-        a_pres = re_presentation(braiding, a_tag)
+        rhs = x1 * MatrixOverAlgebra.generator_matrix("l", dim, 1, 1)
+        a_pres = re_presentation(braiding, "l")
         if b_quotient == "free":
-            b_pres = free_presentation(vector_generators(b_tag, dim),
-                                       name=f"free({b_tag}, dim={dim})")
+            b_pres = free_presentation(vector_generators("x", dim),
+                                       name=f"free(x, dim={dim})")
         elif b_quotient == "symmetric":
-            b_pres = symmetric_vector_presentation(braiding, b_tag)
+            b_pres = symmetric_vector_presentation(braiding, "x")
         elif b_quotient == "skew":
-            b_pres = skew_vector_presentation(braiding, b_tag)
+            b_pres = skew_vector_presentation(braiding, "x")
         else:
             raise DoubleError(f"unknown vector quotient {b_quotient!r}")
-        eps = {g: (ONE if g.row == g.col else ZERO)
-               for g in matrix_generators(a_tag, dim)}
-        b_gens = vector_generators(b_tag, dim)
+        unit = ONE
     else:
         raise DoubleError(f"unknown double kind {kind!r}")
-    return a_tag, b_tag, lhs, rhs, a_pres, b_pres, eps, b_gens
+    return lhs, rhs, a_pres, b_pres, unit
 
 
 def derivative_relation(braiding: Braiding, d: MatrixOverAlgebra,
@@ -735,12 +724,14 @@ def action_operator(double: QuantumDouble, a: NCElement,
     operator O on k tensor slots; raises DoubleError when the system is
     inconsistent (the element does not act slotwise) or the monomial
     entries are linearly dependent.  Shared through the braiding's memo
-    (_shared) by the doubles of one make_double definition, keyed on the
+    by the doubles of one definition, keyed on the definition, the
     element's terms and k: the key holds no double, so the memo keeps no
     double's ordering or action memos alive.
     """
-    return _shared(double, ("action_operator", frozenset(a.terms.items()), k),
-                   lambda: _solve_action_operator(double, a, k))
+    return memoized(double.braiding,
+                    ("action_operator", double.definition,
+                     frozenset(a.terms.items()), k),
+                    lambda: _solve_action_operator(double, a, k))
 
 
 def _solve_action_operator(double: QuantumDouble, a: NCElement,

@@ -22,7 +22,7 @@ from . import braidings
 from .adjoint_orbits import verify_adjoint_invariance, verify_orbit_descent
 from .anchors import anchor, is_conjectural
 from .braidings import (BraidingError, TensorOperator, braiding_residuals,
-                        rtrace_form, standard_hecke)
+                        standard_hecke)
 from .capelli import (capelli_difference, verify_capelli,
                       verify_capelli_action, verify_det_capelli)
 from .doubles import DoubleError, make_double
@@ -212,7 +212,7 @@ def braiding_suite(config: SuiteConfig) -> VerificationReport:
         return report
     _sampled(report, config, _braiding_checks, b)
     try:
-        rtrace_form(b)
+        b.trace_form()
         ok, witness = True, None
     except BraidingError as err:
         ok, witness = False, str(err)

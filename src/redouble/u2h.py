@@ -31,8 +31,9 @@ import itertools
 
 from .anchors import anchor
 from .braidings import Braiding, flip, standard_hecke
-from .doubles import (DoubleError, PermutationRule, QuantumDouble,
-                      derivative_relation, make_double, matrix_copy)
+from .doubles import (DoubleDefinition, DoubleError, PermutationRule,
+                      QuantumDouble, derivative_relation, make_double,
+                      matrix_copy)
 from .ncengine import (Gen, MatrixOverAlgebra, NCElement,
                        QuadraticPresentation, free_presentation,
                        matrix_generators, re_relation_matrix)
@@ -293,12 +294,13 @@ def derivative_double(b_pres: QuadraticPresentation) -> QuantumDouble:
         d = _SYMBOLS[sym]
         table[(d, g)] = NCElement({(g, d): H_ONE,
                                    (_SYMBOLS[target],): _half_h(sign)})
-    symbols = list(_SYMBOLS.values())
-    return QuantumDouble(
-        flip(2, "h"), "compact_derivative",
-        free_presentation(symbols, name="free(d)"), b_pres,
+    braiding = flip(2, "h")
+    definition = DoubleDefinition(
+        "compact_derivative", braiding.dim,
+        free_presentation(list(_SYMBOLS.values()), name="free(d)"), b_pres,
         PermutationRule("d", "u", table),
         {_SYMBOLS[sym]: c for sym, c in COUNIT.items()})
+    return QuantumDouble(braiding, definition)
 
 
 def apply_derivative(double: QuantumDouble, sym: str,

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from redouble.doubles import PermutationRule, QuantumDouble
+from redouble.doubles import DoubleDefinition, PermutationRule, QuantumDouble
 from redouble.ncengine import Gen, NCElement
 from redouble.suites import clear_caches
 
@@ -81,16 +81,17 @@ def spoil_action(monkeypatch):
 def spoiled_copy(double: QuantumDouble, spoil) -> QuantumDouble:
     """A copy of double whose first rule image is spoil(image).
 
-    The copy has its own rule table and builds its own presentation, so
-    the definition that make_double shares stays whole.
+    The copy has its own definition, with its own rule table and
+    presentation, so the definition that make_double shares stays whole.
     """
-    table = dict(double.rule.table)
+    d = double.definition
+    table = dict(d.rule.table)
     pair, image = next(iter(table.items()))
     table[pair] = spoil(image)
-    return QuantumDouble(double.braiding, double.kind, double.a_pres,
-                         double.b_pres,
-                         PermutationRule(double.a_tag, double.b_tag, table),
-                         double.eps_a)
+    return QuantumDouble(double.braiding, DoubleDefinition(
+        d.kind, d.dim, d.a_pres, d.b_pres,
+        PermutationRule(d.a_tag, d.b_tag, table), d.eps_a, d.h,
+        d.b_quotient))
 
 
 def first_term_again(image: NCElement) -> NCElement:

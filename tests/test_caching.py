@@ -152,7 +152,8 @@ def test_no_action_operator_is_solved_twice_under_jobs(monkeypatch,
     real = doubles._solve_action_operator
 
     def spy(double, a, k):
-        key = (double.braiding.dim, double.defining[1:], a, k)
+        d = double.definition
+        key = (double.braiding.dim, d.kind, d.h, d.b_quotient, a, k)
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(repr(key) + "\n")
         return real(double, a, k)
@@ -263,11 +264,26 @@ def test_a_grid_defines_each_double_and_presentation_once(count_calls,
         return certify(self)
 
     monkeypatch.setattr(QuadraticPresentation, "_certify", spy)
+    checked = []
+    define = doubles.DoubleDefinition.__init__
+    monkeypatch.setattr(doubles.DoubleDefinition, "__init__",
+                        lambda self, kind, *args: checked.append(kind)
+                        or define(self, kind, *args))
+    wrapped = []
+    wrap = QuantumDouble.__init__
+    monkeypatch.setattr(QuantumDouble, "__init__",
+                        lambda self, braiding, definition: wrapped.append(
+                            definition) or wrap(self, braiding, definition))
     assert run_all().passed
     # one rule extraction per distinct (braiding, kind, h, b_quotient)
     definitions = set(_by_identity(made))
     assert len(definitions) == 11 and len(made) > len(definitions)
     assert len(extracted) == len(definitions)
+    # the definition checks run once per definition: the 11 of make_double
+    # and the 2 that u2h builds, not once per double
+    assert len(checked) == 13
+    assert checked.count("compact_derivative") == 2
+    assert len(wrapped) == 33 and len({id(d) for d in wrapped}) == 13
     # one build per distinct presentation, however often it is asked for
     assert len(asked) > len(built)
     assert len(set(_by_identity(built))) == len(built)
@@ -280,6 +296,16 @@ def test_a_grid_defines_each_double_and_presentation_once(count_calls,
     assert any(_memo_keys(b, "double") for b in cached)
     assert not any(isinstance(x, QuantumDouble)
                    for b in cached for x in _reachable(b.memo))
+
+
+def test_a_grid_builds_each_trace_form_once(monkeypatch):
+    built = []
+    real = braidings.rtrace_form
+    monkeypatch.setattr(braidings, "rtrace_form",
+                        lambda b: built.append(b.dim) or real(b))
+    assert run_all().passed
+    # the braiding suite reads the memoized form that later rows share
+    assert sorted(built) == [1, 2, 3, 4]
 
 
 def test_the_memo_holds_the_definition_and_no_double():

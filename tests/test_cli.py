@@ -20,7 +20,7 @@ from redouble.cli import ENGINE_ERRORS, main
 from redouble.anchors import anchor
 from redouble.braidings import BraidingError
 from redouble.capelli import StructureError
-from redouble.doubles import DoubleError
+from redouble.doubles import DoubleDefinition, DoubleError, QuantumDouble
 from redouble.heckerep import IdempotentError
 from redouble.invariants import SpectralCharacter
 from redouble.ncengine import (Gen, NCElement, PresentationError,
@@ -458,9 +458,10 @@ def test_an_uncertified_presentation_is_an_engine_error(capsys, monkeypatch):
     make_double = adjoint_orbits.make_double
 
     def uncertified_double(braiding, kind):
-        double = make_double(braiding, kind)
-        double.b_pres = _uncertified(braiding, double.b_tag)
-        return double
+        d = make_double(braiding, kind).definition
+        return QuantumDouble(braiding, DoubleDefinition(
+            d.kind, d.dim, d.a_pres, _uncertified(braiding, d.b_tag),
+            d.rule, d.eps_a, d.h, d.b_quotient))
 
     monkeypatch.setattr(adjoint_orbits, "make_double", uncertified_double)
     witness = _engine_error_witness(capsys, "--suite", "orbits", "--n", "2")

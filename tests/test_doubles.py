@@ -12,9 +12,9 @@ from conftest import first_term_again, spoiled_copy
 from redouble import doubles
 from redouble.braidings import TensorOperator, flip, standard_hecke
 from redouble.doubles import (
+    DoubleDefinition,
     DoubleError,
     PermutationRule,
-    QuantumDouble,
     _defining_relation,
     _extract_rule,
     _index_space,
@@ -436,7 +436,7 @@ def test_rule_table_satisfies_the_defining_relation(braiding, kind, h):
     # ordering the bilinear left side by the extracted table must give the
     # right side, which is already ordered; no solver is involved here
     d = make_double(braiding, kind, h=h)
-    lhs, rhs = _defining_relation(braiding, kind, h, "free")[2:4]
+    lhs, rhs = _defining_relation(braiding, kind, h, "free")[:2]
     positions = [(r, c) for r in _index_space(2, lhs.row_arity)
                  for c in _index_space(2, lhs.col_arity)]
     assert len(positions) == len(d.rule.table)
@@ -453,7 +453,7 @@ def test_singular_relation_is_rejected():
         MatrixOverAlgebra.generator_matrix("m", 2, 2, 1)
     with pytest.raises(DoubleError, match="does not determine") as err:
         _extract_rule(lhs, lhs, matrix_generators("l", 2),
-                      matrix_generators("m", 2), "l", "m")
+                      matrix_generators("m", 2))
     assert "dependent" in str(err.value.__cause__)
 
 
@@ -545,9 +545,43 @@ def test_a_letters_must_rank_above_b_letters():
     a_pres = free_presentation(matrix_generators("m", 2))
     b_pres = free_presentation(matrix_generators("l", 2))
     with pytest.raises(DoubleError, match="rank above"):
-        QuantumDouble(standard_hecke(2), "swapped", a_pres, b_pres,
-                      PermutationRule("m", "l", {}),
-                      {g: ZERO for g in a_pres.generators})
+        DoubleDefinition("swapped", 2, a_pres, b_pres,
+                         PermutationRule("m", "l", {}),
+                         {g: ZERO for g in a_pres.generators})
+
+
+def _spoiled_definition(d, eps_a):
+    return DoubleDefinition(d.kind, d.dim, d.a_pres, d.b_pres, d.rule, eps_a)
+
+
+def _rule_with_image(d, image):
+    pair = next(iter(d.rule.table))
+    return PermutationRule(d.a_tag, d.b_tag, {pair: image})
+
+
+_L11, _M11 = Gen("l", 1, 1), Gen("m", 1, 1)
+
+_REJECTIONS = {
+    # eps = 1 on every letter leaves a nonzero constant on re(l)'s relations
+    "counit does not annihilate the A-relations": lambda d:
+        _spoiled_definition(d, {g: ONE for g in d.a_pres.generators}),
+    "counit applies to A-elements only": lambda d:
+        d.counit(NCElement.generator(_M11)),
+    "rule key tags do not match the double": lambda d:
+        PermutationRule(d.b_tag, d.a_tag, dict(d.rule.table)),
+    "rule image outside the pair span": lambda d:
+        _rule_with_image(d, NCElement.word((_M11, _M11, _L11))),
+    "rule image term is not reordered": lambda d:
+        _rule_with_image(d, NCElement.word((_L11, _M11))),
+}
+
+
+@pytest.mark.parametrize("message", list(_REJECTIONS))
+def test_each_definition_and_rule_rejection(message):
+    d = make_double(standard_hecke(2), "left").definition
+    with pytest.raises(DoubleError) as err:
+        _REJECTIONS[message](d)
+    assert str(err.value) == message
 
 
 

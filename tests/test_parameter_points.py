@@ -192,7 +192,7 @@ def test_a_substituted_double_is_the_double_at_the_point(kind):
     want = make_double(b.substituted(v), kind,
                        None if h is None else Scalar.from_fraction(v))
     assert got.kind == want.kind and got.braiding.op == want.braiding.op
-    assert got.defining[2] == want.defining[2]
+    assert got.definition.h == want.definition.h
     assert got.rule.table == want.rule.table and got.eps_a == want.eps_a
     for side in ("a_pres", "b_pres"):
         assert getattr(got, side).relations == getattr(want, side).relations
