@@ -36,10 +36,11 @@ is extracted, checked, filled and certified once per braiding, and
 returns a new QuantumDouble around it, whose ordering memo and packed
 action kernel die with the row that made it.
 
-A slotwise action operator (action_operator) normal-forms each B-word
-of degree <= k once and loads those normal forms into one packed table,
-acts on each word of the monomial entries once, and maps every entry
-through those tables; no entry is normal-formed on its own.
+A slotwise action operator (action_operator) reduces each B-word of
+degree <= k once, on packed integers, into one table over a common
+denominator, acts on each word of the monomial entries once, and maps
+every entry through those tables into the packed rows and targets of
+one solve; no entry is normal-formed on its own.
 
 Kinds, each named by the role the A-side plays on the B-side:
   left              invariant fields, homogeneous form
@@ -65,9 +66,10 @@ from operator import attrgetter
 from typing import Iterable
 
 from .braidings import Braiding, TensorOperator, memoized
-from .linalg import (_WIDTH, _load_matrix, _pack_vector, _packed_sum,
-                     _reframed, _TooWide, _unpack_vector, accumulate,
-                     coordinates, mat_mul, vec_add_scaled)
+from .linalg import (_WIDTH, Load, _one_denominator, _pack_vector,
+                     _packed_sum, _reframed, _stacked, _TooWide,
+                     _unpack_vector, accumulate, coordinates, mat_mul,
+                     vec_add_scaled)
 from .ncengine import (
     Gen,
     MatrixOverAlgebra,
@@ -425,10 +427,12 @@ class _PackedAction:
         hit = self.memo[(g, bw)] = _packed_sum(parts, self.width)
         return hit
 
-    def _lift(self, parts: list) -> tuple:
+    def _lift(self, parts: list, top: int | None = None) -> tuple:
         """(top, parts for _packed_sum): each (m, m_bound, exp, fr, vec,
-        vec_bound) part scaled from D^exp to D^top, top the largest exp."""
-        top = max(p[2] for p in parts)
+        vec_bound) part scaled from D^exp to D^top, top the largest exp
+        unless given."""
+        if top is None:
+            top = max(p[2] for p in parts)
         out = []
         for m, mbound, exp, *tail in parts:
             if exp != top and self.den != (1,):
@@ -743,14 +747,15 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
     nf(act(a, M[i][j])); O[i] is the coordinates of target i in the rows.
     Both are linear in the words of the entries, and nf of a word is
     unique (the presentation is certified by the diamond lemma), so each
-    B-word of degree <= k is reduced once, into the table T[w] = m · nf(w)
-    (the action never raises the B-degree), and each word of the entries
-    is acted on once, into U[w] = m · nf(act(a, w)).  m is one nonzero
-    polynomial, the cleared denominator of the table's normal forms.
-    Row l is then m · nf(M[l][j]) = sum of c_w T[w] and target i is
-    m · nf(act(a, M[i][j])) = sum of c_w U[w], over the terms c_w·w of
-    the entries, formed on packed Laurent integers with Scalars made only
-    for their entries.  Scaling every row and every target by the same
+    B-word of degree <= k is reduced once, on packed integers, into the
+    table T[w] = m · nf(w) (the action never raises the B-degree), and
+    each word of the entries is acted on once, into U[w] = m ·
+    nf(act(a, w)).  m is one nonzero polynomial, the common denominator
+    of the table's normal forms.  Row l is then m · nf(M[l][j]) = sum of
+    c_w T[w] and target i is m · nf(act(a, M[i][j])) = sum of c_w U[w],
+    over the terms c_w·w of the entries, each one packed load that goes
+    into linalg.coordinates as it is; Scalars are made only for the
+    entries of O.  Scaling every row and every target by the same
     nonzero m changes neither the coordinates nor which check fails: the
     scaled rows are dependent exactly when the rows are, and a scaled
     target lies in the span of the scaled rows exactly when the target
@@ -816,15 +821,14 @@ def _word_table(kernel: _PackedAction, b_pres: QuadraticPresentation,
     """m · nf(w) for every word w, packed at the kernel's width.
 
     table[w] = (0, frame, vec, bound) with m · nf(w) = q^frame · vec;
-    words whose normal form is zero are left out.  The normal forms are
-    loaded as the rows of one matrix, so m is their one cleared
-    denominator and every vec is integral.
+    words whose normal form is zero are left out.  Each nf(w) is the
+    B-presentation's packed remainder of w, and linalg._one_denominator
+    brings them to one common denominator m, so every vec is integral.
     """
-    nfs = ((w, b_pres.normal_form(NCElement.word(w)).terms) for w in words)
-    _, _, frame, by_word, _, _ = _load_matrix(nfs, kernel.width,
-                                              kernel.param)
-    return {w: (0, *_reframed(frame, vec, kernel.width))
-            for w, vec in by_word.items()}
+    loads = {w: b_pres.packed_normal_form(
+        Load(kernel.width, None, 0, {w: 1}, (1,), 0)) for w in words}
+    return {w: (0, *entry) for w, entry in
+            _one_denominator(loads, kernel.width).items()}
 
 
 def _acted_word(kernel: _PackedAction, xframe: int, xs: dict, xbound: int,
@@ -842,25 +846,31 @@ def _acted_word(kernel: _PackedAction, xframe: int, xs: dict, xbound: int,
 
 
 def _packed_row(kernel: _PackedAction, idx: list, row: list, xden: tuple,
-                table: dict) -> dict:
-    """A row of loaded entries mapped through a word table, as Scalars.
+                table: dict) -> Load:
+    """A row of loaded entries mapped through a word table, as one load.
 
     Entry j of row, the sum of c_w·w, becomes the sum of c_w·table[w] at
     the keys (j, word); every table entry is over xden · D^top, and a
-    word that is missing or maps to None contributes nothing.
+    word that is missing or maps to None contributes nothing.  Every
+    entry is lifted to D to the largest top, and linalg._stacked puts
+    the entries over one denominator in one load.
     """
-    out = {}
+    entries = []
+    top = 0
     for j, (eframe, packed, eden, ebound) in zip(idx, row):
         parts = []
         for v, p in packed.items():
             t = table.get(v)
             if t is not None:
                 parts.append((p, ebound, *t))
-        if not parts:
-            continue
-        top, lifted = kernel._lift(parts)
-        frame, vec, _ = _packed_sum(lifted, kernel.width)
-        for word, c in kernel._scalars(eframe + frame, vec, (xden, eden),
-                                       top).items():
-            out[(j, word)] = c
-    return out
+                top = max(top, t[0])
+        if parts:
+            entries.append((j, eframe, eden, parts))
+    blocks = {}
+    for j, eframe, eden, parts in entries:
+        frame, vec, bound = _packed_sum(kernel._lift(parts, top)[1],
+                                        kernel.width)
+        if vec:
+            blocks[j] = (eframe + frame, vec, eden, bound)
+    return _stacked(blocks, kernel.width, kernel.param,
+                    (xden,) + (kernel.den,) * top)

@@ -34,14 +34,22 @@ This module is the one owner of the packed format.  Three users run on
 it: `Triangular`, the counit action of a double (`doubles._PackedAction`)
 and the operator product `packed_mat_mul`, which forms every entry of
 the product of two loads as one integer multiply-accumulate and returns
-Scalar rows.  Scalars enter through one loader, `_pack_vector`, and
-matrices through its row form `_load_matrix`, the one matrix loader: an
-operator caches its load (braidings.TensorOperator), and a double loads
-its word table through it.  `_pack_vector` checks the parameter,
-clears non-constant denominators by `scalars.laurent_multiplier` and
-integer ones by their lcm, packs, and bounds the result.  They leave
-through one conversion, `_unpack_vector`, which divides by the cleared
-denominator: `reduce` divides each surviving entry once by the
+Scalar rows.  Scalars are packed by one loader, `_pack_vector`, and
+matrices through its row form `_load_matrix`, the one matrix loader (an
+operator caches its load, braidings.TensorOperator).  `_pack_vector`
+checks the parameter, clears non-constant denominators by
+`scalars.laurent_multiplier` and integer ones by their lcm, packs, and
+bounds the result.  A packed vector that stays packed between users is
+a `Load`, which carries its digit width, parameter, frame, denominator
+and bound.  `Triangular` has one elimination and two entries to it: a
+dict of Scalars, which it packs through `_pack_vector`, and a Load,
+which it repacks if its width differs.  So the packed remainders of a
+presentation become the word table of a double's action-operator solve
+(`_one_denominator` brings them to one denominator), and that solve's
+packed rows and targets, each stacked over one denominator
+(`_stacked`), go into `coordinates` as they are.  Scalars
+leave through one conversion, `_unpack_vector`, which divides by the
+cleared denominator: `reduce` divides each surviving entry once by the
 remembered scale, and `row` unpacks a stored row.  Remainders modulo a
 leading-reduced basis are unique, so that division yields exactly the
 canonical Q(q) remainder that elimination over the field gives.
@@ -65,6 +73,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from typing import NamedTuple
 
 from .scalars import (ONE, MixedParameterError, Scalar, _pcontent,
                       _pdivexact, _pdivexact_int, _pgcd, _pmul,
@@ -308,6 +317,140 @@ def _pack_vector(vec: dict, w: int, param):
     return param, frame, packed, den, bound
 
 
+class Load(NamedTuple):
+    """A packed vector q^frame · packed / den at digit width w.
+
+    packed maps keys to packed integer polynomials, den is an integer
+    polynomial with a nonzero constant term, and bound is at least the
+    `_bits` of every packed polynomial and at most w - 2.  param is the
+    vector's parameter, or None while it holds only rational constants.
+    """
+
+    w: int
+    param: str | None
+    frame: int
+    packed: dict
+    den: tuple
+    bound: int
+
+    def at(self, w: int) -> "Load":
+        """The same vector at digit width w (bound must fit w - 2)."""
+        if w == self.w:
+            return self
+        return self._replace(w=w, packed={
+            k: _pack(_unpack(p, self.w), w) for k, p in self.packed.items()})
+
+
+def _lcm(a: tuple, b: tuple) -> tuple:
+    """A common multiple of the nonzero integer polynomials a and b.
+
+    It is the lcm of their contents times the lcm of their primitive
+    parts, so two constants give their integer lcm.
+    """
+    if a == b or b == (1,):
+        return a
+    if a == (1,):
+        return b
+    ca, cb = _pcontent(a), _pcontent(b)
+    pa, pb = _pdivexact_int(a, ca), _pdivexact_int(b, cb)
+    return tuple(math.lcm(ca, cb) * x
+                 for x in _pmul(pa, _pdivexact(pb, _pgcd(pa, pb))))
+
+
+def _shared_factor(den: tuple, polys) -> tuple:
+    """The gcd in Z[q] of the integer polynomial den and every poly."""
+    c = _pcontent(den)
+    g = den if len(den) > 1 else (1,)
+    for t in polys:
+        if c != 1:
+            c = math.gcd(c, _pcontent(t))
+        if g != (1,):
+            g = _pgcd(g, t)
+        if c == 1 and g == (1,):
+            break
+    return g if c == 1 else tuple(c * x for x in g)
+
+
+def _one_denominator(loads: dict, w: int) -> dict:
+    """{key: (frame, vec, bound)} with m · loads[key] = q^frame · vec.
+
+    m is one integer polynomial for every load: the `_lcm` of their
+    denominators, each first divided by the factor it shares with all
+    its load's coefficients, so m is 1 when every load is a Laurent
+    polynomial and the lcm of the canonical denominators when they are
+    constants.  vec is packed at digit width w as `_reframed` leaves it,
+    its bound read from the digits.  Zero loads are left out.  Raises
+    _TooWide when a bound passes w - 2.
+    """
+    reduced = []
+    m = (1,)
+    for key, load in loads.items():
+        if not load.packed:
+            continue
+        if load.den != (1,):
+            polys = {k: _unpack(p, load.w) for k, p in load.packed.items()}
+            g = _shared_factor(load.den, polys.values())
+            if g != (1,):
+                load = load._replace(
+                    packed={k: _pack(_pdivexact(t, g), load.w)
+                            for k, t in polys.items()},
+                    den=_pdivexact(load.den, g))
+        reduced.append((key, load))
+        m = _lcm(m, load.den)
+    out = {}
+    for key, load in reduced:
+        cof = _pdivexact(m, load.den)
+        vec = load.packed
+        if load.w == w and load.bound + _bits(cof) <= w - 2:
+            if cof != (1,):
+                c = _pack(cof, w)
+                vec = {k: p * c for k, p in vec.items()}
+        else:
+            polys = {k: _pmul(_unpack(p, load.w), cof)
+                     for k, p in vec.items()}
+            if max(map(_bits, polys.values())) > w - 2:
+                raise _TooWide
+            vec = {k: _pack(t, w) for k, t in polys.items()}
+        out[key] = _reframed(load.frame, vec, w)
+    return out
+
+
+def _stacked(blocks: dict, w: int, param, dens) -> Load:
+    """One Load of the vectors blocks[j] side by side, at the keys (j, k).
+
+    blocks maps j to (frame, vec, den, bound), the nonempty vector
+    q^frame · vec / (den · the product of dens) packed at digit width w
+    with its bound.  Each vec is lifted to the `_lcm` of the blocks' den
+    by its cofactor, which adds the cofactor's `_bits` to its bound, and
+    the frames are lined up at the lowest.  Raises _TooWide when a bound
+    passes w - 2.
+    """
+    common = (1,)
+    for _, _, den, _ in blocks.values():
+        common = _lcm(common, den)
+    frame = min((f for f, _, _, _ in blocks.values()), default=0)
+    out = {}
+    bound = 0
+    for j, (f, vec, den, b) in blocks.items():
+        shift = w * (f - frame)
+        if den == common:
+            for k, p in vec.items():
+                out[(j, k)] = p << shift
+        else:
+            cof = _pdivexact(common, den)
+            b += _bits(cof)
+            m = _pack(cof, w) << shift
+            for k, p in vec.items():
+                out[(j, k)] = m * p
+        bound = max(bound, b)
+    if bound > w - 2:
+        raise _TooWide
+    for d in dens:
+        if d != (1,):
+            common = _pmul(common, d)
+    return Load(w, param, frame, out, common, bound)
+
+
 def _unpack_vector(param: str, frame: int, packed: dict, w: int,
                    dens) -> dict:
     """The Scalars q^frame · packed[k] / (the product of dens).
@@ -433,11 +576,13 @@ class Triangular:
     entry of its working vector apart, so a step against a row whose lead
     is 1 reads no digit.
 
+    `insert`, `reduce` and `remainder` take a dict of Scalars or a Load.
     `param` is the parameter of the first entry that is not a rational
-    constant; an entry with another parameter raises MixedParameterError.
-    Remainders and rows carry `param`, or q while every entry seen was a
-    constant (a constant's label does not matter).  `derive`, if given,
-    names the rows an elimination stores on first read (_derived).
+    constant, or of the first Load that names one; an entry or a Load
+    with another parameter raises MixedParameterError.  Remainders and
+    rows carry `param`, or q while every entry seen was a constant (a
+    constant's label does not matter).  `derive`, if given, names the
+    rows an elimination stores on first read (_derived).
     """
 
     def __init__(self, sortkey=None, derive=None):
@@ -450,24 +595,45 @@ class Triangular:
     def __len__(self):
         return len(self.pivots)
 
-    def _eliminate(self, vec: dict):
-        """(frame, r, den) with q^frame · r / den the remainder of vec.
+    def _load(self, vec) -> tuple:
+        """(frame, packed, den, bound) of vec at this Triangular's width.
 
-        r maps keys to packed integer polynomials and den is an integer
-        polynomial.  Each entry of the working vector carries its own
-        bound, the loader's until a step touches it: a step adds c times
-        the row, whose bound is the cleared coefficient c's plus the row's,
-        and one more when the entry was already there.  A step against a
-        pivot whose lead is 1 reads no digit: c stays packed, its low zero
-        digits are counted from its lowest set bit, and its bound is the
-        entry's.  Other leads take the gcd path, which unpacks c and scales
-        every entry by the lead; a running offset adds the lead's bound to
-        every entry's at once.  When a bound could pass w - 2, all are read
-        from the digits once; raises _TooWide when one is still too large.
+        vec is a dict of Scalars, which _pack_vector packs, or a Load,
+        which is repacked when its width differs; packed is a new dict.
+        Either way the Triangular takes the parameter of vec (see the
+        class).  Raises _TooWide when the bound passes w - 2.
         """
         w = self._width
-        self.param, frame, vec, den, base = \
-            _pack_vector(vec, w, self.param)
+        if type(vec) is not Load:
+            self.param, *load = _pack_vector(vec, w, self.param)
+            return load
+        if vec.param is not None and vec.param != self.param:
+            if self.param is not None:
+                raise MixedParameterError(f"{self.param!r} vs {vec.param!r}")
+            self.param = vec.param
+        if vec.bound > w - 2:
+            raise _TooWide
+        return vec.frame, dict(vec.at(w).packed), vec.den, vec.bound
+
+    def _eliminate(self, frame: int, vec: dict, den: tuple, base: int):
+        """(frame, r, den, bound) with q^frame · r / den the remainder.
+
+        The elimination starts from the load q^frame · vec / den, whose
+        entries are bounded by base, and works on vec in place.  r maps
+        keys to packed integer polynomials, den is an integer polynomial
+        and bound bounds every entry of r.  Each entry of the working
+        vector carries its own bound, base until a step touches it: a
+        step adds c times the row, whose bound is the cleared coefficient
+        c's plus the row's, and one more when the entry was already
+        there.  A step against a pivot whose lead is 1 reads no digit: c
+        stays packed, its low zero digits are counted from its lowest set
+        bit, and its bound is the entry's.  Other leads take the gcd
+        path, which unpacks c and scales every entry by the lead; a
+        running offset adds the lead's bound to every entry's at once.
+        When a bound could pass w - 2, all are read from the digits once;
+        raises _TooWide when one is still too large.
+        """
+        w = self._width
         limit = w - 2
         pivots = self.pivots
         sortkey = self.sortkey
@@ -487,7 +653,7 @@ class Triangular:
                 if hit in vec:
                     break
             else:
-                return frame, vec, den
+                return frame, vec, den, top
             cp = vec.pop(hit)
             own = bounds.pop(hit, base) + off
             rest, rbound, lshift, lead, lcont = pivots[hit]
@@ -567,11 +733,11 @@ class Triangular:
             if hit in vec:  # the step cancels the pivot key by construction
                 raise AssertionError("reduction failed to clear pivot key")
 
-    def _remainder(self, vec: dict):
-        """_eliminate, widening the digits until the coefficients fit."""
+    def _remainder(self, vec):
+        """_eliminate of _load(vec), widening the digits until they fit."""
         while True:
             try:
-                return self._eliminate(vec)
+                return self._eliminate(*self._load(vec))
             except _TooWide:
                 self._widen()
 
@@ -584,15 +750,20 @@ class Triangular:
                 {k: _pack(_unpack(p, w), wide) for k, p in rest.items()},
                 *tail)
 
-    def reduce(self, vec: dict) -> dict:
-        """Unique remainder of vec modulo the current row span."""
-        frame, vec, den = self._remainder(vec)
+    def remainder(self, vec) -> Load:
+        """The unique remainder of vec as a Load, at this width."""
+        frame, vec, den, bound = self._remainder(vec)
+        return Load(self._width, self.param, frame, vec, den, bound)
+
+    def reduce(self, vec) -> dict:
+        """Unique remainder of vec modulo the current row span, as Scalars."""
+        frame, vec, den, _ = self._remainder(vec)
         return _unpack_vector(self.param or "q", frame, vec, self._width,
                               (den,))
 
-    def insert(self, vec: dict):
+    def insert(self, vec):
         """Reduce vec and adjoin it if independent; returns its pivot or None."""
-        _, vec, _ = self._remainder(vec)
+        _, vec, _, _ = self._remainder(vec)
         if not vec:
             return None
         w = self._width
@@ -680,25 +851,52 @@ class _Position:
         return type(other) is _Position and self.i > other.i
 
 
+def _marked(row, marker):
+    """row plus marker · 1, for a row of Scalars or a Load.
+
+    A loaded row q^frame · packed / den gets marker · den at the lowest
+    frame of the two, so the vector is den · (row + marker) up to a power
+    of the parameter; the digits widen first if den does not fit them.
+    """
+    if type(row) is not Load:
+        return {**row, marker: ONE}
+    w, _, frame, packed, den, bound = row
+    bound = max(bound, _bits(den))
+    while bound > w - 2:
+        w *= 2
+    row = row.at(w)
+    low = min(frame, 0)
+    if frame != low:
+        packed = {k: p << (w * (frame - low)) for k, p in row.packed.items()}
+    else:
+        packed = dict(row.packed)
+    packed[marker] = _pack(den, w) << (w * -low)
+    return row._replace(frame=low, packed=packed, bound=bound)
+
+
 def coordinates(rows):
     """Coordinates with respect to linearly independent rows.
 
-    rows is any iterable, read once.  Each row, augmented by a marker of
-    its position, goes into one `Triangular`; markers sort below the row
-    keys, which must be mutually comparable.  Raises ArithmeticError when the rows are
+    rows is any iterable, read once, of dicts of Scalars or Loads.  Each
+    row, augmented by a marker of its position, goes into one
+    `Triangular`; markers sort below the row keys, which must be mutually
+    comparable.  A loaded row's marker carries that row's own
+    denominator, so the coordinates are those of the rows' values,
+    whatever their denominators.  Raises ArithmeticError when the rows are
     dependent.  Returns coords(vec) -> {i: c_i} with vec = sum of
-    c_i * rows[i]; coords raises ArithmeticError when vec lies outside
-    the span of the rows.
+    c_i * rows[i], for vec a dict of Scalars or a Load, with Scalars made
+    only for the coordinates; coords raises ArithmeticError when vec lies
+    outside the span of the rows.
     """
     tri = Triangular()
     for i, row in enumerate(rows):
-        if type(tri.insert({**row, _Position(i): ONE})) is _Position:
+        if type(tri.insert(_marked(row, _Position(i)))) is _Position:
             raise ArithmeticError("rows are linearly dependent")
 
-    def coords(vec: dict) -> dict:
+    def coords(vec) -> dict:
         # the remainder of vec is vec - sum of c_i * (rows[i] + marker i)
         out = {}
-        for key, c in tri.reduce(dict(vec)).items():
+        for key, c in tri.reduce(vec).items():
             if type(key) is not _Position:
                 raise ArithmeticError("vector outside the span of the rows")
             out[key.i] = -c

@@ -46,8 +46,8 @@ import operator
 from typing import Callable, Iterable, NamedTuple
 
 from .braidings import Braiding, TensorOperator, memoized
-from .linalg import (Triangular, accumulate, first_nonzero, mat_add, mat_map,
-                     mat_mul, partial_trace, traced, vec_add_scaled)
+from .linalg import (Load, Triangular, accumulate, first_nonzero, mat_add,
+                     mat_map, mat_mul, partial_trace, traced, vec_add_scaled)
 from .scalars import ONE, Scalar
 
 
@@ -287,6 +287,12 @@ class QuadraticPresentation:
         """Unique remainder of x: one elimination of the whole element."""
         self.ensure(x.degree())
         return NCElement(self._tri.reduce(dict(x.terms)))
+
+    def packed_normal_form(self, load: Load) -> Load:
+        """normal_form on packed coefficients: the remainder of a load,
+        as a load at the width of this presentation's digits."""
+        self.ensure(max(map(len, load.packed), default=0))
+        return self._tri.remainder(load)
 
     def reduces_to_zero(self, x: NCElement) -> bool:
         return self.normal_form(x).is_zero()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import braidings
@@ -549,27 +548,28 @@ def acceptance_grid(mode: str = "EXACT", seed: int = 0) -> list:
     return rows
 
 
-def _task_key(config: SuiteConfig) -> tuple:
-    """Suite, rank and monomial degree: rows sharing it share operators."""
-    degree = sum(config.shape) if config.shape else config.k
-    return config.suite, config.n, degree
+def _braiding_key(config: SuiteConfig):
+    """The rank n of the braiding a row builds on, standard_hecke(n).
+
+    Every suite that reads n builds on that braiding; a suite that reads
+    no n is keyed by its name.
+    """
+    return config.n if "n" in SUITES[config.suite][1] else config.suite
 
 
 def grid_tasks(grid: list) -> list:
-    """Split labeled grid rows into tasks, keeping grid order.
+    """Group labeled grid rows into one task per braiding.
 
-    A task is a maximal contiguous run of rows with the same suite, rank
-    and monomial degree (k, or the size of the shape), so the rows that
-    act by one operator run in one process and build it once.  In the
-    acceptance grid only spectrum rows form tasks of more than one row.
+    A task holds every row that builds on one braiding (_braiding_key),
+    in grid order, and the tasks come in the order their first rows
+    appear in the grid.  The rows of a task share the braiding's memo,
+    so under --jobs no object is built in two processes.  The acceptance
+    grid gives five tasks: ranks 1 to 4 and u2h.
     """
-    tasks = []
+    tasks: dict = {}
     for row in grid:
-        if tasks and _task_key(tasks[-1][-1][1]) == _task_key(row[1]):
-            tasks[-1].append(row)
-        else:
-            tasks.append([row])
-    return tasks
+        tasks.setdefault(_braiding_key(row[1]), []).append(row)
+    return list(tasks.values())
 
 
 def clear_caches() -> None:
@@ -586,24 +586,31 @@ def run_all(mode: str = "EXACT", seed: int = 0, jobs: int = 1
             ) -> VerificationReport:
     """Run the acceptance grid and aggregate one row per configuration.
 
-    The grid runs as the tasks of grid_tasks: in order in this process
-    when jobs is 1, otherwise one task at a time per worker of a pool of
-    jobs processes, but no more processes than tasks (a fork pool starts
-    every worker up front).  Either way the rows of a task share one
-    process's memos, and the summary lists the rows in grid order.  The
-    witness of a failing row names its first failing checks and ends with
-    the command that replays the row.  Each row's wall time, taken in the
-    process that ran it, waits in the summary's `wall_ms`.
+    With jobs 1 the rows run in grid order in this process.  Otherwise
+    the tasks of grid_tasks, one per braiding, run one at a time per
+    worker of a pool of jobs processes, but no more processes than tasks
+    (a fork pool starts every worker up front), and their results are put
+    back in grid order.  Either way every row that builds on one braiding
+    shares one process's memo, and the summary lists the rows in grid
+    order.  The witness of a failing row names its first failing checks
+    and ends with the command that replays the row.  Each row's wall
+    time, taken in the process that ran it, waits in the summary's
+    `wall_ms`.
     """
     clear_caches()
     grid = acceptance_grid(mode, seed)
-    tasks = grid_tasks(grid)
     if jobs > 1:
+        # imported here: a serial run does not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+        tasks = grid_tasks(grid)
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            done = list(pool.map(_run_task, tasks))
+            done = pool.map(_run_task, tasks)
+            by_label = {label: result
+                        for task, results in zip(tasks, done)
+                        for (label, _), result in zip(task, results)}
+        results = [by_label[label] for label, _ in grid]
     else:
-        done = list(map(_run_task, tasks))
-    results = [result for task in done for result in task]
+        results = [_timed_run(config) for _, config in grid]
     summary = VerificationReport("all", {"mode": mode, "seed": seed,
                                          "rows": len(grid)})
     for (label, config), (sub, ms) in zip(grid, results):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
 import copy
 import gc
 import multiprocessing
@@ -163,6 +165,30 @@ def test_no_action_operator_is_solved_twice_under_jobs(monkeypatch,
     keys = log.read_text(encoding="utf-8").splitlines()
     assert keys
     assert len(keys) == len(set(keys)), sorted(keys)
+
+
+def test_nothing_is_built_twice_under_jobs(monkeypatch, tmp_path):
+    # one task per braiding: a worker never rebuilds a braiding or a Young
+    # idempotent that the other built, so the counts are the serial ones
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the spy reaches pool workers only when they fork")
+    log = tmp_path / "builds.txt"
+    for module, name in ((braidings, "_build_standard_hecke"),
+                         (heckerep, "_build_young_idempotent")):
+        def spy(*args, real=getattr(module, name), name=name):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(name + "\n")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    counts = []
+    for jobs in (1, 2):
+        log.write_text("", encoding="utf-8")
+        assert run_all(jobs=jobs).passed
+        counts.append(dict(collections.Counter(
+            log.read_text(encoding="utf-8").splitlines())))
+    serial = {"_build_standard_hecke": 4, "_build_young_idempotent": 21}
+    assert counts == [serial, serial]
 
 
 def _memo_sizes():
@@ -349,31 +375,47 @@ def test_a_failed_certificate_fails_on_every_call(monkeypatch):
     assert len(runs) == 1 and len(set(messages)) == 1
 
 
-def _labels(task: list) -> tuple:
-    return tuple(label for label, _ in task)
+class _ReversePool:
+    """A pool that runs the tasks in this process, last task first and
+    each task's rows last row first, and hands back their results in
+    task and row order."""
 
+    def __init__(self, max_workers):
+        pass
 
-def _row_bytes(done: dict) -> dict:
-    return {labels: [report.to_json() for report, _ in results]
-            for labels, results in done.items()}
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task[::-1])[::-1] for task in tasks[::-1]][::-1]
 
 
 def test_reverse_task_order_gives_the_same_rows_and_summary(monkeypatch):
     # shared presentations keep the rows their reductions stored; no
-    # verdict or byte may depend on which row stored them
-    tasks = suites.grid_tasks(suites.acceptance_grid())
-    clear_caches()
-    backward = {_labels(task): suites._run_task(task) for task in tasks[::-1]}
-    forward = {}
-    real = suites._run_task
+    # verdict or byte may depend on which row stored them.  The serial
+    # run goes in grid order, the reverse pool against it
+    ran = []
+    real = suites._timed_run
 
-    def spy(task):
-        forward[_labels(task)] = results = real(task)
-        return results
+    def spy(config):
+        report, ms = real(config)
+        ran.append(report.to_json())
+        return report, ms
 
-    monkeypatch.setattr(suites, "_run_task", spy)
-    summary = run_all().to_json()
-    assert _row_bytes(backward) == _row_bytes(forward)
-    monkeypatch.setattr(suites, "_run_task",
-                        lambda task: backward[_labels(task)])
-    assert run_all().to_json() == summary
+    monkeypatch.setattr(suites, "_timed_run", spy)
+    grid = suites.acceptance_grid()
+    serial = run_all().to_json()
+    forward = dict(zip((label for label, _ in grid), ran))
+    ran.clear()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _ReversePool)
+    assert run_all(jobs=2).to_json() == serial
+    reverse = [label for task in suites.grid_tasks(grid)[::-1]
+               for label, _ in task[::-1]]
+    assert reverse[0] == "u2h" and reverse[-1] == "braiding-n1"
+    assert dict(zip(reverse, ran)) == forward
+
+

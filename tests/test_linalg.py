@@ -14,7 +14,7 @@ import pytest
 
 from redouble import braidings, linalg
 from redouble.braidings import TensorOperator, standard_hecke
-from redouble.linalg import (_WIDTH, Triangular, _load_matrix, _pack,
+from redouble.linalg import (_WIDTH, Load, Triangular, _load_matrix, _pack,
                              _pack_vector, _TooWide, _unpack, coordinates,
                              mat_mul, packed_mat_mul, traced, vec_add_scaled)
 from redouble.ncengine import Gen, NCElement
@@ -289,6 +289,103 @@ def test_one_triangular_takes_one_parameter():
     # constants carry any label
     assert tri.reduce({1: Scalar.from_int(2, "h")}) == \
         {0: Scalar.from_int(-2) * Scalar.var("q")}
+
+
+def _loaded(vec: dict, w: int = _WIDTH) -> Load:
+    """vec as a Load at digit width w."""
+    return Load(w, *_pack_vector(vec, w, None))
+
+
+@pytest.mark.parametrize("param", ["q", "h"])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_load_reduces_and_inserts_as_its_scalars(param, seed):
+    # the packed entry and the Scalar one share one elimination: the same
+    # pivots, and remainders equal to the last digit and the label
+    rng = random.Random(f"load-{param}:{seed}")
+    keys = list(range(10))
+    by_load, by_scalars = Triangular(), Triangular()
+    # a non-unit lead 2q^2+3 at key 9 and a unit lead q^-1 at key 8
+    fixed = [{9: Scalar.laurent({2: 2, 0: 3}, param),
+              0: Scalar.from_fraction("1/6", param)},
+             {8: Scalar.power(-1, param), 2: Scalar.from_int(2, param)}]
+    for vec in fixed + _system(rng, param, keys, 10, mixed=True):
+        load = _loaded(vec)
+        before = dict(load.packed)
+        assert by_load.insert(load) == by_scalars.insert(vec)
+        assert load.packed == before  # insert does not consume the load
+        for probe in _system(rng, param, keys, 3, mixed=True):
+            _check_same_remainders(by_load.reduce(_loaded(probe)),
+                                   by_scalars.reduce(probe))
+    assert by_load.pivots == by_scalars.pivots
+    leads = [lead for _, _, _, lead, _ in by_load.pivots.values()]
+    assert (1,) in leads and any(lead != (1,) for lead in leads)
+
+
+@pytest.mark.parametrize("w, widens", [(16, False), (2 * _WIDTH, False),
+                                       (2 * _WIDTH, True)],
+                         ids=["narrower", "wider", "too-wide"])
+def test_a_load_at_another_width_is_repacked(w, widens):
+    # a load narrower or wider than the Triangular is repacked at its
+    # width; one whose bound does not fit widens the Triangular
+    q = Scalar.var("q")
+    rows = [{3: q * q + Scalar.from_int(2), 1: ONE},
+            {2: ONE, 0: -q}, {1: Scalar.from_int(5) * q, 0: ONE}]
+    big = Scalar.from_int(2 ** 80 if widens else 7)
+    probe = {3: big * q, 2: Scalar.from_int(-3), 1: q * q}
+    by_load, by_scalars = Triangular(), Triangular()
+    for row in rows:
+        assert by_load.insert(_loaded(row, w)) == by_scalars.insert(row)
+    assert by_load._width == _WIDTH
+    _check_same_remainders(by_load.reduce(_loaded(probe, w)),
+                           by_scalars.reduce(probe))
+    assert (by_load._width > _WIDTH) == widens
+    rem = by_load.remainder(_loaded(probe, w))
+    assert rem.w == by_load._width and rem.param == "q"
+    got = linalg._unpack_vector("q", rem.frame, rem.packed, rem.w, (rem.den,))
+    _check_same_remainders(got, by_scalars.reduce(probe))
+
+
+def test_loaded_rows_over_their_own_denominators_give_the_coordinates():
+    # each loaded row carries its own denominator into its marker, so the
+    # coordinates are those of the Scalar rows
+    rng = random.Random("coordinates-loads")
+    keys = list(range(10))
+    rows = _independent(rng, "q", keys, 7)
+    assert len({_loaded(row).den for row in rows}) > 1
+    by_scalars = coordinates(rows)
+    by_loads = coordinates(_loaded(row) for row in rows)
+    for i, row in enumerate(rows):
+        assert by_loads(_loaded(row)) == {i: ONE}
+    for _ in range(6):
+        vec: dict = {}
+        for i in rng.sample(range(len(rows)), rng.randint(1, 4)):
+            vec_add_scaled(vec, rows[i], _scalar(rng, "q"))
+        assert by_loads(_loaded(vec)) == by_scalars(vec)
+    assert by_loads(_loaded({})) == {}
+
+
+def test_loaded_rows_reject_dependent_rows_and_outside_vectors():
+    rng = random.Random("coordinates-reject-loads")
+    keys = list(range(8))
+    rows = _independent(rng, "q", keys, 5)
+    combo: dict = {}
+    vec_add_scaled(combo, rows[1], _scalar(rng, "q"))
+    vec_add_scaled(combo, rows[3], _scalar(rng, "q"))
+    with pytest.raises(ArithmeticError, match="dependent"):
+        coordinates(_loaded(row) for row in rows + [combo])
+    with pytest.raises(ArithmeticError, match="dependent"):
+        coordinates([_loaded(rows[0]), _loaded(rows[0])])
+    coords = coordinates(_loaded(row) for row in rows)
+    tri = Triangular()
+    for row in rows:
+        tri.insert(row)
+    outside = [k for k in keys if tri.reduce({k: ONE})]
+    assert outside
+    for k in outside:
+        vec = dict(rows[2])
+        vec_add_scaled(vec, {k: ONE}, Scalar.from_int(3))
+        with pytest.raises(ArithmeticError, match="outside the span"):
+            coords(_loaded(vec))
 
 
 def test_rows_span_what_was_inserted():

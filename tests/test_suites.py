@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import pickle
 
@@ -373,30 +374,37 @@ def test_acceptance_grid_shape():
         acceptance_grid(mode="FAST")
 
 
-def test_grid_tasks_partition_the_grid_in_order():
-    def key(row):
-        config = row[1]
-        degree = sum(config.shape) if config.shape else config.k
-        return config.suite, config.n, degree
+def _braiding_of(row) -> object:
+    """The rank of the braiding a grid row builds on; u2h builds on none."""
+    return "u2h" if row[1].suite == "u2h" else row[1].n
 
-    grid = acceptance_grid()
-    tasks = grid_tasks(grid)
-    assert all(tasks)
-    assert [row for task in tasks for row in task] == grid
-    assert all(key(row) == key(task[0]) for task in tasks for row in task)
-    # maximal: neighbouring tasks never share suite, rank and degree
-    assert all(key(left[-1]) != key(right[0])
-               for left, right in zip(tasks, tasks[1:]))
+
+def test_grid_tasks_partition_the_grid_in_order():
+    for mode in ("EXACT", "SAMPLED"):
+        grid = acceptance_grid(mode)
+        tasks = grid_tasks(grid)
+        # one task per braiding, in the order its first row appears
+        order = [_braiding_of(task[0]) for task in tasks]
+        assert order == [1, 2, 3, 4, "u2h"]
+        assert all(_braiding_of(row) == _braiding_of(task[0])
+                   for task in tasks for row in task)
+        # each task keeps grid order, and the tasks hold every row once
+        assert [row for task in tasks for row in task] == \
+            sorted(grid, key=lambda row: order.index(_braiding_of(row)))
 
 
 def test_rank_three_spectrum_rows_of_three_boxes_share_a_task():
     labels = [[label for label, _ in task]
               for task in grid_tasks(acceptance_grid())]
-    assert ["spectrum-n3-3", "spectrum-n3-2,1", "spectrum-n3-1,1,1"] in labels
-    assert ["spectrum-n2-2", "spectrum-n2-1,1"] in labels
-    assert ["spectrum-n1-1"] in labels and ["spectrum-n1-2"] in labels
-    assert all(len(task) == 1 for task in labels
-               if not task[0].startswith("spectrum-"))
+    rank_three = next(task for task in labels if "spectrum-n3-3" in task)
+    # every row that builds rank-3 projectors or operators runs in one
+    # process: the 3-box spectrum rows beside heckerep-n3-k3
+    assert {"heckerep-n3-k3", "spectrum-n3-3", "spectrum-n3-2,1",
+            "spectrum-n3-1,1,1", "conjecture-n3",
+            "cayley-hamilton-n3"} <= set(rank_three)
+    assert all(label.split("-n")[1].startswith("3") for label in rank_three)
+    assert ["braiding-n4"] in labels and ["u2h"] in labels
+    assert len(labels) == 5
 
 
 def test_run_all_parallel_matches_serial():
@@ -406,10 +414,10 @@ def test_run_all_parallel_matches_serial():
         assert run_all(seed=2, jobs=jobs).to_json() == serial.to_json(), jobs
 
 
-@pytest.mark.parametrize("jobs", [2, 10 ** 6])
+@pytest.mark.parametrize("jobs", [1, 2, 10 ** 6])
 def test_the_pool_has_no_more_workers_than_tasks(jobs, monkeypatch):
     # No process starts: the executor runs the tasks in this process and
-    # each row gets an empty, passing report.
+    # each row gets an empty, passing report.  A serial run makes no pool.
     made = []
 
     class RecordingExecutor:
@@ -425,12 +433,14 @@ def test_the_pool_has_no_more_workers_than_tasks(jobs, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(suites, "_run_task", lambda task: [
-        (VerificationReport(config.suite, {}), 0.0) for _, config in task])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
+    monkeypatch.setattr(suites, "_timed_run", lambda config: (
+        VerificationReport(config.suite, {}), 0.0))
     summary = run_all(jobs=jobs)
     assert summary.passed and len(summary.checks) == len(acceptance_grid())
-    assert made == [min(jobs, len(grid_tasks(acceptance_grid())))]
+    want = min(jobs, len(grid_tasks(acceptance_grid())))
+    assert made == ([] if jobs == 1 else [want])
 
 
 def test_exit_code_classification():
