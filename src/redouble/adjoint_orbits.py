@@ -101,10 +101,10 @@ def orbit_quotient(double: QuantumDouble, alphas) -> CentralQuotient:
     The double's reflection-equation algebra (double.b_pres) divided by
     p_k - alpha_k, the traced k-th power minus its level constant, for
     k = 1..N.  The traced powers are central in that algebra, so the
-    quotient is a CentralQuotient: one certified presentation whose basis
-    holds the re-keyed relation rows and w·(p_k - alpha_k) over normal
-    words w, so that trace occurrences rewrite to constants in one
-    elimination.  A traced power that fails to be central raises
+    quotient is a CentralQuotient: one certified presentation whose
+    ideal is spanned by the re-keyed relation rows and w·(p_k - alpha_k)
+    over normal words w, so that trace occurrences rewrite to constants
+    in one elimination.  A traced power that fails to be central raises
     PresentationError.
     """
     braiding, tag = double.braiding, double.b_tag

@@ -16,6 +16,11 @@ Scalar operators compose on packed integers (`packed_mat_mul`).
 `Triangular` is the only elimination, and `coordinates` the only solve:
 it writes a vector in the span of independent rows as their combination,
 for the exchange rule of a double and for its slotwise action operators.
+A Triangular may also reduce against rows it never stores: its
+`derive(key)` names a stored source row and a prefix and suffix, and an
+elimination that meets the key steps on the source row with every key k
+read as prefix + k + suffix.  So a quadratic presentation stores only its
+relation rows and reduces against all their re-keyed copies u·row·v.
 
 `Triangular` eliminates fraction-free over the Laurent ring Z[q, 1/q].
 Its stored rows and working vector are packed integers (Kronecker
@@ -581,8 +586,19 @@ class Triangular:
     constant, or of the first Load that names one; an entry or a Load
     with another parameter raises MixedParameterError.  Remainders and
     rows carry `param`, or q while every entry seen was a constant (a
-    constant's label does not matter).  `derive`, if given, names the
-    rows an elimination stores on first read (_derived).
+    constant's label does not matter).
+
+    `derive`, if given, names rows that are never stored.  derive(key)
+    gives None or (source, prefix, suffix), with source a stored pivot
+    and key = prefix + source + suffix; the row with pivot key is then
+    the source row with each key k read as prefix + k + suffix.  That
+    map must be strictly monotone under sortkey (graded-lex on words
+    is), so the derived row is leading-reduced and primitive like its
+    source, and derive must answer the same for a key on every call.  A
+    stored pivot is never asked.  An elimination asks derive once per
+    key it meets that is no stored pivot, and maps the source's keys as
+    it steps on it, so `pivots` holds only the inserted rows and a
+    derived row costs no memory between reductions.
     """
 
     def __init__(self, sortkey=None, derive=None):
@@ -630,18 +646,28 @@ class Triangular:
         bit, and its bound is the entry's.  Other leads take the gcd
         path, which unpacks c and scales every entry by the lead; a
         running offset adds the lead's bound to every entry's at once.
-        When a bound could pass w - 2, all are read from the digits once;
-        raises _TooWide when one is still too large.
+        A derived pivot (see the class) is a step on its source row with
+        the keys mapped.  When a bound could pass w - 2, all are read from
+        the digits once; raises _TooWide when one is still too large.
         """
         w = self._width
         limit = w - 2
         pivots = self.pivots
         sortkey = self.sortkey
-        derive = self.derive and self._derived
-        # the pivot keys of vec (stored, or derived on first read) by
-        # sortkey, ascending; a key that cancelled stays until it is popped
-        todo = sorted((sortkey(k), k) for k in vec
-                      if k in pivots or derive and derive(k))
+        derive = self.derive
+        # derive(k) of each key that is no stored pivot, asked once
+        derived: dict = {}
+        # the pivot keys of vec (stored or derived) by sortkey, ascending;
+        # a key that cancelled stays until it is popped
+        todo = []
+        for k in vec:
+            if k in pivots:
+                todo.append((sortkey(k), k))
+            elif derive is not None:
+                if (found := derive(k)) is not None:
+                    todo.append((sortkey(k), k))
+                derived[k] = found
+        todo.sort()
         # bounds[k] + off bounds the `_bits` of entry k, base + off one
         # that no step touched yet; top bounds every entry
         bounds: dict = {}
@@ -656,7 +682,13 @@ class Triangular:
                 return frame, vec, den, top
             cp = vec.pop(hit)
             own = bounds.pop(hit, base) + off
-            rest, rbound, lshift, lead, lcont = pivots[hit]
+            row = pivots.get(hit)
+            if row is None:  # prefix + source + suffix: read the source
+                source, prefix, suffix = derived[hit]
+                row = pivots[source]
+            else:
+                prefix = None
+            rest, rbound, lshift, lead, lcont = row
             if lead == (1,):
                 tz = ((cp & -cp).bit_length() - 1) // w
                 if tz:
@@ -711,13 +743,24 @@ class Triangular:
             if not unit:
                 den = _pmul(den, lead)
             nc = -(cp << (w * e))
-            for k, r in rest.items():
+            if prefix is None:
+                terms = rest.items()
+            else:
+                terms = [(prefix + k + suffix, r) for k, r in rest.items()]
+            for k, r in terms:
                 cur = vec.get(k)
                 if cur is None:
                     vec[k] = nc * r
                     bounds[k] = sb
-                    if k in pivots or derive and derive(k):
+                    if k in pivots:
                         insort(todo, (sortkey(k), k))
+                    elif derive is not None:
+                        # derived itself marks a key not asked yet
+                        found = derived.get(k, derived)
+                        if found is derived:
+                            found = derived[k] = derive(k)
+                        if found is not None:
+                            insort(todo, (sortkey(k), k))
                 else:
                     s = cur + nc * r
                     if s:
@@ -805,24 +848,6 @@ class Triangular:
         self.pivots[pivot] = ({k: _pack(t, w) for k, t in polys.items()},
                               bound, shift, lead, _pcontent(lead))
         return pivot
-
-    def _derived(self, key) -> bool:
-        """Store the row derive(key) names, if any, under the pivot key.
-
-        derive gives None or (source, prefix, suffix) with a stored pivot
-        source and key = prefix + source + suffix.  Nothing is eliminated:
-        the packed source row is copied with its bound, lead and content
-        under k -> prefix + k + suffix.  That map must be strictly
-        monotone under sortkey (graded-lex on words is), so the copy is
-        leading-reduced and primitive like its source.
-        """
-        if (found := self.derive(key)) is None:
-            return False
-        source, prefix, suffix = found
-        rest, *tail = self.pivots[source]
-        self.pivots[key] = (
-            {prefix + k + suffix: p for k, p in rest.items()}, *tail)
-        return True
 
     def row(self, pivot) -> dict:
         """The stored row with pivot `pivot`, as one vector."""

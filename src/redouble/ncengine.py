@@ -18,15 +18,17 @@ every degree (PBW).  The ideal's part of degree <= d is then spanned,
 with no elimination at all, by one re-keyed copy u·row·v of a relation
 row for each word u·ab·v that contains a lead ab, and the normal form
 of an element is its unique remainder against those rows, found by one
-elimination of the whole element; a row is stored when a reduction
-first reads its pivot.  A presentation that fails the check raises
+elimination of the whole element.  No copy is stored: a step on u·ab·v
+reads the relation row of ab with its words read under u and v
+(linalg.Triangular's derive), so a presentation keeps only its
+relation rows.  A presentation that fails the check raises
 PresentationError, on every later call as well; there is no other route.
 
 A CentralQuotient is a presentation of the same kind, with elements
 pinned to zero that are central in it (checked once it is certified).
-Its one Triangular holds the relation rows, re-keyed on first read, and
-the span of w·c over the normal words w and pinned c, so a normal form
-is still one elimination.
+Its one Triangular holds the relation rows, which it reads re-keyed,
+and the span of w·c over the normal words w and pinned c, so a normal
+form is still one elimination.
 
 Matrices over the algebra (MatrixOverAlgebra) keep the sparse rows of
 TensorOperator and compute through the same linalg functions: the entry
@@ -51,14 +53,40 @@ from .linalg import (Load, Triangular, accumulate, first_nonzero, mat_add,
 from .scalars import ONE, Scalar
 
 
-class Gen(NamedTuple):
-    """One generator symbol: entry (row, col) of a generating matrix.
-
-    Vector-type generators (tensor algebra of V) use col = 0.
-    """
+class _Symbol(NamedTuple):
     tag: str
     row: int
     col: int
+
+
+class Gen(_Symbol):
+    """One generator symbol: entry (row, col) of a generating matrix.
+
+    Vector-type generators (tensor algebra of V) use col = 0.  Symbols
+    are interned: Gen(tag, row, col) returns one object per symbol, and
+    so do `_make`, `_replace`, pickling and copying.  Equal symbols are
+    then the same object, so a symbol hashes by identity and a word (a
+    tuple of symbols) hashes and compares without reading any field.
+    Symbols order as the tuples (tag, row, col).
+    """
+
+    __slots__ = ()
+    _interned: dict = {}
+    __hash__ = object.__hash__
+
+    def __new__(cls, tag: str, row: int, col: int):
+        key = (tag, row, col)
+        g = Gen._interned.get(key)
+        if g is None:
+            g = Gen._interned[key] = tuple.__new__(Gen, key)
+        return g
+
+    @classmethod
+    def _make(cls, iterable):
+        return Gen(*iterable)
+
+    def __reduce__(self):
+        return Gen, tuple(self)
 
     def __repr__(self):
         if self.col == 0:
@@ -175,8 +203,8 @@ class QuadraticPresentation:
     """Generators plus relations with quadratic leading parts.
 
     Relations may carry lower-degree tails, so reduction runs over the
-    whole word space of degree <= d.  A row is stored when a reduction
-    first reads it; no normal form is memoized.
+    whole word space of degree <= d.  Only the relation rows are stored,
+    and no normal form is memoized.
     """
 
     def __init__(self, generators: list, relations: Iterable[NCElement],
@@ -208,8 +236,9 @@ class QuadraticPresentation:
         by the diamond lemma the rows u·row_ab·v, one for each word u·ab·v
         with leftmost lead ab, span the ideal in every degree, and reducing
         an ideal element leaves only normal words, which are independent
-        in the quotient.  The Triangular stores such a row when a
-        reduction first reads its pivot (_lead_row); nothing grows here.
+        in the quotient.  The Triangular reads such a row from row_ab
+        when a reduction meets its pivot (_lead_row) and never stores it,
+        so nothing grows here or later.
         A failed certificate raises the same PresentationError on every
         later call with d >= 3, so no reduction, in any row that shares
         the presentation, trusts rows the certificate did not justify.
@@ -325,12 +354,12 @@ class CentralQuotient(QuadraticPresentation):
     part of degree <= d is spanned by the re-keyed relation rows and w·c
     for the normal words w with |w| + deg c <= d.  ensure(d) inserts those
     w·c into the same Triangular once it is certified, so each insert is
-    reduced modulo every relation row of its degree (re-keyed on first
-    read) and its pivot is a normal word.  A re-keyed pivot contains a
-    lead, so the two kinds never collide, a relation row's key is never
-    stored before its copy is derived, and every word that contains a
-    lead stays a pivot.  Normal forms, ideal_rank and filtered_dimension
-    are then those of the two-sided ideal, through one elimination.
+    reduced modulo every relation row of its degree (read re-keyed) and
+    its pivot is a normal word.  A re-keyed pivot contains a lead, so the
+    two kinds never collide: the stored pivots are the relation leads
+    and the pinned normal words, and every word that contains a lead
+    stays a pivot.  Normal forms, ideal_rank and filtered_dimension are
+    then those of the two-sided ideal, through one elimination.
     """
 
     def __init__(self, base: QuadraticPresentation,

@@ -419,26 +419,51 @@ def test_a_derived_row_is_its_source_with_the_keys_mapped():
     mapped = {(3,) + k + (1, 1): v for k, v in vec.items()}
     tri = Triangular(graded, derive)
     assert tri.insert(vec) == (2, 1)
-    tri._widen()  # a copy keeps the digit width of its source
+    tri._widen()  # a read maps the source row at its current width
     assert list(tri.pivots) == [(2, 1)]
-    # the first read stores the copy, which spans the mapped input
+    # a read steps on the source row with its keys mapped, which spans the
+    # mapped input, and stores nothing
     assert tri.reduce(dict(mapped)) == {}
-    assert list(tri.pivots) == [(2, 1), (3, 2, 1, 1, 1)]
-    for _ in range(2):  # and a stored copy is repacked with its source
-        assert tri.row((3, 2, 1, 1, 1)) == \
-            {(3,) + k + (1, 1): v for k, v in tri.row((2, 1)).items()}
+    assert list(tri.pivots) == [(2, 1)]
+    # remainders equal those against an explicit re-keyed copy of the row
+    copied = Triangular(graded)
+    copied.insert(vec)
+    copied.insert({(3,) + k + (1, 1): v for k, v in tri.row((2, 1)).items()})
+    assert list(copied.pivots) == [(2, 1), (3, 2, 1, 1, 1)]
+    other = {(3, 2, 1, 1, 1): q, (3, 3, 1, 1, 1): ONE, (2, 1): -ONE,
+             (1,): q + ONE}
+    for _ in range(2):  # at either width
+        assert tri.reduce(dict(other)) == copied.reduce(dict(other))
+        assert tri.reduce(dict(other))
         tri._widen()
     assert tri.reduce(dict(mapped)) == {}
     # a word with no lead is left alone, and no row is stored for it
     assert tri.reduce({(3, 3, 1, 1, 1): ONE}) == {(3, 3, 1, 1, 1): ONE}
-    assert len(tri) == 2
+    assert len(tri) == 1
 
 
-def test_a_triangular_without_derive_makes_no_derive_call(monkeypatch):
-    def forbidden(tri, key):
-        raise AssertionError(f"derive called for {key!r}")
+def test_derive_is_asked_once_per_key_per_elimination():
+    asked = []
 
-    monkeypatch.setattr(Triangular, "_derived", forbidden)
+    def derive(key):
+        asked.append(key)
+        if len(key) > 1 and key[0] > 1:
+            return (key[0],), (), key[1:]
+        return None
+
+    tri = Triangular(lambda k: (len(k), k), derive)
+    assert tri.insert({(3,): ONE, (1,): -ONE}) == (3,)
+    assert tri.insert({(2,): ONE, (1,): -ONE}) == (2,)
+    asked.clear()
+    # the step on (3, 3) cancels (1, 3), and the step on (2, 3) brings it
+    # back; the stored rows are read under the suffix (3,)
+    vec = {(3, 3): ONE, (1, 3): -ONE, (2, 3): ONE}
+    assert tri.reduce(vec) == {(1, 3): ONE}
+    assert asked == [(3, 3), (1, 3), (2, 3)]
+    assert list(tri.pivots) == [(3,), (2,)]
+
+
+def test_a_triangular_without_derive_makes_no_derive_call():
     tri = Triangular()
     assert tri.derive is None
     assert tri.insert({2: ONE, 1: -ONE}) == 2

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -39,6 +41,28 @@ def comb(n, k):
 def graded_dimension(pres, d):
     """dim of the degree-d part of a quotient with homogeneous relations."""
     return pres.filtered_dimension(d) - pres.filtered_dimension(d - 1)
+
+
+def test_a_generator_symbol_is_one_object():
+    g = Gen("m", 1, 2)
+    assert g is Gen("m", 1, 2) and g is not Gen("m", 2, 1)
+    assert hash(g) == object.__hash__(g)
+    # pool workers unpickle results, and copies of words stay interned
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(g, protocol)) is g
+    word = (g, Gen("m", 2, 1))
+    assert copy.copy(g) is g and copy.deepcopy(g) is g
+    assert all(a is b for a, b in zip(copy.deepcopy(word), word))
+    assert all(a is b for a, b in zip(pickle.loads(pickle.dumps(word)), word))
+    assert Gen._make(["m", 1, 2]) is g
+    assert g._replace(row=2, col=1) is word[1] and g._replace() is g
+    # symbols order as the tuples (tag, row, col) and print as before
+    gens = [Gen("m", 2, 1), Gen("d", 3, 3), Gen("m", 1, 2), Gen("x", 2, 0)]
+    assert sorted(gens) == sorted(gens, key=tuple)
+    assert [tuple(x) for x in sorted(gens)] == \
+        [("d", 3, 3), ("m", 1, 2), ("m", 2, 1), ("x", 2, 0)]
+    assert repr(gens) == "[m21, d33, m12, x2]"
+    assert (g.tag, g.row, g.col) == ("m", 1, 2)
 
 
 def test_ncelement_arithmetic():
@@ -408,15 +432,50 @@ def test_every_presentation_certifies(name):
     pivots = _pivot_words(pres, 3)
     leads = pres._leads
     assert leads and leads <= set(pivots) and leads <= set(pres._tri.pivots)
-    # reading every word of degree 3 stores a row for exactly the words
-    # that contain a lead; a quotient's other pivots are its pinned span
+    # reading every word of degree 3 stores no row: a word that contains a
+    # lead is reduced by the relation row read under its prefix and suffix,
+    # as by an explicit re-keyed copy of it; a quotient's other pivots are
+    # its pinned span
+    tri = pres._tri
+    stored = dict(tri.pivots)
     words = list(itertools.product(pres.generators, repeat=3))
+    copied = _with_rekeyed_copies(pres, words)
     for w in words:
+        x = NCElement.word(w)
+        assert pres.normal_form(x).terms == copied.reduce(dict(x.terms)), w
+    assert tri.pivots == stored
+    assert set(stored) <= set(pivots)
+    assert {w for w in copied.pivots if len(w) == 3 and _has_lead(pres, w)} \
+        == {w for w in words if w[:2] in leads or w[1:] in leads}
+
+
+def _with_rekeyed_copies(pres, words):
+    """A Triangular with the stored rows of pres and, for each of the
+    words u·ab·v with leftmost lead ab, the re-keyed copy u·row_ab·v."""
+    tri = pres._tri
+    out = Triangular(word_sortkey)
+    for p in tri.pivots:
+        out.insert(tri.row(p))
+    for w in words:
+        found = pres._lead_row(w)
+        if found is not None:
+            ab, u, v = found
+            assert out.insert(
+                {u + k + v: c for k, c in tri.row(ab).items()}) == w
+    return out
+
+
+def test_an_orbit_quotient_stores_only_relation_and_pinned_rows():
+    # after the rank-3 orbit quotient reduces every word of degree 3, each
+    # stored pivot is a relation lead or a pinned pivot, a normal word
+    pres = _rank_three_orbit()
+    for w in itertools.product(pres.generators, repeat=3):
         pres.normal_form(NCElement.word(w))
-    stored = {w for w in pres._tri.pivots if len(w) == 3}
-    assert {w for w in stored if _has_lead(pres, w)} == \
-        {w for w in words if w[:2] in leads or w[1:] in leads}
-    assert stored <= set(pivots)
+    pinned = [p for p in pres._tri.pivots if p not in pres._leads]
+    assert pinned and set(pres._leads) <= set(pres._tri.pivots)
+    assert not any(_has_lead(pres, p) for p in pinned)
+    assert set(pinned) <= {w for e in range(5)
+                           for w in pres.normal_words(e)}
 
 
 # fresh rank-3 presentations; re is in the test above
