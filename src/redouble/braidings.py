@@ -24,8 +24,8 @@ import copy
 import itertools
 import operator
 
-from .linalg import (_WIDTH, Triangular, _load_matrix, _TooWide, mat_add,
-                     mat_map, packed_mat_mul, partial_trace)
+from .linalg import (_WIDTH, Load, Triangular, _load_matrix, _TooWide,
+                     mat_add, mat_map, packed_mat_mul, partial_trace)
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -33,10 +33,11 @@ class TensorOperator:
     """Sparse exact operator on the arity-fold tensor power of Q(q)^dim.
 
     `rows` is filled before construction and never mutated after it.
-    `_load` caches the packed integers of `rows` at one digit width for
-    composition (linalg.packed_mat_mul): `_loaded(w)` reads them from
-    `rows` on the first product and again when a product needs another
-    width.  A product starts with no load.
+    `_load` caches `rows` as one `linalg.Load` at one digit width, its
+    packed entries grouped by row, for composition
+    (linalg.packed_mat_mul): `_loaded(w)` reads it from `rows` on the
+    first product and again when a product needs another width.  A
+    product starts with no load.
     """
 
     __slots__ = ("dim", "arity", "rows", "_load")
@@ -83,9 +84,9 @@ class TensorOperator:
         return TensorOperator(self.dim, self.arity,
                               mat_map(self.rows, lambda v: coeff * v))
 
-    def _loaded(self, w: int) -> tuple:
-        """The load of rows at digit width w, read from rows on a miss."""
-        if self._load is None or self._load[0] != w:
+    def _loaded(self, w: int) -> Load:
+        """The Load of rows at digit width w, read from rows on a miss."""
+        if self._load is None or self._load.w != w:
             self._load = _load_matrix(self.rows.items(), w)
         return self._load
 
@@ -97,7 +98,7 @@ class TensorOperator:
         the width and reloads both from their rows.
         """
         self._check(other)
-        w = max((x._load[0] for x in (self, other) if x._load is not None),
+        w = max((x._load.w for x in (self, other) if x._load is not None),
                 default=_WIDTH)
         while True:
             try:

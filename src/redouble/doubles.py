@@ -17,8 +17,9 @@ recursing on rest, with the counit on the empty word.  It runs on the
 packed Laurent format of linalg, which alone knows the digits, bounds,
 frames and denominators: each double loads its rule table and counit
 once, over one cleared denominator D, and memoizes the action of an
-a-letter on a b-word as a packed vector for as long as the double lives
-(_PackedAction); this module keeps the recursion and the powers of D.
+a-letter on a b-word as a linalg.Load over a power of D for as long as
+the double lives (_PackedAction); this module keeps the recursion, and
+linalg._combine sums its terms.
 act_each acts with each of several elements on a list of targets: it
 loads every element and every target once, in the braiding's parameter,
 multiplies them on packed integers, and makes Scalars only for the
@@ -66,10 +67,9 @@ from operator import attrgetter
 from typing import Iterable
 
 from .braidings import Braiding, TensorOperator, memoized
-from .linalg import (_WIDTH, Load, _one_denominator, _pack_vector,
-                     _packed_sum, _reframed, _stacked, _TooWide,
-                     _unpack_vector, accumulate, coordinates, mat_mul,
-                     vec_add_scaled)
+from .linalg import (_WIDTH, Load, _combine, _den_product, _one_denominator,
+                     _pack_vector, _reframed, _TooWide, _unpack_vector,
+                     accumulate, coordinates, mat_mul, vec_add_scaled)
 from .ncengine import (
     Gen,
     MatrixOverAlgebra,
@@ -283,9 +283,10 @@ class QuantumDouble:
             nonlocal loaded
             if loaded is None or loaded[0] is not kernel:
                 loaded = kernel, [
-                    _pack_vector(b.terms, kernel.width, kernel.param)[1:]
+                    _pack_vector(b.terms, kernel.width, kernel.param)
                     for b in targets]
-            return kernel.act(x.terms, loaded[1])
+            xl = _pack_vector(x.terms, kernel.width, kernel.param)
+            return [_unpack_vector(kernel.act(xl, b)) for b in loaded[1]]
 
         for x in xs:
             if longest is not None and x.terms and \
@@ -351,42 +352,37 @@ class _PackedAction:
     `width`, by `linalg._pack_vector`: every coefficient becomes
     q^frame · c / D with c a packed integer polynomial and D one integer
     polynomial for the whole table (D = 1 for every EXACT double over q).
-    The memo holds, for an A-letter g and a B-word bw, the vector
-    D^(|bw|+1) · (g acting on bw) as (frame, {B-word: packed int}, bound):
-    the factor is the same for every term of the rule recursion, since a
-    term that stops early (b' or a constant) takes D^|bw| in place of the
-    rest of the recursion.  A vector that holds several such products
-    carries the exponent of D it is scaled by, and sums lift each part to
-    the largest exponent.  Bounds follow linalg's convention: a product
-    adds the bounds of its factors, and `linalg._packed_sum` checks them.
-    Every value is in the braiding's parameter.
+    The memo holds, for an A-letter g and a B-word bw, g acting on bw as
+    a `linalg.Load`: a term of the rule recursion that acts on the rest
+    is over D times the rest's denominator, one that stops early (b' or
+    a constant) over D, and `linalg._combine` sums them over their lcm,
+    a power of D up to D^(|bw|+1).
+    Bounds follow linalg's convention: a product adds the bounds of its
+    factors, and `_combine` checks them.  Every value is in the
+    braiding's parameter.
     """
 
-    __slots__ = ("width", "param", "a_tag", "b_tag", "rule", "memo",
-                 "den", "powers")
+    __slots__ = ("width", "param", "a_tag", "b_tag", "rule", "memo", "den")
 
     def __init__(self, double: QuantumDouble, width: int):
         coeffs = {(g,): e for g, e in double.eps_a.items()}
         for pair, img in double.rule.table.items():
             for iw, c in img.terms.items():
                 coeffs[pair + (iw,)] = c
-        coeffs[()] = ONE  # loads as D itself
         self.param = double.braiding.param
-        _, frame, packed, self.den, _ = _pack_vector(coeffs, width,
-                                                     self.param)
+        table = _pack_vector(coeffs, width, self.param)
+        self.den = table.den
         self.width = width
         self.a_tag = double.a_tag
         self.b_tag = double.b_tag
         self.rule = {pair: [] for pair in double.rule.table}
         self.memo = {}
-        for key, p in packed.items():
-            fr, vec, bound = _reframed(frame, {(): p}, width)
-            if not key:
-                # powers[n] = (D^n packed, its bound)
-                self.powers = [(1, 0), (vec[()], bound)]
-            elif len(key) == 1:  # the counit on the empty B-word
-                self.memo[(key[0], ())] = (fr, vec, bound)
+        for key, p in table.packed.items():
+            coeff = _reframed(table._replace(packed={(): p}))
+            if len(key) == 1:  # the counit on the empty B-word
+                self.memo[(key[0], ())] = coeff
             else:
+                _, _, fr, vec, _, bound = coeff
                 ga, gb, iw = key
                 if iw and iw[-1].tag == self.a_tag:
                     # b'·a' or a': a' acts on the rest, b' stays on the left
@@ -396,65 +392,44 @@ class _PackedAction:
                     term = (iw, None, vec[()], fr, bound)
                 self.rule[(ga, gb)].append(term)
         for g in double.eps_a:
-            self.memo.setdefault((g, ()), (0, {}, 0))
+            self.memo.setdefault((g, ()), Load(width, self.param, 0, {},
+                                               self.den, 0))
 
-    def _power(self, n: int) -> tuple:
-        """(D^n packed, its bound)."""
-        powers = self.powers
-        while len(powers) <= n:
-            p, bound = powers[-1]
-            powers.append((p * powers[1][0], bound + powers[1][1]))
-        return powers[n]
-
-    def _letter(self, g: Gen, bw: tuple) -> tuple:
-        """(frame, vec, bound) of D^(|bw|+1) · (g acting on bw)."""
+    def _letter(self, g: Gen, bw: tuple) -> Load:
+        """g acting on the B-word bw."""
         hit = self.memo.get((g, bw))
         if hit is not None:
             return hit
         rest = bw[1:]
+        den = self.den
         parts = []
         for prefix, a, pc, frame, bound in self.rule[(g, bw[0])]:
             if a is None:
-                power, pbound = self._power(len(bw))
-                parts.append((pc * power, bound + pbound, frame,
-                              {prefix + rest: 1}, 0))
+                parts.append((pc, bound, frame, den, {prefix + rest: 1}, 0))
             else:
-                fr, vec, vbound = self._letter(a, rest)
+                _, _, fr, vec, vden, vbound = self._letter(a, rest)
                 if vec:
                     if prefix:
                         vec = {prefix + k: p for k, p in vec.items()}
-                    parts.append((pc, bound, frame + fr, vec, vbound))
-        hit = self.memo[(g, bw)] = _packed_sum(parts, self.width)
+                    parts.append((pc, bound, frame + fr,
+                                  _den_product(den, vden), vec, vbound))
+        hit = self.memo[(g, bw)] = _combine(parts, self.width, self.param)
         return hit
 
-    def _lift(self, parts: list, top: int | None = None) -> tuple:
-        """(top, parts for _packed_sum): each (m, m_bound, exp, fr, vec,
-        vec_bound) part scaled from D^exp to D^top, top the largest exp
-        unless given."""
-        if top is None:
-            top = max(p[2] for p in parts)
-        out = []
-        for m, mbound, exp, *tail in parts:
-            if exp != top and self.den != (1,):
-                power, pbound = self._power(top - exp)
-                m, mbound = m * power, mbound + pbound
-            out.append((m, mbound, *tail))
-        return top, out
+    def act(self, x: Load, b: Load) -> Load:
+        """x·b acting on the empty B-word, for x and b loaded here.
 
-    def _act(self, xs: dict, xbound: int, bs: dict, bbound: int) -> tuple:
-        """(top, frame, vec, bound) of x·b acting on the empty B-word.
-
-        xs and bs are the packed terms of x and b as _pack_vector gives
-        them, with bounds xbound and bbound.  With their frames and
-        denominators, x·b acts as q^(xframe + bframe + frame) · vec /
-        (xden · bden · D^top).  Each word of x acts, from its last letter
-        to its first, on the packed vector of b.
+        Each word of x acts, from its last letter to its first, on the
+        packed vector of b.
         """
-        a_tag, b_tag = self.a_tag, self.b_tag
+        a_tag, b_tag, w, param = self.a_tag, self.b_tag, self.width, self.param
+        _, _, xframe, xs, xden, xbound = x
+        _, _, bframe, bs, bden, bbound = b
+        frame, xbden = xframe + bframe, _den_product(xden, bden)
         parts = []
         for word, c in xs.items():
-            # (frame, exponent of D, vec, bound) of the suffix acting on b
-            fr, exp, vec, vbound = 0, 0, bs, bbound
+            # (frame, den, vec, bound) of the suffix acting on b
+            fr, den, vec, vbound = 0, (1,), bs, bbound
             for g in reversed(word):
                 if g.tag == b_tag:
                     vec = {(g,) + k: p for k, p in vec.items()}
@@ -462,42 +437,20 @@ class _PackedAction:
                     raise DoubleError(f"foreign letter {g!r} in the double")
                 elif len(vec) == 1 and 1 in vec.values():
                     (bw,) = vec
-                    f, vec, vb = self._letter(g, bw)
-                    fr, exp, vbound = fr + f, exp + len(bw) + 1, vbound + vb
+                    _, _, f, vec, d, vb = self._letter(g, bw)
+                    fr, den, vbound = fr + f, _den_product(den, d), vbound + vb
                 elif vec:
-                    top, lifted = self._lift(
-                        [(p, vbound, len(bw) + 1, *self._letter(g, bw))
-                         for bw, p in vec.items()])
-                    f, vec, vbound = _packed_sum(
-                        [p for p in lifted if p[3]], self.width)
-                    fr, exp = fr + f, exp + top
+                    terms = []
+                    for bw, p in vec.items():
+                        _, _, f, v, d, vb = self._letter(g, bw)
+                        if v:
+                            terms.append((p, vbound, f, d, v, vb))
+                    _, _, f, vec, d, vbound = _combine(terms, w, param)
+                    fr, den = fr + f, _den_product(den, d)
             if vec:
-                parts.append((c, xbound, exp, fr, vec, vbound))
-        if not parts:
-            return 0, 0, {}, 0
-        top, lifted = self._lift(parts)
-        return (top, *_packed_sum(lifted, self.width))
-
-    def _scalars(self, frame: int, vec: dict, dens: tuple,
-                 top: int) -> dict:
-        """The terms q^frame · vec / (the product of dens, and D^top)."""
-        return _unpack_vector(self.param, frame, vec, self.width,
-                              dens + (self.den,) * top)
-
-    def act(self, x: dict, targets: list) -> list:
-        """Terms of x acting on each loaded target; x is a term dict.
-
-        targets are (frame, packed, den, bound) of B-elements, as
-        _pack_vector loads them here.  x is loaded once.
-        """
-        _, xframe, xs, xden, xbound = _pack_vector(x, self.width,
-                                                   self.param)
-        out = []
-        for bframe, bs, bden, bbound in targets:
-            top, fr, vec, _ = self._act(xs, xbound, bs, bbound)
-            out.append(self._scalars(xframe + bframe + fr, vec,
-                                     (xden, bden), top))
-        return out
+                parts.append((c, xbound, frame + fr, _den_product(xbden, den),
+                              vec, vbound))
+        return _combine(parts, w, param)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +706,7 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
     nf(act(a, w)).  m is one nonzero polynomial, the common denominator
     of the table's normal forms.  Row l is then m · nf(M[l][j]) = sum of
     c_w T[w] and target i is m · nf(act(a, M[i][j])) = sum of c_w U[w],
-    over the terms c_w·w of the entries, each one packed load that goes
+    over the terms c_w·w of the entries, each one `linalg.Load` that goes
     into linalg.coordinates as it is; Scalars are made only for the
     entries of O.  Scaling every row and every target by the same
     nonzero m changes neither the coordinates nor which check fails: the
@@ -775,32 +728,31 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
     def solve(kernel):
         mon = monomial_matrix(double.braiding, double.b_tag, k)
         loaded = [[_pack_vector(mon.entry(i, j).terms, kernel.width,
-                                kernel.param)[1:] for j in idx]
+                                kernel.param) for j in idx]
                   for i in idx]
         del mon
         table = _word_table(kernel, double.b_pres, words)
         try:
-            coords = coordinates(_packed_row(kernel, idx, row, (1,), table)
+            coords = coordinates(_packed_row(kernel, idx, row, table)
                                  for row in loaded)
         except ArithmeticError as exc:
             raise DoubleError(
                 "monomial entries are linearly dependent") from exc
-        _, xframe, xs, xden, xbound = _pack_vector(a.terms, kernel.width,
-                                                   kernel.param)
+        x = _pack_vector(a.terms, kernel.width, kernel.param)
         # m · nf(act(a, w)) per word, kept until the last row that reads it
         uses = collections.Counter(key for row in loaded for e in row
-                                   for key in e[1])
+                                   for key in e.packed)
         acted = {}
         out: dict = {}
-        for i, row in zip(idx, loaded):
-            for _, packed, _, _ in row:
-                for w in packed:
+        for i in idx:
+            row = loaded.pop(0)  # dropped once its target is solved
+            for e in row:
+                for w in e.packed:
                     if w not in acted:
-                        acted[w] = _acted_word(kernel, xframe, xs, xbound,
-                                               w, table)
-            target = _packed_row(kernel, idx, row, xden, acted)
-            for _, packed, _, _ in row:
-                for w in packed:
+                        acted[w] = _acted_word(kernel, x, w, table)
+            target = _packed_row(kernel, idx, row, acted)
+            for e in row:
+                for w in e.packed:
                     uses[w] -= 1
                     if not uses[w]:
                         del acted[w]
@@ -818,59 +770,56 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
 
 def _word_table(kernel: _PackedAction, b_pres: QuadraticPresentation,
                 words: list) -> dict:
-    """m · nf(w) for every word w, packed at the kernel's width.
+    """m · nf(w) for every word w, as a Load over 1 at the kernel's width.
 
-    table[w] = (0, frame, vec, bound) with m · nf(w) = q^frame · vec;
-    words whose normal form is zero are left out.  Each nf(w) is the
+    Words whose normal form is zero are left out.  Each nf(w) is the
     B-presentation's packed remainder of w, and linalg._one_denominator
-    brings them to one common denominator m, so every vec is integral.
+    brings them to one common denominator m and drops it.
     """
     loads = {w: b_pres.packed_normal_form(
         Load(kernel.width, None, 0, {w: 1}, (1,), 0)) for w in words}
-    return {w: (0, *entry) for w, entry in
-            _one_denominator(loads, kernel.width).items()}
+    return _one_denominator(loads, kernel.width)
 
 
-def _acted_word(kernel: _PackedAction, xframe: int, xs: dict, xbound: int,
-                word: tuple, table: dict):
-    """m · nf(act(x, word)) as (top, frame, vec, bound), or None if zero.
-
-    x is loaded as _pack_vector gives it; the image is
-    q^frame · vec / (xden · D^top), mapped through the word table.
-    """
-    top, fr, vec, bound = kernel._act(xs, xbound, {word: 1}, 0)
-    f, vec, b = _packed_sum([(p, bound, *table[v][1:])
-                             for v, p in vec.items() if v in table],
-                            kernel.width)
-    return (top, xframe + fr + f, vec, b) if vec else None
+def _acted_word(kernel: _PackedAction, x: Load, word: tuple,
+                table: dict) -> Load | None:
+    """m · nf(act(x, word)) as a Load, or None if it is zero: the action
+    of x on word, mapped through the word table."""
+    image = kernel.act(x, Load(kernel.width, kernel.param, 0, {word: 1},
+                               (1,), 0))
+    acted = _combine(_table_parts(image, table), kernel.width, kernel.param)
+    return acted if acted.packed else None
 
 
-def _packed_row(kernel: _PackedAction, idx: list, row: list, xden: tuple,
+def _packed_row(kernel: _PackedAction, idx: list, row: list,
                 table: dict) -> Load:
-    """A row of loaded entries mapped through a word table, as one load.
+    """A row of entry Loads mapped through a word table, as one Load.
 
     Entry j of row, the sum of c_w·w, becomes the sum of c_w·table[w] at
-    the keys (j, word); every table entry is over xden · D^top, and a
-    word that is missing or maps to None contributes nothing.  Every
-    entry is lifted to D to the largest top, and linalg._stacked puts
-    the entries over one denominator in one load.
+    the keys (j, word).  linalg._combine sums each entry, and then puts
+    the entries side by side over one denominator.
     """
-    entries = []
-    top = 0
-    for j, (eframe, packed, eden, ebound) in zip(idx, row):
-        parts = []
-        for v, p in packed.items():
-            t = table.get(v)
-            if t is not None:
-                parts.append((p, ebound, *t))
-                top = max(top, t[0])
-        if parts:
-            entries.append((j, eframe, eden, parts))
-    blocks = {}
-    for j, eframe, eden, parts in entries:
-        frame, vec, bound = _packed_sum(kernel._lift(parts, top)[1],
-                                        kernel.width)
+    w, param = kernel.width, kernel.param
+    blocks = []
+    for j, entry in zip(idx, row):
+        _, _, frame, vec, den, bound = _combine(_table_parts(entry, table),
+                                                w, param)
         if vec:
-            blocks[j] = (eframe + frame, vec, eden, bound)
-    return _stacked(blocks, kernel.width, kernel.param,
-                    (xden,) + (kernel.den,) * top)
+            blocks.append((1, 0, frame, den,
+                           {(j, k): p for k, p in vec.items()}, bound))
+    return _combine(blocks, w, param)
+
+
+def _table_parts(load: Load, table: dict) -> list:
+    """The _combine parts of the sum of c_w·table[w] over the terms c_w·w
+    of load; a word that is missing from the table or maps to None
+    contributes nothing."""
+    _, _, frame, packed, den, bound = load
+    parts = []
+    for v, p in packed.items():
+        t = table.get(v)
+        if t is not None:
+            _, _, tframe, tvec, tden, tbound = t
+            parts.append((p, bound, frame + tframe, _den_product(den, tden),
+                          tvec, tbound))
+    return parts

@@ -39,27 +39,27 @@ This module is the one owner of the packed format.  Three users run on
 it: `Triangular`, the counit action of a double (`doubles._PackedAction`)
 and the operator product `packed_mat_mul`, which forms every entry of
 the product of two loads as one integer multiply-accumulate and returns
-Scalar rows.  Scalars are packed by one loader, `_pack_vector`, and
-matrices through its row form `_load_matrix`, the one matrix loader (an
-operator caches its load, braidings.TensorOperator).  `_pack_vector`
-checks the parameter, clears non-constant denominators by
-`scalars.laurent_multiplier` and integer ones by their lcm, packs, and
-bounds the result.  A packed vector that stays packed between users is
-a `Load`, which carries its digit width, parameter, frame, denominator
-and bound.  `Triangular` has one elimination and two entries to it: a
-dict of Scalars, which it packs through `_pack_vector`, and a Load,
-which it repacks if its width differs.  So the packed remainders of a
-presentation become the word table of a double's action-operator solve
-(`_one_denominator` brings them to one denominator), and that solve's
-packed rows and targets, each stacked over one denominator
-(`_stacked`), go into `coordinates` as they are.  Scalars
-leave through one conversion, `_unpack_vector`, which divides by the
-cleared denominator: `reduce` divides each surviving entry once by the
-remembered scale, and `row` unpacks a stored row.  Remainders modulo a
-leading-reduced basis are unique, so that division yields exactly the
-canonical Q(q) remainder that elimination over the field gives.
-`_packed_sum` combines packed vectors, and `_reframed` moves low zero
-digits into a vector's frame.
+Scalar rows.  Every packed vector passed between functions is a `Load`,
+which carries its digit width, parameter, frame, own denominator and
+bound; only the parts of a sum and Triangular's stored rows are plain
+tuples.  Scalars are packed by one loader, `_pack_vector`, and matrices
+through its row form `_load_matrix` (an operator caches its load,
+braidings.TensorOperator); it checks the parameter, clears
+non-constant denominators by `scalars.laurent_multiplier` and integer
+ones by their lcm, packs, and bounds the result.  Packed vectors are
+summed by one function, `_combine`, which lifts its parts to the lcm of
+their denominators and lines up their frames.  `Triangular` has one
+elimination and two entries to it: a dict of Scalars, which it packs,
+and a Load, which it repacks if its width differs.  So the packed
+remainders of a presentation become the word table of a double's
+action-operator solve (`_one_denominator` brings them to one
+denominator), and that solve's rows and targets go into `coordinates`
+as Loads.  Scalars leave through one conversion, `_unpack_vector`,
+which divides by a Load's denominator: `reduce` unpacks the remainder
+over the scale its elimination remembered, and `row` a stored row.
+Remainders modulo a leading-reduced basis are unique, so that division
+yields exactly the canonical Q(q) remainder that elimination over the
+field gives.
 
 Digits stay exact while the absolute coefficients of every polynomial
 sum to at most 2^(w-2).  Every packed vector carries a bound b on those
@@ -76,6 +76,7 @@ stored rows are repacked, and the elimination restarts from its input.
 
 from __future__ import annotations
 
+import collections
 import math
 from bisect import insort
 from typing import NamedTuple
@@ -269,16 +270,40 @@ def _spread(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def _pack_vector(vec: dict, w: int, param):
-    """vec as (param, frame, packed, den, bound) at digit width w.
+class Load(NamedTuple):
+    """A packed vector q^frame · packed / den at digit width w.
 
-    vec = q^frame · packed / den: packed maps each key to a packed integer
-    polynomial, den is an integer polynomial with a nonzero constant term,
-    and bound is the largest `_bits` of a packed polynomial.  Zero entries
-    are dropped; vec itself is left unchanged.  param is the given one, or
-    else the parameter of the first value that is not a rational constant
-    (a constant's parameter is a label); a value with another parameter
-    raises MixedParameterError.  Raises _TooWide when bound > w - 2.
+    packed maps keys to packed integer polynomials, den is an integer
+    polynomial with a nonzero constant term, and bound is at least the
+    `_bits` of every packed polynomial and at most w - 2.  param is the
+    vector's parameter, or None while it holds only rational constants.
+    """
+
+    w: int
+    param: str | None
+    frame: int
+    packed: dict
+    den: tuple
+    bound: int
+
+    def at(self, w: int) -> "Load":
+        """The same vector at digit width w (bound must fit w - 2)."""
+        if w == self.w:
+            return self
+        return self._replace(w=w, packed={
+            k: _pack(_unpack(p, self.w), w) for k, p in self.packed.items()})
+
+
+def _pack_vector(vec: dict, w: int, param) -> Load:
+    """The Load of a dict of Scalars at digit width w.
+
+    den is an integer polynomial with a nonzero constant term, and bound
+    is the largest `_bits` of a packed polynomial.  Zero entries are
+    dropped; vec itself is left unchanged.  param is the given one, or
+    else the parameter of the first value that is not a rational
+    constant (a constant's parameter is a label); a value with another
+    parameter raises MixedParameterError.  Raises _TooWide when
+    bound > w - 2.
     """
     for v in vec.values():
         if v.param != param and not v._parameter_free():
@@ -319,31 +344,7 @@ def _pack_vector(vec: dict, w: int, param):
     if bound > w - 2:
         raise _TooWide
     den = (scale,) if mult is None else tuple(c * scale for c in mult)
-    return param, frame, packed, den, bound
-
-
-class Load(NamedTuple):
-    """A packed vector q^frame · packed / den at digit width w.
-
-    packed maps keys to packed integer polynomials, den is an integer
-    polynomial with a nonzero constant term, and bound is at least the
-    `_bits` of every packed polynomial and at most w - 2.  param is the
-    vector's parameter, or None while it holds only rational constants.
-    """
-
-    w: int
-    param: str | None
-    frame: int
-    packed: dict
-    den: tuple
-    bound: int
-
-    def at(self, w: int) -> "Load":
-        """The same vector at digit width w (bound must fit w - 2)."""
-        if w == self.w:
-            return self
-        return self._replace(w=w, packed={
-            k: _pack(_unpack(p, self.w), w) for k, p in self.packed.items()})
+    return Load(w, param, frame, packed, den, bound)
 
 
 def _lcm(a: tuple, b: tuple) -> tuple:
@@ -356,10 +357,19 @@ def _lcm(a: tuple, b: tuple) -> tuple:
         return a
     if a == (1,):
         return b
+    if len(a) == 1 and len(b) == 1:
+        return (math.lcm(a[0], b[0]),)
     ca, cb = _pcontent(a), _pcontent(b)
     pa, pb = _pdivexact_int(a, ca), _pdivexact_int(b, cb)
     return tuple(math.lcm(ca, cb) * x
                  for x in _pmul(pa, _pdivexact(pb, _pgcd(pa, pb))))
+
+
+def _den_product(a: tuple, b: tuple) -> tuple:
+    """The product of the integer polynomials a and b, free when one is 1."""
+    if b == (1,):
+        return a
+    return b if a == (1,) else _pmul(a, b)
 
 
 def _shared_factor(den: tuple, polys) -> tuple:
@@ -377,15 +387,15 @@ def _shared_factor(den: tuple, polys) -> tuple:
 
 
 def _one_denominator(loads: dict, w: int) -> dict:
-    """{key: (frame, vec, bound)} with m · loads[key] = q^frame · vec.
+    """{key: m · loads[key]}, each a Load at digit width w over 1.
 
     m is one integer polynomial for every load: the `_lcm` of their
     denominators, each first divided by the factor it shares with all
     its load's coefficients, so m is 1 when every load is a Laurent
     polynomial and the lcm of the canonical denominators when they are
-    constants.  vec is packed at digit width w as `_reframed` leaves it,
-    its bound read from the digits.  Zero loads are left out.  Raises
-    _TooWide when a bound passes w - 2.
+    constants.  Each Load is `_reframed`, so its bound is read from the
+    digits.  Zero loads are left out.  Raises _TooWide when a bound
+    passes w - 2.
     """
     reduced = []
     m = (1,)
@@ -416,121 +426,112 @@ def _one_denominator(loads: dict, w: int) -> dict:
             if max(map(_bits, polys.values())) > w - 2:
                 raise _TooWide
             vec = {k: _pack(t, w) for k, t in polys.items()}
-        out[key] = _reframed(load.frame, vec, w)
+        out[key] = _reframed(Load(w, load.param, load.frame, vec, (1,), 0))
     return out
 
 
-def _stacked(blocks: dict, w: int, param, dens) -> Load:
-    """One Load of the vectors blocks[j] side by side, at the keys (j, k).
-
-    blocks maps j to (frame, vec, den, bound), the nonempty vector
-    q^frame · vec / (den · the product of dens) packed at digit width w
-    with its bound.  Each vec is lifted to the `_lcm` of the blocks' den
-    by its cofactor, which adds the cofactor's `_bits` to its bound, and
-    the frames are lined up at the lowest.  Raises _TooWide when a bound
-    passes w - 2.
-    """
-    common = (1,)
-    for _, _, den, _ in blocks.values():
-        common = _lcm(common, den)
-    frame = min((f for f, _, _, _ in blocks.values()), default=0)
-    out = {}
-    bound = 0
-    for j, (f, vec, den, b) in blocks.items():
-        shift = w * (f - frame)
-        if den == common:
-            for k, p in vec.items():
-                out[(j, k)] = p << shift
-        else:
-            cof = _pdivexact(common, den)
-            b += _bits(cof)
-            m = _pack(cof, w) << shift
-            for k, p in vec.items():
-                out[(j, k)] = m * p
-        bound = max(bound, b)
-    if bound > w - 2:
-        raise _TooWide
-    for d in dens:
-        if d != (1,):
-            common = _pmul(common, d)
-    return Load(w, param, frame, out, common, bound)
-
-
-def _unpack_vector(param: str, frame: int, packed: dict, w: int,
-                   dens) -> dict:
-    """The Scalars q^frame · packed[k] / (the product of dens).
-
-    packed holds packed polynomials at digit width w and dens integer
-    polynomials.
-    """
-    den = (1,)
-    for d in dens:
-        if d != (1,):
-            den = _pmul(den, d)
+def _unpack_vector(load: Load) -> dict:
+    """The Scalars of a Load, in its parameter or else q."""
+    w, param, frame, packed, den, _ = load
+    param = param or "q"
     return {k: Scalar._make(param, frame, _unpack(p, w), den)
             for k, p in packed.items()}
 
 
-def _reframed(frame: int, vec: dict, w: int) -> tuple:
-    """(frame, vec, bound) of q^frame · vec with no zero low digit in common.
+def _reframed(load: Load) -> Load:
+    """load with no zero low digit common to its entries, bound exact.
 
-    The low digits that are zero in every entry of the nonzero packed
-    vector vec go into the frame, and bound is read from the digits.
+    The low digits that are zero in every entry of the nonempty load go
+    into its frame, and its bound is read from the digits.
     """
+    w, _, frame, vec, _, _ = load
     low = min(((p & -p).bit_length() - 1) // w for p in vec.values())
     if low:
         vec = {k: p >> (w * low) for k, p in vec.items()}
-    return frame + low, vec, max(_bits(_unpack(p, w)) for p in vec.values())
+    return load._replace(
+        frame=frame + low, packed=vec,
+        bound=max(_bits(_unpack(p, w)) for p in vec.values()))
 
 
-def _packed_sum(parts: list, w: int) -> tuple:
-    """(frame, vec, bound) of the sum of m · q^fr · vec over parts.
+def _combine(parts: list, w: int, param) -> Load:
+    """The Load of the sum of m · q^frame / den · vec over parts.
 
-    parts are (m, m_bound, fr, vec, vec_bound): m a packed polynomial,
-    vec a nonempty packed vector, each with its bound.  A product's bound
-    is the sum of its factors' bounds, and a sum of n parts adds
-    _spread(n); raises _TooWide when that passes w - 2.
+    parts are flat tuples (m, m_bound, frame, den, vec, vec_bound): m a
+    packed polynomial, den an integer polynomial and vec a packed vector,
+    m and vec each with its bound.  Each part is lifted to the `_lcm` of
+    the parts' den by its cofactor, which adds the cofactor's `_bits` to
+    its bound, and the frames are lined up at the lowest.  A product's
+    bound is the sum of its factors' bounds, and a sum adds _spread(n),
+    n the most parts that meet at one key; n is counted only when
+    len(parts) does not fit, so parts on disjoint keys add nothing.
+    Raises _TooWide when the bound passes w - 2.  No parts give the empty
+    Load over 1.
     """
     if not parts:
-        return 0, {}, 0
-    bound = max(p[1] + p[4] for p in parts) + _spread(len(parts))
-    if bound > w - 2:
-        raise _TooWide
-    if len(parts) == 1 and parts[0][0] == 1:
-        return parts[0][2], parts[0][3], bound
-    frame = min(p[2] for p in parts)
+        return Load(w, param, 0, {}, (1,), 0)
+    den = parts[0][3]
+    frame = parts[0][2]
+    for part in parts:
+        if part[3] != den:
+            den = _lcm(den, part[3])
+        if part[2] < frame:
+            frame = part[2]
+    # the packed sums are exact whatever the bound, which is checked last
     out: dict = {}
-    for m, _, fr, vec, _ in parts:
+    high = 0
+    for m, mb, fr, d, vec, vb in parts:
+        b = mb + vb
+        if d != den:
+            cof = _pdivexact(den, d)
+            m *= _pack(cof, w)
+            b += _bits(cof)
         if fr != frame:
             m <<= w * (fr - frame)
-        for k, p in vec.items():
-            cur = out.get(k)
-            out[k] = m * p if cur is None else cur + m * p
-    return frame, {k: p for k, p in out.items() if p}, bound
+        if b > high:
+            high = b
+        if m != 1:
+            for k, p in vec.items():
+                cur = out.get(k)
+                out[k] = m * p if cur is None else cur + m * p
+        elif len(parts) == 1:
+            out = vec  # the one part as it is
+        else:  # the digits of vec, shared and not copied
+            for k, p in vec.items():
+                cur = out.get(k)
+                out[k] = p if cur is None else cur + p
+    bound = high + _spread(len(parts))
+    if bound > w - 2:
+        meets = collections.Counter(k for part in parts for k in part[4])
+        bound = high + _spread(max(meets.values(), default=1))
+        if bound > w - 2:
+            raise _TooWide
+    if 0 in out.values():
+        out = {k: p for k, p in out.items() if p}
+    return Load(w, param, frame, out, den, bound)
 
 
-def _load_matrix(rows, w: int, param=None) -> tuple:
-    """The load (w, param, frame, packed rows, den, bound) of Scalar rows.
+def _load_matrix(rows, w: int, param=None) -> Load:
+    """The Load of Scalar rows, its packed entries grouped by row.
 
     rows yields (row index, {col index: Scalar}) pairs, as the items of
     sparse rows do, and is read once, so a caller can make each row as
-    it is read.  rows = q^frame · packed / den, read by _pack_vector over
-    the (row, col) entries with the given param; rows without entries
-    are left out.  Raises _TooWide and MixedParameterError as
-    _pack_vector does.
+    it is read.  packed maps each row index to {col index: packed
+    polynomial}, read by _pack_vector over the (row, col) entries with
+    the given param; rows without entries are left out.  Raises _TooWide
+    and MixedParameterError as _pack_vector does.
     """
-    param, frame, packed, den, bound = _pack_vector(
-        {(r, c): v for r, cs in rows for c, v in cs.items()}, w, param)
+    load = _pack_vector({(r, c): v for r, cs in rows for c, v in cs.items()},
+                        w, param)
     prows: dict = {}
-    for (r, c), p in packed.items():
+    for (r, c), p in load.packed.items():
         prows.setdefault(r, {})[c] = p
-    return w, param, frame, prows, den, bound
+    return load._replace(packed=prows)
 
 
-def packed_mat_mul(left: tuple, right: tuple) -> dict:
-    """mat_mul(left rows, right rows, operator.mul) from two loads.
+def packed_mat_mul(left: Load, right: Load) -> dict:
+    """mat_mul(left rows, right rows, operator.mul) from two Loads.
 
-    left and right are loads (_load_matrix) at one digit width w; the
+    left and right are `_load_matrix` Loads at one digit width w; the
     product is the rows of Scalars.  Every output entry is one integer
     multiply-accumulate, bounded by the factors' bounds plus _spread of
     the longest left row, and every output row leaves through one
@@ -542,9 +543,10 @@ def packed_mat_mul(left: tuple, right: tuple) -> dict:
     _, rp, rf, rrows, rd, rb = right
     if lp and rp and lp != rp:
         raise MixedParameterError(f"{lp!r} vs {rp!r}")
-    if lb + rb + _spread(max(map(len, lrows.values()), default=1)) > w - 2:
+    bound = lb + rb + _spread(max(map(len, lrows.values()), default=1))
+    if bound > w - 2:
         raise _TooWide
-    param = lp or rp or "q"
+    param = lp or rp
     frame = lf + rf
     den = _pmul(ld, rd)
     rows: dict = {}
@@ -558,7 +560,7 @@ def packed_mat_mul(left: tuple, right: tuple) -> dict:
                     acc[c] = a * b if cur is None else cur + a * b
         acc = {c: p for c, p in acc.items() if p}
         if acc:
-            rows[r] = _unpack_vector(param, frame, acc, w, (den,))
+            rows[r] = _unpack_vector(Load(w, param, frame, acc, den, bound))
     return rows
 
 
@@ -611,17 +613,18 @@ class Triangular:
     def __len__(self):
         return len(self.pivots)
 
-    def _load(self, vec) -> tuple:
-        """(frame, packed, den, bound) of vec at this Triangular's width.
+    def _load(self, vec) -> Load:
+        """vec as a Load at this Triangular's width, in a new dict.
 
         vec is a dict of Scalars, which _pack_vector packs, or a Load,
-        which is repacked when its width differs; packed is a new dict.
-        Either way the Triangular takes the parameter of vec (see the
-        class).  Raises _TooWide when the bound passes w - 2.
+        which is repacked when its width differs.  Either way the
+        Triangular takes the parameter of vec (see the class).  Raises
+        _TooWide when the bound passes w - 2.
         """
         w = self._width
         if type(vec) is not Load:
-            self.param, *load = _pack_vector(vec, w, self.param)
+            load = _pack_vector(vec, w, self.param)
+            self.param = load.param
             return load
         if vec.param is not None and vec.param != self.param:
             if self.param is not None:
@@ -629,16 +632,16 @@ class Triangular:
             self.param = vec.param
         if vec.bound > w - 2:
             raise _TooWide
-        return vec.frame, dict(vec.at(w).packed), vec.den, vec.bound
+        vec = vec.at(w)
+        return vec._replace(packed=dict(vec.packed))
 
-    def _eliminate(self, frame: int, vec: dict, den: tuple, base: int):
-        """(frame, r, den, bound) with q^frame · r / den the remainder.
+    def _eliminate(self, load: Load) -> Load:
+        """The remainder of load, as a Load at this width and parameter.
 
-        The elimination starts from the load q^frame · vec / den, whose
-        entries are bounded by base, and works on vec in place.  r maps
-        keys to packed integer polynomials, den is an integer polynomial
-        and bound bounds every entry of r.  Each entry of the working
-        vector carries its own bound, base until a step touches it: a
+        The elimination works on the packed dict of load in place; its
+        entries start bounded by the load's bound, base.  The remainder's
+        den is the load's times the leads it scales by.  Each entry of the
+        working vector carries its own bound, base until a step touches it: a
         step adds c times the row, whose bound is the cleared coefficient
         c's plus the row's, and one more when the entry was already
         there.  A step against a pivot whose lead is 1 reads no digit: c
@@ -650,7 +653,7 @@ class Triangular:
         the keys mapped.  When a bound could pass w - 2, all are read from
         the digits once; raises _TooWide when one is still too large.
         """
-        w = self._width
+        w, _, frame, vec, den, base = load
         limit = w - 2
         pivots = self.pivots
         sortkey = self.sortkey
@@ -679,7 +682,7 @@ class Triangular:
                 if hit in vec:
                     break
             else:
-                return frame, vec, den, top
+                return Load(w, self.param, frame, vec, den, top)
             cp = vec.pop(hit)
             own = bounds.pop(hit, base) + off
             row = pivots.get(hit)
@@ -776,11 +779,11 @@ class Triangular:
             if hit in vec:  # the step cancels the pivot key by construction
                 raise AssertionError("reduction failed to clear pivot key")
 
-    def _remainder(self, vec):
-        """_eliminate of _load(vec), widening the digits until they fit."""
+    def remainder(self, vec) -> Load:
+        """The unique remainder of vec as a Load, widening until it fits."""
         while True:
             try:
-                return self._eliminate(*self._load(vec))
+                return self._eliminate(self._load(vec))
             except _TooWide:
                 self._widen()
 
@@ -793,20 +796,13 @@ class Triangular:
                 {k: _pack(_unpack(p, w), wide) for k, p in rest.items()},
                 *tail)
 
-    def remainder(self, vec) -> Load:
-        """The unique remainder of vec as a Load, at this width."""
-        frame, vec, den, bound = self._remainder(vec)
-        return Load(self._width, self.param, frame, vec, den, bound)
-
     def reduce(self, vec) -> dict:
         """Unique remainder of vec modulo the current row span, as Scalars."""
-        frame, vec, den, _ = self._remainder(vec)
-        return _unpack_vector(self.param or "q", frame, vec, self._width,
-                              (den,))
+        return _unpack_vector(self.remainder(vec))
 
     def insert(self, vec):
         """Reduce vec and adjoin it if independent; returns its pivot or None."""
-        _, vec, _, _ = self._remainder(vec)
+        vec = self.remainder(vec).packed
         if not vec:
             return None
         w = self._width
@@ -851,10 +847,10 @@ class Triangular:
 
     def row(self, pivot) -> dict:
         """The stored row with pivot `pivot`, as one vector."""
-        rest, _, shift, lead, _ = self.pivots[pivot]
-        param = self.param or "q"
-        out = _unpack_vector(param, 0, rest, self._width, ())
-        out[pivot] = Scalar(param, shift, lead, (1,))
+        rest, bound, shift, lead, _ = self.pivots[pivot]
+        out = _unpack_vector(
+            Load(self._width, self.param, 0, rest, (1,), bound))
+        out[pivot] = Scalar(self.param or "q", shift, lead, (1,))
         return out
 
 

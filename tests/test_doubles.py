@@ -27,8 +27,8 @@ from redouble.doubles import (
 )
 from redouble.heckerep import jucys_murphy_inverse
 from redouble.invariants import elementary_symmetric, power_sum
-from redouble.linalg import (_WIDTH, _unpack, accumulate, coordinates,
-                             vec_add_scaled)
+from redouble.linalg import (_WIDTH, _unpack_vector, accumulate,
+                             coordinates, vec_add_scaled)
 from redouble.ncengine import (Gen, MatrixOverAlgebra, NCElement,
                                PresentationError, free_presentation,
                                matrix_generators)
@@ -321,8 +321,8 @@ def test_letter_route_equals_ordering_route(n, kind):
 
 def test_rational_rule_constants_are_cleared_once():
     # rational constants in the rule table: the kernel packs it with one
-    # integer denominator D and scales the action of a letter on a word
-    # of length L by D^(L+1)
+    # integer denominator D, and the action of a letter on a word of
+    # length L is over a power of D up to D^(L+1)
     sampled = make_double(standard_hecke(2), "left").substituted(
         Fraction(3, 7))
     shifted = make_double(standard_hecke(2), "derivative_shifted",
@@ -330,6 +330,12 @@ def test_rational_rule_constants_are_cleared_once():
     for d in (sampled, shifted):
         _assert_routes_agree(d, 2, f"denominators-{d.kind}")
         assert len(d._kernel.den) == 1 and d._kernel.den[0] > 1
+    # a polynomial D: the counit h^-1 of the unit-shifted derivatives at
+    # h = q + 1 puts 1 + q under the whole table
+    unit = make_double(flip(2), "derivative_shifted_unit",
+                       h=q_scalar() + ONE)
+    _assert_routes_agree(unit, 2, "denominators-polynomial")
+    assert unit._kernel.den == (1, 1)
 
 
 def test_wide_coefficients_widen_the_action():
@@ -666,10 +672,9 @@ def test_the_word_table_carries_one_common_factor():
         nf = d.b_pres.normal_form(NCElement.word(w)).terms
         assert (w in table) == bool(nf)
         if nf:
-            _, frame, vec, _ = table[w]
-            assert vec.keys() == nf.keys()
-            for key, p in vec.items():
-                entry = Scalar._make("q", frame, _unpack(p, _WIDTH), (1,))
+            assert table[w].den == (1,)
+            assert table[w].packed.keys() == nf.keys()
+            for key, entry in _unpack_vector(table[w]).items():
                 ratios.add(entry * nf[key].inverse())
                 dens.add(nf[key].den)
     assert len(dens) > 2

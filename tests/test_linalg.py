@@ -14,11 +14,12 @@ import pytest
 
 from redouble import braidings, linalg
 from redouble.braidings import TensorOperator, standard_hecke
-from redouble.linalg import (_WIDTH, Load, Triangular, _load_matrix, _pack,
-                             _pack_vector, _TooWide, _unpack, coordinates,
-                             mat_mul, packed_mat_mul, traced, vec_add_scaled)
+from redouble.linalg import (_WIDTH, Load, Triangular, _bits, _load_matrix,
+                             _pack, _pack_vector, _TooWide, _unpack,
+                             coordinates, mat_mul, packed_mat_mul, traced,
+                             vec_add_scaled)
 from redouble.ncengine import Gen, NCElement
-from redouble.scalars import ONE, MixedParameterError, Scalar, _pgcd
+from redouble.scalars import ONE, MixedParameterError, Scalar, _pgcd, _pmul
 
 
 class FieldTriangular:
@@ -293,7 +294,7 @@ def test_one_triangular_takes_one_parameter():
 
 def _loaded(vec: dict, w: int = _WIDTH) -> Load:
     """vec as a Load at digit width w."""
-    return Load(w, *_pack_vector(vec, w, None))
+    return _pack_vector(vec, w, None)
 
 
 @pytest.mark.parametrize("param", ["q", "h"])
@@ -341,7 +342,7 @@ def test_a_load_at_another_width_is_repacked(w, widens):
     assert (by_load._width > _WIDTH) == widens
     rem = by_load.remainder(_loaded(probe, w))
     assert rem.w == by_load._width and rem.param == "q"
-    got = linalg._unpack_vector("q", rem.frame, rem.packed, rem.w, (rem.den,))
+    got = linalg._unpack_vector(rem)
     _check_same_remainders(got, by_scalars.reduce(probe))
 
 
@@ -386,6 +387,81 @@ def test_loaded_rows_reject_dependent_rows_and_outside_vectors():
         vec_add_scaled(vec, {k: ONE}, Scalar.from_int(3))
         with pytest.raises(ArithmeticError, match="outside the span"):
             coords(_loaded(vec))
+
+
+def _part(m: tuple, shift: int, den: tuple, vec: dict,
+          w: int = _WIDTH) -> tuple:
+    """The _combine part q^shift · m / den · vec and its terms as Scalars.
+
+    m and den are integer polynomials, vec a dict of Scalars in q.
+    """
+    load = _loaded(vec, w)
+    c = Scalar._make("q", shift, m, den)
+    return ((_pack(m, w), _bits(m), shift + load.frame,
+             _pmul(den, load.den), load.packed, load.bound),
+            {k: c * v for k, v in vec.items()})
+
+
+def _combined(parts: list, w: int = _WIDTH) -> Load:
+    """_combine of the parts of `_part`, checked against Scalar sums."""
+    want: dict = {}
+    for _, terms in parts:
+        for k, v in terms.items():
+            linalg.accumulate(want, k, v)
+    got = linalg._combine([part for part, _ in parts], w, "q")
+    assert linalg._unpack_vector(got) == want
+    assert got.bound <= w - 2
+    assert all(_bits(_unpack(p, w)) <= got.bound
+               for p in got.packed.values())
+    return got
+
+
+@pytest.mark.parametrize("dens, common", [
+    (((2,), (8,)), (8,)),
+    (((1, 1), (1, 2, 1)), (1, 2, 1)),
+    (((1, 1), (1, 0, 1)), (1, 1, 1, 1)),
+], ids=["integers", "square", "coprime"])
+def test_combine_lifts_parts_to_the_lcm_of_their_denominators(dens, common):
+    # Laurent vectors at frames -2 to 3: the parts' denominators are the
+    # given ones, and the sum is over their lcm
+    rng = random.Random(f"combine:{dens}")
+    keys = list(range(5))
+    parts = [_part((rng.randint(-3, 3), rng.choice((1, -2, 3))), shift, den,
+                   {k: _poly(rng, "q", rng.randint(-2, 1), 2)
+                    for k in rng.sample(keys, 3)})
+             for den, shift in zip(dens * 2, (-2, 0, 3, 1))]
+    assert _combined(parts).den == common
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_combine_sums_rational_parts(seed):
+    # vectors with rational-function entries give every part its own
+    # polynomial denominator
+    rng = random.Random(f"combine-rational:{seed}")
+    keys = list(range(5))
+    parts = [_part((rng.choice((1, -2, 3)),), rng.randint(-2, 2),
+                   rng.choice(((1,), (3,), (1, 1))),
+                   {k: _scalar(rng, "q") for k in rng.sample(keys, 3)})
+             for _ in range(rng.randint(1, 4))]
+    _combined(parts)
+
+
+def test_combine_counts_the_parts_that_meet_only_when_it_must():
+    # nine parts of bound 12 at 16-bit digits: 12 + _spread(9) passes
+    # w - 2 = 14, but at most two of them meet at one key, so the sum fits
+    # with one bit of spread; nine at one key do not fit
+    w = 16
+    big = Scalar.from_int(2 ** 12 - 1)
+    disjoint = [_part((1,), 0, (1,), {k % 8: big}, w) for k in range(9)]
+    assert _combined(disjoint, w).bound == 13
+    overlapping = [_part((1,), 0, (1,), {0: big}, w) for _ in range(9)]
+    with pytest.raises(_TooWide):
+        linalg._combine([part for part, _ in overlapping], w, "q")
+
+
+def test_combine_of_no_parts_is_the_empty_load():
+    empty = _combined([])
+    assert empty == Load(_WIDTH, "q", 0, {}, (1,), 0)
 
 
 def test_rows_span_what_was_inserted():
