@@ -17,9 +17,13 @@ recursing on rest, with the counit on the empty word.  It runs on the
 packed Laurent format of linalg, which alone knows the digits, bounds,
 frames and denominators: each double loads its rule table and counit
 once, over one cleared denominator D, and memoizes the action of an
-a-letter on a b-word as a linalg.Load over a power of D for as long as
-the double lives (_PackedAction); this module keeps the recursion, and
-linalg._combine sums its terms.
+a-letter on a b-word as a linalg.Load over a power of D (_PackedAction);
+this module keeps the recursion, and linalg._combine sums its terms.
+The memo lives with the double, but keeps only what a later action may
+read: a batch (one act_each call, or one action-operator solve) counts
+its first requests beforehand, and one it makes only once is computed
+and not stored.  Every word in the memo is interned per kernel, so
+equal words in different entries are one object.
 act_each acts with each of several elements on a list of targets: it
 loads every element and every target once, in the braiding's parameter,
 multiplies them on packed integers, and makes Scalars only for the
@@ -271,12 +275,17 @@ class QuantumDouble:
         through the double's packed (letter, B-word) memo.  Equal to
         act_by_ordering, since the rules a·b -> ... cannot overlap (so
         the ordered form is unique) and the counit is multiplicative.
-        The packed kernel loads every target once and each x once.
+        The packed kernel loads every target once and each x once.  The
+        call is one batch: an entry that it asks for first only once
+        (_asked_once) is not stored in the memo.
         """
         for b in targets:
             self._check_target(b)
         longest = max((len(w) for b in targets for w in b.terms),
                       default=None)
+        xs = list(xs)
+        once = _asked_once(self.a_tag, (w for x in xs for w in x.terms),
+                           (w for b in targets for w in b.terms))
         loaded = None  # (kernel, the targets loaded in it)
 
         def run(kernel):
@@ -286,7 +295,8 @@ class QuantumDouble:
                     _pack_vector(b.terms, kernel.width, kernel.param)
                     for b in targets]
             xl = _pack_vector(x.terms, kernel.width, kernel.param)
-            return [_unpack_vector(kernel.act(xl, b)) for b in loaded[1]]
+            return [_unpack_vector(kernel.act(xl, b, once))
+                    for b in loaded[1]]
 
         for x in xs:
             if longest is not None and x.terms and \
@@ -357,12 +367,18 @@ class _PackedAction:
     is over D times the rest's denominator, one that stops early (b' or
     a constant) over D, and `linalg._combine` sums them over their lcm,
     a power of D up to D^(|bw|+1).
+    It stores every entry the recursion reads, and every first request
+    of act (see _asked_once) except those its batch makes only once:
+    such an entry is computed, returned and dropped.  `words` interns
+    every word the kernel builds or stores, so equal words in different
+    entries are one object, and lookups compare them by identity.
     Bounds follow linalg's convention: a product adds the bounds of its
     factors, and `_combine` checks them.  Every value is in the
     braiding's parameter.
     """
 
-    __slots__ = ("width", "param", "a_tag", "b_tag", "rule", "memo", "den")
+    __slots__ = ("width", "param", "a_tag", "b_tag", "rule", "memo", "words",
+                 "den")
 
     def __init__(self, double: QuantumDouble, width: int):
         coeffs = {(g,): e for g, e in double.eps_a.items()}
@@ -377,6 +393,7 @@ class _PackedAction:
         self.b_tag = double.b_tag
         self.rule = {pair: [] for pair in double.rule.table}
         self.memo = {}
+        self.words = {(): ()}
         for key, p in table.packed.items():
             coeff = _reframed(table._replace(packed={(): p}))
             if len(key) == 1:  # the counit on the empty B-word
@@ -395,34 +412,44 @@ class _PackedAction:
             self.memo.setdefault((g, ()), Load(width, self.param, 0, {},
                                                self.den, 0))
 
-    def _letter(self, g: Gen, bw: tuple) -> Load:
-        """g acting on the B-word bw."""
-        hit = self.memo.get((g, bw))
+    def _letter(self, g: Gen, bw: tuple, skip=()) -> Load:
+        """g acting on the B-word bw, stored in the memo unless (g, bw) is
+        in skip."""
+        key = (g, bw)
+        hit = self.memo.get(key)
         if hit is not None:
             return hit
-        rest = bw[1:]
+        intern = self.words.setdefault
+        rest = intern(r := bw[1:], r)
         den = self.den
         parts = []
         for prefix, a, pc, frame, bound in self.rule[(g, bw[0])]:
             if a is None:
-                parts.append((pc, bound, frame, den, {prefix + rest: 1}, 0))
+                parts.append((pc, bound, frame, den,
+                              {intern(u := prefix + rest, u): 1}, 0))
             else:
                 _, _, fr, vec, vden, vbound = self._letter(a, rest)
                 if vec:
                     if prefix:
-                        vec = {prefix + k: p for k, p in vec.items()}
+                        vec = {intern(u := prefix + k, u): p
+                               for k, p in vec.items()}
                     parts.append((pc, bound, frame + fr,
                                   _den_product(den, vden), vec, vbound))
-        hit = self.memo[(g, bw)] = _combine(parts, self.width, self.param)
+        hit = _combine(parts, self.width, self.param)
+        if key not in skip:
+            self.memo[(g, intern(bw, bw))] = hit
         return hit
 
-    def act(self, x: Load, b: Load) -> Load:
+    def act(self, x: Load, b: Load, once: frozenset) -> Load:
         """x·b acting on the empty B-word, for x and b loaded here.
 
         Each word of x acts, from its last letter to its first, on the
-        packed vector of b.
+        packed vector of b.  The first A-letter g to act asks for g on
+        tail + bw, tail the B-letters after g and bw a word of b; such
+        a request in once (see _asked_once) is computed and not stored.
         """
         a_tag, b_tag, w, param = self.a_tag, self.b_tag, self.width, self.param
+        intern = self.words.setdefault
         _, _, xframe, xs, xden, xbound = x
         _, _, bframe, bs, bden, bbound = b
         frame, xbden = xframe + bframe, _den_product(xden, bden)
@@ -430,27 +457,54 @@ class _PackedAction:
         for word, c in xs.items():
             # (frame, den, vec, bound) of the suffix acting on b
             fr, den, vec, vbound = 0, (1,), bs, bbound
+            skip = once  # the first A-letter's requests that are not kept
             for g in reversed(word):
                 if g.tag == b_tag:
-                    vec = {(g,) + k: p for k, p in vec.items()}
-                elif g.tag != a_tag:
+                    vec = {intern(u := (g,) + k, u): p
+                           for k, p in vec.items()}
+                    continue
+                if g.tag != a_tag:
                     raise DoubleError(f"foreign letter {g!r} in the double")
-                elif len(vec) == 1 and 1 in vec.values():
+                if len(vec) == 1 and 1 in vec.values():
                     (bw,) = vec
-                    _, _, f, vec, d, vb = self._letter(g, bw)
+                    _, _, f, vec, d, vb = self._letter(g, bw, skip)
                     fr, den, vbound = fr + f, _den_product(den, d), vbound + vb
                 elif vec:
                     terms = []
                     for bw, p in vec.items():
-                        _, _, f, v, d, vb = self._letter(g, bw)
+                        _, _, f, v, d, vb = self._letter(g, bw, skip)
                         if v:
                             terms.append((p, vbound, f, d, v, vb))
                     _, _, f, vec, d, vbound = _combine(terms, w, param)
                     fr, den = fr + f, _den_product(den, d)
+                skip = ()
             if vec:
                 parts.append((c, xbound, frame + fr, _den_product(xbden, den),
                               vec, vbound))
         return _combine(parts, w, param)
+
+
+def _asked_once(a_tag: str, acting, targets) -> frozenset:
+    """The first requests that a batch of actions makes exactly once.
+
+    A word of an acting element that ends in g·tail, g its last A-letter
+    and tail B-letters, first asks for g acting on tail + bw for each
+    word bw of each target (_PackedAction.act).  acting holds the words
+    of every acting element of the batch, targets the words of every
+    target, each once per element that holds it.
+    """
+    heads = collections.Counter()
+    for word in acting:
+        for i in range(len(word) - 1, -1, -1):
+            if word[i].tag == a_tag:
+                heads[word[i], word[i + 1:]] += 1
+                break
+    ends = collections.Counter(targets)
+    asked = collections.Counter()
+    for (g, tail), n in heads.items():
+        for bw, m in ends.items():
+            asked[g, tail + bw] += n * m
+    return frozenset(key for key, n in asked.items() if n == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +796,8 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
         # m · nf(act(a, w)) per word, kept until the last row that reads it
         uses = collections.Counter(key for row in loaded for e in row
                                    for key in e.packed)
+        # the solve is one batch: what it asks for first once is not kept
+        once = _asked_once(kernel.a_tag, x.packed, list(uses))
         acted = {}
         out: dict = {}
         for i in idx:
@@ -749,7 +805,7 @@ def _solve_action_operator(double: QuantumDouble, a: NCElement,
             for e in row:
                 for w in e.packed:
                     if w not in acted:
-                        acted[w] = _acted_word(kernel, x, w, table)
+                        acted[w] = _acted_word(kernel, x, w, table, once)
             target = _packed_row(kernel, idx, row, acted)
             for e in row:
                 for w in e.packed:
@@ -781,12 +837,13 @@ def _word_table(kernel: _PackedAction, b_pres: QuadraticPresentation,
     return _one_denominator(loads, kernel.width)
 
 
-def _acted_word(kernel: _PackedAction, x: Load, word: tuple,
-                table: dict) -> Load | None:
+def _acted_word(kernel: _PackedAction, x: Load, word: tuple, table: dict,
+                once: frozenset) -> Load | None:
     """m · nf(act(x, word)) as a Load, or None if it is zero: the action
-    of x on word, mapped through the word table."""
+    of x on word, mapped through the word table.  once is passed to
+    kernel.act."""
     image = kernel.act(x, Load(kernel.width, kernel.param, 0, {word: 1},
-                               (1,), 0))
+                               (1,), 0), once)
     acted = _combine(_table_parts(image, table), kernel.width, kernel.param)
     return acted if acted.packed else None
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -9,8 +10,9 @@ from fractions import Fraction
 import pytest
 from conftest import first_term_again, spoiled_copy
 
-from redouble import doubles
+from redouble import adjoint_orbits, doubles
 from redouble.braidings import TensorOperator, flip, standard_hecke
+from redouble.capelli import capelli_difference, verify_capelli_action
 from redouble.doubles import (
     DoubleDefinition,
     DoubleError,
@@ -309,6 +311,15 @@ def _assert_routes_agree(d, n, seed):
         got = d.act_mixed(x, b)
         assert got.terms == d.act_by_ordering(x, b).terms, (d.kind, x, b)
         assert all(g.tag == d.b_tag for w in got.terms for g in w)
+    if d.kind == "adjoint_shifted":
+        # the orbit-descent batch: every field on p_k·w in one act_each
+        fields = [NCElement.generator(g) for g in a_gens]
+        targets = [power_sum(d.braiding, d.b_tag, k) * NCElement.word(w)
+                   for k in range(1, n + 1)
+                   for w in [()] + [(g,) for g in b_gens[:2]]]
+        for x, images in zip(fields, d.act_each(fields, targets)):
+            for b, got in zip(targets, images):
+                assert got.terms == d.act_by_ordering(x, b).terms, (x, b)
 
 
 @pytest.mark.parametrize("n, kind", _ROUTE_CASES)
@@ -352,6 +363,60 @@ def test_wide_coefficients_widen_the_action():
     assert got.terms == d.act_by_ordering(x, b).terms
     assert not got.is_zero()
     assert d._kernel.width > _WIDTH
+
+
+def _orbit_descent_double(monkeypatch):
+    """The double that verify_orbit_descent acts in at N = 2, after the
+    check has passed."""
+    made = []
+    real = adjoint_orbits.make_double
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(adjoint_orbits, "make_double", spy)
+    assert adjoint_orbits.verify_orbit_descent(
+        standard_hecke(2), [ONE, Scalar.from_int(2)]).passed
+    monkeypatch.undo()
+    [double] = made
+    return double
+
+
+def test_the_action_memo_holds_each_word_once(monkeypatch):
+    # every word in a memo key or a memo value is the kernel's interned
+    # object, so equal words in different entries are one object
+    kernel = _orbit_descent_double(monkeypatch)._kernel
+    memo_words = [w for (g, bw), (_, _, _, vec, _, _) in kernel.memo.items()
+                  for w in (bw, *vec)]
+    seen = {}
+    assert all(seen.setdefault(w, w) is w for w in memo_words)
+    assert all(kernel.words[w] is w for w in memo_words)
+
+
+def test_a_letter_action_asked_once_per_batch_is_not_stored(monkeypatch):
+    # the fields act on p_k·w, k <= 2 and |w| <= 1, at N = 2: each field
+    # asks once for each target word of the top degree 3, so no memo key
+    # holds one, while the recursion keeps the words of degree 2
+    kernel = _orbit_descent_double(monkeypatch)._kernel
+    assert max(len(bw) for g, bw in kernel.memo) == 2
+
+
+def test_no_letter_action_is_computed_twice_in_a_capelli_batch(monkeypatch):
+    # entries asked once in the batch are not stored, but none of them
+    # is asked again later in the same call
+    computed = collections.Counter()
+    real = _PackedAction._letter
+
+    def spy(self, g, bw, *skip):
+        if (g, bw) not in self.memo:
+            computed[g, bw] += 1
+        return real(self, g, bw, *skip)
+
+    monkeypatch.setattr(_PackedAction, "_letter", spy)
+    double = make_double(standard_hecke(2), "derivative")
+    assert verify_capelli_action(double, capelli_difference(double, 2)).passed
+    assert computed and max(computed.values()) == 1
 
 
 def test_the_action_multiplies_scalars_only_at_its_boundary(monkeypatch):
